@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .moments import catalan
-from .ring import RingMatrix, UniPoly, binomial, det_rational, interp_unipoly
+from .ring import RingMatrix, UniPoly, binomial, det_poly, det_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -66,19 +66,6 @@ def q_cheb(n: int, a: Fraction, var: str = "X") -> UniPoly:
     return UniPoly([-un1, -un], var)
 
 
-def _det_linear_entries(entries, n: int, var: str) -> UniPoly:
-    """det of an n x n matrix whose (i, j) entry is the UniPoly entries[i][j]
-    (each of degree <= 1), by evaluation at n+1 points and interpolation."""
-    pts = [Fraction(t) for t in range(n + 1)]
-    vals = []
-    for v in pts:
-        mat = RingMatrix(
-            n, n, [entries[i][j].eval(v) for i in range(n) for j in range(n)]
-        )
-        vals.append(det_rational(mat))
-    return interp_unipoly(pts, vals, var)
-
-
 def theorem14_eval(n: int, a: Fraction, var: str = "X"):
     """Both sides of the X-linear Hankel evaluation
 
@@ -90,8 +77,7 @@ def theorem14_eval(n: int, a: Fraction, var: str = "X"):
     if n < 1:
         raise ValueError("n must be positive")
     rho = [modified_moment_cheb(s, a, var) for s in range(2 * n - 1)]
-    entries = [[rho[i + j] for j in range(n)] for i in range(n)]
-    lhs = _det_linear_entries(entries, n, var)
+    lhs = det_poly(lambda p, i, j: rho[i + j].eval(p[0]), n, [(var, n)])
     if lhs.degree > 1:
         raise ArithmeticError("determinant should be linear in X")
     base = -2 * Fraction(a)
@@ -113,8 +99,8 @@ def theorem15_eval(n: int, a: Fraction, b: Fraction, var: str = "X"):
         raise ValueError("n must be positive")
     b = Fraction(b)
     rho = [modified_moment_cheb(s, a, var) for s in range(2 * n)]
-    entries = [[rho[i + j + 1] - b * rho[i + j] for j in range(n)] for i in range(n)]
-    lhs = _det_linear_entries(entries, n, var)
+    sigma = [rho[s + 1] - b * rho[s] for s in range(2 * n - 1)]
+    lhs = det_poly(lambda p, i, j: sigma[i + j].eval(p[0]), n, [(var, n)])
     if lhs.degree > 1:
         raise ArithmeticError("determinant should be linear in X")
     base = -2 * Fraction(a)
@@ -138,14 +124,9 @@ def central_weight(s: int) -> Fraction:
     return Fraction(binomial(2 * c, c), 4**c)
 
 
-def _det_shifted_identity(entry, n: int, var: str = "Y") -> UniPoly:
-    """det(Y + entry(i+j)) as a polynomial in Y via interpolation."""
-    pts = [Fraction(t) for t in range(n + 1)]
-    vals = []
-    for v in pts:
-        mat = RingMatrix(n, n, [v + entry(i + j) for i in range(n) for j in range(n)])
-        vals.append(det_rational(mat))
-    return interp_unipoly(pts, vals, var)
+def _det_shifted_identity(entry, n: int) -> UniPoly:
+    """det(Y + entry(i+j)) as a polynomial in Y."""
+    return det_poly(lambda p, i, j: p[0] + entry(i + j), n, [("Y", n)])
 
 
 @dataclass

@@ -19,6 +19,7 @@ import sys
 
 from . import chebyshev as cheb
 from .identity import (
+    _DOMAIN_ERRORS,
     sweep_jacobi,
     sweep_lemmas,
     sweep_prop13,
@@ -26,24 +27,8 @@ from .identity import (
     sweep_theorem1_series,
     uvarov_system,
 )
-from .moments import (
-    ChebyshevCatalanFunctional,
-    FiniteAtomFunctional,
-    ModeError,
-    MomentHorizonError,
-    PoleAtAtomError,
-    functional_from_json,
-)
-from .orthopoly import DegenerateFunctionalError
+from .moments import ChebyshevCatalanFunctional, FiniteAtomFunctional, functional_from_json
 from .ring import format_rational, parse_rational
-
-_DOMAIN_ERRORS = (
-    PoleAtAtomError,
-    MomentHorizonError,
-    ModeError,
-    DegenerateFunctionalError,
-    ZeroDivisionError,
-)
 
 DEFAULT_SEED = 42
 
@@ -71,6 +56,21 @@ def _load_functional(path: str | None, default=None):
 
 class SystemExit2(Exception):
     """Usage / I/O problem: maps to exit code 2."""
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer flag with a lower bound (usage error below it)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_rational_list(text: str | None):
@@ -340,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--max-k", type=int, default=3)
     p.add_argument("--max-m", type=int, default=3)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--truncation", type=int, default=25)
+    p.add_argument("--trials", type=_int_at_least(1), default=100)
+    p.add_argument("--truncation", type=_int_at_least(1), default=25)
     p.add_argument("--series", action="store_true",
                    help="formal-series mode over random moment sequences")
     p.add_argument("--functional", help="JSON functional to use instead of random ones")
@@ -350,18 +350,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("prop13", help="confluent (repeated-parameter) cases")
     p.add_argument("--max-n", type=int, default=5)
-    p.add_argument("--trials", type=int, default=4)
+    p.add_argument("--trials", type=_int_at_least(1), default=4)
     add_common(p)
     p.set_defaults(func=_cmd_verify_prop13)
 
     p = vsub.add_parser("lemmas", help="condensation lemmas and Jacobi identity")
     p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_int_at_least(1), default=10)
     add_common(p)
     p.set_defaults(func=_cmd_verify_lemmas)
 
     p = sub.add_parser("hankel", help="Hankel determinant of (modified) moments")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--functional", help="JSON functional (default: chebyshev)")
     p.add_argument("--xs", help="comma-separated rational x parameters")
     p.add_argument("--ys", help="comma-separated rational y parameters")

@@ -18,6 +18,7 @@ oriented Vandermonde products prod(x_j - x_i) and prod(y_i - y_j).
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -45,9 +46,9 @@ from .ring import (
     UniPoly,
     binomial,
     det_generic,
+    det_poly,
     det_rational,
     format_rational,
-    interp_unipoly,
     vandermonde_product,
 )
 
@@ -63,14 +64,9 @@ def theorem1_sign(n: int, k: int, m: int) -> int:
     return -1 if (n * (m - k) + k * m) % 2 else 1
 
 
-def _y_vandermonde(ys) -> Fraction:
+def _y_vandermonde(ys):
     """prod_{i<j} (y_i - y_j) --- note the reversed orientation."""
-    ys = list(ys)
-    prod = _ONE
-    for i in range(len(ys)):
-        for j in range(i + 1, len(ys)):
-            prod *= ys[i] - ys[j]
-    return prod
+    return vandermonde_product(reversed(ys))
 
 
 def _work_truncation(truncation: int, k: int) -> int:
@@ -187,6 +183,7 @@ _DOMAIN_ERRORS = (
     MomentHorizonError,
     ModeError,
     ConfluentRequiredError,
+    ZeroDivisionError,
 )
 
 
@@ -315,13 +312,7 @@ def _series_cleared_sides(sys: OrthoSystem, inst: IdentityInstance):
     variables = inst.ys
     wt = _work_truncation(inst.truncation, k)
     lhs_det = f.modified_hankel_det_series(n, inst.xs, variables, wt)
-    vy = InverseSeries.one(variables)
-    for i in range(k):
-        for j in range(i + 1, k):
-            vy = vy * (
-                InverseSeries.plain_variable(variables, i)
-                - InverseSeries.plain_variable(variables, j)
-            )
+    vy = _y_vandermonde([InverseSeries.plain_variable(variables, i) for i in range(k)])
     lhs = lhs_det * vy * vandermonde_product(inst.xs)
     rhs = det_generic(_theorem1_matrix(sys, inst), one=InverseSeries.one(variables))
     sign = theorem1_sign(n, k, inst.m)
@@ -430,7 +421,7 @@ def confluent_matrix(sys: OrthoSystem, inst: ConfluentInstance) -> RingMatrix:
     rows = []
     for xi, mult in inst.xi:
         for i in range(1, mult + 1):
-            fact = Fraction(1, _factorial(i - 1))
+            fact = Fraction(1, math.factorial(i - 1))
             row = []
             for j in range(1, size + 1):
                 b = n - k + j - 1
@@ -441,7 +432,7 @@ def confluent_matrix(sys: OrthoSystem, inst: ConfluentInstance) -> RingMatrix:
             rows.append(row)
     for omega, mult in inst.omega:
         for i in range(1, mult + 1):
-            fact = Fraction(1, _factorial(i - 1))
+            fact = Fraction(1, math.factorial(i - 1))
             row = []
             for j in range(1, size + 1):
                 b = n - k + j - 1
@@ -453,13 +444,6 @@ def confluent_matrix(sys: OrthoSystem, inst: ConfluentInstance) -> RingMatrix:
                     row.append(q_derivative_exact(sys, b, i - 1, omega) * fact)
             rows.append(row)
     return RingMatrix.from_rows(rows)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def rhs_prop13(sys: OrthoSystem, inst: ConfluentInstance) -> Fraction:
@@ -648,63 +632,25 @@ def _hankel_slice_det(c, size: int, shift: int) -> Fraction:
     )
 
 
-def _lin_det(c, size: int, var: str) -> UniPoly:
-    """det(v c_{i+j} + c_{i+j+1}) as a polynomial in v (degree <= size)."""
-    if size <= 0:
-        return UniPoly.one(var)
-    pts = [Fraction(t) for t in range(size + 1)]
-    vals = []
-    for v in pts:
-        vals.append(
-            det_rational(
-                RingMatrix(
-                    size,
-                    size,
-                    [v * c[i + j] + c[i + j + 1] for i in range(size) for j in range(size)],
-                )
-            )
-        )
-    return interp_unipoly(pts, vals, var)
+def _lin_det(c, size: int, slot: int) -> UniPoly:
+    """det(v c_{i+j} + c_{i+j+1}) with v = alpha (slot 0) or beta (slot 1),
+    as a polynomial in alpha over Q[beta] (degree <= size in v)."""
+    bounds = (size, 0) if slot == 0 else (0, size)
+    return det_poly(
+        lambda p, i, j: p[slot] * c[i + j] + c[i + j + 1],
+        size,
+        [("alpha", bounds[0]), ("beta", bounds[1])],
+    )
 
 
 def _quad_det(c, size: int) -> UniPoly:
     """det(ab c_{i+j} + (a+b) c_{i+j+1} + c_{i+j+2}) as a nested polynomial:
     outer variable "alpha" with UniPoly("beta") coefficients."""
-    if size <= 0:
-        return _embed_scalar(_ONE)
-    pts = [Fraction(t) for t in range(size + 1)]
-    columns = []
-    for a0 in pts:
-        vals = []
-        for b0 in pts:
-            vals.append(
-                det_rational(
-                    RingMatrix(
-                        size,
-                        size,
-                        [
-                            a0 * b0 * c[i + j] + (a0 + b0) * c[i + j + 1] + c[i + j + 2]
-                            for i in range(size)
-                            for j in range(size)
-                        ],
-                    )
-                )
-            )
-        columns.append(interp_unipoly(pts, vals, "beta"))
-    coeffs = interp_unipoly(pts, columns, "alpha").coeffs
-    return UniPoly(coeffs, "alpha")
-
-
-def _embed_scalar(c) -> UniPoly:
-    return UniPoly([UniPoly([c], "beta")], "alpha")
-
-
-def _embed_alpha(p: UniPoly) -> UniPoly:
-    return UniPoly([UniPoly([c], "beta") for c in p.coeffs], "alpha")
-
-
-def _embed_beta(p: UniPoly) -> UniPoly:
-    return UniPoly([p], "alpha")
+    return det_poly(
+        lambda p, i, j: p[0] * p[1] * c[i + j] + (p[0] + p[1]) * c[i + j + 1] + c[i + j + 2],
+        size,
+        [("alpha", size), ("beta", size)],
+    )
 
 
 def _coerce_sequence(c, needed: int):
@@ -722,14 +668,11 @@ def lemma8_check(c, n: int) -> VerificationReport:
     if n < 1:
         raise ValueError("n must be positive")
     c = _coerce_sequence(c, 2 * n)
-    alpha = _embed_alpha(UniPoly.variable("alpha"))
-    beta = _embed_beta(UniPoly.variable("beta"))
-    lin_a_small = _embed_alpha(_lin_det(c, n - 1, "alpha"))
-    lin_a_big = _embed_alpha(_lin_det(c, n, "alpha"))
-    lin_b_small = _embed_beta(_lin_det(c, n - 1, "beta"))
-    lin_b_big = _embed_beta(_lin_det(c, n, "beta"))
-    lhs = (beta - alpha) * _quad_det(c, n - 1) * _embed_scalar(_hankel_slice_det(c, n, 0))
-    rhs = lin_a_small * lin_b_big - lin_b_small * lin_a_big
+    beta_minus_alpha = UniPoly(
+        [UniPoly.variable("beta"), UniPoly.constant(-_ONE, "beta")], "alpha"
+    )
+    lhs = beta_minus_alpha * _quad_det(c, n - 1) * _hankel_slice_det(c, n, 0)
+    rhs = _lin_det(c, n - 1, 0) * _lin_det(c, n, 1) - _lin_det(c, n - 1, 1) * _lin_det(c, n, 0)
     return VerificationReport(
         "lemma8", {"n": n, "c": [format_rational(v) for v in c]},
         lhs, rhs, lhs == rhs, elapsed=time.perf_counter() - t0,
@@ -745,10 +688,10 @@ def lemma9_check(c, n: int) -> VerificationReport:
     if n < 1:
         raise ValueError("n must be positive")
     c = _coerce_sequence(c, 2 * n + 1)
-    lhs = _embed_alpha(_lin_det(c, n, "alpha")) * _embed_beta(_lin_det(c, n, "beta"))
-    rhs = _quad_det(c, n) * _embed_scalar(_hankel_slice_det(c, n, 0)) - _quad_det(
+    lhs = _lin_det(c, n, 0) * _lin_det(c, n, 1)
+    rhs = _quad_det(c, n) * _hankel_slice_det(c, n, 0) - _quad_det(
         c, n - 1
-    ) * _embed_scalar(_hankel_slice_det(c, n + 1, 0))
+    ) * _hankel_slice_det(c, n + 1, 0)
     return VerificationReport(
         "lemma9", {"n": n, "c": [format_rational(v) for v in c]},
         lhs, rhs, lhs == rhs, elapsed=time.perf_counter() - t0,

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .moments import FiniteAtomFunctional, ModeError, MomentFunctional, PoleAtAtomError
-from .ring import InverseSeries, RingMatrix, UniPoly, det_rational, interp_unipoly
+from .ring import InverseSeries, RingMatrix, UniPoly, det_poly, det_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -172,14 +172,9 @@ def poly_lemma5(f: MomentFunctional, n: int, var: str = "x") -> UniPoly:
     if n == 0:
         return UniPoly.one(var)
     f._require_horizon(2 * n - 1)
-    xs = [Fraction(v) for v in range(n + 1)]
-    ys = []
-    for x0 in xs:
-        mat = RingMatrix(
-            n, n, [f.moment(i + j + 1) - f.moment(i + j) * x0 for i in range(n) for j in range(n)]
-        )
-        ys.append(det_rational(mat))
-    return interp_unipoly(xs, ys, var)
+    return det_poly(
+        lambda p, i, j: f.moment(i + j + 1) - f.moment(i + j) * p[0], n, [(var, n)]
+    )
 
 
 def _require_atoms(sys: OrthoSystem) -> FiniteAtomFunctional:

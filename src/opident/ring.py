@@ -55,25 +55,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def zero_like(v):
-    """Additive identity of the ring *v* lives in."""
-    if isinstance(v, UniPoly):
-        return UniPoly((), v.var)
-    if isinstance(v, InverseSeries):
-        return InverseSeries(v.variables, {}, None)
-    return _ZERO
-
-
-def one_like(v):
-    """Multiplicative identity of the ring *v* lives in."""
-    if isinstance(v, UniPoly):
-        inner = one_like(v.coeffs[0]) if v.coeffs else _ONE
-        return UniPoly((inner,), v.var)
-    if isinstance(v, InverseSeries):
-        return InverseSeries.one(v.variables)
-    return _ONE
-
-
 class UniPoly:
     """Dense univariate polynomial; coefficient index = exponent.
 
@@ -855,5 +836,28 @@ def interp_coeffs(xs, ys):
 
 
 def interp_unipoly(xs, ys, var: str = "x") -> UniPoly:
-    """Interpolate rational-valued points into a UniPoly."""
+    """Interpolate points into a UniPoly (values as for interp_coeffs)."""
     return UniPoly(interp_coeffs(xs, ys), var)
+
+
+def det_poly(entry, size: int, degrees):
+    """Determinant of the size x size matrix ``entry(point, i, j)`` as an
+    exact polynomial, by evaluation and interpolation.
+
+    ``degrees`` lists ``(var, bound)`` pairs, outer variable first; ``point``
+    holds one rational sample per listed variable, in that order.  Each
+    variable is sampled at 0..bound, so bound must be at least the
+    determinant's degree in it.  One pair gives a UniPoly over Q; two give a
+    UniPoly in the first variable whose coefficients are UniPolys in the
+    second, and so on.
+    """
+
+    def level(point, rest):
+        if not rest:
+            cells = [entry(point, i, j) for i in range(size) for j in range(size)]
+            return det_rational(RingMatrix(size, size, cells))
+        (var, bound), inner = rest[0], rest[1:]
+        pts = [Fraction(t) for t in range(bound + 1)]
+        return interp_unipoly(pts, [level(point + (t,), inner) for t in pts], var)
+
+    return level((), tuple(degrees))

@@ -163,6 +163,35 @@ def test_series_rejects_functional_flag(tmp_path, capsys):
     assert code == 2
 
 
+def test_uvarov_coincident_poles_exit_1_without_traceback(tmp_path, capsys):
+    # The y-Vandermonde vanishes, so the division raises ZeroDivisionError.
+    path = tmp_path / "atoms.json"
+    path.write_text(UVAROV_ATOMS)
+    code, out, err = run_cli(
+        ["uvarov", "--functional", str(path), "--ys", "2/3,2/3"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hankel", "--n", "-1"],
+        ["verify", "theorem1", "--series", "--truncation", "0"],
+        ["verify", "theorem1", "--trials", "-1", "--json"],
+    ],
+)
+def test_out_of_range_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "must be >=" in err
+
+
 def test_uvarov_requires_atoms(tmp_path, capsys):
     path = tmp_path / "cheb.json"
     path.write_text('{"type":"chebyshev"}')

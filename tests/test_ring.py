@@ -15,6 +15,7 @@ from opident.ring import (
     det_berkowitz,
     det_cofactor,
     det_generic,
+    det_poly,
     det_rational,
     format_rational,
     interp_unipoly,
@@ -227,6 +228,45 @@ def test_interp_unipoly_round_trip():
     p = UniPoly.from_coeffs([F(1, 3), -2, 0, 5])
     xs = [F(t) for t in range(4)]
     assert interp_unipoly(xs, [p.eval(x) for x in xs]) == p
+
+
+def test_det_poly_one_variable_matches_cofactor(rng):
+    for n in range(5):
+        a = random_fraction_rows(rng, n)
+        rows = [[UniPoly([a[i][j], F(i == j)], "x") for j in range(n)] for i in range(n)]
+        expected = det_cofactor(RingMatrix.from_rows(rows), one=UniPoly.one("x"))
+        assert expected.degree == n
+
+        def entry(p, i, j):
+            return rows[i][j].eval(p[0])
+
+        assert det_poly(entry, n, [("x", n)]) == expected
+        if n:
+            assert det_poly(entry, n, [("x", n - 1)]) != expected
+
+
+def test_det_poly_two_variables_matches_cofactor_and_hand_expansion():
+    # det(ab c_{i+j} + (a+b) c_{i+j+1} + c_{i+j+2}), 2 x 2, c = 2, -1, 3, 0, 1
+    # = 5a^2b^2 + 3a^2b + 3ab^2 - 7ab - 9a^2 - 9b^2 - a - b + 3
+    c = [F(v) for v in (2, -1, 3, 0, 1)]
+    by_alpha = [[3, -1, -9], [-1, -7, 3], [-9, 3, 5]]
+    expected = UniPoly([UniPoly.from_coeffs(r, "beta") for r in by_alpha], "alpha")
+
+    alpha = UniPoly([UniPoly.zero("beta"), UniPoly.one("beta")], "alpha")
+    beta = UniPoly([UniPoly.variable("beta")], "alpha")
+    rows = [
+        [alpha * beta * c[i + j] + (alpha + beta) * c[i + j + 1] + c[i + j + 2] for j in range(2)]
+        for i in range(2)
+    ]
+    one = UniPoly([UniPoly.one("beta")], "alpha")
+    assert det_cofactor(RingMatrix.from_rows(rows), one=one) == expected
+
+    def entry(p, i, j):
+        a, b = p
+        return a * b * c[i + j] + (a + b) * c[i + j + 1] + c[i + j + 2]
+
+    assert det_poly(entry, 2, [("alpha", 2), ("beta", 2)]) == expected
+    assert det_poly(entry, 2, [("alpha", 2), ("beta", 1)]) != expected
 
 
 def test_binomial():
