@@ -53,6 +53,7 @@ from .identity import (
     matrix_M,
     matrix_N,
     modified_functional,
+    prop13_sign,
     rhs_prop13,
     rhs_theorem1,
     sweep_jacobi,

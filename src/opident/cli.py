@@ -159,6 +159,10 @@ def _cmd_verify_theorem1(args) -> int:
         # depth the sweep needs
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        # a shape the random functionals cannot serve (depth above the atom count)
+        depth = args.max_n + args.max_m - 1
+        raise SystemExit2(f"sweep depth max_n + max_m - 1 = {depth} not supported: {exc}")
     return _report_sweep(reports, args, "verify theorem1", config)
 
 
@@ -337,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = verify.add_subparsers(dest="target", required=True)
 
     p = vsub.add_parser("theorem1", help="the main determinant identity")
-    p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--max-k", type=int, default=3)
-    p.add_argument("--max-m", type=int, default=3)
+    p.add_argument("--max-n", type=_int_at_least(0), default=6)
+    p.add_argument("--max-k", type=_int_at_least(0), default=3)
+    p.add_argument("--max-m", type=_int_at_least(0), default=3)
     p.add_argument("--trials", type=_int_at_least(1), default=100)
     p.add_argument("--truncation", type=_int_at_least(1), default=25)
     p.add_argument("--series", action="store_true",
@@ -349,13 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_theorem1)
 
     p = vsub.add_parser("prop13", help="confluent (repeated-parameter) cases")
-    p.add_argument("--max-n", type=int, default=5)
+    p.add_argument("--max-n", type=_int_at_least(0), default=5)
     p.add_argument("--trials", type=_int_at_least(1), default=4)
     add_common(p)
     p.set_defaults(func=_cmd_verify_prop13)
 
     p = vsub.add_parser("lemmas", help="condensation lemmas and Jacobi identity")
-    p.add_argument("--max-n", type=int, default=6)
+    p.add_argument("--max-n", type=_int_at_least(0), default=6)
     p.add_argument("--trials", type=_int_at_least(1), default=10)
     add_common(p)
     p.set_defaults(func=_cmd_verify_lemmas)
@@ -373,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ys", help="comma-separated rational pole parameters")
     p.add_argument("--xs-fixed", dest="xs_fixed",
                    help="comma-separated fixed zero parameters (x_2, x_3, ...)")
-    p.add_argument("--max-n", type=int, default=5)
+    p.add_argument("--max-n", type=_int_at_least(0), default=5)
     add_common(p, seed=False)
     p.set_defaults(func=_cmd_uvarov)
 

@@ -446,17 +446,22 @@ def confluent_matrix(sys: OrthoSystem, inst: ConfluentInstance) -> RingMatrix:
     return RingMatrix.from_rows(rows)
 
 
+def prop13_sign(inst: ConfluentInstance) -> int:
+    """The plain sign times (-1)^binom(a, 2) for each omega-block of
+    multiplicity a: the reversed y-orientation flips every second
+    divided-difference row in the limit (verified against the directly
+    computed left-hand side; the plain statement of the confluent matrix
+    omits this factor)."""
+    sign = theorem1_sign(inst.n, inst.k, inst.m)
+    return -sign if sum(binomial(c, 2) for _, c in inst.omega) % 2 else sign
+
+
 def rhs_prop13(sys: OrthoSystem, inst: ConfluentInstance) -> Fraction:
-    """Confluent right-hand side.
+    """Confluent right-hand side, with the sign of prop13_sign.
 
     Denominators are prod(xi_j - xi_i)^(m_i m_j) and the reversed
-    prod(omega_i - omega_j)^(k_i k_j).  On top of the plain sign, each
-    omega-block of multiplicity a contributes (-1)^binom(a, 2): the reversed
-    y-orientation flips every second divided-difference row in the limit
-    (verified against the directly computed left-hand side; the plain
-    statement of the confluent matrix omits this factor).
+    prod(omega_i - omega_j)^(k_i k_j).
     """
-    n, k, m = inst.n, inst.k, inst.m
     d = det_rational(confluent_matrix(sys, inst))
     den = _ONE
     for i in range(len(inst.xi)):
@@ -467,9 +472,7 @@ def rhs_prop13(sys: OrthoSystem, inst: ConfluentInstance) -> Fraction:
             den *= (inst.omega[i][0] - inst.omega[j][0]) ** (
                 inst.omega[i][1] * inst.omega[j][1]
             )
-    parity = n * (m - k) + k * m + sum(binomial(c, 2) for _, c in inst.omega)
-    sign = -1 if parity % 2 else 1
-    return sign * d / den
+    return prop13_sign(inst) * d / den
 
 
 def verify_prop13(sys: OrthoSystem, inst: ConfluentInstance) -> VerificationReport:
@@ -577,23 +580,14 @@ def modified_functional(
     f: FiniteAtomFunctional, xs_fixed=(), ys=()
 ) -> FiniteAtomFunctional:
     """The finite-atom functional of the density prod_{l>=2}(u-x_l)/prod(u-y_l) dmu."""
-    xs_fixed = tuple(Fraction(x) for x in xs_fixed)
-    ys = tuple(Fraction(y) for y in ys)
+    nums, den = f.modified_weights(xs_fixed, ys)
     atoms = []
-    for u, w in f.atoms:
-        for y in ys:
-            if u == y:
-                raise PoleAtAtomError(f"y = {format_rational(y)} is an atom node")
-        scale = _ONE
-        for x in xs_fixed:
-            scale *= u - x
-        for y in ys:
-            scale /= u - y
-        if not scale:
+    for (u, _), num in zip(f.atoms, nums):
+        if not num:
             raise ValueError(
                 f"fixed x = {format_rational(u)} kills the atom at that node"
             )
-        atoms.append((u, w * scale))
+        atoms.append((u, Fraction(num, den)))
     return FiniteAtomFunctional(atoms)
 
 
@@ -745,7 +739,7 @@ def sweep_theorem1_atom(
     (y parameters are drawn with denominator 3, so they never hit the
     integer atom nodes)."""
     rng = random.Random(seed)
-    depth = max_n + max_m - 1
+    depth = max(max_n + max_m - 1, 0)
     reports = []
     for _ in range(trials):
         f = functional
@@ -774,7 +768,7 @@ def sweep_theorem1_series(
     nonvanishing leading Hankel minors; coefficients are compared for every
     total inverse degree below `truncation`."""
     rng = random.Random(seed)
-    depth = max_n + max_m - 1
+    depth = max(max_n + max_m - 1, 0)
     wt = _work_truncation(truncation, max(ks))
     horizon = 2 * max_n - 2 + max_m + wt
     reports = []

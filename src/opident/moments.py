@@ -17,6 +17,7 @@ determinants of both.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from fractions import Fraction
 
@@ -129,10 +130,14 @@ class MomentFunctional:
             raise ModeError("rational y parameters need a finite-atom functional")
         return self.apply(_numerator_poly(i, xs))
 
+    def modified_moments(self, count: int, xs=(), ys=()) -> list[Fraction]:
+        """Modified moments for i = 0..count-1 (see modified_moment)."""
+        return [self.modified_moment(s, xs, ys) for s in range(count)]
+
     def modified_hankel_det(self, n: int, xs=(), ys=()) -> Fraction:
         if n == 0:
             return _ONE
-        mm = [self.modified_moment(s, xs, ys) for s in range(2 * n - 1)]
+        mm = self.modified_moments(2 * n - 1, xs, ys)
         return det_rational(RingMatrix(n, n, [mm[i + j] for i in range(n) for j in range(n)]))
 
     def modified_moment_series(
@@ -207,7 +212,12 @@ def _numerator_poly(i: int, xs) -> UniPoly:
 class FiniteAtomFunctional(MomentFunctional):
     """Discrete measure sum w_a * delta(u_a): nodes pairwise distinct,
     weights nonzero.  Every integral of the theory is a finite rational sum,
-    so this is the canonical exact-verification backend."""
+    so this is the canonical exact-verification backend.
+
+    The sums run on plain ints: node u_a is ``node_numerators[a] /
+    node_scale`` (the scale is the lcm of the node denominators), and every
+    weight vector is a list of integer numerators over one denominator.
+    """
 
     def __init__(self, atoms):
         super().__init__()
@@ -218,8 +228,12 @@ class FiniteAtomFunctional(MomentFunctional):
         if any(not w for _, w in atoms):
             raise ValueError("atom weights must be nonzero")
         self.atoms = atoms
-        self._moments = [sum((w for _, w in atoms), _ZERO)]
-        self._powers = [_ONE] * len(atoms)
+        self.node_scale = math.lcm(*(u.denominator for u in nodes))
+        self.node_numerators = tuple(
+            u.numerator * (self.node_scale // u.denominator) for u in nodes
+        )
+        self._moments = ()
+        self._moment_lock = threading.Lock()
 
     @property
     def nodes(self):
@@ -227,27 +241,54 @@ class FiniteAtomFunctional(MomentFunctional):
 
     def moment(self, n: int) -> Fraction:
         self._require_horizon(n)
-        while len(self._moments) <= n:
-            self._powers = [p * u for p, (u, _) in zip(self._powers, self.atoms)]
-            self._moments.append(
-                sum((w * p for p, (_, w) in zip(self._powers, self.atoms)), _ZERO)
-            )
-        return self._moments[n]
+        # The table is only ever replaced whole, under the lock, so a reader
+        # sees either the old or the new tuple, never a half-extended one.
+        moments = self._moments
+        if n >= len(moments):
+            with self._moment_lock:
+                if n >= len(self._moments):
+                    count = max(n + 1, 2 * len(self._moments))
+                    self._moments = tuple(self.modified_moments(count))
+                moments = self._moments
+        return moments[n]
 
-    def modified_moment(self, i: int, xs=(), ys=()) -> Fraction:
+    def modified_weights(self, xs=(), ys=()) -> tuple[list[int], int]:
+        """Integers N_a and D > 0 with N_a / D = w_a prod(u_a - x_l) / prod(u_a - y_l),
+        the atom weights of the modified functional."""
         xs = tuple(Fraction(x) for x in xs)
         ys = tuple(Fraction(y) for y in ys)
-        total = _ZERO
-        for u, w in self.atoms:
-            v = w * u**i
+        b = self.node_scale
+        nums, dens = [], []
+        for (_, w), un in zip(self.atoms, self.node_numerators):
+            num, den = w.numerator, w.denominator
             for x in xs:
-                v *= u - x
+                num *= un * x.denominator - x.numerator * b
             for y in ys:
-                if u == y:
+                diff = un * y.denominator - y.numerator * b
+                if not diff:
                     raise PoleAtAtomError(f"y = {format_rational(y)} is an atom node")
-                v /= u - y
-            total += v
-        return total
+                den *= diff
+            nums.append(num)
+            dens.append(den)
+        # u_a - v = (U_a d_v - n_v B) / (B d_v): the B d_v factors are the same
+        # for every atom, so they go into the shared scale.
+        common = math.lcm(*dens)
+        num_scale = b ** max(len(ys) - len(xs), 0) * math.prod(y.denominator for y in ys)
+        den_scale = b ** max(len(xs) - len(ys), 0) * math.prod(x.denominator for x in xs)
+        return [n * (common // d) * num_scale for n, d in zip(nums, dens)], common * den_scale
+
+    def modified_moments(self, count: int, xs=(), ys=()) -> list[Fraction]:
+        """Modified moment i is M_i / (D B^i) with M_i = sum_a N_a U_a^i."""
+        powers, den = self.modified_weights(xs, ys)
+        out = []
+        for _ in range(count):
+            out.append(Fraction(sum(powers), den))
+            powers = [p * u for p, u in zip(powers, self.node_numerators)]
+            den *= self.node_scale
+        return out
+
+    def modified_moment(self, i: int, xs=(), ys=()) -> Fraction:
+        return self.modified_moments(i + 1, xs, ys)[i]
 
     def to_json_dict(self) -> dict:
         return {
@@ -337,10 +378,18 @@ def random_atom_functional(
 ) -> FiniteAtomFunctional:
     """Seeded random finite-atom functional: distinct integer nodes in
     [-node_bound, node_bound], nonzero integer weights; redrawn until every
-    required H(j) is nonzero.  `normalize` rescales the weights so mu_0 = 1.
+    required H(j) is nonzero.  H(j) vanishes for j > count, so asking for
+    more is a ValueError rather than an endless redraw.  `normalize`
+    rescales the weights so mu_0 = 1.
     """
     if count > 2 * node_bound + 1:
         raise ValueError("not enough distinct integer nodes available")
+    upto = hankel_nonzero_upto if hankel_nonzero_upto is not None else count
+    if upto > count:
+        raise ValueError(
+            f"H({upto}) vanishes for every {count}-atom functional; "
+            f"need hankel_nonzero_upto <= {count}"
+        )
     nonzero = [w for w in range(-weight_bound, weight_bound + 1) if w]
     while True:
         nodes = rng.sample(range(-node_bound, node_bound + 1), count)
@@ -351,7 +400,6 @@ def random_atom_functional(
                 continue
             weights = [w / total for w in weights]
         f = FiniteAtomFunctional(zip(map(Fraction, nodes), weights))
-        upto = hankel_nonzero_upto if hankel_nonzero_upto is not None else count
         if all(f.hankel_det(j) for j in range(1, upto + 1)):
             return f
 

@@ -29,12 +29,34 @@ class DegenerateFunctionalError(Exception):
         super().__init__(message or f"Hankel determinant H({index}) vanishes")
 
 
+def _integer_form(coeffs) -> tuple[tuple[int, ...], int]:
+    """Integer numerators c_i and a common denominator d: coeffs[i] = c_i / d."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (d // c.denominator) for c in coeffs), d
+
+
+def _homogeneous_eval(coeffs, a: int, b: int) -> tuple[int, int]:
+    """(sum_i c_i a^i b^(deg-i), b^deg): the polynomial at a/b is their quotient
+    (Horner on plain ints)."""
+    it = reversed(coeffs)
+    acc = next(it)
+    bpow = 1
+    for c in it:
+        bpow *= b
+        acc = acc * a + c * bpow
+    return acc, bpow
+
+
 class OrthoSystem:
     """The data (s_n), (t_n), p_n, norms attached to a functional.
 
     ``depth`` is the largest constructed polynomial index: p_0..p_depth,
     s_0..s_{depth-1}, t_0..t_{depth-2}, norms L(p_0^2)..L(p_{depth-1}^2).
-    Immutable once built; p(-1) is the zero polynomial.
+    Immutable once built; p(-1) is the zero polynomial.  Each p_n is also
+    kept as integer coefficients over one denominator and, for a finite-atom
+    functional, as the integer values w_a p_n(u_a) over one denominator;
+    both tables are filled here, so a built system is safe to share across
+    threads.
     """
 
     def __init__(self, functional, depth, s, t, polys, norms, var):
@@ -45,15 +67,29 @@ class OrthoSystem:
         self.polys = tuple(polys)
         self.norms = tuple(norms)
         self.var = var
-        self._node_values = {}
+        self._int_polys = tuple(_integer_form(p.coeffs) for p in self.polys)
+        self._atom_values = None
+        if isinstance(functional, FiniteAtomFunctional):
+            weights, weight_den = functional.modified_weights()
+            b = functional.node_scale
+            table = []
+            for coeffs, d in self._int_polys:
+                vals, den = [], weight_den * d * b ** (len(coeffs) - 1)
+                for w, un in zip(weights, functional.node_numerators):
+                    vals.append(w * _homogeneous_eval(coeffs, un, b)[0])
+                table.append((tuple(vals), den))
+            self._atom_values = tuple(table)
 
-    def p(self, n: int) -> UniPoly:
+    def _check_index(self, n: int):
         if n < -1:
             raise ValueError("polynomial index below -1")
-        if n == -1:
-            return UniPoly.zero(self.var)
         if n > self.depth:
             raise ValueError(f"system depth is {self.depth}, p_{n} not built")
+
+    def p(self, n: int) -> UniPoly:
+        self._check_index(n)
+        if n == -1:
+            return UniPoly.zero(self.var)
         return self.polys[n]
 
     def norm(self, n: int) -> Fraction:
@@ -68,15 +104,21 @@ class OrthoSystem:
         """p_n evaluated at x, with p_b = 0 for b < 0."""
         if n < 0:
             return _ZERO
-        return self.p(n).eval(Fraction(x))
+        self._check_index(n)
+        coeffs, d = self._int_polys[n]
+        x = Fraction(x)
+        acc, bpow = _homogeneous_eval(coeffs, x.numerator, x.denominator)
+        return Fraction(acc, d * bpow)
 
-    def p_values_at_nodes(self, n: int):
-        """Evaluations of p_n at the atom nodes, cached (finite-atom only)."""
-        vals = self._node_values.get(n)
-        if vals is None:
-            vals = tuple(self.p(n).eval(u) for u, _ in self.functional.atoms)
-            self._node_values[n] = vals
-        return vals
+    def weighted_node_values(self, n: int) -> tuple[tuple[int, ...], int]:
+        """Integers G_a and D with w_a p_n(u_a) = G_a / D at the atom nodes
+        (finite-atom only)."""
+        if self._atom_values is None:
+            raise ModeError("exact q-values need a finite-atom functional")
+        self._check_index(n)
+        if n == -1:
+            return (0,) * len(self.functional.atoms), 1
+        return self._atom_values[n]
 
 
 def build_ortho_system(
@@ -177,23 +219,29 @@ def poly_lemma5(f: MomentFunctional, n: int, var: str = "x") -> UniPoly:
     )
 
 
-def _require_atoms(sys: OrthoSystem) -> FiniteAtomFunctional:
-    if not isinstance(sys.functional, FiniteAtomFunctional):
-        raise ModeError("exact q-values need a finite-atom functional")
-    return sys.functional
+def _atom_sum(sys: OrthoSystem, n: int, y, power: int) -> Fraction:
+    """sum_a w_a p_n(u_a) / (y - u_a)^power, accumulated as one integer
+    numerator / denominator pair."""
+    vals, den = sys.weighted_node_values(n)
+    f = sys.functional
+    y = Fraction(y)
+    b = f.node_scale
+    yn, yd = y.numerator * b, y.denominator
+    # y - u_a = (y_n B - U_a y_d) / (B y_d)
+    num, acc_den = 0, 1
+    for g, un in zip(vals, f.node_numerators):
+        diff = yn - un * yd
+        if not diff:
+            raise PoleAtAtomError(f"y = {y} is an atom node")
+        diff **= power
+        num = num * diff + g * acc_den
+        acc_den *= diff
+    return Fraction(num * (b * yd) ** power, acc_den * den)
 
 
 def q_exact(sys: OrthoSystem, n: int, y) -> Fraction:
     """q_n(y) = sum_a w_a p_n(u_a) / (y - u_a), exact (finite-atom)."""
-    f = _require_atoms(sys)
-    y = Fraction(y)
-    vals = sys.p_values_at_nodes(n)
-    total = _ZERO
-    for (u, w), pv in zip(f.atoms, vals):
-        if u == y:
-            raise PoleAtAtomError(f"y = {y} is an atom node")
-        total += w * pv / (y - u)
-    return total
+    return _atom_sum(sys, n, y, 1)
 
 
 def q_derivative_exact(sys: OrthoSystem, n: int, order: int, y) -> Fraction:
@@ -201,16 +249,8 @@ def q_derivative_exact(sys: OrthoSystem, n: int, order: int, y) -> Fraction:
     sum_a w_a p_n(u_a) (-1)^r r! / (y - u_a)^(r+1)."""
     if order < 0:
         raise ValueError("derivative order must be non-negative")
-    f = _require_atoms(sys)
-    y = Fraction(y)
-    vals = sys.p_values_at_nodes(n)
     sign_fact = math.factorial(order) * (-1 if order % 2 else 1)
-    total = _ZERO
-    for (u, w), pv in zip(f.atoms, vals):
-        if u == y:
-            raise PoleAtAtomError(f"y = {y} is an atom node")
-        total += w * pv * sign_fact / (y - u) ** (order + 1)
-    return total
+    return sign_fact * _atom_sum(sys, n, y, order + 1)
 
 
 def q_series(

@@ -182,6 +182,12 @@ def test_uvarov_coincident_poles_exit_1_without_traceback(tmp_path, capsys):
         ["hankel", "--n", "-1"],
         ["verify", "theorem1", "--series", "--truncation", "0"],
         ["verify", "theorem1", "--trials", "-1", "--json"],
+        ["verify", "theorem1", "--max-n", "-1", "--json"],
+        ["verify", "theorem1", "--max-k", "-2", "--json"],
+        ["verify", "theorem1", "--max-m", "-1", "--json"],
+        ["verify", "prop13", "--max-n", "-1", "--json"],
+        ["verify", "lemmas", "--max-n", "-1", "--json"],
+        ["uvarov", "--functional", "unused.json", "--max-n", "-1"],
     ],
 )
 def test_out_of_range_flags_exit_2(argv, capsys):
@@ -190,6 +196,31 @@ def test_out_of_range_flags_exit_2(argv, capsys):
     _, err = capsys.readouterr()
     assert exc.value.code == 2
     assert "must be >=" in err
+
+
+def test_atom_sweep_deeper_than_atom_count_exits_2(capsys):
+    # depth max_n + max_m - 1 = 9 > 8 atoms: H(9) always vanishes, so no
+    # random draw could succeed.
+    code, out, err = run_cli(
+        ["verify", "theorem1", "--max-n", "8", "--max-m", "2", "--max-k", "1",
+         "--trials", "1", "--json"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "H(9)" in err
+
+
+@pytest.mark.parametrize("series", [False, True])
+def test_verify_theorem1_depth_zero(series, capsys):
+    # max_n = max_m = 0 leaves only the power-column instances (n = 0, m = 0).
+    argv = ["verify", "theorem1", "--max-n", "0", "--max-m", "0", "--max-k", "2",
+            "--trials", "1", "--json"]
+    code, out, _ = run_cli(argv + (["--series", "--truncation", "8"] if series else []), capsys)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["all_equal"] is True
+    assert payload["instances"] == (2 if series else 3)
 
 
 def test_uvarov_requires_atoms(tmp_path, capsys):

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+import opident.identity as identity
 from opident.identity import (
     ConfluentInstance,
     ConfluentRequiredError,
@@ -33,7 +35,7 @@ from opident.moments import (
     random_sequence_functional,
 )
 from opident.orthopoly import build_ortho_system, poly_lemma5, q_exact
-from opident.ring import RingMatrix, UniPoly, det_rational
+from opident.ring import RingMatrix, UniPoly, det_rational, vandermonde_product
 
 F = Fraction
 
@@ -200,6 +202,41 @@ def test_verify_error_becomes_failed_report(rng):
     rep = verify_theorem1(sys, inst)
     assert not rep.equal
     assert "error" in rep.note
+
+
+# Each known fault, patched in, must make a sweep report a value mismatch,
+# so that an exact pass means something.  name -> (attribute of identity,
+# faulty replacement built from the original, sweep that must catch it).
+NEGATIVE_CONTROLS = {
+    "flipped theorem1_sign": (
+        "theorem1_sign",
+        lambda orig: lambda n, k, m: -orig(n, k, m),
+        lambda: sweep_theorem1_atom(seed=11, trials=1),
+    ),
+    "column index shifted by one": (
+        "_theorem1_matrix",
+        lambda orig: lambda sys, inst: orig(sys, dataclasses.replace(inst, n=inst.n - 1)),
+        lambda: sweep_theorem1_atom(seed=11, trials=1),
+    ),
+    "y-Vandermonde not reversed": (
+        "_y_vandermonde",
+        lambda orig: vandermonde_product,
+        lambda: sweep_theorem1_atom(seed=11, trials=1),
+    ),
+    "confluent (-1)^binom(a,2) dropped": (
+        "prop13_sign",
+        lambda orig: lambda inst: theorem1_sign(inst.n, inst.k, inst.m),
+        lambda: sweep_prop13(seed=11, trials=1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_CONTROLS))
+def test_negative_control_is_caught(name, monkeypatch):
+    attr, fault, sweep = NEGATIVE_CONTROLS[name]
+    assert all(r.equal for r in sweep())
+    monkeypatch.setattr(identity, attr, fault(getattr(identity, attr)))
+    assert any(not r.equal and r.lhs is not None for r in sweep())
 
 
 def test_condensation_relation_of_matrices(rng):

@@ -140,6 +140,40 @@ def test_hankel_cache_concurrent_readers(rng):
     assert not errors
 
 
+def test_atom_moment_table_concurrent_fill():
+    # The hankel test above never races: random_atom_functional has already
+    # filled the moment table.  Here every trial starts from a fresh one.
+    import sys
+    import threading
+
+    atoms = [(F(u, 3), F(w, 2)) for u, w in zip(range(-4, 4), (3, -1, 2, 5, -2, 1, 4, 7))]
+    count = 40
+    expected = [sum((w * u**n for u, w in atoms), F(0)) for n in range(count)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            f = FiniteAtomFunctional(atoms)
+            barrier = threading.Barrier(6)
+            results = []
+
+            def reader():
+                barrier.wait(timeout=10)
+                results.append([f.moment(n) for n in range(count)])
+
+            threads = [threading.Thread(target=reader) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == len(threads)
+            assert all(r == expected for r in results)
+            assert [f.moment(n) for n in range(count)] == expected
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
 # ---------------------------------------------------------------------------
 # Modified moments, exact mode
 # ---------------------------------------------------------------------------
@@ -311,6 +345,12 @@ def test_random_atom_functional_contract():
     assert all(-9 <= u <= 9 and u.denominator == 1 for u in nodes)
     assert all(w != 0 for _, w in f.atoms)
     assert all(f.hankel_det(j) != 0 for j in range(1, 9))
+
+
+def test_random_atom_functional_refuses_vanishing_minors():
+    # H(j) = 0 for every j above the atom count, so no redraw could succeed.
+    with pytest.raises(ValueError, match="H\\(9\\)"):
+        random_atom_functional(random.Random(4), 8, hankel_nonzero_upto=9)
 
 
 def test_random_atom_functional_normalized():
