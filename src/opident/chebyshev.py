@@ -9,7 +9,6 @@ identities below are exact polynomial identities in Q[X] or Q[Y].
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -295,7 +294,6 @@ class ChebyshevRun:
     theorem15: list
     closed_forms: list
     conjectures: list
-    elapsed: float
 
     @property
     def all_theorems_hold(self) -> bool:
@@ -316,7 +314,6 @@ B_GRID = (Fraction(-1), Fraction(0), Fraction(1), Fraction(2), Fraction(1, 3))
 
 def run_chebyshev_suite(max_n: int = 10, closed_form_max_n: int = 12) -> ChebyshevRun:
     """Theorem grids over rational (a, b), the closed forms, the conjectures."""
-    t0 = time.perf_counter()
     t14 = []
     for n in range(1, max_n + 1):
         for a in A_GRID:
@@ -330,4 +327,4 @@ def run_chebyshev_suite(max_n: int = 10, closed_form_max_n: int = 12) -> Chebysh
                 t15.append((n, a, b, (lhs, rhs), equal))
     closed = closed_form_suite(closed_form_max_n)
     conj = conjecture16_table(closed_form_max_n)
-    return ChebyshevRun(t14, t15, closed, conj, time.perf_counter() - t0)
+    return ChebyshevRun(t14, t15, closed, conj)

@@ -219,6 +219,9 @@ def _cmd_uvarov(args) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        # a fixed x on an atom node: the modified density loses that atom
+        raise SystemExit2(str(exc))
     gram = [
         [format_rational(result.gram.get(i, j)) for j in range(result.gram.cols)]
         for i in range(result.gram.rows)
@@ -382,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_uvarov)
 
     p = sub.add_parser("chebyshev", help="Chebyshev/Catalan evaluation suite and conjectures")
-    p.add_argument("--max-n", type=int, default=10)
+    p.add_argument("--max-n", type=_int_at_least(1), default=10)
     add_common(p, seed=False)
     p.set_defaults(func=_cmd_chebyshev)
 

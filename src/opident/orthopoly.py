@@ -100,12 +100,17 @@ class OrthoSystem:
             return self.functional.apply(self.polys[n] * self.polys[n])
         raise ValueError(f"system depth is {self.depth}, norm {n} not available")
 
-    def p_value(self, n: int, x) -> Fraction:
-        """p_n evaluated at x, with p_b = 0 for b < 0."""
+    def p_value(self, n: int, x, order: int = 0) -> Fraction:
+        """The Taylor coefficient p_n^(r)(x)/r! for r = order (p_n(x) at the
+        default 0), with p_b = 0 for b < 0."""
         if n < 0:
             return _ZERO
         self._check_index(n)
         coeffs, d = self._int_polys[n]
+        if order:
+            coeffs = [c * math.comb(i, order) for i, c in enumerate(coeffs)][order:]
+            if not coeffs:
+                return _ZERO
         x = Fraction(x)
         acc, bpow = _homogeneous_eval(coeffs, x.numerator, x.denominator)
         return Fraction(acc, d * bpow)
@@ -239,18 +244,20 @@ def _atom_sum(sys: OrthoSystem, n: int, y, power: int) -> Fraction:
     return Fraction(num * (b * yd) ** power, acc_den * den)
 
 
-def q_exact(sys: OrthoSystem, n: int, y) -> Fraction:
-    """q_n(y) = sum_a w_a p_n(u_a) / (y - u_a), exact (finite-atom)."""
-    return _atom_sum(sys, n, y, 1)
+def q_exact(sys: OrthoSystem, n: int, y, order: int = 0) -> Fraction:
+    """The Taylor coefficient q_n^(r)(y)/r! for r = order, exact
+    (finite-atom): sum_a w_a p_n(u_a) (-1)^r / (y - u_a)^(r+1), which is
+    q_n(y) = sum_a w_a p_n(u_a) / (y - u_a) at the default 0."""
+    if order < 0:
+        raise ValueError("derivative order must be non-negative")
+    value = _atom_sum(sys, n, y, order + 1)
+    return -value if order % 2 else value
 
 
 def q_derivative_exact(sys: OrthoSystem, n: int, order: int, y) -> Fraction:
     """r-th derivative of q_n at y:
     sum_a w_a p_n(u_a) (-1)^r r! / (y - u_a)^(r+1)."""
-    if order < 0:
-        raise ValueError("derivative order must be non-negative")
-    sign_fact = math.factorial(order) * (-1 if order % 2 else 1)
-    return sign_fact * _atom_sum(sys, n, y, order + 1)
+    return q_exact(sys, n, y, order) * math.factorial(order)
 
 
 def q_series(

@@ -797,13 +797,17 @@ def det_rational(m: RingMatrix) -> Fraction:
     return Fraction(sign * a[n - 1][n - 1], denom_scale)
 
 
-def vandermonde_product(values):
-    """prod_{i<j} (v_j - v_i); empty and singleton lists give 1."""
+def vandermonde_product(values, mults=None):
+    """prod_{i<j} (v_j - v_i)^(c_i c_j) over the multiplicities c (all 1 when
+    omitted); empty and singleton lists give 1."""
     values = list(values)
     prod = None
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             f = values[j] - values[i]
+            e = 1 if mults is None else mults[i] * mults[j]
+            if e > 1:  # Theorem 1 passes all-ones lists: no unit powers
+                f = f ** e
             prod = f if prod is None else prod * f
     return prod if prod is not None else _ONE
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +177,18 @@ def test_uvarov_coincident_poles_exit_1_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_uvarov_fixed_x_on_atom_node_exits_2(capsys):
+    # x_2 = 1 is a node of atoms7.json: the modified density loses that atom
+    path = Path(__file__).parent / "golden" / "atoms7.json"
+    code, out, err = run_cli(
+        ["uvarov", "--functional", str(path), "--xs-fixed", "1", "--max-n", "2"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "kills the atom" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -188,6 +201,8 @@ def test_uvarov_coincident_poles_exit_1_without_traceback(tmp_path, capsys):
         ["verify", "prop13", "--max-n", "-1", "--json"],
         ["verify", "lemmas", "--max-n", "-1", "--json"],
         ["uvarov", "--functional", "unused.json", "--max-n", "-1"],
+        ["chebyshev", "--max-n", "0", "--json"],
+        ["chebyshev", "--max-n", "-1", "--json"],
     ],
 )
 def test_out_of_range_flags_exit_2(argv, capsys):

@@ -8,8 +8,10 @@ file unchanged.  Regenerate one only when a change of output is intended:
 
 A passing sweep prints only a summary, so each ``tests/golden/NAME.jsonl``
 also pins the ``params``, ``lhs`` and ``rhs`` of every report of one sweep,
-one JSON object a line.  ``atoms8-fractional.json`` has non-integer nodes
-and weights (and one node, -1/3, that the y pool can hit).  Regenerate with
+one JSON object a line; ``uvarov-values.jsonl`` pins the polynomials,
+degree flags and Gram diagonal of one ``uvarov_system`` result a line.
+``atoms8-fractional.json`` has non-integer nodes and weights (and one node,
+-1/3, that the y pool can hit).  Regenerate with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -20,8 +22,9 @@ from pathlib import Path
 import pytest
 
 from opident.cli import main
-from opident.identity import sweep_prop13, sweep_theorem1_atom
-from opident.moments import functional_from_json
+from opident.identity import sweep_prop13, sweep_theorem1_atom, uvarov_system
+from opident.moments import FiniteAtomFunctional, functional_from_json
+from opident.ring import format_rational
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -45,23 +48,62 @@ CASES = {
     "selftest": ["selftest"],
 }
 
+
+def _golden_functional(name):
+    if name == "degree-drop":
+        # a signed measure whose k = 1 modification at y = 1/2 has H'(2) = 0
+        return FiniteAtomFunctional([(3, -1), (1, -2), (0, -2), (4, 2), (-3, 2)])
+    return functional_from_json((GOLDEN / name).read_text())
+
+
+# (functional, ys, xs_fixed, upto): unmodified, one and two poles, fixed
+# zeros, k > m with n < k, non-integer nodes, and a dropped degree.
+UVAROV_CASES = (
+    ("atoms7.json", (), (), 5),
+    ("atoms7.json", ("11/2",), (), 5),
+    ("atoms7.json", ("11/2", "-5/3"), (), 5),
+    ("atoms7.json", ("-7/2",), ("1/3", "5/2"), 4),
+    ("atoms7.json", ("1/2", "3/2", "-5/2"), (), 4),
+    ("atoms8-fractional.json", ("1/2",), ("3/4",), 4),
+    ("atoms8-fractional.json", ("5", "-1/2"), (), 4),
+    ("degree-drop", ("1/2",), (), 3),
+)
+
+
+def _report_rows(reports):
+    for report in reports:
+        d = report.to_json_dict()
+        yield {"params": d["params"], "lhs": d["lhs"], "rhs": d["rhs"]}
+
+
+def _uvarov_rows():
+    for name, ys, xs_fixed, upto in UVAROV_CASES:
+        res = uvarov_system(_golden_functional(name), ys=ys, upto=upto, xs_fixed=xs_fixed)
+        yield {
+            "functional": name,
+            "ys": list(ys),
+            "xs_fixed": list(xs_fixed),
+            "polys": [[format_rational(c) for c in p.coeffs] for p in res.polys],
+            "degree_ok": list(res.degree_ok),
+            "gram_diagonal": [format_rational(res.gram.get(i, i)) for i in range(upto + 1)],
+        }
+
+
 VALUE_CASES = {
-    "theorem1-values": lambda: sweep_theorem1_atom(42, trials=2),
-    "prop13-values": lambda: sweep_prop13(42, trials=2),
-    "theorem1-fractional-values": lambda: sweep_theorem1_atom(
-        42, trials=2,
-        functional=functional_from_json((GOLDEN / "atoms8-fractional.json").read_text()),
-    ),
+    "theorem1-values": lambda: _report_rows(sweep_theorem1_atom(42, trials=2)),
+    "prop13-values": lambda: _report_rows(sweep_prop13(42, trials=2)),
+    "theorem1-fractional-values": lambda: _report_rows(sweep_theorem1_atom(
+        42, trials=2, functional=_golden_functional("atoms8-fractional.json"),
+    )),
+    "uvarov-values": _uvarov_rows,
 }
 
 
 def value_lines(name):
-    lines = []
-    for report in VALUE_CASES[name]():
-        d = report.to_json_dict()
-        row = {"params": d["params"], "lhs": d["lhs"], "rhs": d["rhs"]}
-        lines.append(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
-    return lines
+    return [
+        json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+        for row in VALUE_CASES[name]()
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

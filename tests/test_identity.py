@@ -1,6 +1,8 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,10 +33,11 @@ from opident.moments import (
     ChebyshevCatalanFunctional,
     FiniteAtomFunctional,
     ModeError,
+    functional_from_json,
     random_atom_functional,
     random_sequence_functional,
 )
-from opident.orthopoly import build_ortho_system, poly_lemma5, q_exact
+from opident.orthopoly import build_ortho_system, poly_lemma5, q_derivative_exact, q_exact
 from opident.ring import RingMatrix, UniPoly, det_rational, vandermonde_product
 
 F = Fraction
@@ -376,6 +379,24 @@ def test_confluent_derivative_rows(rng):
     assert mat.get(0, 0) == sys.p(2).eval(xi)
     assert mat.get(1, 0) == sys.p(2).derivative().eval(xi)
     assert mat.get(1, 1) == sys.p(3).derivative().eval(xi)
+    # orders r = 0..2 of x- and y-blocks over the non-integer nodes of
+    # atoms8-fractional.json; n = 1 < k puts b = -2, -1 in the first columns
+    path = Path(__file__).parent / "golden" / "atoms8-fractional.json"
+    f = functional_from_json(path.read_text())
+    sys = build_ortho_system(f, 6)
+    x, y = F(3, 4), F(5, 2)
+    for n in (1, 3):
+        mat = confluent_matrix(sys, ConfluentInstance(n=n, xi=((x, 3),), omega=((y, 3),)))
+        for j, b in enumerate(range(n - 3, n + 3)):
+            for r in range(3):
+                fact = math.factorial(r)
+                if b < 0:  # p_b = 0, q_b(y) = y^(-b-1)
+                    p_row, q_row = F(0), (UniPoly.variable() ** (-b - 1)).derivative(r).eval(y)
+                else:
+                    p_row = sys.p(b).derivative(r).eval(x)
+                    q_row = q_derivative_exact(sys, b, r, y)
+                assert mat.get(r, j) == p_row / fact, (n, b, r)
+                assert mat.get(3 + r, j) == q_row / fact, (n, b, r)
 
 
 def test_confluent_double_x(rng):
