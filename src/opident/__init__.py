@@ -5,7 +5,6 @@ densities, and the Chebyshev / Catalan Hankel determinant evaluations."""
 from .ring import (
     DimensionError,
     InverseSeries,
-    Rational,
     RingMatrix,
     UniPoly,
     det_berkowitz,
@@ -54,7 +53,6 @@ from .identity import (
     matrix_N,
     modified_functional,
     prop13_sign,
-    rhs_prop13,
     rhs_theorem1,
     sweep_jacobi,
     sweep_lemmas,

@@ -220,7 +220,7 @@ def _cmd_uvarov(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        # a fixed x on an atom node: the modified density loses that atom
+        # a repeated parameter, or a fixed x on an atom node
         raise SystemExit2(str(exc))
     gram = [
         [format_rational(result.gram.get(i, j)) for j in range(result.gram.cols)]
@@ -259,7 +259,7 @@ def _cmd_uvarov(args) -> int:
 
 
 def _cmd_chebyshev(args) -> int:
-    run = cheb.run_chebyshev_suite(max_n=args.max_n, closed_form_max_n=max(args.max_n, 12))
+    run = cheb.run_chebyshev_suite(max_n=args.max_n, closed_form_max_n=args.max_n)
     if args.json:
         payload = {
             "command": "chebyshev",

@@ -80,7 +80,7 @@ class IdentityInstance:
     In atom mode the ys are rationals (distinct, away from the atoms); in
     series mode they are the names of formal inverse variables.  xi and
     omega hold the xs and ys as (value, multiplicity) blocks, every
-    multiplicity 1.
+    multiplicity 1; a series-mode y block holds the exact series y_slot.
     """
 
     n: int
@@ -115,6 +115,7 @@ class IdentityInstance:
                 raise ValueError("series mode takes inverse-variable names for ys")
             if len(set(ys)) != len(ys):
                 raise ValueError("series variable names must be distinct")
+            ys = [InverseSeries.plain_variable(ys, slot) for slot in range(len(ys))]
         object.__setattr__(self, "xi", tuple((x, 1) for x in xs))
         object.__setattr__(self, "omega", tuple((y, 1) for y in ys))
 
@@ -191,22 +192,28 @@ _DOMAIN_ERRORS = (
 # Theorem-1 matrices
 # ---------------------------------------------------------------------------
 
-def _pq_rows(sys: OrthoSystem, cols, xi, omega) -> list:
+def _pq_rows(sys: OrthoSystem, cols, xi, omega, q_entry=None) -> list:
     """The rows of the p/q matrix over the column indices b in ``cols``.
 
     xi and omega are (value, multiplicity) blocks.  An x of multiplicity c
     gives the Taylor rows p_b^(r)(x)/r!, a y of multiplicity c the rows
     q_b^(r)(y)/r!, for r = 0..c-1.  For b < 0, p_b = 0 and q_b(y) = y^e with
-    e = -b-1, whose row r holds binom(e, r) y^(e-r).
+    e = -b-1, whose row r holds binom(e, r) y^(e-r).  For b >= 0 the entry
+    of row r of y block ``slot`` is q_entry(b, slot, r), by default
+    q_exact(sys, b, y, r).
     """
+    if q_entry is None:
+        def q_entry(b, slot, r):
+            return q_exact(sys, b, omega[slot][0], r)
+
     rows = [[sys.p_value(b, x, r) for b in cols] for x, c in xi for r in range(c)]
-    for y, c in omega:
+    for slot, (y, c) in enumerate(omega):
         for r in range(c):
             row = []
             for b in cols:
                 e = -b - 1
                 if b >= 0:
-                    row.append(q_exact(sys, b, y, r))
+                    row.append(q_entry(b, slot, r))
                 elif r == 0:
                     row.append(y ** e)
                 elif r <= e:
@@ -218,8 +225,9 @@ def _pq_rows(sys: OrthoSystem, cols, xi, omega) -> list:
 
 
 def _theorem1_matrix(sys: OrthoSystem, inst) -> RingMatrix:
-    """The p/q matrix of an IdentityInstance or (atom mode only) of a
-    ConfluentInstance, whose repeated parameters give derivative blocks."""
+    """The p/q matrix of an IdentityInstance or of a ConfluentInstance, whose
+    repeated parameters give derivative blocks.  In series mode the q-rows
+    are the truncated series q_series of the formal ys."""
     n, k, m = inst.n, inst.k, inst.m
     size = k + m
     if size == 0:
@@ -227,30 +235,14 @@ def _theorem1_matrix(sys: OrthoSystem, inst) -> RingMatrix:
     top = n + m - 1
     if top > sys.depth:
         raise ValueError(f"system depth {sys.depth} < required {top}")
-    if inst.mode == "atom":
-        return RingMatrix.from_rows(_pq_rows(sys, range(n - k, n + m), inst.xi, inst.omega))
-    rows = []
-    variables = inst.ys
-    wt = _work_truncation(inst.truncation, k)
-    for x in inst.xs:
-        rows.append(
-            [
-                InverseSeries.constant(variables, sys.p_value(n - k + j - 1, x))
-                for j in range(1, size + 1)
-            ]
-        )
-    for slot in range(k):
-        row = []
-        for j in range(1, size + 1):
-            b = n - k + j - 1
-            if b < 0:
-                exps = [0] * k
-                exps[slot] = b + 1  # y^(-b-1) in the Laurent direction
-                row.append(InverseSeries.monomial(variables, exps))
-            else:
-                row.append(q_series(sys, b, wt, variables, slot))
-        rows.append(row)
-    return RingMatrix.from_rows(rows)
+    q_entry = None
+    if inst.mode == "series":
+        wt = _work_truncation(inst.truncation, k)
+
+        def q_entry(b, slot, r):
+            return q_series(sys, b, wt, inst.ys, slot)
+
+    return RingMatrix.from_rows(_pq_rows(sys, range(n - k, n + m), inst.xi, inst.omega, q_entry))
 
 
 def matrix_M(sys: OrthoSystem, inst: IdentityInstance) -> RingMatrix:
@@ -285,8 +277,18 @@ def _hankel_divisor(f, n: int, k: int) -> Fraction:
     return h
 
 
+def _vandermondes(inst):
+    """prod(x_j - x_i)^(c_i c_j) * prod(y_i - y_j)^(c_i c_j) over the blocks."""
+    xi, omega = inst.xi, inst.omega
+    vx = vandermonde_product([v for v, _ in xi], [c for _, c in xi])
+    return vx * _y_vandermonde([v for v, _ in omega], [c for _, c in omega])
+
+
 def lhs_theorem1(sys: OrthoSystem, inst):
-    """det of modified moments, divided by H(n-k) when n >= k.
+    """The left-hand side: in atom mode the det of modified moments divided
+    by H(n-k) when n >= k; in series mode, where the y-Vandermonde is not
+    invertible in the truncated ring for k >= 2, the denominator-cleared
+    Vx * Vy * det(modified moments).
 
     A ConfluentInstance enters with each parameter repeated by its
     multiplicity: the modified moments have no Vandermonde singularity, so
@@ -296,88 +298,50 @@ def lhs_theorem1(sys: OrthoSystem, inst):
     n, k = inst.n, inst.k
     if inst.mode == "atom":
         return f.modified_hankel_det(n, inst.xs, inst.ys) / _hankel_divisor(f, n, k)
-    d = f.modified_hankel_det_series(
-        n, inst.xs, inst.ys, _work_truncation(inst.truncation, k)
-    )
-    return d * (_ONE / _hankel_divisor(f, n, k)) if n >= k else d
+    wt = _work_truncation(inst.truncation, k)
+    return f.modified_hankel_det_series(n, inst.xs, inst.ys, wt) * _vandermondes(inst)
 
 
 def rhs_theorem1(sys: OrthoSystem, inst):
-    """sign * det(M or N) / (prod(x_j-x_i) prod(y_i-y_j)).
+    """The right-hand side: in atom mode sign * det(M or N) / (Vx * Vy), with
+    Vx = prod(x_j - x_i) and Vy = prod(y_i - y_j); in series mode the
+    denominator-cleared sign * H(n-k) * det(M or N), H only for n >= k.
 
     The sign is prop13_sign, which is (-1)^(n(m-k)+km) when every
-    multiplicity is 1.  In atom mode a ConfluentInstance is taken too: each
-    Vandermonde factor is raised to the product of the two multiplicities.
-    Series mode is limited to k <= 1 here: for k >= 2 the y-Vandermonde is
-    not invertible in the truncated ring, and verify_theorem1 compares the
-    denominator-cleared form instead.
+    multiplicity is 1.  A ConfluentInstance is taken too: each Vandermonde
+    factor is raised to the product of the two multiplicities.
     """
-    if inst.mode == "atom":
-        xi, omega = inst.xi, inst.omega
-        vx = vandermonde_product([v for v, _ in xi], [c for _, c in xi])
-        vy = _y_vandermonde([v for v, _ in omega], [c for _, c in omega])
-        return prop13_sign(inst) * det_rational(_theorem1_matrix(sys, inst)) / (vx * vy)
-    sign = theorem1_sign(inst.n, inst.k, inst.m)
+    sign = prop13_sign(inst)
     mat = _theorem1_matrix(sys, inst)
-    if inst.k > 1:
-        raise ModeError(
-            "series-mode rhs needs k <= 1; verify_theorem1 checks the cleared form"
-        )
-    vx = vandermonde_product(inst.xs)
-    one = InverseSeries.one(inst.ys)
-    return det_generic(mat, one=one) * (sign / vx)
+    if inst.mode == "atom":
+        return sign * det_rational(mat) / _vandermondes(inst)
+    d = det_generic(mat, one=InverseSeries.one(inst.ys))
+    return d * (sign * _hankel_divisor(sys.functional, inst.n, inst.k))
 
 
-def _series_cleared_sides(sys: OrthoSystem, inst: IdentityInstance):
-    """Denominator-cleared series comparison:
-
-        Vx * Vy * det(modified moments)  ==  sign * H(n-k) * det(M or N)
-
-    (H factor only for n >= k).  Multiplication-only, so both sides stay in
-    the Laurent-truncated ring; returns (lhs, rhs, compared order).
-    """
-    f = sys.functional
-    n, k = inst.n, inst.k
-    variables = inst.ys
-    wt = _work_truncation(inst.truncation, k)
-    lhs_det = f.modified_hankel_det_series(n, inst.xs, variables, wt)
-    vy = _y_vandermonde([InverseSeries.plain_variable(variables, i) for i in range(k)])
-    lhs = lhs_det * vy * vandermonde_product(inst.xs)
-    rhs = det_generic(_theorem1_matrix(sys, inst), one=InverseSeries.one(variables))
-    rhs = rhs * (theorem1_sign(n, k, inst.m) * _hankel_divisor(f, n, k))
-    order = inst.truncation
-    for side in (lhs, rhs):
-        if side.trunc is not None:
-            order = min(order, side.trunc)
-    return lhs, rhs, order
-
-
-def _verify_atom(identity: str, sys: OrthoSystem, inst) -> VerificationReport:
-    """Compare lhs_theorem1 and rhs_theorem1 of an atom-mode instance
-    exactly; domain errors become failed reports."""
+def _verify(identity: str, sys: OrthoSystem, inst) -> VerificationReport:
+    """Compare lhs_theorem1 and rhs_theorem1 of one instance: exactly in
+    atom mode, coefficient by coefficient below the reliable order in series
+    mode.  Domain errors become failed reports."""
     params = inst.params()
     try:
         lhs = lhs_theorem1(sys, inst)
         rhs = rhs_theorem1(sys, inst)
+        if inst.mode == "atom":
+            return VerificationReport(identity, params, lhs, rhs, lhs == rhs)
+        order = min(t for t in (inst.truncation, lhs.trunc, rhs.trunc) if t is not None)
+        diff = lhs.first_difference(rhs, order)
     except _DOMAIN_ERRORS as exc:
         return VerificationReport(identity, params, None, None, False, note=f"error: {exc}")
-    return VerificationReport(identity, params, lhs, rhs, lhs == rhs)
+    note = "denominator-cleared comparison"
+    if diff is not None:
+        note += f"; first differing coefficient at exponents {diff}"
+    return VerificationReport(identity, params, lhs, rhs, diff is None, order, note=note)
 
 
 def verify_theorem1(sys: OrthoSystem, inst: IdentityInstance) -> VerificationReport:
     """Compare both sides of the identity; errors become failed reports."""
-    if inst.mode == "atom":
-        return _verify_atom("theorem1", sys, inst)
-    params = inst.params()
-    try:
-        lhs, rhs, order = _series_cleared_sides(sys, inst)
-        diff = lhs.first_difference(rhs, order)
-    except _DOMAIN_ERRORS as exc:
-        return VerificationReport("theorem1", params, None, None, False, note=f"error: {exc}")
-    note = "denominator-cleared comparison"
-    if diff is not None:
-        note += f"; first differing coefficient at exponents {diff}"
-    return VerificationReport("theorem1", params, lhs, rhs, diff is None, order, note=note)
+    return _verify("theorem1", sys, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -450,18 +414,9 @@ def prop13_sign(inst: ConfluentInstance) -> int:
     return -sign if sum(binomial(c, 2) for _, c in inst.omega) % 2 else sign
 
 
-def rhs_prop13(sys: OrthoSystem, inst: ConfluentInstance) -> Fraction:
-    """Confluent right-hand side, with the sign of prop13_sign.
-
-    Denominators are prod(xi_j - xi_i)^(m_i m_j) and the reversed
-    prod(omega_i - omega_j)^(k_i k_j); see rhs_theorem1.
-    """
-    return rhs_theorem1(sys, inst)
-
-
 def verify_prop13(sys: OrthoSystem, inst: ConfluentInstance) -> VerificationReport:
     """Confluent identity vs the directly computed left-hand side."""
-    return _verify_atom("prop13", sys, inst)
+    return _verify("prop13", sys, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -535,13 +490,22 @@ def modified_functional(
 def uvarov_system(
     f: FiniteAtomFunctional, ys=(), upto: int = 5, xs_fixed=(), var: str = "x1"
 ) -> UvarovResult:
-    """Construct P_0..P_upto and check L'(P_i P_j) = 0 for i != j exactly."""
-    depth = upto + len(xs_fixed)
-    sys = build_ortho_system(f, depth)
+    """Construct P_0..P_upto and check L'(P_i P_j) = 0 for i != j exactly.
+
+    Repeated parameters (a vanishing Vandermonde) and a fixed x on an atom
+    node are refused with ValueError before any polynomial is built.
+    """
+    xs_fixed = tuple(Fraction(x) for x in xs_fixed)
+    ys = tuple(Fraction(y) for y in ys)
+    for kind, values in (("fixed x", xs_fixed), ("y", ys)):
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise ValueError(f"repeated {kind} parameter {format_rational(v)}")
+    mod = modified_functional(f, xs_fixed, ys)
+    sys = build_ortho_system(f, upto + len(xs_fixed))
     results = [uvarov_polynomial(sys, n, xs_fixed, ys, var) for n in range(upto + 1)]
     polys = tuple(p for p, _ in results)
     flags = tuple(ok for _, ok in results)
-    mod = modified_functional(f, xs_fixed, ys)
     size = upto + 1
     gram = RingMatrix(
         size,

@@ -13,8 +13,6 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-Rational = Fraction
-
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
 
@@ -24,15 +22,6 @@ _ONE = Fraction(1)
 
 class DimensionError(ValueError):
     """A matrix has the wrong shape for the requested operation."""
-
-
-def rational(value, den=None) -> Fraction:
-    """Coerce ints, strings like ``"3/7"``, or Fractions to a Fraction."""
-    if den is not None:
-        return Fraction(value, den)
-    if isinstance(value, str):
-        return parse_rational(value)
-    return Fraction(value)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -362,10 +351,6 @@ class InverseSeries:
         return cls.monomial(variables, exps)
 
     # -- inspection ---------------------------------------------------
-    @property
-    def is_exact(self) -> bool:
-        return self.trunc is None
-
     @property
     def is_exact_zero(self) -> bool:
         return self.trunc is None and not self.terms

@@ -164,16 +164,20 @@ def test_series_rejects_functional_flag(tmp_path, capsys):
     assert code == 2
 
 
-def test_uvarov_coincident_poles_exit_1_without_traceback(tmp_path, capsys):
-    # The y-Vandermonde vanishes, so the division raises ZeroDivisionError.
+@pytest.mark.parametrize(
+    "flag,values,value",
+    [("--ys", "2/3,2/3", "2/3"), ("--xs-fixed", "1/2,1/2", "1/2")],
+    ids=["ys", "xs-fixed"],
+)
+def test_uvarov_repeated_parameter_exits_2(tmp_path, capsys, flag, values, value):
+    # A repeated pole or fixed zero makes a Vandermonde vanish: bad input,
+    # refused with the parameter named, not a failed division.
     path = tmp_path / "atoms.json"
     path.write_text(UVAROV_ATOMS)
-    code, out, err = run_cli(
-        ["uvarov", "--functional", str(path), "--ys", "2/3,2/3"], capsys
-    )
-    assert code == 1
+    code, out, err = run_cli(["uvarov", "--functional", str(path), flag, values], capsys)
+    assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error:") and "repeated" in err and value in err
     assert "Traceback" not in err
 
 
@@ -298,6 +302,14 @@ def test_chebyshev_json_schema(capsys):
     assert row_7_11[0]["lhs"] == "1/4"
     conj17 = [r for r in payload["conjectures"] if r["id"] == "7.17" and r["n"] == 1]
     assert conj17[0]["equal"] is False  # reported, not suppressed
+
+
+def test_chebyshev_max_n_bounds_closed_forms(capsys):
+    code, out, _ = run_cli(["chebyshev", "--max-n", "3", "--json"], capsys)
+    assert code == 0
+    rows = json.loads(out)["closed_forms"]
+    assert len(rows) == 18
+    assert all(r["n"] <= 3 for r in rows)
 
 
 def test_chebyshev_conjectures_do_not_affect_exit_code(capsys):

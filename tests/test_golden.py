@@ -8,8 +8,10 @@ file unchanged.  Regenerate one only when a change of output is intended:
 
 A passing sweep prints only a summary, so each ``tests/golden/NAME.jsonl``
 also pins the ``params``, ``lhs`` and ``rhs`` of every report of one sweep,
-one JSON object a line; ``uvarov-values.jsonl`` pins the polynomials,
-degree flags and Gram diagonal of one ``uvarov_system`` result a line.
+one JSON object a line.  ``theorem1-series-values.jsonl`` pins the series
+coefficients below ``compared_order``, with the verdict and the note;
+``uvarov-values.jsonl`` pins the polynomials, degree flags and Gram
+diagonal of one ``uvarov_system`` result a line.
 ``atoms8-fractional.json`` has non-integer nodes and weights (and one node,
 -1/3, that the y pool can hit).  Regenerate with
 
@@ -22,7 +24,12 @@ from pathlib import Path
 import pytest
 
 from opident.cli import main
-from opident.identity import sweep_prop13, sweep_theorem1_atom, uvarov_system
+from opident.identity import (
+    sweep_prop13,
+    sweep_theorem1_atom,
+    sweep_theorem1_series,
+    uvarov_system,
+)
 from opident.moments import FiniteAtomFunctional, functional_from_json
 from opident.ring import format_rational
 
@@ -76,6 +83,29 @@ def _report_rows(reports):
         yield {"params": d["params"], "lhs": d["lhs"], "rhs": d["rhs"]}
 
 
+def _series_terms(side, order):
+    if side is None:
+        return None
+    return sorted(
+        [list(e), format_rational(c)] for e, c in side.terms.items() if sum(e) < order
+    )
+
+
+def _series_report_rows(reports):
+    # The coefficients below compared_order, not the raw series: the
+    # knowledge horizon (trunc) of a side is bookkeeping, not a value.
+    for report in reports:
+        order = report.compared_order
+        yield {
+            "params": report.params,
+            "compared_order": order,
+            "equal": report.equal,
+            "note": report.note,
+            "lhs": _series_terms(report.lhs, order),
+            "rhs": _series_terms(report.rhs, order),
+        }
+
+
 def _uvarov_rows():
     for name, ys, xs_fixed, upto in UVAROV_CASES:
         res = uvarov_system(_golden_functional(name), ys=ys, upto=upto, xs_fixed=xs_fixed)
@@ -96,6 +126,9 @@ VALUE_CASES = {
         42, trials=2, functional=_golden_functional("atoms8-fractional.json"),
     )),
     "uvarov-values": _uvarov_rows,
+    "theorem1-series-values": lambda: _series_report_rows(sweep_theorem1_series(
+        42, trials=1, truncation=12, max_n=3,
+    )),
 }
 
 

@@ -32,7 +32,6 @@ from opident.identity import (
 from opident.moments import (
     ChebyshevCatalanFunctional,
     FiniteAtomFunctional,
-    ModeError,
     functional_from_json,
     random_atom_functional,
     random_sequence_functional,
@@ -231,6 +230,16 @@ NEGATIVE_CONTROLS = {
         lambda orig: lambda inst: theorem1_sign(inst.n, inst.k, inst.m),
         lambda: sweep_prop13(seed=11, trials=1),
     ),
+    "series y-Vandermonde not reversed": (
+        "_y_vandermonde",
+        lambda orig: vandermonde_product,
+        lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
+    ),
+    "series H(n-k) dropped": (
+        "_hankel_divisor",
+        lambda orig: lambda f, n, k: 1,
+        lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
+    ),
 }
 
 
@@ -306,11 +315,14 @@ def test_series_mismatch_reports_first_difference(rng):
 def test_rhs_series_needs_small_k():
     sys = build_ortho_system(ChebyshevCatalanFunctional(), 5)
     inst = IdentityInstance(n=3, ys=("y1", "y2"), mode="series", truncation=12)
-    with pytest.raises(ModeError):
-        rhs_theorem1(sys, inst)
-    rep = verify_theorem1(sys, inst)  # the verifier clears denominators instead
+    rep = verify_theorem1(sys, inst)
     assert rep.equal
     assert rep.compared_order == 12
+    # the y-Vandermonde has no inverse in the truncated ring at k = 2: both
+    # sides are the denominator-cleared ones that the report compares
+    for side, fn in ((rep.lhs, lhs_theorem1), (rep.rhs, rhs_theorem1)):
+        got = fn(sys, inst)
+        assert (got.terms, got.trunc) == (side.terms, side.trunc)
 
 
 def test_series_sweep_small():
@@ -471,6 +483,19 @@ def test_uvarov_degree_flag_is_reported():
     res = uvarov_system(f, ys=(F(1, 2),), upto=3)
     assert res.degree_ok == (True, True, False, True)
     assert res.polys[2].degree == 1
+
+
+def test_uvarov_refuses_fixed_x_on_atom_node_before_any_polynomial(monkeypatch):
+    # x_2 = 1 is a node of atoms7.json: refused before any det_poly work
+    f = functional_from_json((Path(__file__).parent / "golden" / "atoms7.json").read_text())
+    calls = []
+    orig = identity.uvarov_polynomial
+    monkeypatch.setattr(
+        identity, "uvarov_polynomial", lambda *a, **kw: calls.append(a) or orig(*a, **kw)
+    )
+    with pytest.raises(ValueError, match="kills the atom"):
+        uvarov_system(f, upto=3, xs_fixed=(F(1),))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
