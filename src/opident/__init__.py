@@ -35,16 +35,13 @@ from .orthopoly import (
     hankel_product_formula,
     poly_lemma4,
     poly_lemma5,
-    q_derivative_exact,
     q_exact,
     q_series,
 )
 from .identity import (
-    ConfluentInstance,
     ConfluentRequiredError,
     IdentityInstance,
     VerificationReport,
-    confluent_matrix,
     jacobi_check,
     lemma8_check,
     lemma9_check,
@@ -62,7 +59,6 @@ from .identity import (
     theorem1_sign,
     uvarov_polynomial,
     uvarov_system,
-    verify_prop13,
     verify_theorem1,
 )
 from .chebyshev import (

@@ -169,14 +169,18 @@ def _cmd_verify_theorem1(args) -> int:
 def _cmd_verify_prop13(args) -> int:
     seed = _seed_from(args)
     config = {"seed": seed, "max_n": args.max_n, "trials": args.trials}
-    reports = sweep_prop13(seed, trials=args.trials, max_n=min(args.max_n, 5))
+    try:
+        reports = sweep_prop13(seed, trials=args.trials, max_n=args.max_n)
+    except ValueError as exc:
+        # the depth max_n + 2 must stay within the 8 atoms of the random functionals
+        raise SystemExit2(f"verify prop13 needs max_n <= 6, sweep depth max_n + 2: {exc}")
     return _report_sweep(reports, args, "verify prop13", config)
 
 
 def _cmd_verify_lemmas(args) -> int:
     seed = _seed_from(args)
     config = {"seed": seed, "max_n": args.max_n, "trials": args.trials}
-    reports = sweep_lemmas(seed, trials=args.trials, max_n=min(args.max_n, 6))
+    reports = sweep_lemmas(seed, trials=args.trials, max_n=args.max_n)
     reports += sweep_jacobi(seed)
     return _report_sweep(reports, args, "verify lemmas", config)
 

@@ -54,11 +54,21 @@ _ONE = Fraction(1)
 
 
 class ConfluentRequiredError(ValueError):
-    """Coincident x or y parameters in the plain (non-confluent) identity."""
+    """Repeated x or y parameters given as the multiplicity-1 shorthand."""
 
 
 def theorem1_sign(n: int, k: int, m: int) -> int:
     return -1 if (n * (m - k) + k * m) % 2 else 1
+
+
+def prop13_sign(inst: IdentityInstance) -> int:
+    """The plain sign times (-1)^binom(a, 2) for each omega-block of
+    multiplicity a: the reversed y-orientation flips every second
+    divided-difference row in the limit (verified against the directly
+    computed left-hand side; the plain statement of the confluent matrix
+    omits this factor)."""
+    sign = theorem1_sign(inst.n, inst.k, inst.m)
+    return -sign if sum(binomial(c, 2) for _, c in inst.omega) % 2 else sign
 
 
 def _y_vandermonde(ys, mults=None):
@@ -73,14 +83,42 @@ def _work_truncation(truncation: int, k: int) -> int:
     return truncation + binomial(k, 2)
 
 
+def _blocks(values, blocks, kind: str, convert) -> tuple[tuple, tuple]:
+    """(values, blocks) of one parameter list.  With ``blocks`` None the
+    values are the multiplicity-1 shorthand and must be distinct; otherwise
+    the (value, multiplicity) blocks are the source and each value repeats
+    by its multiplicity.  Given together, as dataclasses.replace does, the
+    two must agree."""
+    if blocks is None:
+        values = tuple(convert(v) for v in values)
+        if len(set(values)) != len(values):
+            raise ConfluentRequiredError(
+                f"repeated {kind} parameters: give them as (value, multiplicity) blocks"
+            )
+        return values, tuple((v, 1) for v in values)
+    blocks = tuple((convert(v), int(c)) for v, c in blocks)
+    if any(c < 1 for _, c in blocks):
+        raise ValueError("multiplicities must be >= 1")
+    if len({v for v, _ in blocks}) != len(blocks):
+        raise ValueError(f"{kind} block values must be pairwise distinct")
+    expanded = tuple(v for v, c in blocks for _ in range(c))
+    if values and tuple(values) != expanded:
+        raise ValueError(f"{kind} parameters disagree with their blocks")
+    return expanded, blocks
+
+
 @dataclass(frozen=True)
 class IdentityInstance:
     """One (n, k, m) instance of the identity.
 
-    In atom mode the ys are rationals (distinct, away from the atoms); in
-    series mode they are the names of formal inverse variables.  xi and
-    omega hold the xs and ys as (value, multiplicity) blocks, every
-    multiplicity 1; a series-mode y block holds the exact series y_slot.
+    The parameters are (value, multiplicity) blocks xi (the xs) and omega
+    (the ys); xs and ys repeat each value by its multiplicity, so m and k
+    count multiplicities.  Passing xs/ys instead is the shorthand for blocks
+    of multiplicity 1.  A multiplicity above 1 makes the instance one of
+    the confluent form (Proposition 13), which is atom mode only.
+
+    In atom mode the ys are rationals (away from the atoms); in series mode
+    they are the names of formal inverse variables.
     """
 
     n: int
@@ -88,24 +126,18 @@ class IdentityInstance:
     ys: tuple = ()
     mode: str = "atom"
     truncation: int = 25
-    xi: tuple = field(init=False, repr=False, compare=False)
-    omega: tuple = field(init=False, repr=False, compare=False)
+    xi: tuple | None = field(default=None, repr=False, compare=False)
+    omega: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("atom", "series"):
             raise ValueError("mode must be 'atom' or 'series'")
-        xs = tuple(Fraction(x) for x in self.xs)
-        object.__setattr__(self, "xs", xs)
-        if len(set(xs)) != len(xs):
-            raise ConfluentRequiredError("repeated x parameters: use the confluent form")
-        if self.mode == "atom":
-            ys = tuple(Fraction(y) for y in self.ys)
-            object.__setattr__(self, "ys", ys)
-            if len(set(ys)) != len(ys):
-                raise ConfluentRequiredError("repeated y parameters: use the confluent form")
-        else:
-            ys = tuple(self.ys)
-            object.__setattr__(self, "ys", ys)
+        xs, xi = _blocks(self.xs, self.xi, "x", Fraction)
+        atom = self.mode == "atom"
+        ys, omega = _blocks(self.ys, self.omega, "y", Fraction if atom else lambda y: y)
+        for name, value in (("xs", xs), ("ys", ys), ("xi", xi), ("omega", omega)):
+            object.__setattr__(self, name, value)
+        if not atom:
             if not ys:
                 raise ValueError(
                     "series mode needs at least one formal y; with k = 0 use "
@@ -113,11 +145,8 @@ class IdentityInstance:
                 )
             if not all(isinstance(y, str) for y in ys):
                 raise ValueError("series mode takes inverse-variable names for ys")
-            if len(set(ys)) != len(ys):
-                raise ValueError("series variable names must be distinct")
-            ys = [InverseSeries.plain_variable(ys, slot) for slot in range(len(ys))]
-        object.__setattr__(self, "xi", tuple((x, 1) for x in xs))
-        object.__setattr__(self, "omega", tuple((y, 1) for y in ys))
+            if self.confluent:
+                raise ValueError("series mode takes multiplicity 1 only")
 
     @property
     def k(self) -> int:
@@ -127,16 +156,20 @@ class IdentityInstance:
     def m(self) -> int:
         return len(self.xs)
 
+    @property
+    def confluent(self) -> bool:
+        """Whether some parameter is repeated (Proposition 13, not Theorem 1)."""
+        return len(self.xs) + len(self.ys) != len(self.xi) + len(self.omega)
+
     def params(self) -> dict:
+        shape = {"n": self.n, "k": self.k, "m": self.m}
+        if self.confluent:
+            return shape | {
+                "xi": [[format_rational(v), c] for v, c in self.xi],
+                "omega": [[format_rational(v), c] for v, c in self.omega],
+            }
         ys = [y if isinstance(y, str) else format_rational(y) for y in self.ys]
-        return {
-            "n": self.n,
-            "k": self.k,
-            "m": self.m,
-            "xs": [format_rational(x) for x in self.xs],
-            "ys": ys,
-            "mode": self.mode,
-        }
+        return shape | {"xs": [format_rational(x) for x in self.xs], "ys": ys, "mode": self.mode}
 
 
 @dataclass
@@ -224,17 +257,21 @@ def _pq_rows(sys: OrthoSystem, cols, xi, omega, q_entry=None) -> list:
     return rows
 
 
-def _theorem1_matrix(sys: OrthoSystem, inst) -> RingMatrix:
-    """The p/q matrix of an IdentityInstance or of a ConfluentInstance, whose
-    repeated parameters give derivative blocks.  In series mode the q-rows
-    are the truncated series q_series of the formal ys."""
+def _y_blocks(inst) -> tuple:
+    """omega with ring elements for values: in series mode each variable
+    name becomes the exact series y_slot."""
+    if inst.mode == "atom":
+        return inst.omega
+    return tuple((InverseSeries.plain_variable(inst.ys, slot), 1) for slot in range(inst.k))
+
+
+def _theorem1_matrix(sys: OrthoSystem, inst: IdentityInstance) -> RingMatrix:
+    """The p/q matrix of an instance; repeated parameters give derivative
+    blocks.  In series mode the q-rows are the truncated series q_series of
+    the formal ys."""
     n, k, m = inst.n, inst.k, inst.m
-    size = k + m
-    if size == 0:
+    if k + m == 0:
         return RingMatrix(0, 0, ())
-    top = n + m - 1
-    if top > sys.depth:
-        raise ValueError(f"system depth {sys.depth} < required {top}")
     q_entry = None
     if inst.mode == "series":
         wt = _work_truncation(inst.truncation, k)
@@ -242,7 +279,8 @@ def _theorem1_matrix(sys: OrthoSystem, inst) -> RingMatrix:
         def q_entry(b, slot, r):
             return q_series(sys, b, wt, inst.ys, slot)
 
-    return RingMatrix.from_rows(_pq_rows(sys, range(n - k, n + m), inst.xi, inst.omega, q_entry))
+    rows = _pq_rows(sys, range(n - k, n + m), inst.xi, _y_blocks(inst), q_entry)
+    return RingMatrix.from_rows(rows)
 
 
 def matrix_M(sys: OrthoSystem, inst: IdentityInstance) -> RingMatrix:
@@ -277,22 +315,21 @@ def _hankel_divisor(f, n: int, k: int) -> Fraction:
     return h
 
 
-def _vandermondes(inst):
+def _vandermondes(inst: IdentityInstance):
     """prod(x_j - x_i)^(c_i c_j) * prod(y_i - y_j)^(c_i c_j) over the blocks."""
-    xi, omega = inst.xi, inst.omega
+    xi, omega = inst.xi, _y_blocks(inst)
     vx = vandermonde_product([v for v, _ in xi], [c for _, c in xi])
     return vx * _y_vandermonde([v for v, _ in omega], [c for _, c in omega])
 
 
-def lhs_theorem1(sys: OrthoSystem, inst):
+def lhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
     """The left-hand side: in atom mode the det of modified moments divided
     by H(n-k) when n >= k; in series mode, where the y-Vandermonde is not
     invertible in the truncated ring for k >= 2, the denominator-cleared
     Vx * Vy * det(modified moments).
 
-    A ConfluentInstance enters with each parameter repeated by its
-    multiplicity: the modified moments have no Vandermonde singularity, so
-    repeated parameters are evaluated directly, with no limits involved.
+    The modified moments have no Vandermonde singularity, so repeated
+    parameters are evaluated directly, with no limits involved.
     """
     f = sys.functional
     n, k = inst.n, inst.k
@@ -302,14 +339,14 @@ def lhs_theorem1(sys: OrthoSystem, inst):
     return f.modified_hankel_det_series(n, inst.xs, inst.ys, wt) * _vandermondes(inst)
 
 
-def rhs_theorem1(sys: OrthoSystem, inst):
+def rhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
     """The right-hand side: in atom mode sign * det(M or N) / (Vx * Vy), with
     Vx = prod(x_j - x_i) and Vy = prod(y_i - y_j); in series mode the
     denominator-cleared sign * H(n-k) * det(M or N), H only for n >= k.
 
     The sign is prop13_sign, which is (-1)^(n(m-k)+km) when every
-    multiplicity is 1.  A ConfluentInstance is taken too: each Vandermonde
-    factor is raised to the product of the two multiplicities.
+    multiplicity is 1.  Each Vandermonde factor is raised to the product of
+    the two multiplicities.
     """
     sign = prop13_sign(inst)
     mat = _theorem1_matrix(sys, inst)
@@ -319,10 +356,12 @@ def rhs_theorem1(sys: OrthoSystem, inst):
     return d * (sign * _hankel_divisor(sys.functional, inst.n, inst.k))
 
 
-def _verify(identity: str, sys: OrthoSystem, inst) -> VerificationReport:
+def verify_theorem1(sys: OrthoSystem, inst: IdentityInstance) -> VerificationReport:
     """Compare lhs_theorem1 and rhs_theorem1 of one instance: exactly in
     atom mode, coefficient by coefficient below the reliable order in series
-    mode.  Domain errors become failed reports."""
+    mode.  Domain errors become failed reports.  The report is labelled
+    "prop13" when some parameter is repeated, "theorem1" otherwise."""
+    identity = "prop13" if inst.confluent else "theorem1"
     params = inst.params()
     try:
         lhs = lhs_theorem1(sys, inst)
@@ -337,86 +376,6 @@ def _verify(identity: str, sys: OrthoSystem, inst) -> VerificationReport:
     if diff is not None:
         note += f"; first differing coefficient at exponents {diff}"
     return VerificationReport(identity, params, lhs, rhs, diff is None, order, note=note)
-
-
-def verify_theorem1(sys: OrthoSystem, inst: IdentityInstance) -> VerificationReport:
-    """Compare both sides of the identity; errors become failed reports."""
-    return _verify("theorem1", sys, inst)
-
-
-# ---------------------------------------------------------------------------
-# Confluent (repeated-parameter) variant
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConfluentInstance:
-    """Repeated parameters with multiplicities: xi = ((value, mult), ...),
-    omega likewise; values pairwise distinct inside each list.  Always atom
-    mode; xs and ys repeat each value by its multiplicity."""
-
-    n: int
-    xi: tuple = ()
-    omega: tuple = ()
-    mode = "atom"
-
-    def __post_init__(self):
-        xi = tuple((Fraction(v), int(c)) for v, c in self.xi)
-        omega = tuple((Fraction(v), int(c)) for v, c in self.omega)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "omega", omega)
-        for values in (xi, omega):
-            if any(c < 1 for _, c in values):
-                raise ValueError("multiplicities must be >= 1")
-            vals = [v for v, _ in values]
-            if len(set(vals)) != len(vals):
-                raise ValueError("confluent base points must be pairwise distinct")
-
-    @property
-    def m(self) -> int:
-        return sum(c for _, c in self.xi)
-
-    @property
-    def k(self) -> int:
-        return sum(c for _, c in self.omega)
-
-    @property
-    def xs(self) -> tuple:
-        return tuple(v for v, c in self.xi for _ in range(c))
-
-    @property
-    def ys(self) -> tuple:
-        return tuple(v for v, c in self.omega for _ in range(c))
-
-    def params(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "m": self.m,
-            "xi": [[format_rational(v), c] for v, c in self.xi],
-            "omega": [[format_rational(v), c] for v, c in self.omega],
-        }
-
-
-def confluent_matrix(sys: OrthoSystem, inst: ConfluentInstance) -> RingMatrix:
-    """Stacked derivative blocks: for each xi with multiplicity a the rows
-    p^(i-1)_{n-k+j-1}(xi)/(i-1)!, i = 1..a, then the q-analogues; negative
-    column indices follow the p_b = 0, q_b(w) = w^(-b-1) conventions."""
-    return _theorem1_matrix(sys, inst)
-
-
-def prop13_sign(inst: ConfluentInstance) -> int:
-    """The plain sign times (-1)^binom(a, 2) for each omega-block of
-    multiplicity a: the reversed y-orientation flips every second
-    divided-difference row in the limit (verified against the directly
-    computed left-hand side; the plain statement of the confluent matrix
-    omits this factor)."""
-    sign = theorem1_sign(inst.n, inst.k, inst.m)
-    return -sign if sum(binomial(c, 2) for _, c in inst.omega) % 2 else sign
-
-
-def verify_prop13(sys: OrthoSystem, inst: ConfluentInstance) -> VerificationReport:
-    """Confluent identity vs the directly computed left-hand side."""
-    return _verify("prop13", sys, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +398,6 @@ def uvarov_polynomial(
     ys = tuple(Fraction(y) for y in ys)
     m = 1 + len(xs_fixed)
     k = len(ys)
-    if n + m - 1 > sys.depth:
-        raise ValueError(f"system depth {sys.depth} < required {n + m - 1}")
     cols = range(n - k, n + m)
     fixed = _pq_rows(sys, cols, [(x, 1) for x in xs_fixed], [(y, 1) for y in ys])
     # row 0 is p_b(x_1): degree at most n+m-1 in x_1
@@ -523,11 +480,9 @@ def uvarov_system(
 # Condensation identities (standalone)
 # ---------------------------------------------------------------------------
 
-def _hankel_slice_det(c, size: int, shift: int) -> Fraction:
-    if size <= 0:
-        return _ONE
+def _hankel_slice_det(c, size: int) -> Fraction:
     return det_rational(
-        RingMatrix(size, size, [c[i + j + shift] for i in range(size) for j in range(size)])
+        RingMatrix(size, size, [c[i + j] for i in range(size) for j in range(size)])
     )
 
 
@@ -569,7 +524,7 @@ def lemma8_check(c, n: int) -> VerificationReport:
     beta_minus_alpha = UniPoly(
         [UniPoly.variable("beta"), UniPoly.constant(-_ONE, "beta")], "alpha"
     )
-    lhs = beta_minus_alpha * _quad_det(c, n - 1) * _hankel_slice_det(c, n, 0)
+    lhs = beta_minus_alpha * _quad_det(c, n - 1) * _hankel_slice_det(c, n)
     rhs = _lin_det(c, n - 1, 0) * _lin_det(c, n, 1) - _lin_det(c, n - 1, 1) * _lin_det(c, n, 0)
     return VerificationReport(
         "lemma8", {"n": n, "c": [format_rational(v) for v in c]}, lhs, rhs, lhs == rhs
@@ -585,9 +540,9 @@ def lemma9_check(c, n: int) -> VerificationReport:
         raise ValueError("n must be positive")
     c = _coerce_sequence(c, 2 * n + 1)
     lhs = _lin_det(c, n, 0) * _lin_det(c, n, 1)
-    rhs = _quad_det(c, n) * _hankel_slice_det(c, n, 0) - _quad_det(
+    rhs = _quad_det(c, n) * _hankel_slice_det(c, n) - _quad_det(
         c, n - 1
-    ) * _hankel_slice_det(c, n + 1, 0)
+    ) * _hankel_slice_det(c, n + 1)
     return VerificationReport(
         "lemma9", {"n": n, "c": [format_rational(v) for v in c]}, lhs, rhs, lhs == rhs
     )
@@ -713,12 +668,12 @@ def sweep_prop13(
             for x_mults, y_mults in _CONFLUENT_SHAPES:
                 xs = rng.sample(_XS_POOL, len(x_mults))
                 ys = rng.sample(_YS_POOL, len(y_mults))
-                inst = ConfluentInstance(
+                inst = IdentityInstance(
                     n=n,
                     xi=tuple(zip(xs, x_mults)),
                     omega=tuple(zip(ys, y_mults)),
                 )
-                reports.append(verify_prop13(sys, inst))
+                reports.append(verify_theorem1(sys, inst))
     return reports
 
 

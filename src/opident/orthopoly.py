@@ -117,12 +117,11 @@ class OrthoSystem:
 
     def weighted_node_values(self, n: int) -> tuple[tuple[int, ...], int]:
         """Integers G_a and D with w_a p_n(u_a) = G_a / D at the atom nodes
-        (finite-atom only)."""
+        (finite-atom only, 0 <= n <= depth)."""
         if self._atom_values is None:
             raise ModeError("exact q-values need a finite-atom functional")
-        self._check_index(n)
-        if n == -1:
-            return (0,) * len(self.functional.atoms), 1
+        if not 0 <= n <= self.depth:
+            raise ValueError(f"weighted node values need 0 <= n <= {self.depth}, got {n}")
         return self._atom_values[n]
 
 
@@ -247,17 +246,14 @@ def _atom_sum(sys: OrthoSystem, n: int, y, power: int) -> Fraction:
 def q_exact(sys: OrthoSystem, n: int, y, order: int = 0) -> Fraction:
     """The Taylor coefficient q_n^(r)(y)/r! for r = order, exact
     (finite-atom): sum_a w_a p_n(u_a) (-1)^r / (y - u_a)^(r+1), which is
-    q_n(y) = sum_a w_a p_n(u_a) / (y - u_a) at the default 0."""
+    q_n(y) = sum_a w_a p_n(u_a) / (y - u_a) at the default 0.  For n < 0
+    the convention is q_n(y) = y^(-n-1), which this does not compute."""
+    if n < 0:
+        raise ValueError(f"q_{n} is y^({-n - 1}) by the b < 0 convention, not q_exact's")
     if order < 0:
         raise ValueError("derivative order must be non-negative")
     value = _atom_sum(sys, n, y, order + 1)
     return -value if order % 2 else value
-
-
-def q_derivative_exact(sys: OrthoSystem, n: int, order: int, y) -> Fraction:
-    """r-th derivative of q_n at y:
-    sum_a w_a p_n(u_a) (-1)^r r! / (y - u_a)^(r+1)."""
-    return q_exact(sys, n, y, order) * math.factorial(order)
 
 
 def q_series(

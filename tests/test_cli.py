@@ -230,6 +230,30 @@ def test_atom_sweep_deeper_than_atom_count_exits_2(capsys):
     assert err.startswith("error:") and "H(9)" in err
 
 
+@pytest.mark.parametrize(
+    "argv, instances",
+    [
+        (["verify", "prop13", "--max-n", "6"], 35),  # 7 n's x 5 shapes
+        (["verify", "lemmas", "--max-n", "7"], 14 + 325),  # lemmas 8, 9 per n + Jacobi
+    ],
+)
+def test_sweep_runs_the_max_n_it_echoes(argv, instances, capsys):
+    code, out, _ = run_cli(argv + ["--trials", "1", "--json"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["all_equal"] is True
+    assert payload["config"]["max_n"] == int(argv[3])
+    assert payload["instances"] == instances
+
+
+def test_prop13_deeper_than_atom_count_exits_2(capsys):
+    # depth max_n + 2 = 9 > 8 atoms
+    argv = ["verify", "prop13", "--max-n", "7", "--trials", "1", "--json"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "max_n <= 6" in err
+
+
 @pytest.mark.parametrize("series", [False, True])
 def test_verify_theorem1_depth_zero(series, capsys):
     # max_n = max_m = 0 leaves only the power-column instances (n = 0, m = 0).

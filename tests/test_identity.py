@@ -8,10 +8,8 @@ import pytest
 
 import opident.identity as identity
 from opident.identity import (
-    ConfluentInstance,
     ConfluentRequiredError,
     IdentityInstance,
-    confluent_matrix,
     jacobi_check,
     lemma8_check,
     lemma9_check,
@@ -26,7 +24,6 @@ from opident.identity import (
     theorem1_sign,
     uvarov_polynomial,
     uvarov_system,
-    verify_prop13,
     verify_theorem1,
 )
 from opident.moments import (
@@ -36,7 +33,7 @@ from opident.moments import (
     random_atom_functional,
     random_sequence_functional,
 )
-from opident.orthopoly import build_ortho_system, poly_lemma5, q_derivative_exact, q_exact
+from opident.orthopoly import build_ortho_system, poly_lemma5, q_exact
 from opident.ring import RingMatrix, UniPoly, det_rational, vandermonde_product
 
 F = Fraction
@@ -368,8 +365,8 @@ def test_confluent_all_multiplicities_one_matches_theorem1(rng):
     ys = (F(1, 3),)
     for n in range(5):
         plain = verify_theorem1(sys, IdentityInstance(n=n, xs=xs, ys=ys))
-        conf = verify_prop13(
-            sys, ConfluentInstance(n=n, xi=tuple((x, 1) for x in xs), omega=((ys[0], 1),))
+        conf = verify_theorem1(
+            sys, IdentityInstance(n=n, xi=tuple((x, 1) for x in xs), omega=((ys[0], 1),))
         )
         assert plain.equal and conf.equal
         assert plain.lhs == conf.lhs and plain.rhs == conf.rhs
@@ -378,16 +375,16 @@ def test_confluent_all_multiplicities_one_matches_theorem1(rng):
 def test_confluent_matrix_negative_index_entry(rng):
     # q_{-1}(w) = w^0 = 1 in the power block
     f, sys = atom_system(rng, 6, 4)
-    inst = ConfluentInstance(n=0, omega=((F(1, 3), 1),))
-    assert confluent_matrix(sys, inst).entries == (F(1),)
+    inst = IdentityInstance(n=0, omega=((F(1, 3), 1),))
+    assert identity._theorem1_matrix(sys, inst).entries == (F(1),)
 
 
 def test_confluent_derivative_rows(rng):
     # multiplicity-2 x block stacks p and p' rows (divided by 0! and 1!)
     f, sys = atom_system(rng, 6, 5)
     xi = F(1, 2)
-    inst = ConfluentInstance(n=2, xi=((xi, 2),))
-    mat = confluent_matrix(sys, inst)
+    inst = IdentityInstance(n=2, xi=((xi, 2),))
+    mat = identity._theorem1_matrix(sys, inst)
     assert mat.get(0, 0) == sys.p(2).eval(xi)
     assert mat.get(1, 0) == sys.p(2).derivative().eval(xi)
     assert mat.get(1, 1) == sys.p(3).derivative().eval(xi)
@@ -398,7 +395,8 @@ def test_confluent_derivative_rows(rng):
     sys = build_ortho_system(f, 6)
     x, y = F(3, 4), F(5, 2)
     for n in (1, 3):
-        mat = confluent_matrix(sys, ConfluentInstance(n=n, xi=((x, 3),), omega=((y, 3),)))
+        inst = IdentityInstance(n=n, xi=((x, 3),), omega=((y, 3),))
+        mat = identity._theorem1_matrix(sys, inst)
         for j, b in enumerate(range(n - 3, n + 3)):
             for r in range(3):
                 fact = math.factorial(r)
@@ -406,7 +404,7 @@ def test_confluent_derivative_rows(rng):
                     p_row, q_row = F(0), (UniPoly.variable() ** (-b - 1)).derivative(r).eval(y)
                 else:
                     p_row = sys.p(b).derivative(r).eval(x)
-                    q_row = q_derivative_exact(sys, b, r, y)
+                    q_row = q_exact(sys, b, y, r) * math.factorial(r)
                 assert mat.get(r, j) == p_row / fact, (n, b, r)
                 assert mat.get(3 + r, j) == q_row / fact, (n, b, r)
 
@@ -414,17 +412,57 @@ def test_confluent_derivative_rows(rng):
 def test_confluent_double_x(rng):
     f, sys = atom_system(rng, 8, 6)
     for n in range(5):
-        inst = ConfluentInstance(n=n, xi=((F(1, 2), 2),))
-        rep = verify_prop13(sys, inst)
+        inst = IdentityInstance(n=n, xi=((F(1, 2), 2),))
+        rep = verify_theorem1(sys, inst)
         assert rep.equal, rep.params
 
 
 def test_confluent_double_y(rng):
     f, sys = atom_system(rng, 8, 6)
     for n in range(2, 6):
-        inst = ConfluentInstance(n=n, omega=((F(1, 3), 2),))
-        rep = verify_prop13(sys, inst)
+        inst = IdentityInstance(n=n, omega=((F(1, 3), 2),))
+        rep = verify_theorem1(sys, inst)
         assert rep.equal, rep.params
+
+
+def test_confluent_two_double_y_blocks_below_k(rng):
+    # n < k = 4 puts b = -4..-1 power columns under two double y-blocks,
+    # whose derivative rows binom(e, r) y^(e-r) no sweep shape reaches
+    f, sys = atom_system(rng, 8, 6)
+    omega = ((F(1, 3), 2), (F(-2, 3), 2))
+    for n in range(4):
+        rep = verify_theorem1(sys, IdentityInstance(n=n, omega=omega))
+        assert rep.identity == "prop13"
+        assert rep.equal, rep.params
+
+
+def test_block_form_instance():
+    inst = IdentityInstance(n=2, xi=((F(1, 2), 2), (3, 1)), omega=((F(1, 3), 1),))
+    assert inst.xs == (F(1, 2), F(1, 2), F(3))
+    assert inst.ys == (F(1, 3),)
+    assert (inst.m, inst.k) == (3, 1)
+    assert inst.params() == {
+        "n": 2, "k": 1, "m": 3, "xi": [["1/2", 2], ["3", 1]], "omega": [["1/3", 1]],
+    }
+    assert dataclasses.replace(inst, n=1).xi == inst.xi
+    # every multiplicity 1: the Theorem 1 params, equal to the shorthand's
+    plain = IdentityInstance(n=2, xi=((F(1, 2), 1),), omega=((F(1, 3), 1),))
+    assert plain == IdentityInstance(n=2, xs=(F(1, 2),), ys=(F(1, 3),))
+    assert plain.params() == {
+        "n": 2, "k": 1, "m": 1, "xs": ["1/2"], "ys": ["1/3"], "mode": "atom",
+    }
+    series = IdentityInstance(n=2, ys=("y1",), mode="series")
+    assert dataclasses.replace(series, n=1).ys == ("y1",)
+    for bad in (
+        dict(xi=((F(1, 2), 0),)),
+        dict(omega=((F(1, 3), 1), (F(1, 3), 2))),
+        dict(omega=(("y1", 2),), mode="series"),
+        dict(xs=(F(1),), xi=((F(2), 1),)),
+    ):
+        with pytest.raises(ValueError):
+            IdentityInstance(n=1, **bad)
+    with pytest.raises(ConfluentRequiredError, match="blocks"):
+        IdentityInstance(n=1, xs=(F(1), F(1)))
 
 
 def test_confluent_sweep():

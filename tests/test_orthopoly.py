@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from opident.orthopoly import (
     hankel_product_formula,
     poly_lemma4,
     poly_lemma5,
-    q_derivative_exact,
     q_exact,
     q_series,
 )
@@ -246,8 +246,19 @@ def test_q_series_matches_q_exact_coefficients(rng):
 
 def test_q_derivative_order_zero_and_single_atom():
     single = build_ortho_system(FiniteAtomFunctional([(0, 1)]), 0)
-    assert q_derivative_exact(single, 0, 0, 2) == q_exact(single, 0, 2)
-    assert q_derivative_exact(single, 0, 1, 2) == F(-1, 4)
+    assert q_exact(single, 0, 2, 0) * math.factorial(0) == q_exact(single, 0, 2)
+    assert q_exact(single, 0, 2, 1) * math.factorial(1) == F(-1, 4)
+
+
+def test_q_exact_refuses_negative_index():
+    # q_b(y) = y^(-b-1) for b < 0 is a convention the row builder applies
+    # itself; q_exact must not return a value that contradicts it
+    sys = build_ortho_system(FiniteAtomFunctional([(0, 1), (1, 2)]), 1)
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match=r"y\^"):
+            q_exact(sys, n, F(1, 3))
+    with pytest.raises(ValueError):
+        sys.weighted_node_values(-1)
 
 
 def _rational_function_derivative(num, den, order):
@@ -276,7 +287,7 @@ def test_q_derivative_against_symbolic_oracle(rng):
         for order in (1, 2, 3):
             num, den = _rational_function_derivative(A, B, order)
             for point in (F(1, 3), F(17, 4)):
-                assert q_derivative_exact(sys, n, order, point) == num.eval(
+                assert q_exact(sys, n, point, order) * math.factorial(order) == num.eval(
                     point
                 ) / den.eval(point)
 
@@ -288,7 +299,7 @@ def test_q_derivative_finite_difference(rng):
     sys = build_ortho_system(f, 3)
     y = F(31, 3)
     h = F(1, 1024)
-    exact = q_derivative_exact(sys, 2, 1, y)
+    exact = q_exact(sys, 2, y, 1) * math.factorial(1)
 
     def fd(step):
         return (q_exact(sys, 2, y + step) - q_exact(sys, 2, y - step)) / (2 * step)
