@@ -119,6 +119,9 @@ def _report_sweep(reports, args, command: str, config: dict) -> int:
 def _cmd_verify_theorem1(args) -> int:
     seed = _seed_from(args)
     functional = None
+    if args.series and args.max_k < 1:
+        raise SystemExit2("series mode needs k >= 1 formal y (--max-k at least 1); "
+                          "k = 0 has no series to compare, use atom mode")
     if args.functional:
         if args.series:
             raise SystemExit2("--functional is not supported with --series "
@@ -142,7 +145,7 @@ def _cmd_verify_theorem1(args) -> int:
                 trials=args.trials,
                 truncation=args.truncation,
                 max_n=min(args.max_n, 4),
-                ks=tuple(k for k in (1, 2) if k <= args.max_k) or (1,),
+                ks=tuple(k for k in (1, 2) if k <= args.max_k),
                 max_m=min(args.max_m, 2),
             )
         else:

@@ -42,9 +42,9 @@ from .ring import (
     RingMatrix,
     UniPoly,
     binomial,
-    det_generic,
     det_poly,
     det_rational,
+    det_series,
     format_rational,
     vandermonde_product,
 )
@@ -352,7 +352,7 @@ def rhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
     mat = _theorem1_matrix(sys, inst)
     if inst.mode == "atom":
         return sign * det_rational(mat) / _vandermondes(inst)
-    d = det_generic(mat, one=InverseSeries.one(inst.ys))
+    d = det_series(mat, inst.ys)
     return d * (sign * _hankel_divisor(sys.functional, inst.n, inst.k))
 
 

@@ -26,8 +26,8 @@ from .ring import (
     RingMatrix,
     UniPoly,
     binomial,
-    det_generic,
     det_rational,
+    det_series,
     format_rational,
     parse_rational,
 )
@@ -190,7 +190,7 @@ class MomentFunctional:
             for s in range(2 * n - 1)
         ]
         mat = RingMatrix(n, n, [mm[i + j] for i in range(n) for j in range(n)])
-        return det_generic(mat, one=InverseSeries.one(variables))
+        return det_series(mat, variables)
 
     # -- serialization -----------------------------------------------------
     def to_json_dict(self) -> dict:

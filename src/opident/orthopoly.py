@@ -263,8 +263,11 @@ def q_series(
 
     Orthogonality kills every i < n (checked), the coefficient of y^(-n-1)
     is the norm H(n+1)/H(n).  `slot` picks which variable of a multivariate
-    series ring carries the expansion.
+    series ring carries the expansion.  For n < 0 the convention is
+    q_n(y) = y^(-n-1), which this does not compute.
     """
+    if n < 0:
+        raise ValueError(f"q_{n} is y^({-n - 1}) by the b < 0 convention; q_series needs n >= 0")
     variables = tuple(variables)
     f = sys.functional
     p = sys.p(n)

@@ -694,10 +694,12 @@ def _dot(row, vec, zero):
     return acc if acc is not None else zero
 
 
-def _det_subset_expansion(m: RingMatrix, one):
+def _det_subset_expansion(m: RingMatrix, one, reduce=None):
     """First-row expansion with minors memoized over column subsets.
 
     n * 2^(n-1) ring multiplications; good for the small series matrices.
+    ``reduce``, when given, maps every minor as it is formed (the packed
+    series path truncates there).
     """
     n = m.rows
     if n == 0:
@@ -723,7 +725,11 @@ def _det_subset_expansion(m: RingMatrix, one):
                 if idx % 2:
                     term = -term
                 acc = term if acc is None else acc + term
-            new[mask] = acc if acc is not None else zero
+            if acc is None:
+                acc = zero
+            elif reduce is not None:
+                acc = reduce(acc)
+            new[mask] = acc
         minors = new
     return minors[(1 << n) - 1]
 
@@ -738,6 +744,153 @@ def det_generic(m: RingMatrix, one=_ONE):
     if m.rows <= 4:
         return _det_subset_expansion(m, one)
     return det_berkowitz(m, one)
+
+
+def det_series(m: RingMatrix, variables):
+    """Exact determinant of a square matrix of InverseSeries and rational
+    scalars: the fast path for series that det_rational is for rationals.
+    The result equals det_generic(m, InverseSeries.one(variables)) in
+    terms, trunc and cap; det_generic stays the oracle.
+
+    Each column is scaled to integers by the lcm of the denominators in it
+    (scalars and series coefficients alike), and the product of the scales
+    is divided out once at the end; when it is 1 the coefficients stay
+    plain ints.  A matrix of series in at most two variables with
+    nonnegative exponents and one shared trunc == cap (the modified-moment
+    Hankel shape) is expanded Kronecker-packed (_packed_det).  Anything else
+    runs det_generic on the integer columns, except above 4x4: there
+    det_generic is Berkowitz, whose truncation bookkeeping depends on the
+    valuations of sums that column scaling would change, so it gets the
+    matrix as given.
+    """
+    _require_square(m)
+    variables = tuple(variables)
+    one = InverseSeries.one(variables)
+    n = m.rows
+    if n == 0:
+        return one
+    # A Hankel matrix repeats each entry along an antidiagonal: inspect,
+    # scale and pack every distinct entry (or entry and scale) once.
+    distinct = {id(x): x for x in m.entries}
+    trunc = _packed_trunc(distinct.values(), variables)
+    if trunc is None and n > 4:
+        return det_generic(m, one)
+    dens = {key: _denominator(x) for key, x in distinct.items()}
+    scales = [math.lcm(*(dens[id(m.get(i, j))] for i in range(n))) for j in range(n)]
+    cache = {}
+    cells = []
+    for idx, x in enumerate(m.entries):
+        key = (id(x), scales[idx % n])
+        if key not in cache:
+            cache[key] = _scaled(x, key[1])
+        cells.append(cache[key])
+    scaled = RingMatrix(n, n, cells)
+    if trunc is None:
+        d = det_generic(scaled, one)
+    else:
+        d = _packed_det(scaled, variables, trunc)
+    scale = math.prod(scales)
+    if scale == 1:
+        return d
+    if isinstance(d, InverseSeries):
+        terms = {e: Fraction(c, scale) for e, c in d.terms.items()}
+        return InverseSeries._make(d.variables, terms, d.trunc, d.cap)
+    return Fraction(d, scale)
+
+
+def _denominator(x) -> int:
+    """The lcm of the denominators of a scalar or of a series' coefficients."""
+    if isinstance(x, InverseSeries):
+        return math.lcm(*(c.denominator for c in x.terms.values()))
+    return x.denominator
+
+
+def _scaled(x, scale: int):
+    """x times scale, with int coefficients (scale clears their denominators)."""
+    if isinstance(x, InverseSeries):
+        terms = {e: c.numerator * (scale // c.denominator) for e, c in x.terms.items()}
+        return InverseSeries._make(x.variables, terms, x.trunc, x.cap)
+    return x.numerator * (scale // x.denominator)
+
+
+def _packed_trunc(entries, variables):
+    """The shared trunc when the entries fit _packed_det, else None."""
+    if len(variables) > 2:
+        return None
+    truncs = {x.trunc if isinstance(x, InverseSeries) else None for x in entries}
+    trunc = truncs.pop()
+    if truncs or trunc is None:
+        return None
+    for x in entries:
+        if x.variables != variables or x.cap != trunc or min(map(min, x.terms), default=0) < 0:
+            return None
+    return trunc
+
+
+def _packed_det(m: RingMatrix, variables, trunc: int) -> InverseSeries:
+    """det of integer-coefficient series with exponents >= 0 in one or two
+    variables, all with trunc == cap == ``trunc``, Kronecker-packed.
+
+    Each entry becomes one int sum_i c_i B^i, B = 2^w, with the term of
+    exponents e in slot i = deg(e) * trunc + e[0] for two variables and
+    i = deg(e) for one: the total degree is the most significant digit.
+    A product's term lands in the slot of the summed exponents whenever its
+    degree is below trunc (then e[0] <= deg(e) < trunc cannot carry into
+    the next degree), and in a slot >= N otherwise, N = trunc^2 or trunc
+    slots in all, so truncating is keeping the low N slots.  The first-row
+    expansion runs on these ints, and each minor is truncated as it is
+    formed.
+
+    Slot width: the coefficient of a monomial in a product of r entries is
+    a sum of at most T^(r-1) products of r coefficients (the last factor is
+    fixed by the others), so every coefficient of any minor or partial sum
+    of the expansion is at most bound = n! C^n T^(n-1), with C the largest
+    |coefficient| and T the most terms in one entry.  w is bitlen(bound) + 2
+    rounded up to whole bytes, so each digit lies in (-B/4, B/4) and the
+    low part L = sum_{i<N} c_i B^i of N slots lies in (-B^N/2, B^N/2).
+
+    Why masking is exact: the packed value is L + B^N * H for an integer H
+    that carries every term of degree >= trunc; carries in integer
+    arithmetic only move upward, so the value is congruent to L modulo B^N,
+    and because |L| < B^N/2, reducing modulo B^N into [-B^N/2, B^N/2)
+    recovers L itself.
+    """
+    n = m.rows
+    two = len(variables) == 2
+    stride = trunc if two else 1
+    slots = trunc * stride
+    entries = {id(x): x for x in m.entries}.values()
+    top = max((abs(c) for x in entries for c in x.terms.values()), default=0)
+    most = max(len(x.terms) for x in entries)
+    bound = math.factorial(n) * top**n * most ** (n - 1)
+    width = (bound.bit_length() + 2 + 7) // 8
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+    total = 8 * width * slots
+    mask = (1 << total) - 1
+    sign = 1 << (total - 1)
+
+    def pack(x):
+        # The balanced digits c_i are stored as c_i + B/2 in [0, B).
+        digits = [half] * slots
+        for e, c in x.terms.items():
+            digits[sum(e) * stride + (e[0] if two else 0)] += c
+        raw = b"".join(d.to_bytes(width, "little") for d in digits)
+        return int.from_bytes(raw, "little") - offset
+
+    packed = {id(x): pack(x) for x in entries}
+    cells = [packed[id(x)] for x in m.entries]
+    det = _det_subset_expansion(
+        RingMatrix(n, n, cells), 1, lambda v: ((v + sign) & mask) - sign
+    )
+    raw = (det + offset).to_bytes(width * slots, "little")
+    terms = {}
+    for i in range(slots):
+        c = int.from_bytes(raw[i * width : (i + 1) * width], "little") - half
+        if c:
+            d, a = divmod(i, stride)
+            terms[(a, d - a) if two else (d,)] = c
+    return InverseSeries._make(variables, terms, trunc, trunc)
 
 
 def det_rational(m: RingMatrix) -> Fraction:

@@ -254,6 +254,16 @@ def test_prop13_deeper_than_atom_count_exits_2(capsys):
     assert err.startswith("error:") and "max_n <= 6" in err
 
 
+def test_series_max_k_zero_exits_2(capsys):
+    # series mode has no k = 0 instance; it used to echo "max_k":0 and run k = 1
+    argv = ["verify", "theorem1", "--series", "--max-k", "0", "--trials", "1",
+            "--truncation", "8", "--json"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "k >= 1" in err
+
+
 @pytest.mark.parametrize("series", [False, True])
 def test_verify_theorem1_depth_zero(series, capsys):
     # max_n = max_m = 0 leaves only the power-column instances (n = 0, m = 0).

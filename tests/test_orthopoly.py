@@ -261,6 +261,15 @@ def test_q_exact_refuses_negative_index():
         sys.weighted_node_values(-1)
 
 
+def test_q_series_refuses_negative_index():
+    # the series twin of q_exact: n = -1 used to return the zero series
+    # against q_{-1}(y) = 1, and n = -2 the wrong error
+    sys = build_ortho_system(ChebyshevCatalanFunctional(), 3)
+    for n in (-1, -2, -3):
+        with pytest.raises(ValueError, match=r"y\^"):
+            q_series(sys, n, 6)
+
+
 def _rational_function_derivative(num, den, order):
     """(num/den)' iterated: exact quotient-rule oracle over UniPoly pairs."""
     for _ in range(order):
