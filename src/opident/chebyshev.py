@@ -48,11 +48,20 @@ def modified_moment_cheb(n: int, a: Fraction, var: str = "X") -> UniPoly:
         X (-2a)^n + sum_{k=0}^{floor((n-1)/2)} (-2a)^(n-2k-1) C_k,
 
     linear in the formal symbol X."""
-    base = -2 * Fraction(a)
-    const = _ZERO
-    for k in range((n - 1) // 2 + 1):
-        const += base ** (n - 2 * k - 1) * catalan(k)
-    return UniPoly([const, base**n], var)
+    return _cheb_moments(n + 1, Fraction(a), var)[n]
+
+
+@lru_cache(maxsize=64)
+def _cheb_moments(count: int, a: Fraction, var: str) -> tuple:
+    """modified_moment_cheb(s, a, var) for s = 0..count-1 in one pass: the
+    constant terms satisfy c_0 = 0 and c_s = -2a c_{s-1} + [s odd] C_{(s-1)/2}."""
+    base = -2 * a
+    out, const, power = [], _ZERO, _ONE
+    for s in range(count):
+        out.append(UniPoly([const, power], var))
+        const = base * const + (catalan(s // 2) if s % 2 == 0 else 0)
+        power *= base
+    return tuple(out)
 
 
 def q_cheb(n: int, a: Fraction, var: str = "X") -> UniPoly:
@@ -75,8 +84,7 @@ def theorem14_eval(n: int, a: Fraction, var: str = "X"):
     variable)."""
     if n < 1:
         raise ValueError("n must be positive")
-    rho = [modified_moment_cheb(s, a, var) for s in range(2 * n - 1)]
-    lhs = det_poly(lambda p, i, j: rho[i + j].eval(p[0]), n, [(var, n)])
+    lhs = det_poly(RingMatrix.hankel(_cheb_moments(2 * n - 1, Fraction(a), var), n), [(var, n)])
     if lhs.degree > 1:
         raise ArithmeticError("determinant should be linear in X")
     base = -2 * Fraction(a)
@@ -97,9 +105,9 @@ def theorem15_eval(n: int, a: Fraction, b: Fraction, var: str = "X"):
     if n < 1:
         raise ValueError("n must be positive")
     b = Fraction(b)
-    rho = [modified_moment_cheb(s, a, var) for s in range(2 * n)]
+    rho = _cheb_moments(2 * n, Fraction(a), var)
     sigma = [rho[s + 1] - b * rho[s] for s in range(2 * n - 1)]
-    lhs = det_poly(lambda p, i, j: sigma[i + j].eval(p[0]), n, [(var, n)])
+    lhs = det_poly(RingMatrix.hankel(sigma, n), [(var, n)])
     if lhs.degree > 1:
         raise ArithmeticError("determinant should be linear in X")
     base = -2 * Fraction(a)
@@ -125,7 +133,8 @@ def central_weight(s: int) -> Fraction:
 
 def _det_shifted_identity(entry, n: int) -> UniPoly:
     """det(Y + entry(i+j)) as a polynomial in Y."""
-    return det_poly(lambda p, i, j: p[0] + entry(i + j), n, [("Y", n)])
+    shifted = [UniPoly([entry(s), _ONE], "Y") for s in range(2 * n - 1)]
+    return det_poly(RingMatrix.hankel(shifted, n), [("Y", n)])
 
 
 @dataclass
@@ -169,10 +178,7 @@ def row_7_10(n: int) -> SuiteRow:
 
 def row_7_11(n: int) -> SuiteRow:
     """det of the pure central-binomial matrix == 2^(-n(n-1))."""
-    mat = RingMatrix(
-        n, n, [central_weight(i + j) for i in range(n) for j in range(n)]
-    )
-    lhs = det_rational(mat)
+    lhs = det_rational(RingMatrix.hankel([central_weight(s) for s in range(2 * n - 1)], n))
     rhs = Fraction(1, 2 ** (n * (n - 1)))
     return SuiteRow("7.11", n, lhs, rhs, lhs == rhs)
 

@@ -401,11 +401,8 @@ def uvarov_polynomial(
     cols = range(n - k, n + m)
     fixed = _pq_rows(sys, cols, [(x, 1) for x in xs_fixed], [(y, 1) for y in ys])
     # row 0 is p_b(x_1): degree at most n+m-1 in x_1
-    d = det_poly(
-        lambda p, i, j: fixed[i - 1][j] if i else sys.p_value(cols[j], p[0]),
-        k + m,
-        [(var, n + m - 1)],
-    )
+    x1_row = [sys.p(b).rename(var) if b >= 0 else _ZERO for b in cols]
+    d = det_poly(RingMatrix.from_rows([x1_row, *fixed]), [(var, n + m - 1)])
     vx = vandermonde_product((UniPoly.variable(var),) + xs_fixed)
     poly = d.exact_div(vx) * (theorem1_sign(n, k, m) / _y_vandermonde(ys))
     return poly, poly.degree == n
@@ -481,30 +478,25 @@ def uvarov_system(
 # ---------------------------------------------------------------------------
 
 def _hankel_slice_det(c, size: int) -> Fraction:
-    return det_rational(
-        RingMatrix(size, size, [c[i + j] for i in range(size) for j in range(size)])
-    )
+    return det_rational(RingMatrix.hankel(c, size))
 
 
 def _lin_det(c, size: int, slot: int) -> UniPoly:
     """det(v c_{i+j} + c_{i+j+1}) with v = alpha (slot 0) or beta (slot 1),
     as a polynomial in alpha over Q[beta] (degree <= size in v)."""
-    bounds = (size, 0) if slot == 0 else (0, size)
-    return det_poly(
-        lambda p, i, j: p[slot] * c[i + j] + c[i + j + 1],
-        size,
-        [("alpha", bounds[0]), ("beta", bounds[1])],
-    )
+    var, bounds = ("alpha", (size, 0)) if slot == 0 else ("beta", (0, size))
+    lin = [UniPoly([c[s + 1], c[s]], var) for s in range(2 * size - 1)]
+    return det_poly(RingMatrix.hankel(lin, size), list(zip(("alpha", "beta"), bounds)))
 
 
 def _quad_det(c, size: int) -> UniPoly:
     """det(ab c_{i+j} + (a+b) c_{i+j+1} + c_{i+j+2}) as a nested polynomial:
     outer variable "alpha" with UniPoly("beta") coefficients."""
-    return det_poly(
-        lambda p, i, j: p[0] * p[1] * c[i + j] + (p[0] + p[1]) * c[i + j + 1] + c[i + j + 2],
-        size,
-        [("alpha", size), ("beta", size)],
-    )
+    quad = [
+        UniPoly([UniPoly([c[s + 2], c[s + 1]], "beta"), UniPoly([c[s + 1], c[s]], "beta")], "alpha")
+        for s in range(2 * size - 1)
+    ]
+    return det_poly(RingMatrix.hankel(quad, size), [("alpha", size), ("beta", size)])
 
 
 def _coerce_sequence(c, needed: int):

@@ -138,7 +138,7 @@ class MomentFunctional:
         if n == 0:
             return _ONE
         mm = self.modified_moments(2 * n - 1, xs, ys)
-        return det_rational(RingMatrix(n, n, [mm[i + j] for i in range(n) for j in range(n)]))
+        return det_rational(RingMatrix.hankel(mm, n))
 
     def modified_moment_series(
         self, i: int, xs=(), variables=("y1",), truncation: int = 25
@@ -189,7 +189,7 @@ class MomentFunctional:
             self.modified_moment_series(s, xs, variables, truncation)
             for s in range(2 * n - 1)
         ]
-        mat = RingMatrix(n, n, [mm[i + j] for i in range(n) for j in range(n)])
+        mat = RingMatrix.hankel(mm, n)
         return det_series(mat, variables)
 
     # -- serialization -----------------------------------------------------

@@ -212,15 +212,14 @@ def poly_lemma5(f: MomentFunctional, n: int, var: str = "x") -> UniPoly:
     polynomial of degree <= n.
 
     When H(n) != 0 it equals (-1)^n H(n) p_n(x): the x^n coefficient of the
-    determinant is det(-mu_{i+j}) = (-1)^n H(n).  Computed by evaluation at
-    n+1 rational points and exact interpolation.
+    determinant is det(-mu_{i+j}) = (-1)^n H(n).  Computed by det_poly:
+    evaluation at the n+1 points 0..n and exact interpolation.
     """
     if n == 0:
         return UniPoly.one(var)
     f._require_horizon(2 * n - 1)
-    return det_poly(
-        lambda p, i, j: f.moment(i + j + 1) - f.moment(i + j) * p[0], n, [(var, n)]
-    )
+    lin = [UniPoly([f.moment(s + 1), -f.moment(s)], var) for s in range(2 * n - 1)]
+    return det_poly(RingMatrix.hankel(lin, n), [(var, n)])
 
 
 def _atom_sum(sys: OrthoSystem, n: int, y, power: int) -> Fraction:

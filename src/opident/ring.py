@@ -564,6 +564,11 @@ class RingMatrix:
             raise DimensionError("ragged rows")
         return cls(n, m, [c for r in rows for c in r])
 
+    @classmethod
+    def hankel(cls, seq, n: int) -> "RingMatrix":
+        """The n x n matrix seq[i+j]; each antidiagonal holds one object."""
+        return cls(n, n, [seq[i + j] for i in range(n) for j in range(n)])
+
     def get(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 
@@ -626,7 +631,7 @@ def det_cofactor(m: RingMatrix, one=_ONE):
             if j % 2:
                 term = -term
             acc = term if acc is None else acc + term
-        return acc if acc is not None else rows[0][0] - rows[0][0]
+        return acc if acc is not None else one - one
 
     return rec(m.to_rows())
 
@@ -738,7 +743,10 @@ def det_generic(m: RingMatrix, one=_ONE):
     """Division-free determinant over any commutative ring.
 
     Dimension <= 4 uses memoized cofactor expansion, larger matrices use
-    Berkowitz; both agree exactly with the plain cofactor oracle.
+    Berkowitz.  Both agree in value with the plain cofactor oracle below the
+    common order; on truncated series Berkowitz (5x5 and up) can keep
+    different trunc bookkeeping, since its trunc follows the valuations of
+    other intermediate sums.
     """
     _require_square(m)
     if m.rows <= 4:
@@ -896,8 +904,9 @@ def _packed_det(m: RingMatrix, variables, trunc: int) -> InverseSeries:
 def det_rational(m: RingMatrix) -> Fraction:
     """Fraction-free Bareiss determinant, fast path for rational matrices.
 
-    Rows are scaled to integers first, so the elimination runs on plain
-    Python ints; agrees exactly with det_generic.
+    Entries are ints or Fractions.  Each row is scaled to integers by the
+    lcm of its denominators first, so the elimination runs on plain Python
+    ints; agrees exactly with det_generic.
     """
     _require_square(m)
     n = m.rows
@@ -906,10 +915,8 @@ def det_rational(m: RingMatrix) -> Fraction:
     a = []
     denom_scale = 1
     for i in range(n):
-        row = [Fraction(x) for x in m.row(i)]
-        l = 1
-        for x in row:
-            l = l * x.denominator // math.gcd(l, x.denominator)
+        row = m.row(i)
+        l = math.lcm(*(x.denominator for x in row))
         a.append([x.numerator * (l // x.denominator) for x in row])
         denom_scale *= l
     sign = 1
@@ -950,56 +957,104 @@ def vandermonde_product(values, mults=None):
     return prod if prod is not None else _ONE
 
 
-def interp_coeffs(xs, ys):
-    """Coefficients (ascending) of the unique polynomial of degree < len(xs)
-    through the points (xs[i], ys[i]).
+def det_poly(m: RingMatrix, degrees):
+    """Determinant of a square matrix of polynomials as an exact polynomial.
 
-    Newton divided differences: the xs must be distinct rationals, while the
-    ys may live in any ring that supports addition and scaling by Fractions.
-    """
-    xs = [Fraction(x) for x in xs]
-    k = len(xs)
-    if k == 0:
-        return []
-    dd = list(ys)
-    for level in range(1, k):
-        for i in range(k - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) * (_ONE / (xs[i] - xs[i - level]))
-    coeffs = [dd[k - 1]]
-    for i in range(k - 2, -1, -1):
-        nxt = [dd[i] + coeffs[0] * (-xs[i])]
-        for d in range(1, len(coeffs) + 1):
-            prev = coeffs[d] if d < len(coeffs) else None
-            shifted = coeffs[d - 1]
-            term = shifted if prev is None else prev * (-xs[i]) + shifted
-            nxt.append(term)
-        coeffs = nxt
-    return coeffs
-
-
-def interp_unipoly(xs, ys, var: str = "x") -> UniPoly:
-    """Interpolate points into a UniPoly (values as for interp_coeffs)."""
-    return UniPoly(interp_coeffs(xs, ys), var)
-
-
-def det_poly(entry, size: int, degrees):
-    """Determinant of the size x size matrix ``entry(point, i, j)`` as an
-    exact polynomial, by evaluation and interpolation.
-
-    ``degrees`` lists ``(var, bound)`` pairs, outer variable first; ``point``
-    holds one rational sample per listed variable, in that order.  Each
+    ``degrees`` lists ``(var, bound)`` pairs, outer variable first; each
     variable is sampled at 0..bound, so bound must be at least the
-    determinant's degree in it.  One pair gives a UniPoly over Q; two give a
-    UniPoly in the first variable whose coefficients are UniPolys in the
-    second, and so on.
+    determinant's degree in it.  An entry is a rational scalar or a UniPoly
+    in the first variable whose coefficients are scalars or UniPolys in the
+    second; a UniPoly in the second variable alone is constant in the first.
+    The result nests the same way.  det_generic(m, one) is the oracle.
+
+    Every distinct entry gets integer coefficients over its own denominator,
+    and every row the lcm of its entries' denominators as a multiplier; at
+    each sample point integer Horner and det_rational run on plain ints.
+    Newton forward differences, scaled by b!, interpolate over the integers,
+    and the product of the row multipliers and of the b! is divided out once.
     """
+    _require_square(m)
+    n = m.rows
+    # A Hankel matrix repeats each entry along an antidiagonal: convert and
+    # evaluate every distinct entry once.
+    variables = [var for var, _ in degrees]
+    grids = {key: _int_coeffs(x, variables) for key, x in {id(x): x for x in m.entries}.items()}
+    scales = [math.lcm(*(grids[id(x)][1] for x in m.row(i))) for i in range(n)]
+    cells = [(id(x), scales[idx // n] // grids[id(x)][1]) for idx, x in enumerate(m.entries)]
 
     def level(point, rest):
+        # b! times the coefficients over the variables in rest, flattened
+        # with the outer exponent most significant
         if not rest:
-            cells = [entry(point, i, j) for i in range(size) for j in range(size)]
-            return det_rational(RingMatrix(size, size, cells))
-        (var, bound), inner = rest[0], rest[1:]
-        pts = [Fraction(t) for t in range(bound + 1)]
-        return interp_unipoly(pts, [level(point + (t,), inner) for t in pts], var)
+            vals = {key: _horner(g, point) for key, (g, _) in grids.items()}
+            cells_at = [vals[key] * f for key, f in cells]
+            return [det_rational(RingMatrix(n, n, cells_at)).numerator]
+        bound = rest[0][1]
+        samples = [level(point + (t,), rest[1:]) for t in range(bound + 1)]
+        cols = [_newton_ints(col) for col in zip(*samples)]
+        return [col[i] for i in range(bound + 1) for col in cols]
 
-    return level((), tuple(degrees))
+    scale = math.prod(scales) * math.prod(math.factorial(b) for _, b in degrees)
+
+    def build(flat, rest):
+        if not rest:
+            return Fraction(flat[0], scale)
+        var, bound = rest[0]
+        size = len(flat) // (bound + 1)
+        return UniPoly(
+            [build(flat[i * size : (i + 1) * size], rest[1:]) for i in range(bound + 1)], var
+        )
+
+    return build(level((), degrees), degrees)
+
+
+def _int_coeffs(x, variables):
+    """x's coefficients in ``variables`` (outer first) as nested lists of
+    ints over one common denominator: (coefficients, denominator)."""
+
+    def nest(x, variables, leaf):
+        if not variables:
+            if isinstance(x, UniPoly):
+                raise ValueError(f"det_poly entry in an unlisted variable {x.var!r}")
+            return leaf(x)
+        if isinstance(x, UniPoly) and x.var == variables[0]:
+            return [nest(c, variables[1:], leaf) for c in x.coeffs]
+        return [nest(x, variables[1:], leaf)]
+
+    dens = []
+    nest(x, variables, lambda c: dens.append(c.denominator))
+    d = math.lcm(*dens)
+    return nest(x, variables, lambda c: c.numerator * (d // c.denominator)), d
+
+
+def _horner(g, point):
+    """The nested integer coefficients g evaluated at the integer point."""
+    if not point:
+        return g
+    t, rest = point[0], point[1:]
+    acc = 0
+    for c in reversed(g):
+        acc = acc * t + (_horner(c, rest) if rest else c)
+    return acc
+
+
+def _newton_ints(ys):
+    """b! times the coefficients (ascending) of the polynomial of degree <= b
+    through (t, ys[t]), t = 0..b, for integer ys: all integers.
+
+    With forward differences D_k = Delta^k y_0, the polynomial is
+    sum_k D_k x(x-1)...(x-k+1) / k!, so b! p = Q_0 for Q_b = D_b and
+    Q_k = D_k b!/k! + (x - k) Q_{k+1}.
+    """
+    diffs, row = [], list(ys)
+    while row:
+        diffs.append(row[0])
+        row = [v - u for u, v in zip(row, row[1:])]
+    coeffs, f = [], 1
+    for k in range(len(ys) - 1, -1, -1):
+        coeffs = [0] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= k * coeffs[i + 1]
+        coeffs[0] += diffs[k] * f
+        f *= k
+    return coeffs

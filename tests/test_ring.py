@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -20,10 +21,10 @@ from opident.ring import (
     det_rational,
     det_series,
     format_rational,
-    interp_unipoly,
     parse_rational,
     vandermonde_product,
 )
+from opident.ring import _det_subset_expansion, _newton_ints
 
 from conftest import bruteforce_det, random_fraction_rows
 
@@ -204,6 +205,28 @@ def test_det_generic_over_polynomials():
     assert det_berkowitz(mat5, one=one) == det_cofactor(mat5, one=one)
 
 
+def test_det_cofactor_and_berkowitz_series_bookkeeping():
+    v = ("y1",)
+    one = InverseSeries.one(v)
+    # an all-zero scalar first row: det_cofactor's fallback is the exact zero
+    # series of one's ring, as the subset expansion's is
+    s = InverseSeries(v, {(1,): F(1, 2)}, 4)
+    m = RingMatrix.from_rows([[0, F(0), 0], [s, 1, s], [1, s, F(2)]])
+    got = det_cofactor(m, one)
+    assert got.is_exact_zero
+    assert _same_det(got, _det_subset_expansion(m, one))
+    # 5x5 goes to Berkowitz, which books this zero with trunc 3 where the
+    # cofactor oracle has the exact zero: the two agree in value only
+    u = InverseSeries(v, {}, 3)
+    w = InverseSeries(v, {(0,): F(-1)}, 1)
+    rows = [[0] * 5 for _ in range(5)]
+    rows[0][3], rows[3][0], rows[3][3] = u, w, 2
+    m5 = RingMatrix.from_rows(rows)
+    berkowitz = det_generic(m5, one)
+    assert berkowitz == det_cofactor(m5, one)
+    assert (berkowitz.trunc, det_cofactor(m5, one).trunc) == (3, None)
+
+
 def test_jacobi_condensation_on_random_matrices():
     # det A * det A(both removed) = det A(i1,j1) det A(i2,j2) - det A(i1,j2) det A(i2,j1)
     rng = random.Random(777)
@@ -226,25 +249,26 @@ def test_vandermonde_product():
     assert vandermonde_product([F(1), F(3), F(4)]) == 6
 
 
-def test_interp_unipoly_round_trip():
+def test_newton_ints_round_trip():
+    # b! times the interpolant's coefficients; 3 p has integer values
     p = UniPoly.from_coeffs([F(1, 3), -2, 0, 5])
     xs = [F(t) for t in range(4)]
-    assert interp_unipoly(xs, [p.eval(x) for x in xs]) == p
+    coeffs = _newton_ints([int(3 * p.eval(x)) for x in xs])
+    assert UniPoly([F(c, 3 * math.factorial(3)) for c in coeffs]) == p
 
 
 def test_det_poly_one_variable_matches_cofactor(rng):
     for n in range(5):
         a = random_fraction_rows(rng, n)
         rows = [[UniPoly([a[i][j], F(i == j)], "x") for j in range(n)] for i in range(n)]
-        expected = det_cofactor(RingMatrix.from_rows(rows), one=UniPoly.one("x"))
+        m = RingMatrix.from_rows(rows)
+        expected = det_cofactor(m, one=UniPoly.one("x"))
         assert expected.degree == n
-
-        def entry(p, i, j):
-            return rows[i][j].eval(p[0])
-
-        assert det_poly(entry, n, [("x", n)]) == expected
+        assert det_poly(m, [("x", n)]) == expected
         if n:
-            assert det_poly(entry, n, [("x", n - 1)]) != expected
+            assert det_poly(m, [("x", n - 1)]) != expected
+    with pytest.raises(ValueError, match="unlisted variable 'z'"):
+        det_poly(RingMatrix(1, 1, [UniPoly.variable("z")]), [("x", 1)])
 
 
 def test_det_poly_two_variables_matches_cofactor_and_hand_expansion():
@@ -260,15 +284,60 @@ def test_det_poly_two_variables_matches_cofactor_and_hand_expansion():
         [alpha * beta * c[i + j] + (alpha + beta) * c[i + j + 1] + c[i + j + 2] for j in range(2)]
         for i in range(2)
     ]
+    m = RingMatrix.from_rows(rows)
     one = UniPoly([UniPoly.one("beta")], "alpha")
-    assert det_cofactor(RingMatrix.from_rows(rows), one=one) == expected
+    assert det_cofactor(m, one=one) == expected
+    assert det_poly(m, [("alpha", 2), ("beta", 2)]) == expected
+    assert det_poly(m, [("alpha", 2), ("beta", 1)]) != expected
 
-    def entry(p, i, j):
-        a, b = p
-        return a * b * c[i + j] + (a + b) * c[i + j + 1] + c[i + j + 2]
 
-    assert det_poly(entry, 2, [("alpha", 2), ("beta", 2)]) == expected
-    assert det_poly(entry, 2, [("alpha", 2), ("beta", 1)]) != expected
+def _random_poly_entry(rng, variables):
+    """(entry for det_poly, the same entry for det_generic): a zero, an int,
+    a rational or a polynomial of degree <= 1 in each variable.  An entry
+    constant in the outer of two variables goes to det_poly as a bare
+    UniPoly in the inner one (the _lin_det slot-1 shape) and to det_generic
+    wrapped in the outer one: UniPoly arithmetic between two tags nests by
+    the left operand, so a bare inner entry would nest the wrong way round."""
+    def coeff():
+        return F(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7)))
+
+    r = rng.random()
+    if r < 0.1:
+        return F(0), F(0)
+    if r < 0.2:
+        x = rng.randint(-5, 5)
+        return x, x
+    if r < 0.3:
+        x = coeff()
+        return x, x
+    if len(variables) == 1:
+        x = UniPoly([coeff(), coeff()], variables[0])
+        return x, x
+    outer, inner = variables
+    if r < 0.5:
+        x = UniPoly([coeff(), coeff()], inner)
+        return x, UniPoly([x], outer)
+    x = UniPoly([UniPoly([coeff(), coeff()], inner), UniPoly([coeff(), coeff()], inner)], outer)
+    return x, x
+
+
+@pytest.mark.parametrize("variables", [("x",), ("alpha", "beta")])
+def test_det_poly_matches_generic(variables):
+    rng = random.Random(len(variables))
+    if len(variables) == 1:
+        one = UniPoly.one("x")
+    else:
+        one = UniPoly([UniPoly.one("beta")], "alpha")
+    for n in range(6):
+        for hankel in (False, True):
+            for _ in range(3):
+                pairs = [_random_poly_entry(rng, variables) for _ in range(n * n)]
+                if hankel:
+                    seq = pairs[: 2 * n - 1]
+                    pairs = [seq[i + j] for i in range(n) for j in range(n)]
+                m = RingMatrix(n, n, [p for p, _ in pairs])
+                oracle = RingMatrix(n, n, [o for _, o in pairs])
+                assert det_poly(m, [(var, n) for var in variables]) == det_generic(oracle, one)
 
 
 def test_binomial():
@@ -448,10 +517,8 @@ def test_det_series_mixed_entries(laurent):
     # zero scalars, exact zero series, exact (trunc=None) entries, unequal
     # truncations and, with laurent, negative exponents: all take the
     # integer-column det_generic (5x5 takes det_generic as given).
-    # det_cofactor falls back to x - x for an all-zero row, which keeps the
-    # type of x, and Berkowitz above 4x4 books truncation differently, so
-    # against det_cofactor the bookkeeping is compared up to 4x4 only where
-    # det_generic's agrees; the values always.
+    # Berkowitz above 4x4 books truncation differently, so against
+    # det_cofactor the bookkeeping is compared up to 4x4; the values always.
     rng = random.Random(71 + laurent)
     low = -2 if laurent else 0
     for k in (1, 2, 3):
@@ -465,7 +532,8 @@ def test_det_series_mixed_entries(laurent):
                 cofactor = det_cofactor(m, one)
                 assert _same_det(got, want)
                 assert got == cofactor
-                if n <= 4 and _same_det(want, cofactor):
+                if n <= 4:
+                    assert _same_det(want, cofactor)
                     assert _same_det(got, cofactor)
 
 
