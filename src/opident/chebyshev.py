@@ -39,7 +39,14 @@ def chebU_classical(n: int, z: Fraction) -> Fraction:
     """Classical U_n(z) = monic polynomial at 2z."""
     if n == -1:
         return _ZERO
-    return chebU_monic(n).eval(2 * Fraction(z))
+    return _chebU_at(n, 2 * Fraction(z))
+
+
+@lru_cache(maxsize=1024)
+def _chebU_at(n: int, z: Fraction) -> Fraction:
+    """chebU_monic(n) at z, evaluated once per (n, z): the theorem grids
+    revisit each point for every a or b paired with it."""
+    return chebU_monic(n).eval(z)
 
 
 def modified_moment_cheb(n: int, a: Fraction, var: str = "X") -> UniPoly:
@@ -69,9 +76,7 @@ def q_cheb(n: int, a: Fraction, var: str = "X") -> UniPoly:
     if n < 0:
         raise ValueError("n must be non-negative")
     base = -2 * Fraction(a)
-    un = chebU_monic(n).eval(base)
-    un1 = chebU_monic(n - 1).eval(base)
-    return UniPoly([-un1, -un], var)
+    return UniPoly([-_chebU_at(n - 1, base), -_chebU_at(n, base)], var)
 
 
 def theorem14_eval(n: int, a: Fraction, var: str = "X"):
@@ -89,10 +94,7 @@ def theorem14_eval(n: int, a: Fraction, var: str = "X"):
         raise ArithmeticError("determinant should be linear in X")
     base = -2 * Fraction(a)
     sign = -1 if (n - 1) % 2 else 1
-    rhs = UniPoly(
-        [sign * chebU_monic(n - 2).eval(base), sign * chebU_monic(n - 1).eval(base)],
-        var,
-    )
+    rhs = UniPoly([sign * _chebU_at(n - 2, base), sign * _chebU_at(n - 1, base)], var)
     return lhs, rhs, lhs == rhs
 
 
@@ -106,18 +108,19 @@ def theorem15_eval(n: int, a: Fraction, b: Fraction, var: str = "X"):
         raise ValueError("n must be positive")
     b = Fraction(b)
     rho = _cheb_moments(2 * n, Fraction(a), var)
-    sigma = [rho[s + 1] - b * rho[s] for s in range(2 * n - 1)]
+    const = [r.coefficient(0) for r in rho]
+    lin = [r.coefficient(1) for r in rho]
+    sigma = [
+        UniPoly([const[s + 1] - b * const[s], lin[s + 1] - b * lin[s]], var)
+        for s in range(2 * n - 1)
+    ]
     lhs = det_poly(RingMatrix.hankel(sigma, n), [(var, n)])
     if lhs.degree > 1:
         raise ArithmeticError("determinant should be linear in X")
     base = -2 * Fraction(a)
-    u_n_b = chebU_monic(n).eval(b)
-    u_n1_b = chebU_monic(n - 1).eval(b)
-    rhs = u_n1_b * UniPoly(
-        [chebU_monic(n - 1).eval(base), chebU_monic(n).eval(base)], var
-    ) - u_n_b * UniPoly(
-        [chebU_monic(n - 2).eval(base), chebU_monic(n - 1).eval(base)], var
-    )
+    u_n2, u_n1, u_n = (_chebU_at(j, base) for j in (n - 2, n - 1, n))
+    u_n1_b, u_n_b = _chebU_at(n - 1, b), _chebU_at(n, b)
+    rhs = UniPoly([u_n1_b * u_n1 - u_n_b * u_n2, u_n1_b * u_n - u_n_b * u_n1], var)
     return lhs, rhs, lhs == rhs
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .moments import (
     FiniteAtomFunctional,
@@ -477,10 +478,15 @@ def uvarov_system(
 # Condensation identities (standalone)
 # ---------------------------------------------------------------------------
 
+# Lemma 8 and Lemma 9 at n and at n + 1 ask for mostly the same determinants,
+# so each is computed once per (sequence, size); the sequence is a tuple.
+
+@lru_cache(maxsize=64)
 def _hankel_slice_det(c, size: int) -> Fraction:
     return det_rational(RingMatrix.hankel(c, size))
 
 
+@lru_cache(maxsize=64)
 def _lin_det(c, size: int, slot: int) -> UniPoly:
     """det(v c_{i+j} + c_{i+j+1}) with v = alpha (slot 0) or beta (slot 1),
     as a polynomial in alpha over Q[beta] (degree <= size in v)."""
@@ -489,6 +495,7 @@ def _lin_det(c, size: int, slot: int) -> UniPoly:
     return det_poly(RingMatrix.hankel(lin, size), list(zip(("alpha", "beta"), bounds)))
 
 
+@lru_cache(maxsize=64)
 def _quad_det(c, size: int) -> UniPoly:
     """det(ab c_{i+j} + (a+b) c_{i+j+1} + c_{i+j+2}) as a nested polynomial:
     outer variable "alpha" with UniPoly("beta") coefficients."""
@@ -499,8 +506,8 @@ def _quad_det(c, size: int) -> UniPoly:
     return det_poly(RingMatrix.hankel(quad, size), [("alpha", size), ("beta", size)])
 
 
-def _coerce_sequence(c, needed: int):
-    c = [Fraction(v) for v in c]
+def _coerce_sequence(c, needed: int) -> tuple:
+    c = tuple(Fraction(v) for v in c)
     if len(c) < needed:
         raise ValueError(f"sequence too short: need indices up to {needed - 1}")
     return c

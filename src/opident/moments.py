@@ -20,6 +20,8 @@ import json
 import math
 import threading
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from .ring import (
     InverseSeries,
@@ -29,7 +31,9 @@ from .ring import (
     det_rational,
     det_series,
     format_rational,
+    integer_form,
     parse_rational,
+    ratio,
 )
 
 _ZERO = Fraction(0)
@@ -53,18 +57,17 @@ def catalan(n: int) -> int:
     return binomial(2 * n, n) // (n + 1)
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` non-negative ints summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
+@lru_cache(maxsize=256)
+def _shifted_compositions(total: int, parts: int) -> tuple:
+    """All tuples of `parts` ints >= 1 summing to total + parts, in
+    lexicographic order: the exponent vectors of one inverse degree."""
     if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+        return ((total + 1,),)
+    return tuple(
+        (head + 1,) + rest
+        for head in range(total + 1)
+        for rest in _shifted_compositions(total - head, parts - 1)
+    )
 
 
 class MomentFunctional:
@@ -149,35 +152,7 @@ class MomentFunctional:
         The coefficient of prod y_l^(-e_l) (all e_l >= 1) is
         (-1)^k * L(u^(i + sum(e_l - 1)) * prod(u - x_l)).
         """
-        variables = tuple(variables)
-        k = len(variables)
-        if k == 0:
-            raise ValueError("series mode needs at least one inverse variable")
-        if truncation <= 0:
-            raise ValueError("truncation order must be positive")
-        xs = tuple(Fraction(x) for x in xs)
-        max_extra = truncation - 1 - k
-        if max_extra < 0:
-            return InverseSeries.zero(variables, truncation, cap=truncation)
-        base = _numerator_poly(0, xs)
-        self._require_horizon(i + len(xs) + max_extra)
-        rho = [
-            sum((c * self.moment(s + r) for r, c in enumerate(base.coeffs) if c), _ZERO)
-            for s in range(i, i + max_extra + 1)
-        ]
-        # Plain ints are an order of magnitude faster than Fractions in the
-        # determinant products downstream; use them whenever exactness allows.
-        if all(v.denominator == 1 for v in rho):
-            rho = [v.numerator for v in rho]
-        sign = -1 if k % 2 else 1
-        terms = {}
-        for d in range(max_extra + 1):
-            coeff = sign * rho[d]
-            if not coeff:
-                continue
-            for extra in _compositions(d, k):
-                terms[tuple(e + 1 for e in extra)] = coeff
-        return InverseSeries(variables, terms, truncation, cap=truncation)
+        return self._modified_series_row(i, 1, xs, variables, truncation)[0]
 
     def modified_hankel_det_series(
         self, n: int, xs=(), variables=("y1",), truncation: int = 25
@@ -185,12 +160,49 @@ class MomentFunctional:
         variables = tuple(variables)
         if n == 0:
             return InverseSeries.one(variables)
-        mm = [
-            self.modified_moment_series(s, xs, variables, truncation)
-            for s in range(2 * n - 1)
-        ]
-        mat = RingMatrix.hankel(mm, n)
-        return det_series(mat, variables)
+        mm = self._modified_series_row(0, 2 * n - 1, xs, variables, truncation)
+        return det_series(RingMatrix.hankel(mm, n), variables)
+
+    def _modified_series_row(self, start: int, count: int, xs, variables, truncation):
+        """modified_moment_series(s, ...) for s = start..start+count-1.
+
+        Entry s only needs r_j = L(u^j prod(u - x_l)) for j = s..s+max_extra,
+        with max_extra = truncation - 1 - k, so the r_j are computed once for
+        the whole row and entry s reads its window of them.
+        """
+        variables = tuple(variables)
+        k = len(variables)
+        if k == 0:
+            raise ValueError("series mode needs at least one inverse variable")
+        if truncation <= 0:
+            raise ValueError("truncation order must be positive")
+        max_extra = truncation - 1 - k
+        if max_extra < 0:
+            return [InverseSeries.zero(variables, truncation, cap=truncation)] * count
+        r = self._modified_row(xs, start, count + max_extra)
+        shapes = [_shifted_compositions(d, k) for d in range(max_extra + 1)]
+        out = []
+        for s in range(count):
+            terms = {}
+            for d, exps in enumerate(shapes):
+                c = r[s + d]
+                if c:
+                    c = -c if k % 2 else c
+                    for e in exps:
+                        terms[e] = c
+            out.append(InverseSeries(variables, terms, truncation, cap=truncation))
+        return out
+
+    def _modified_row(self, xs, start: int, count: int) -> list:
+        """r_j = L(u^j prod(u - x_l)) for j = start..start+count-1, each an int
+        when it is integral: the integer coefficients of prod(u - x_l) against
+        the integer moment numerators, over the product of their lcms."""
+        base, den = integer_form(_numerator_poly(0, xs).coeffs)
+        width = len(base)
+        self._require_horizon(start + count + width - 2)
+        mu, mu_den = integer_form([self.moment(start + t) for t in range(count + width - 1)])
+        den *= mu_den
+        return [ratio(sum(map(mul, base, mu[j : j + width])), den) for j in range(count)]
 
     # -- serialization -----------------------------------------------------
     def to_json_dict(self) -> dict:

@@ -13,12 +13,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .moments import FiniteAtomFunctional, ModeError, MomentFunctional, PoleAtAtomError
-from .ring import InverseSeries, RingMatrix, UniPoly, det_poly, det_rational
+from .ring import (
+    InverseSeries,
+    RingMatrix,
+    UniPoly,
+    det_poly,
+    det_rational,
+    integer_form,
+    ratio,
+)
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class DegenerateFunctionalError(Exception):
@@ -27,12 +35,6 @@ class DegenerateFunctionalError(Exception):
     def __init__(self, index: int, message: str | None = None):
         self.index = index
         super().__init__(message or f"Hankel determinant H({index}) vanishes")
-
-
-def _integer_form(coeffs) -> tuple[tuple[int, ...], int]:
-    """Integer numerators c_i and a common denominator d: coeffs[i] = c_i / d."""
-    d = math.lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (d // c.denominator) for c in coeffs), d
 
 
 def _homogeneous_eval(coeffs, a: int, b: int) -> tuple[int, int]:
@@ -67,7 +69,7 @@ class OrthoSystem:
         self.polys = tuple(polys)
         self.norms = tuple(norms)
         self.var = var
-        self._int_polys = tuple(_integer_form(p.coeffs) for p in self.polys)
+        self._int_polys = tuple(integer_form(p.coeffs) for p in self.polys)
         self._atom_values = None
         if isinstance(functional, FiniteAtomFunctional):
             weights, weight_den = functional.modified_weights()
@@ -268,21 +270,28 @@ def q_series(
     if n < 0:
         raise ValueError(f"q_{n} is y^({-n - 1}) by the b < 0 convention; q_series needs n >= 0")
     variables = tuple(variables)
+    sys._check_index(n)
     f = sys.functional
-    p = sys.p(n)
-    if truncation - 2 >= 0:
-        f._require_horizon(n + truncation - 2)
+    count = truncation - 1
+    if count <= 0:
+        return InverseSeries(variables, {}, truncation, cap=truncation)
+    f._require_horizon(n + count - 1)
+    # L(p_n u^i) = sum_r c_r mu_(i+r) / (d D): p_n's integer coefficients c_r
+    # over d against the integer moment numerators over their lcm D.
+    coeffs, d = sys._int_polys[n]
+    mu, mu_den = integer_form([f.moment(t) for t in range(n + count)])
+    den = d * mu_den
     terms = {}
-    for i in range(truncation - 1):
-        c = sum((pc * f.moment(i + r) for r, pc in enumerate(p.coeffs) if pc), _ZERO)
+    for i in range(count):
+        num = sum(map(mul, coeffs, mu[i : i + n + 1]))
         if i < n:
-            if c:
+            if num:
                 raise ArithmeticError(
-                    f"orthogonality violated: L(p_{n} u^{i}) = {c} != 0"
+                    f"orthogonality violated: L(p_{n} u^{i}) = {ratio(num, den)} != 0"
                 )
             continue
-        if c:
+        if num:
             exps = [0] * len(variables)
             exps[slot] = i + 1
-            terms[tuple(exps)] = c
+            terms[tuple(exps)] = ratio(num, den)
     return InverseSeries(variables, terms, truncation, cap=truncation)

@@ -37,6 +37,18 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def integer_form(values) -> tuple[tuple[int, ...], int]:
+    """Integer numerators c_i and the lcm d of the denominators: values[i] = c_i / d."""
+    d = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (d // v.denominator) for v in values), d
+
+
+def ratio(num: int, den: int):
+    """num / den as an int when it is integral, else as a Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
 def binomial(n: int, k: int) -> int:
     """Exact binomial coefficient; 0 outside the Pascal triangle."""
     if k < 0 or k > n or n < 0:
@@ -325,7 +337,7 @@ class InverseSeries:
 
     @classmethod
     def one(cls, variables) -> "InverseSeries":
-        return cls.constant(variables, _ONE)
+        return cls.constant(variables, 1)
 
     @classmethod
     def constant(cls, variables, c, trunc=None, cap=None) -> "InverseSeries":
@@ -345,10 +357,10 @@ class InverseSeries:
 
     @classmethod
     def plain_variable(cls, variables, slot: int) -> "InverseSeries":
-        """The exact series y_slot (Laurent direction)."""
+        """The exact series y_slot (Laurent direction), with an int coefficient."""
         exps = [0] * len(tuple(variables))
         exps[slot] = -1
-        return cls.monomial(variables, exps)
+        return cls.monomial(variables, exps, 1)
 
     # -- inspection ---------------------------------------------------
     @property
@@ -417,6 +429,8 @@ class InverseSeries:
         if not isinstance(other, InverseSeries):
             if not other:
                 return InverseSeries._make(self.variables, {}, None, self.cap)
+            if isinstance(other, Fraction) and other.denominator == 1:
+                other = other.numerator  # int coefficients stay ints
             return InverseSeries._make(
                 self.variables,
                 {e: c * other for e, c in self.terms.items()},

@@ -332,6 +332,23 @@ def test_series_sweep_small():
     assert any(r.params["n"] < r.params["k"] for r in reports)
 
 
+def test_series_lhs_keeps_int_coefficients():
+    # integer moments and integer xs: every factor of the series lhs
+    # (modified-moment determinant, Vx, the y-Vandermonde) is integral, so
+    # no coefficient may come back as a Fraction
+    f = random_sequence_functional(random.Random(3), 30, hankel_nonzero_upto=5)
+    sys = build_ortho_system(f, 5)
+    for k in (1, 2):
+        ys = tuple(f"y{i}" for i in range(k))
+        for n in range(4):
+            for xs in ((), (F(2),), (F(-3), F(4))):
+                inst = IdentityInstance(n=n, xs=xs, ys=ys, mode="series", truncation=10)
+                rep = verify_theorem1(sys, inst)
+                assert rep.equal
+                assert rep.lhs.terms
+                assert all(type(c) is int for c in rep.lhs.terms.values())
+
+
 def test_series_chebyshev_instance():
     sys = build_ortho_system(ChebyshevCatalanFunctional(), 4)
     inst = IdentityInstance(n=2, xs=(F(2),), ys=("y1",), mode="series", truncation=16)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -15,7 +16,7 @@ from opident.moments import (
     functional_from_json,
     random_atom_functional,
 )
-from opident.ring import InverseSeries, UniPoly
+from opident.ring import InverseSeries, RingMatrix, UniPoly, det_generic
 
 from conftest import bruteforce_det
 
@@ -301,6 +302,70 @@ def test_modified_hankel_series_leading_term_formal_x():
     top = d.coefficient((n,) * k)
     sign = (-1) ** ((n * (1 - k)) % 2)
     assert top.coefficient(n) == sign * f.hankel_det(n)
+
+
+def _series_oracle(f, i, xs, variables, truncation):
+    """The docstring formula term by term: the coefficient of prod y_l^(-e_l),
+    all e_l >= 1, is (-1)^k L(u^(i + sum(e_l - 1)) prod(u - x_l)), through
+    f.apply on an explicit polynomial."""
+    k = len(variables)
+    u = UniPoly.variable("u")
+    terms = {}
+    for e in itertools.product(range(1, truncation), repeat=k):
+        if sum(e) >= truncation:
+            continue
+        poly = UniPoly.one("u").shift(i + sum(e) - k)
+        for x in xs:
+            poly = poly * (u - F(x))
+        terms[e] = (-1) ** k * f.apply(poly)
+    return InverseSeries(variables, terms, truncation, cap=truncation)
+
+
+def _fractional_sequence():
+    rng = random.Random(7)
+    return SequenceFunctional(
+        F(rng.randint(-9, 9), rng.choice((1, 2, 3, 5))) for _ in range(24)
+    )
+
+
+_ROW_FUNCTIONALS = {
+    "fractional-sequence": _fractional_sequence,
+    "chebyshev": ChebyshevCatalanFunctional,
+}
+
+
+@pytest.mark.parametrize("functional", sorted(_ROW_FUNCTIONALS))
+@pytest.mark.parametrize("xs", [(), (2, -3), (F(1, 2), F(-2, 3))], ids=["m0", "int", "frac"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_modified_moment_row_matches_formula(functional, xs, k):
+    f = _ROW_FUNCTIONALS[functional]()
+    variables = tuple(f"y{l}" for l in range(k))
+    truncation = {1: 12, 2: 10, 3: 8}[k]
+    oracle = {s: _series_oracle(f, s, xs, variables, truncation) for s in range(5)}
+    for s, want in oracle.items():
+        got = f.modified_moment_series(s, xs, variables, truncation)
+        assert (got.terms, got.trunc, got.cap) == (want.terms, want.trunc, want.cap)
+        # integral values come back as ints, the rest as Fractions
+        assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
+    for n in range(4):
+        got = f.modified_hankel_det_series(n, xs, variables, truncation)
+        mat = RingMatrix.hankel([oracle[s] for s in range(2 * n - 1)], n)
+        want = det_generic(mat, InverseSeries.one(variables))
+        assert (got.terms, got.trunc, got.cap) == (want.terms, want.trunc, want.cap)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_modified_moment_row_below_degree_k_is_zero(k):
+    # truncation <= k leaves no exponent vector with every e_l >= 1 below it
+    f = _fractional_sequence()
+    variables = tuple(f"y{l}" for l in range(k))
+    for truncation in range(1, k + 1):
+        s = f.modified_moment_series(1, (2,), variables, truncation)
+        assert (s.terms, s.trunc, s.cap) == ({}, truncation, truncation)
+        for n in (1, 2, 3):
+            d = f.modified_hankel_det_series(n, (2,), variables, truncation)
+            assert not d.terms and d.trunc == truncation
+    assert f.modified_hankel_det_series(0, (2,), variables, 1) == InverseSeries.one(variables)
 
 
 # ---------------------------------------------------------------------------

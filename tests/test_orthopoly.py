@@ -14,6 +14,7 @@ from opident.moments import (
 )
 from opident.orthopoly import (
     DegenerateFunctionalError,
+    OrthoSystem,
     build_ortho_system,
     hankel_product_formula,
     poly_lemma4,
@@ -259,6 +260,63 @@ def test_q_exact_refuses_negative_index():
             q_exact(sys, n, F(1, 3))
     with pytest.raises(ValueError):
         sys.weighted_node_values(-1)
+
+
+def _fractional_system(depth):
+    rng = random.Random(5)
+    while True:
+        f = SequenceFunctional(F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(30))
+        try:
+            return build_ortho_system(f, depth)
+        except DegenerateFunctionalError:
+            continue
+
+
+def test_q_series_integer_route_matches_fraction_sums():
+    # the definition sum_{i>=n} L(p_n u^i) y^(-i-1) with L(p_n u^i) as a
+    # plain Fraction sum over the moments
+    sys = _fractional_system(5)
+    f = sys.functional
+    assert any(f.moment(t).denominator > 1 for t in range(30))
+    T = 14
+    variables = ("y1", "y2", "y3")
+    for n in range(6):
+        for slot in range(3):
+            want = {}
+            for i in range(T - 1):
+                c = sum(pc * f.moment(i + r) for r, pc in enumerate(sys.p(n).coeffs))
+                if i < n:
+                    assert c == 0
+                elif c:
+                    exps = [0, 0, 0]
+                    exps[slot] = i + 1
+                    want[tuple(exps)] = c
+            s = q_series(sys, n, T, variables, slot)
+            assert (s.terms, s.trunc, s.cap) == (want, T, T)
+            assert all(type(c) is int or c.denominator > 1 for c in s.terms.values())
+            assert any(c.denominator > 1 for c in s.terms.values())
+    assert q_series(sys, 3, 1).terms == {} and q_series(sys, 3, 1).trunc == 1
+
+
+def test_q_series_integral_coefficients_are_ints():
+    s = q_series(cheb_system(4), 2, 12)
+    assert s.terms and all(type(c) is int for c in s.terms.values())
+    assert s.coefficient((3,)) == 1      # H(3)/H(2) = 1 for the Catalan moments
+
+
+def test_q_series_tampered_moment_breaks_orthogonality():
+    # the same p_n against a functional with one moment changed: some
+    # L(p_n u^i), i < n, is no longer zero and q_series must refuse
+    sys = _fractional_system(4)
+    moments = list(sys.functional.moments)
+    moments[3] += F(1, 2)
+    bad = OrthoSystem(
+        SequenceFunctional(moments), sys.depth, sys.s, sys.t, sys.polys, sys.norms, sys.var
+    )
+    q_series(bad, 1, 10)  # L(p_1 u^0) = mu_1 - s_0 mu_0 does not read mu_3
+    for n in (2, 3, 4):
+        with pytest.raises(ArithmeticError, match="orthogonality violated"):
+            q_series(bad, n, 10)
 
 
 def test_q_series_refuses_negative_index():

@@ -397,6 +397,20 @@ def test_series_zero_and_scalars():
     assert InverseSeries.one(v) * s == s
 
 
+def test_series_integral_scalars_stay_ints():
+    v = ("y1", "y2")
+    s = InverseSeries(v, {(1, 0): 3, (0, 2): -2, (1, 1): 5}, 6, cap=6)
+    for six in (s * F(6), F(6) * s):
+        assert six.terms == (s * 6).terms
+        assert all(type(c) is int for c in six.terms.values())
+        assert (six.trunc, six.cap) == (6, 6)
+    half = s * F(1, 2)
+    assert half.terms == {(1, 0): F(3, 2), (0, 2): F(-1), (1, 1): F(5, 2)}
+    assert all(type(c) is F for c in half.terms.values())
+    assert type(InverseSeries.plain_variable(v, 1).coefficient((0, -1))) is int
+    assert type(InverseSeries.one(v).coefficient((0, 0))) is int
+
+
 def test_series_laurent_direction():
     v = ("y1",)
     y = InverseSeries.plain_variable(v, 0)       # y^(+1), exponent -1
