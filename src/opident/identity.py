@@ -547,22 +547,33 @@ def lemma9_check(c, n: int) -> VerificationReport:
     )
 
 
-def jacobi_check(a: RingMatrix, i1: int, i2: int, j1: int, j2: int) -> VerificationReport:
+def jacobi_check(
+    a: RingMatrix, i1: int, i2: int, j1: int, j2: int, minors=None
+) -> VerificationReport:
     """Jacobi / Dodgson condensation (1-based indices):
 
         det A * det A^{j1,j2}_{i1,i2}
           = det A^{j1}_{i1} det A^{j2}_{i2} - det A^{j2}_{i1} det A^{j1}_{i2}.
+
+    ``minors`` is an optional dict for calls on the same matrix to share:
+    it maps (deleted rows, deleted columns) to that minor's determinant, so
+    a sweep over every index pair computes each distinct minor once.
     """
     if not a.is_square:
         raise ValueError("Jacobi condensation needs a square matrix")
     nn = a.rows
     if not (1 <= i1 < i2 <= nn and 1 <= j1 < j2 <= nn):
         raise ValueError("need 1 <= i1 < i2 <= N and 1 <= j1 < j2 <= N")
+    minors = {} if minors is None else minors
+
+    def det(rows, cols):
+        if (rows, cols) not in minors:
+            minors[rows, cols] = det_rational(a.delete(rows, cols))
+        return minors[rows, cols]
+
     r1, r2, c1, c2 = i1 - 1, i2 - 1, j1 - 1, j2 - 1
-    lhs = det_rational(a) * det_rational(a.delete((r1, r2), (c1, c2)))
-    rhs = det_rational(a.delete((r1,), (c1,))) * det_rational(
-        a.delete((r2,), (c2,))
-    ) - det_rational(a.delete((r1,), (c2,))) * det_rational(a.delete((r2,), (c1,)))
+    lhs = det((), ()) * det((r1, r2), (c1, c2))
+    rhs = det((r1,), (c1,)) * det((r2,), (c2,)) - det((r1,), (c2,)) * det((r2,), (c1,))
     return VerificationReport(
         "jacobi", {"N": nn, "i": [i1, i2], "j": [j1, j2]}, lhs, rhs, lhs == rhs
     )
@@ -698,16 +709,18 @@ def sweep_jacobi(
     sizes=(5, 6),
     bound: int = 9,
 ) -> list[VerificationReport]:
-    """All admissible index pairs on one random matrix per size."""
+    """All admissible index pairs on one random matrix per size, each
+    distinct minor computed once per matrix."""
     rng = random.Random(seed)
     reports = []
     for nn in sizes:
         mat = RingMatrix(
             nn, nn, [Fraction(rng.randint(-bound, bound)) for _ in range(nn * nn)]
         )
+        minors = {}
         for i1 in range(1, nn + 1):
             for i2 in range(i1 + 1, nn + 1):
                 for j1 in range(1, nn + 1):
                     for j2 in range(j1 + 1, nn + 1):
-                        reports.append(jacobi_check(mat, i1, i2, j1, j2))
+                        reports.append(jacobi_check(mat, i1, i2, j1, j2, minors))
     return reports

@@ -174,11 +174,10 @@ class MomentFunctional:
         k = len(variables)
         if k == 0:
             raise ValueError("series mode needs at least one inverse variable")
-        if truncation <= 0:
-            raise ValueError("truncation order must be positive")
+        zero = InverseSeries.zero(variables, truncation, cap=truncation)
         max_extra = truncation - 1 - k
         if max_extra < 0:
-            return [InverseSeries.zero(variables, truncation, cap=truncation)] * count
+            return [zero] * count
         r = self._modified_row(xs, start, count + max_extra)
         shapes = [_shifted_compositions(d, k) for d in range(max_extra + 1)]
         out = []
@@ -190,7 +189,8 @@ class MomentFunctional:
                     c = -c if k % 2 else c
                     for e in exps:
                         terms[e] = c
-            out.append(InverseSeries(variables, terms, truncation, cap=truncation))
+            # built clean: nonzero coefficients, k exponents, degree d + k < trunc
+            out.append(InverseSeries._make(variables, terms, truncation, truncation))
         return out
 
     def _modified_row(self, xs, start: int, count: int) -> list:

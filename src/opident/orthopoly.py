@@ -272,9 +272,10 @@ def q_series(
     variables = tuple(variables)
     sys._check_index(n)
     f = sys.functional
+    empty = InverseSeries(variables, {}, truncation, cap=truncation)
     count = truncation - 1
     if count <= 0:
-        return InverseSeries(variables, {}, truncation, cap=truncation)
+        return empty
     f._require_horizon(n + count - 1)
     # L(p_n u^i) = sum_r c_r mu_(i+r) / (d D): p_n's integer coefficients c_r
     # over d against the integer moment numerators over their lcm D.
@@ -294,4 +295,5 @@ def q_series(
             exps = [0] * len(variables)
             exps[slot] = i + 1
             terms[tuple(exps)] = ratio(num, den)
-    return InverseSeries(variables, terms, truncation, cap=truncation)
+    # built clean: nonzero coefficients, degree i + 1 <= count < truncation
+    return InverseSeries._make(variables, terms, truncation, truncation)

@@ -974,41 +974,49 @@ def vandermonde_product(values, mults=None):
 def det_poly(m: RingMatrix, degrees):
     """Determinant of a square matrix of polynomials as an exact polynomial.
 
-    ``degrees`` lists ``(var, bound)`` pairs, outer variable first; each
-    variable is sampled at 0..bound, so bound must be at least the
-    determinant's degree in it.  An entry is a rational scalar or a UniPoly
-    in the first variable whose coefficients are scalars or UniPolys in the
-    second; a UniPoly in the second variable alone is constant in the first.
-    The result nests the same way.  det_generic(m, one) is the oracle.
+    ``degrees`` lists ``(var, bound)`` pairs, outer variable first; bound
+    must be at least the determinant's degree in that variable.  An entry
+    is a rational scalar or a UniPoly in the first variable whose
+    coefficients are scalars or UniPolys in the second; a UniPoly in the
+    second variable alone is constant in the first.  The result nests the
+    same way.  det_generic(m, one) is the oracle.
 
     Every distinct entry gets integer coefficients over its own denominator,
-    and every row the lcm of its entries' denominators as a multiplier; at
-    each sample point integer Horner and det_rational run on plain ints.
-    Newton forward differences, scaled by b!, interpolate over the integers,
-    and the product of the row multipliers and of the b! is divided out once.
+    and every row the lcm of its entries' denominators as a multiplier.  The
+    integer matrix is then Kronecker-packed: the innermost variable becomes
+    B = 2^w and each outer one B^s, with s the slots of the variables inside
+    it (the product of their bound + 1), so the coefficient of x^i y^j sits
+    in slot i (bound_y + 1) + j.  One det_rational on the packed ints gives
+    every coefficient at once, and the product of the row multipliers is
+    divided out at the end.
+
+    Why decoding is exact: packing is a ring map Phi: Z[x, y] -> Z, so
+    det(Phi(M)) = Phi(det M), and the Bareiss intermediates never need
+    decoding.  Each coefficient c of det M has |c| <= ||det M||_1 <=
+    prod_i sum_j ||a_ij||_1 on the integer entries, and w = bitlen(that
+    bound) + 1 makes |c| < B/2.  Within the bounds every monomial owns its
+    slot, and balanced base-B digits in [-B/2, B/2) are unique, so the
+    digits of Phi(det M) are its coefficients, negative ones borrowing
+    from the slot above as they should.
     """
     _require_square(m)
     n = m.rows
     # A Hankel matrix repeats each entry along an antidiagonal: convert and
-    # evaluate every distinct entry once.
+    # pack every distinct entry once.
     variables = [var for var, _ in degrees]
     grids = {key: _int_coeffs(x, variables) for key, x in {id(x): x for x in m.entries}.items()}
     scales = [math.lcm(*(grids[id(x)][1] for x in m.row(i))) for i in range(n)]
     cells = [(id(x), scales[idx // n] // grids[id(x)][1]) for idx, x in enumerate(m.entries)]
-
-    def level(point, rest):
-        # b! times the coefficients over the variables in rest, flattened
-        # with the outer exponent most significant
-        if not rest:
-            vals = {key: _horner(g, point) for key, (g, _) in grids.items()}
-            cells_at = [vals[key] * f for key, f in cells]
-            return [det_rational(RingMatrix(n, n, cells_at)).numerator]
-        bound = rest[0][1]
-        samples = [level(point + (t,), rest[1:]) for t in range(bound + 1)]
-        cols = [_newton_ints(col) for col in zip(*samples)]
-        return [col[i] for i in range(bound + 1) for col in cols]
-
-    scale = math.prod(scales) * math.prod(math.factorial(b) for _, b in degrees)
+    norms = {key: _norm1(g) for key, (g, _) in grids.items()}
+    row_norms = [sum(norms[key] * f for key, f in cells[i * n : (i + 1) * n]) for i in range(n)]
+    width = math.prod(row_norms).bit_length() + 1
+    # slots[i]: the digits taken by the variables from i on
+    slots = [math.prod(b + 1 for _, b in degrees[i:]) for i in range(len(degrees) + 1)]
+    shifts = [width * s for s in slots[1:]]
+    packed = {key: _pack(g, shifts) for key, (g, _) in grids.items()}
+    det = det_rational(RingMatrix(n, n, [packed[key] * f for key, f in cells])).numerator
+    flat = _unpack(det, width, slots[0])
+    scale = math.prod(scales)
 
     def build(flat, rest):
         if not rest:
@@ -1019,7 +1027,7 @@ def det_poly(m: RingMatrix, degrees):
             [build(flat[i * size : (i + 1) * size], rest[1:]) for i in range(bound + 1)], var
         )
 
-    return build(level((), degrees), degrees)
+    return build(flat, degrees)
 
 
 def _int_coeffs(x, variables):
@@ -1041,34 +1049,31 @@ def _int_coeffs(x, variables):
     return nest(x, variables, lambda c: c.numerator * (d // c.denominator)), d
 
 
-def _horner(g, point):
-    """The nested integer coefficients g evaluated at the integer point."""
-    if not point:
+def _norm1(g) -> int:
+    """The sum of |c| over the nested integer coefficients g."""
+    return sum(map(_norm1, g)) if isinstance(g, list) else abs(g)
+
+
+def _pack(g, shifts) -> int:
+    """Horner's rule on the nested integer coefficients g (outer variable
+    first) at the point (2^shifts[0], 2^shifts[1], ...), by shift and add."""
+    if not shifts:
         return g
-    t, rest = point[0], point[1:]
     acc = 0
     for c in reversed(g):
-        acc = acc * t + (_horner(c, rest) if rest else c)
+        acc = (acc << shifts[0]) + _pack(c, shifts[1:])
     return acc
 
 
-def _newton_ints(ys):
-    """b! times the coefficients (ascending) of the polynomial of degree <= b
-    through (t, ys[t]), t = 0..b, for integer ys: all integers.
-
-    With forward differences D_k = Delta^k y_0, the polynomial is
-    sum_k D_k x(x-1)...(x-k+1) / k!, so b! p = Q_0 for Q_b = D_b and
-    Q_k = D_k b!/k! + (x - k) Q_{k+1}.
-    """
-    diffs, row = [], list(ys)
-    while row:
-        diffs.append(row[0])
-        row = [v - u for u, v in zip(row, row[1:])]
-    coeffs, f = [], 1
-    for k in range(len(ys) - 1, -1, -1):
-        coeffs = [0] + coeffs
-        for i in range(len(coeffs) - 1):
-            coeffs[i] -= k * coeffs[i + 1]
-        coeffs[0] += diffs[k] * f
-        f *= k
-    return coeffs
+def _unpack(v: int, width: int, slots: int) -> list:
+    """The balanced base-2^width digits of v, each in [-2^(width-1),
+    2^(width-1)), least significant first: ``slots`` of them."""
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    # adding B/2 to every slot turns each digit c into c + B/2 in [0, B)
+    v += half * (((1 << (width * slots)) - 1) // mask)
+    digits = []
+    for _ in range(slots):
+        digits.append((v & mask) - half)
+        v >>= width
+    return digits

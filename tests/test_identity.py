@@ -637,6 +637,27 @@ def test_jacobi_random_all_pairs(rng):
                         assert jacobi_check(mat, i1, i2, j1, j2).equal
 
 
+def test_sweep_jacobi_computes_each_minor_once(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return det_rational(m)
+
+    monkeypatch.setattr(identity, "det_rational", counted)
+    shared = identity.sweep_jacobi(3)
+    # per size N: the matrix, N^2 one-deletion and C(N, 2)^2 two-deletion minors
+    assert len(calls) == sum(1 + n * n + math.comb(n, 2) ** 2 for n in (5, 6)) == 388
+    check = identity.jacobi_check
+    monkeypatch.setattr(
+        identity, "jacobi_check", lambda a, i1, i2, j1, j2, minors: check(a, i1, i2, j1, j2)
+    )
+    calls.clear()
+    alone = identity.sweep_jacobi(3)
+    assert len(calls) == 6 * 325
+    assert shared == alone
+
+
 def test_jacobi_index_validation():
     mat = RingMatrix.from_rows([[F(1), F(0)], [F(0), F(1)]])
     with pytest.raises(ValueError):

@@ -268,6 +268,29 @@ def test_series_horizon_demand():
         f.modified_moment_series(4, (1,), ("y1",), 8)
 
 
+def test_series_horizon_error_names_the_largest_demanded_moment():
+    # entry 6 needs r_j up to j = 6 + (8 - 1 - 1), i.e. moments up to 13;
+    # the per-moment check alone would stop at moment 11
+    f = SequenceFunctional(range(1, 12))  # horizon 10
+    with pytest.raises(MomentHorizonError, match=r"^moment 13 requested, horizon is 10$"):
+        f.modified_moment_series(6, (1,), ("y1",), 8)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_modified_series_row_is_built_clean(k):
+    # the row skips InverseSeries validation: the validating constructor
+    # must find nothing to drop
+    f = random_atom_functional(random.Random(k), 6)
+    variables = tuple(f"y{l + 1}" for l in range(k))
+    row = f._modified_series_row(1, 4, (F(1, 2), F(-3)), variables, 9)
+    assert any(s.terms for s in row)
+    for s in row:
+        checked = InverseSeries(variables, s.terms, 9, cap=9)
+        assert (s.variables, s.terms, s.trunc, s.cap) == (
+            checked.variables, checked.terms, checked.trunc, checked.cap
+        )
+
+
 def test_modified_hankel_series_leading_term(rng):
     # lowest-total-degree coefficient of the series Hankel det: the
     # coefficient of prod w_l^n equals (-1)^(nk) H(n) when m = 0.

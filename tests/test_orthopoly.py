@@ -8,6 +8,7 @@ from opident.moments import (
     ChebyshevCatalanFunctional,
     FiniteAtomFunctional,
     ModeError,
+    MomentHorizonError,
     PoleAtAtomError,
     SequenceFunctional,
     random_atom_functional,
@@ -22,7 +23,7 @@ from opident.orthopoly import (
     q_exact,
     q_series,
 )
-from opident.ring import UniPoly
+from opident.ring import InverseSeries, UniPoly
 
 F = Fraction
 
@@ -193,6 +194,31 @@ def test_q_series_moment_generating():
     assert s.coefficient((2,)) == 0
     assert s.coefficient((3,)) == 1
     assert s.trunc == 5
+
+
+def test_q_series_horizon_error_names_the_largest_demanded_moment():
+    # q_2 to truncation 14 needs moments up to 2 + 13 - 1 = 14; the
+    # per-moment check alone would stop at moment 11
+    f = SequenceFunctional.from_generator(lambda n: F(1, n + 1), horizon=10)
+    sys = build_ortho_system(f, 3)
+    q_series(sys, 2, 10)
+    with pytest.raises(MomentHorizonError, match=r"^moment 14 requested, horizon is 10$"):
+        q_series(sys, 2, 14)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_q_series_is_built_clean(k):
+    # q_series skips InverseSeries validation: the validating constructor
+    # must find nothing to drop
+    sys = cheb_system(4)
+    variables = tuple(f"y{l + 1}" for l in range(k))
+    for n in range(5):
+        s = q_series(sys, n, 9, variables, slot=k - 1)
+        assert s.terms
+        checked = InverseSeries(variables, s.terms, 9, cap=9)
+        assert (s.variables, s.terms, s.trunc, s.cap) == (
+            checked.variables, checked.terms, checked.trunc, checked.cap
+        )
 
 
 def test_q_series_leading_and_vanishing(rng):

@@ -24,7 +24,8 @@ from opident.ring import (
     parse_rational,
     vandermonde_product,
 )
-from opident.ring import _det_subset_expansion, _newton_ints
+from opident import ring
+from opident.ring import _det_subset_expansion, _pack, _unpack
 
 from conftest import bruteforce_det, random_fraction_rows
 
@@ -249,12 +250,95 @@ def test_vandermonde_product():
     assert vandermonde_product([F(1), F(3), F(4)]) == 6
 
 
-def test_newton_ints_round_trip():
-    # b! times the interpolant's coefficients; 3 p has integer values
+def test_pack_unpack_round_trip():
+    # 3 p has integer coefficients 1, -6, 0, 15; packed at x = 2^w with
+    # w = bitlen(||3 p||_1) + 1 they come back as balanced digits
     p = UniPoly.from_coeffs([F(1, 3), -2, 0, 5])
-    xs = [F(t) for t in range(4)]
-    coeffs = _newton_ints([int(3 * p.eval(x)) for x in xs])
-    assert UniPoly([F(c, 3 * math.factorial(3)) for c in coeffs]) == p
+    ints = [int(3 * c) for c in p.coeffs]
+    width = sum(map(abs, ints)).bit_length() + 1
+    digits = _unpack(_pack(ints, [width]), width, 4)
+    assert UniPoly([F(c, 3) for c in digits]) == p
+
+
+def _mono_x(c, e=1):
+    """c x^e"""
+    return UniPoly([F(0)] * e + [F(c)], "x")
+
+
+def test_det_poly_at_the_slot_width_edge():
+    # Each determinant is one monomial whose coefficient equals the L1
+    # bound prod_i sum_j ||a_ij||_1, the largest value a slot of width
+    # w = bitlen(bound) + 1 must hold: 255 = 2^8 - 1 leaves B/2 = 256.
+    for a, b in ((15, 17), (-15, 17), (7, 1), (-7, 1)):
+        m = RingMatrix.from_rows([[_mono_x(a), F(0)], [F(0), F(b)]])
+        assert det_poly(m, [("x", 2)]) == _mono_x(a * b)
+        m = RingMatrix.from_rows([[F(0), _mono_x(a, 2)], [_mono_x(b), F(0)]])
+        assert det_poly(m, [("x", 3)]) == _mono_x(-a * b, 3)
+    # two variables: -35 alpha^2 beta and 15 alpha beta^2
+    alpha2 = UniPoly([F(0), F(0), F(7)], "alpha")
+    beta = UniPoly([UniPoly([F(0), F(-5)], "beta")], "alpha")
+    expected = UniPoly([F(0), F(0), UniPoly([F(0), F(-35)], "beta")], "alpha")
+    m = RingMatrix.from_rows([[alpha2, F(0)], [F(0), beta]])
+    assert det_poly(m, [("alpha", 2), ("beta", 1)]) == expected
+    ab2 = UniPoly([F(0), UniPoly([F(0), F(0), F(3)], "beta")], "alpha")
+    m = RingMatrix.from_rows([[F(0), ab2], [F(-5), F(0)]])
+    expected = UniPoly([F(0), UniPoly([F(0), F(0), F(15)], "beta")], "alpha")
+    assert det_poly(m, [("alpha", 1), ("beta", 2)]) == expected
+
+
+def test_det_poly_negative_inner_coefficients_borrow():
+    # det [[1 - 2b + 3ab, a], [b/2, 1]] = 1 - 2b + 5/2 ab, packed after the
+    # second row is scaled by 2 as 2 - 4b + 5ab: the digit -4 sits below a
+    # zero and must borrow from the alpha slot above it.
+    one_b = UniPoly.one("beta")
+    a00 = UniPoly([UniPoly([F(1), F(-2)], "beta"), UniPoly([F(0), F(3)], "beta")], "alpha")
+    a01 = UniPoly([F(0), one_b], "alpha")
+    a10 = UniPoly([UniPoly([F(0), F(1, 2)], "beta")], "alpha")
+    m = RingMatrix.from_rows([[a00, a01], [a10, F(1)]])
+    oracle = RingMatrix.from_rows([[a00, a01], [a10, UniPoly([one_b], "alpha")]])
+    expected = det_cofactor(oracle, one=UniPoly([one_b], "alpha"))
+    assert expected == UniPoly(
+        [UniPoly([F(1), F(-2)], "beta"), UniPoly([F(0), F(5, 2)], "beta")], "alpha"
+    )
+    assert det_poly(m, [("alpha", 1), ("beta", 1)]) == expected
+    # det [[a - b, 0], [0, -a - b]] = -a^2 + b^2: every coefficient negative or
+    # below a negative neighbour
+    def linear(ca, cb):
+        return UniPoly([UniPoly([F(0), F(cb)], "beta"), UniPoly([F(ca)], "beta")], "alpha")
+
+    m = RingMatrix.from_rows([[linear(1, -1), F(0)], [F(0), linear(-1, -1)]])
+    expected = UniPoly([UniPoly([F(0), F(0), F(1)], "beta"), F(0), F(-1)], "alpha")
+    assert det_poly(m, [("alpha", 2), ("beta", 2)]) == expected
+
+
+def test_det_poly_empty_and_constant_matrices():
+    empty = RingMatrix(0, 0, [])
+    assert det_poly(empty, []) == 1
+    assert det_poly(empty, [("x", 2)]) == UniPoly.one("x")
+    assert det_poly(empty, [("alpha", 1), ("beta", 1)]) == 1
+    m = RingMatrix.from_rows([[F(1, 2), F(3)], [F(-1, 3), 4]])
+    assert det_poly(m, []) == F(3)
+    assert det_poly(m, [("x", 1)]) == UniPoly.constant(F(3), "x")
+    assert det_poly(m, [("alpha", 2), ("beta", 2)]) == F(3)
+
+
+def test_det_poly_makes_one_det_rational_call(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return det_rational(m)
+
+    monkeypatch.setattr(ring, "det_rational", counted)
+    x = UniPoly.variable("x")
+    for n in range(4):
+        m = RingMatrix.hankel([x + i for i in range(2 * n)], n)
+        calls.clear()
+        det_poly(m, [("x", n)])
+        assert len(calls) == 1
+        calls.clear()
+        det_poly(m, [("alpha", n), ("x", n)])
+        assert len(calls) == 1
 
 
 def test_det_poly_one_variable_matches_cofactor(rng):
