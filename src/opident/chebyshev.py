@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .moments import catalan
-from .ring import RingMatrix, UniPoly, binomial, det_poly, det_rational
+from .ring import RingMatrix, UniPoly, binomial, det_poly, det_rational, integer_form
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -89,7 +89,7 @@ def theorem14_eval(n: int, a: Fraction, var: str = "X"):
     variable)."""
     if n < 1:
         raise ValueError("n must be positive")
-    lhs = det_poly(RingMatrix.hankel(_cheb_moments(2 * n - 1, Fraction(a), var), n), [(var, n)])
+    lhs = det_poly(RingMatrix.hankel(_cheb_moments(2 * n - 1, Fraction(a), var), n), [var])
     if lhs.degree > 1:
         raise ArithmeticError("determinant should be linear in X")
     base = -2 * Fraction(a)
@@ -108,13 +108,15 @@ def theorem15_eval(n: int, a: Fraction, b: Fraction, var: str = "X"):
         raise ValueError("n must be positive")
     b = Fraction(b)
     rho = _cheb_moments(2 * n, Fraction(a), var)
-    const = [r.coefficient(0) for r in rho]
-    lin = [r.coefficient(1) for r in rho]
+    # sigma_s = rho_{s+1} - b rho_s on integers over the denominator bd * den
+    ints, den = integer_form([r.coefficient(e) for e in (0, 1) for r in rho])
+    const, lin = ints[: 2 * n], ints[2 * n :]
+    bn, bd = b.numerator, b.denominator
     sigma = [
-        UniPoly([const[s + 1] - b * const[s], lin[s + 1] - b * lin[s]], var)
+        UniPoly([bd * const[s + 1] - bn * const[s], bd * lin[s + 1] - bn * lin[s]], var)
         for s in range(2 * n - 1)
     ]
-    lhs = det_poly(RingMatrix.hankel(sigma, n), [(var, n)])
+    lhs = det_poly(RingMatrix.hankel(sigma, n), [var]) * Fraction(1, (bd * den) ** n)
     if lhs.degree > 1:
         raise ArithmeticError("determinant should be linear in X")
     base = -2 * Fraction(a)
@@ -137,7 +139,7 @@ def central_weight(s: int) -> Fraction:
 def _det_shifted_identity(entry, n: int) -> UniPoly:
     """det(Y + entry(i+j)) as a polynomial in Y."""
     shifted = [UniPoly([entry(s), _ONE], "Y") for s in range(2 * n - 1)]
-    return det_poly(RingMatrix.hankel(shifted, n), [("Y", n)])
+    return det_poly(RingMatrix.hankel(shifted, n), ["Y"])
 
 
 @dataclass

@@ -401,9 +401,8 @@ def uvarov_polynomial(
     k = len(ys)
     cols = range(n - k, n + m)
     fixed = _pq_rows(sys, cols, [(x, 1) for x in xs_fixed], [(y, 1) for y in ys])
-    # row 0 is p_b(x_1): degree at most n+m-1 in x_1
     x1_row = [sys.p(b).rename(var) if b >= 0 else _ZERO for b in cols]
-    d = det_poly(RingMatrix.from_rows([x1_row, *fixed]), [(var, n + m - 1)])
+    d = det_poly(RingMatrix.from_rows([x1_row, *fixed]), [var])
     vx = vandermonde_product((UniPoly.variable(var),) + xs_fixed)
     poly = d.exact_div(vx) * (theorem1_sign(n, k, m) / _y_vandermonde(ys))
     return poly, poly.degree == n
@@ -490,9 +489,9 @@ def _hankel_slice_det(c, size: int) -> Fraction:
 def _lin_det(c, size: int, slot: int) -> UniPoly:
     """det(v c_{i+j} + c_{i+j+1}) with v = alpha (slot 0) or beta (slot 1),
     as a polynomial in alpha over Q[beta] (degree <= size in v)."""
-    var, bounds = ("alpha", (size, 0)) if slot == 0 else ("beta", (0, size))
+    var = ("alpha", "beta")[slot]
     lin = [UniPoly([c[s + 1], c[s]], var) for s in range(2 * size - 1)]
-    return det_poly(RingMatrix.hankel(lin, size), list(zip(("alpha", "beta"), bounds)))
+    return det_poly(RingMatrix.hankel(lin, size), ["alpha", "beta"])
 
 
 @lru_cache(maxsize=64)
@@ -503,7 +502,7 @@ def _quad_det(c, size: int) -> UniPoly:
         UniPoly([UniPoly([c[s + 2], c[s + 1]], "beta"), UniPoly([c[s + 1], c[s]], "beta")], "alpha")
         for s in range(2 * size - 1)
     ]
-    return det_poly(RingMatrix.hankel(quad, size), [("alpha", size), ("beta", size)])
+    return det_poly(RingMatrix.hankel(quad, size), ["alpha", "beta"])
 
 
 def _coerce_sequence(c, needed: int) -> tuple:

@@ -21,7 +21,6 @@ from .ring import (
     RingMatrix,
     UniPoly,
     det_poly,
-    det_rational,
     integer_form,
     ratio,
 )
@@ -189,8 +188,7 @@ def poly_lemma4(f: MomentFunctional, n: int, var: str = "x") -> UniPoly:
     """Monic p_n as a bordered-Hankel determinant divided by H(n).
 
     The (n+1) x (n+1) matrix has moment rows (mu_i .. mu_{i+n}) for
-    i = 0..n-1 and the bottom row (1, x, ..., x^n); expanding along the
-    bottom row gives the coefficients as signed rational minors.
+    i = 0..n-1 and the bottom row (1, x, ..., x^n); det_poly computes it.
     """
     if n == 0:
         return UniPoly.one(var)
@@ -198,15 +196,10 @@ def poly_lemma4(f: MomentFunctional, n: int, var: str = "x") -> UniPoly:
     if not h_n:
         raise DegenerateFunctionalError(n)
     f._require_horizon(2 * n - 1)
-    coeffs = []
-    for j in range(n + 1):
-        rows = [
-            [f.moment(i + jj) for jj in range(n + 1) if jj != j] for i in range(n)
-        ]
-        minor = det_rational(RingMatrix.from_rows(rows))
-        sign = -1 if (n + j) % 2 else 1
-        coeffs.append(sign * minor / h_n)
-    return UniPoly(coeffs, var)
+    x = UniPoly.variable(var)
+    rows = [[f.moment(i + j) for j in range(n + 1)] for i in range(n)]
+    rows.append([x**j for j in range(n + 1)])
+    return det_poly(RingMatrix.from_rows(rows), [var]) * (1 / h_n)
 
 
 def poly_lemma5(f: MomentFunctional, n: int, var: str = "x") -> UniPoly:
@@ -214,14 +207,13 @@ def poly_lemma5(f: MomentFunctional, n: int, var: str = "x") -> UniPoly:
     polynomial of degree <= n.
 
     When H(n) != 0 it equals (-1)^n H(n) p_n(x): the x^n coefficient of the
-    determinant is det(-mu_{i+j}) = (-1)^n H(n).  Computed by det_poly:
-    evaluation at the n+1 points 0..n and exact interpolation.
+    determinant is det(-mu_{i+j}) = (-1)^n H(n).  Computed by det_poly.
     """
     if n == 0:
         return UniPoly.one(var)
     f._require_horizon(2 * n - 1)
     lin = [UniPoly([f.moment(s + 1), -f.moment(s)], var) for s in range(2 * n - 1)]
-    return det_poly(RingMatrix.hankel(lin, n), [(var, n)])
+    return det_poly(RingMatrix.hankel(lin, n), [var])
 
 
 def _atom_sum(sys: OrthoSystem, n: int, y, power: int) -> Fraction:

@@ -971,15 +971,16 @@ def vandermonde_product(values, mults=None):
     return prod if prod is not None else _ONE
 
 
-def det_poly(m: RingMatrix, degrees):
+def det_poly(m: RingMatrix, variables):
     """Determinant of a square matrix of polynomials as an exact polynomial.
 
-    ``degrees`` lists ``(var, bound)`` pairs, outer variable first; bound
-    must be at least the determinant's degree in that variable.  An entry
-    is a rational scalar or a UniPoly in the first variable whose
-    coefficients are scalars or UniPolys in the second; a UniPoly in the
-    second variable alone is constant in the first.  The result nests the
-    same way.  det_generic(m, one) is the oracle.
+    ``variables`` are named outer first.  An entry is a rational scalar or
+    a UniPoly in the first variable whose coefficients are scalars or
+    UniPolys in the second; a UniPoly in the second variable alone is
+    constant in the first.  The result nests the same way.
+    det_generic(m, one) is the oracle.  Each term of the expansion takes
+    one entry per row, so deg_v det <= sum_i max_j deg_v a_ij: that is the
+    bound of each variable v.
 
     Every distinct entry gets integer coefficients over its own denominator,
     and every row the lcm of its entries' denominators as a multiplier.  The
@@ -1001,67 +1002,65 @@ def det_poly(m: RingMatrix, degrees):
     """
     _require_square(m)
     n = m.rows
-    # A Hankel matrix repeats each entry along an antidiagonal: convert and
+    variables = tuple(variables)
+    # A Hankel matrix repeats each entry along an antidiagonal: walk and
     # pack every distinct entry once.
-    variables = [var for var, _ in degrees]
-    grids = {key: _int_coeffs(x, variables) for key, x in {id(x): x for x in m.entries}.items()}
-    scales = [math.lcm(*(grids[id(x)][1] for x in m.row(i))) for i in range(n)]
-    cells = [(id(x), scales[idx // n] // grids[id(x)][1]) for idx, x in enumerate(m.entries)]
-    norms = {key: _norm1(g) for key, (g, _) in grids.items()}
-    row_norms = [sum(norms[key] * f for key, f in cells[i * n : (i + 1) * n]) for i in range(n)]
-    width = math.prod(row_norms).bit_length() + 1
+    forms = {key: _poly_form(x, variables) for key, x in {id(x): x for x in m.entries}.items()}
+    rows = [[forms[id(x)] for x in m.row(i)] for i in range(n)]
+    scales = [math.lcm(*(d for _, d, _, _ in row)) for row in rows]
+    l1 = math.prod(sum(norm * (s // d) for _, d, norm, _ in row) for row, s in zip(rows, scales))
+    width = l1.bit_length() + 1
+    bounds = [sum(max(dg[v] for *_, dg in row) for row in rows) for v in range(len(variables))]
     # slots[i]: the digits taken by the variables from i on
-    slots = [math.prod(b + 1 for _, b in degrees[i:]) for i in range(len(degrees) + 1)]
+    slots = [math.prod(b + 1 for b in bounds[i:]) for i in range(len(bounds) + 1)]
     shifts = [width * s for s in slots[1:]]
-    packed = {key: _pack(g, shifts) for key, (g, _) in grids.items()}
-    det = det_rational(RingMatrix(n, n, [packed[key] * f for key, f in cells])).numerator
+    packed = {key: _pack(g, shifts, d) for key, (g, d, _, _) in forms.items()}
+    cells = [packed[id(x)] * (scales[i] // forms[id(x)][1]) for i in range(n) for x in m.row(i)]
+    det = det_rational(RingMatrix(n, n, cells)).numerator
     flat = _unpack(det, width, slots[0])
     scale = math.prod(scales)
 
-    def build(flat, rest):
-        if not rest:
+    def build(flat, level):
+        if level == len(variables):
             return Fraction(flat[0], scale)
-        var, bound = rest[0]
-        size = len(flat) // (bound + 1)
-        return UniPoly(
-            [build(flat[i * size : (i + 1) * size], rest[1:]) for i in range(bound + 1)], var
-        )
+        size = slots[level + 1]
+        coeffs = [build(flat[i : i + size], level + 1) for i in range(0, len(flat), size)]
+        return UniPoly(coeffs, variables[level])
 
-    return build(flat, degrees)
+    return build(flat, 0)
 
 
-def _int_coeffs(x, variables):
-    """x's coefficients in ``variables`` (outer first) as nested lists of
-    ints over one common denominator: (coefficients, denominator)."""
+def _poly_form(x, variables):
+    """One walk over a det_poly entry: (its coefficients in ``variables``,
+    outer first, as nested lists, their lcm denominator d, the L1 norm of
+    d x, its degree in each variable)."""
+    leaves = []
+    degrees = [0] * len(variables)
 
-    def nest(x, variables, leaf):
-        if not variables:
+    def nest(x, level):
+        if level == len(variables):
             if isinstance(x, UniPoly):
                 raise ValueError(f"det_poly entry in an unlisted variable {x.var!r}")
-            return leaf(x)
-        if isinstance(x, UniPoly) and x.var == variables[0]:
-            return [nest(c, variables[1:], leaf) for c in x.coeffs]
-        return [nest(x, variables[1:], leaf)]
+            leaves.append(x)
+            return x
+        if isinstance(x, UniPoly) and x.var == variables[level]:
+            degrees[level] = max(degrees[level], len(x.coeffs) - 1)
+            return [nest(c, level + 1) for c in x.coeffs]
+        return [nest(x, level + 1)]
 
-    dens = []
-    nest(x, variables, lambda c: dens.append(c.denominator))
-    d = math.lcm(*dens)
-    return nest(x, variables, lambda c: c.numerator * (d // c.denominator)), d
-
-
-def _norm1(g) -> int:
-    """The sum of |c| over the nested integer coefficients g."""
-    return sum(map(_norm1, g)) if isinstance(g, list) else abs(g)
+    g = nest(x, 0)
+    d = math.lcm(*(c.denominator for c in leaves))
+    return g, d, sum(abs(c.numerator) * (d // c.denominator) for c in leaves), degrees
 
 
-def _pack(g, shifts) -> int:
-    """Horner's rule on the nested integer coefficients g (outer variable
-    first) at the point (2^shifts[0], 2^shifts[1], ...), by shift and add."""
+def _pack(g, shifts, d: int) -> int:
+    """Horner's rule on d g, g the nested coefficients from _poly_form, at
+    the point (2^shifts[0], 2^shifts[1], ...), by shift and add."""
     if not shifts:
-        return g
+        return g.numerator * (d // g.denominator)
     acc = 0
     for c in reversed(g):
-        acc = (acc << shifts[0]) + _pack(c, shifts[1:])
+        acc = (acc << shifts[0]) + _pack(c, shifts[1:], d)
     return acc
 
 

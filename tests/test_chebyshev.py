@@ -119,7 +119,7 @@ def test_theorem14_grid(a):
 
 
 def test_theorem14_against_generic_determinant():
-    # cross-check the interpolation determinant against the division-free one
+    # cross-check the packed det_poly determinant against the division-free one
     for n in range(1, 5):
         a = F(-1)
         rho = [modified_moment_cheb(s, a) for s in range(2 * n - 1)]
