@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .moments import catalan
-from .ring import RingMatrix, UniPoly, binomial, det_poly, det_rational, integer_form
+from .ring import RingMatrix, UniPoly, binomial, det_poly, det_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -106,20 +106,25 @@ def theorem15_eval(n: int, a: Fraction, b: Fraction, var: str = "X"):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    b = Fraction(b)
-    rho = _cheb_moments(2 * n, Fraction(a), var)
-    # sigma_s = rho_{s+1} - b rho_s on integers over the denominator bd * den
-    ints, den = integer_form([r.coefficient(e) for e in (0, 1) for r in rho])
-    const, lin = ints[: 2 * n], ints[2 * n :]
-    bn, bd = b.numerator, b.denominator
+    a, b = Fraction(a), Fraction(b)
+    rho = _cheb_moments(2 * n, a, var)
+    # rho_s has a denominator dividing ad^s and sigma_s = rho_{s+1} - b rho_s
+    # one dividing bd ad^(s+1).  Row i scaled by ad^i and column j by
+    # bd ad^(j+1) turn sigma_{i+j} into S_{i+j} = bd R_{s+1} - bn ad R_s,
+    # with R_s = ad^s rho_s integral, and the determinant by bd^n ad^(n^2).
+    ad, bn, bd = a.denominator, b.numerator, b.denominator
+    scaled = [
+        [c.numerator * (ad**s // c.denominator) for c in (r.coefficient(0), r.coefficient(1))]
+        for s, r in enumerate(rho)
+    ]
     sigma = [
-        UniPoly([bd * const[s + 1] - bn * const[s], bd * lin[s + 1] - bn * lin[s]], var)
+        UniPoly([bd * hi - bn * ad * lo for hi, lo in zip(scaled[s + 1], scaled[s])], var)
         for s in range(2 * n - 1)
     ]
-    lhs = det_poly(RingMatrix.hankel(sigma, n), [var]) * Fraction(1, (bd * den) ** n)
+    lhs = det_poly(RingMatrix.hankel(sigma, n), [var]) * Fraction(1, bd**n * ad ** (n * n))
     if lhs.degree > 1:
         raise ArithmeticError("determinant should be linear in X")
-    base = -2 * Fraction(a)
+    base = -2 * a
     u_n2, u_n1, u_n = (_chebU_at(j, base) for j in (n - 2, n - 1, n))
     u_n1_b, u_n_b = _chebU_at(n - 1, b), _chebU_at(n, b)
     rhs = UniPoly([u_n1_b * u_n1 - u_n_b * u_n2, u_n1_b * u_n - u_n_b * u_n1], var)

@@ -18,6 +18,7 @@ oriented Vandermonde products prod(x_j - x_i) and prod(y_i - y_j).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,7 +36,7 @@ from .orthopoly import (
     DegenerateFunctionalError,
     OrthoSystem,
     build_ortho_system,
-    q_exact,
+    q_row,
     q_series,
 )
 from .ring import (
@@ -43,6 +44,7 @@ from .ring import (
     RingMatrix,
     UniPoly,
     binomial,
+    det_int,
     det_poly,
     det_rational,
     det_series,
@@ -226,36 +228,23 @@ _DOMAIN_ERRORS = (
 # Theorem-1 matrices
 # ---------------------------------------------------------------------------
 
-def _pq_rows(sys: OrthoSystem, cols, xi, omega, q_entry=None) -> list:
-    """The rows of the p/q matrix over the column indices b in ``cols``.
+def _pq_rows(sys: OrthoSystem, cols, xi, omega) -> list:
+    """The p/q rows of rational parameters over the column indices b in
+    ``cols``, each as (integer numerators, row denominator).
 
     xi and omega are (value, multiplicity) blocks.  An x of multiplicity c
     gives the Taylor rows p_b^(r)(x)/r!, a y of multiplicity c the rows
-    q_b^(r)(y)/r!, for r = 0..c-1.  For b < 0, p_b = 0 and q_b(y) = y^e with
-    e = -b-1, whose row r holds binom(e, r) y^(e-r).  For b >= 0 the entry
-    of row r of y block ``slot`` is q_entry(b, slot, r), by default
-    q_exact(sys, b, y, r).
+    q_b^(r)(y)/r!, for r = 0..c-1, with the conventions p_b = 0 and
+    q_b(y) = y^(-b-1) for b < 0 (OrthoSystem.p_row and q_row).
     """
-    if q_entry is None:
-        def q_entry(b, slot, r):
-            return q_exact(sys, b, omega[slot][0], r)
-
-    rows = [[sys.p_value(b, x, r) for b in cols] for x, c in xi for r in range(c)]
-    for slot, (y, c) in enumerate(omega):
-        for r in range(c):
-            row = []
-            for b in cols:
-                e = -b - 1
-                if b >= 0:
-                    row.append(q_entry(b, slot, r))
-                elif r == 0:
-                    row.append(y ** e)
-                elif r <= e:
-                    row.append(binomial(e, r) * y ** (e - r))
-                else:
-                    row.append(_ZERO)
-            rows.append(row)
+    rows = [sys.p_row(cols, x, r) for x, c in xi for r in range(c)]
+    rows += [q_row(sys, cols, y, r) for y, c in omega for r in range(c)]
     return rows
+
+
+def _fractions(rows) -> list:
+    """Integer rows over row denominators as rows of Fractions."""
+    return [[Fraction(v, den) for v in nums] for nums, den in rows]
 
 
 def _y_blocks(inst) -> tuple:
@@ -266,21 +255,25 @@ def _y_blocks(inst) -> tuple:
     return tuple((InverseSeries.plain_variable(inst.ys, slot), 1) for slot in range(inst.k))
 
 
+def _theorem1_rows(sys: OrthoSystem, inst: IdentityInstance) -> list:
+    """The atom-mode p/q matrix of an instance as _pq_rows; repeated
+    parameters give derivative rows."""
+    return _pq_rows(sys, range(inst.n - inst.k, inst.n + inst.m), inst.xi, inst.omega)
+
+
 def _theorem1_matrix(sys: OrthoSystem, inst: IdentityInstance) -> RingMatrix:
     """The p/q matrix of an instance; repeated parameters give derivative
     blocks.  In series mode the q-rows are the truncated series q_series of
     the formal ys."""
-    n, k, m = inst.n, inst.k, inst.m
-    if k + m == 0:
-        return RingMatrix(0, 0, ())
-    q_entry = None
-    if inst.mode == "series":
-        wt = _work_truncation(inst.truncation, k)
-
-        def q_entry(b, slot, r):
-            return q_series(sys, b, wt, inst.ys, slot)
-
-    rows = _pq_rows(sys, range(n - k, n + m), inst.xi, _y_blocks(inst), q_entry)
+    if inst.mode == "atom":
+        return RingMatrix.from_rows(_fractions(_theorem1_rows(sys, inst)))
+    cols = range(inst.n - inst.k, inst.n + inst.m)
+    wt = _work_truncation(inst.truncation, inst.k)
+    rows = _fractions(_pq_rows(sys, cols, inst.xi, ()))
+    for slot, (y, _) in enumerate(_y_blocks(inst)):
+        rows.append([
+            q_series(sys, b, wt, inst.ys, slot) if b >= 0 else y ** (-b - 1) for b in cols
+        ])
     return RingMatrix.from_rows(rows)
 
 
@@ -350,10 +343,11 @@ def rhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
     the two multiplicities.
     """
     sign = prop13_sign(inst)
-    mat = _theorem1_matrix(sys, inst)
     if inst.mode == "atom":
-        return sign * det_rational(mat) / _vandermondes(inst)
-    d = det_series(mat, inst.ys)
+        rows = _theorem1_rows(sys, inst)
+        det = Fraction(sign * det_int([nums for nums, _ in rows]), math.prod(d for _, d in rows))
+        return det / _vandermondes(inst)
+    d = det_series(_theorem1_matrix(sys, inst), inst.ys)
     return d * (sign * _hankel_divisor(sys.functional, inst.n, inst.k))
 
 
@@ -400,7 +394,7 @@ def uvarov_polynomial(
     m = 1 + len(xs_fixed)
     k = len(ys)
     cols = range(n - k, n + m)
-    fixed = _pq_rows(sys, cols, [(x, 1) for x in xs_fixed], [(y, 1) for y in ys])
+    fixed = _fractions(_pq_rows(sys, cols, [(x, 1) for x in xs_fixed], [(y, 1) for y in ys]))
     x1_row = [sys.p(b).rename(var) if b >= 0 else _ZERO for b in cols]
     d = det_poly(RingMatrix.from_rows([x1_row, *fixed]), [var])
     vx = vandermonde_product((UniPoly.variable(var),) + xs_fixed)

@@ -28,6 +28,7 @@ from .ring import (
     RingMatrix,
     UniPoly,
     binomial,
+    det_int,
     det_rational,
     det_series,
     format_rational,
@@ -137,11 +138,20 @@ class MomentFunctional:
         """Modified moments for i = 0..count-1 (see modified_moment)."""
         return [self.modified_moment(s, xs, ys) for s in range(count)]
 
+    def _modified_ints(self, count: int, xs=(), ys=()) -> tuple[list[int], int, int]:
+        """Integers M_i, D > 0 and B > 0 with modified moment i equal to
+        M_i / (D B^i) for i = 0..count-1."""
+        nums, den = integer_form(self.modified_moments(count, xs, ys))
+        return list(nums), den, 1
+
     def modified_hankel_det(self, n: int, xs=(), ys=()) -> Fraction:
+        """det of the modified moments M_{i+j} / (D B^(i+j)), 0 <= i, j <= n-1:
+        row i carries B^i and column j carries B^j, so it is one integer
+        Bareiss run on M_{i+j} over D^n B^(n(n-1))."""
         if n == 0:
             return _ONE
-        mm = self.modified_moments(2 * n - 1, xs, ys)
-        return det_rational(RingMatrix.hankel(mm, n))
+        mm, den, b = self._modified_ints(2 * n - 1, xs, ys)
+        return Fraction(det_int([mm[i : i + n] for i in range(n)]), den**n * b ** (n * (n - 1)))
 
     def modified_moment_series(
         self, i: int, xs=(), variables=("y1",), truncation: int = 25
@@ -267,36 +277,46 @@ class FiniteAtomFunctional(MomentFunctional):
     def modified_weights(self, xs=(), ys=()) -> tuple[list[int], int]:
         """Integers N_a and D > 0 with N_a / D = w_a prod(u_a - x_l) / prod(u_a - y_l),
         the atom weights of the modified functional."""
-        xs = tuple(Fraction(x) for x in xs)
-        ys = tuple(Fraction(y) for y in ys)
+        xs = [(x.numerator, x.denominator) for x in map(Fraction, xs)]
+        ys = [(y.numerator, y.denominator) for y in map(Fraction, ys)]
         b = self.node_scale
         nums, dens = [], []
         for (_, w), un in zip(self.atoms, self.node_numerators):
             num, den = w.numerator, w.denominator
-            for x in xs:
-                num *= un * x.denominator - x.numerator * b
-            for y in ys:
-                diff = un * y.denominator - y.numerator * b
+            for xn, xd in xs:
+                num *= un * xd - xn * b
+            for yn, yd in ys:
+                diff = un * yd - yn * b
                 if not diff:
-                    raise PoleAtAtomError(f"y = {format_rational(y)} is an atom node")
+                    y = format_rational(Fraction(yn, yd))
+                    raise PoleAtAtomError(f"y = {y} is an atom node")
                 den *= diff
             nums.append(num)
             dens.append(den)
         # u_a - v = (U_a d_v - n_v B) / (B d_v): the B d_v factors are the same
         # for every atom, so they go into the shared scale.
         common = math.lcm(*dens)
-        num_scale = b ** max(len(ys) - len(xs), 0) * math.prod(y.denominator for y in ys)
-        den_scale = b ** max(len(xs) - len(ys), 0) * math.prod(x.denominator for x in xs)
+        num_scale = b ** max(len(ys) - len(xs), 0) * math.prod(yd for _, yd in ys)
+        den_scale = b ** max(len(xs) - len(ys), 0) * math.prod(xd for _, xd in xs)
         return [n * (common // d) * num_scale for n, d in zip(nums, dens)], common * den_scale
 
-    def modified_moments(self, count: int, xs=(), ys=()) -> list[Fraction]:
-        """Modified moment i is M_i / (D B^i) with M_i = sum_a N_a U_a^i."""
+    def _modified_ints(self, count: int, xs=(), ys=()) -> tuple[list[int], int, int]:
+        """M_i = sum_a N_a U_a^i over D B^i, with N_a / D the modified
+        weights and B the node scale."""
         powers, den = self.modified_weights(xs, ys)
         out = []
         for _ in range(count):
-            out.append(Fraction(sum(powers), den))
+            out.append(sum(powers))
             powers = [p * u for p, u in zip(powers, self.node_numerators)]
-            den *= self.node_scale
+        return out, den, self.node_scale
+
+    def modified_moments(self, count: int, xs=(), ys=()) -> list[Fraction]:
+        """Modified moment i is M_i / (D B^i) with M_i = sum_a N_a U_a^i."""
+        mm, den, b = self._modified_ints(count, xs, ys)
+        out = []
+        for m in mm:
+            out.append(Fraction(m, den))
+            den *= b
         return out
 
     def modified_moment(self, i: int, xs=(), ys=()) -> Fraction:

@@ -25,7 +25,6 @@ from .ring import (
     ratio,
 )
 
-_ZERO = Fraction(0)
 
 
 class DegenerateFunctionalError(Exception):
@@ -101,20 +100,33 @@ class OrthoSystem:
             return self.functional.apply(self.polys[n] * self.polys[n])
         raise ValueError(f"system depth is {self.depth}, norm {n} not available")
 
+    def p_row(self, cols, x, order: int = 0) -> tuple[list[int], int]:
+        """Integers P_b and D > 0 with P_b / D the Taylor coefficient
+        p_b^(r)(x)/r! for r = order and each b in cols, where p_b = 0 for
+        b < 0.  At x = x_n / x_d integer Horner on the coefficients
+        c_i binom(i, r) of p_b gives the value as A_b / (d_b x_d^(b-r))."""
+        x = Fraction(x)
+        xn, xd = x.numerator, x.denominator
+        vals = []
+        for b in cols:
+            if b >= 0:
+                self._check_index(b)
+            if b < order:  # p_b has degree below r, or is zero
+                vals.append((0, 1))
+                continue
+            coeffs, d = self._int_polys[b]
+            if order:
+                coeffs = [c * math.comb(i, order) for i, c in enumerate(coeffs)][order:]
+            acc, bpow = _homogeneous_eval(coeffs, xn, xd)
+            vals.append((acc, d * bpow))
+        den = math.lcm(*(d for _, d in vals))
+        return [a * (den // d) for a, d in vals], den
+
     def p_value(self, n: int, x, order: int = 0) -> Fraction:
         """The Taylor coefficient p_n^(r)(x)/r! for r = order (p_n(x) at the
-        default 0), with p_b = 0 for b < 0."""
-        if n < 0:
-            return _ZERO
-        self._check_index(n)
-        coeffs, d = self._int_polys[n]
-        if order:
-            coeffs = [c * math.comb(i, order) for i, c in enumerate(coeffs)][order:]
-            if not coeffs:
-                return _ZERO
-        x = Fraction(x)
-        acc, bpow = _homogeneous_eval(coeffs, x.numerator, x.denominator)
-        return Fraction(acc, d * bpow)
+        default 0), with p_b = 0 for b < 0: the one-column p_row."""
+        (num,), den = self.p_row((n,), x, order)
+        return Fraction(num, den)
 
     def weighted_node_values(self, n: int) -> tuple[tuple[int, ...], int]:
         """Integers G_a and D with w_a p_n(u_a) = G_a / D at the atom nodes
@@ -216,37 +228,60 @@ def poly_lemma5(f: MomentFunctional, n: int, var: str = "x") -> UniPoly:
     return det_poly(RingMatrix.hankel(lin, n), [var])
 
 
-def _atom_sum(sys: OrthoSystem, n: int, y, power: int) -> Fraction:
-    """sum_a w_a p_n(u_a) / (y - u_a)^power, accumulated as one integer
-    numerator / denominator pair."""
-    vals, den = sys.weighted_node_values(n)
-    f = sys.functional
+def q_row(sys: OrthoSystem, cols, y, order: int = 0) -> tuple[list[int], int]:
+    """Integers Q_b and D > 0 with Q_b / D the Taylor coefficient
+    q_b^(r)(y)/r! for r = order and each b in cols.
+
+    For b >= 0 that is the exact atom sum (finite-atom only)
+    sum_a w_a p_b(u_a) (-1)^r / (y - u_a)^(r+1).  With y - u_a = d_a / (B y_d)
+    and P_a = d_a^(r+1) it is (-1)^r (B y_d)^(r+1) sum_a G_a (Pi / P_a) / (D_b Pi),
+    where G_a / D_b = w_a p_b(u_a) and Pi = prod_a P_a; Pi and the cofactors
+    Pi / P_a are formed once for the row.  For b < 0 the convention
+    q_b(y) = y^e, e = -b-1, gives binom(e, r) y^(e-r).  A y on an atom node
+    raises PoleAtAtomError only when some b >= 0.
+    """
     y = Fraction(y)
-    b = f.node_scale
-    yn, yd = y.numerator * b, y.denominator
-    # y - u_a = (y_n B - U_a y_d) / (B y_d)
-    num, acc_den = 0, 1
-    for g, un in zip(vals, f.node_numerators):
-        diff = yn - un * yd
-        if not diff:
-            raise PoleAtAtomError(f"y = {y} is an atom node")
-        diff **= power
-        num = num * diff + g * acc_den
-        acc_den *= diff
-    return Fraction(num * (b * yd) ** power, acc_den * den)
+    yn, yd = y.numerator, y.denominator
+    atom_values = [sys.weighted_node_values(b) for b in cols if b >= 0]
+    if atom_values:
+        f = sys.functional
+        scale = f.node_scale
+        powered = []
+        for un in f.node_numerators:
+            diff = yn * scale - un * yd
+            if not diff:
+                raise PoleAtAtomError(f"y = {y} is an atom node")
+            powered.append(diff ** (order + 1))
+        pi = math.prod(powered)
+        cofactors = [pi // p for p in powered]
+        lift = (-1) ** order * (scale * yd) ** (order + 1)
+    vals = []
+    columns = iter(atom_values)
+    for b in cols:
+        e = -b - 1
+        if b >= 0:
+            g, d = next(columns)
+            vals.append((lift * sum(map(mul, g, cofactors)), d * pi))
+        elif e >= order:
+            vals.append((math.comb(e, order) * yn ** (e - order), yd ** (e - order)))
+        else:
+            vals.append((0, 1))
+    den = math.lcm(*(d for _, d in vals))
+    return [v * (den // d) for v, d in vals], den
 
 
 def q_exact(sys: OrthoSystem, n: int, y, order: int = 0) -> Fraction:
     """The Taylor coefficient q_n^(r)(y)/r! for r = order, exact
     (finite-atom): sum_a w_a p_n(u_a) (-1)^r / (y - u_a)^(r+1), which is
-    q_n(y) = sum_a w_a p_n(u_a) / (y - u_a) at the default 0.  For n < 0
-    the convention is q_n(y) = y^(-n-1), which this does not compute."""
+    q_n(y) = sum_a w_a p_n(u_a) / (y - u_a) at the default 0.  It is the
+    one-column q_row.  For n < 0 the convention is q_n(y) = y^(-n-1), which
+    this does not compute."""
     if n < 0:
         raise ValueError(f"q_{n} is y^({-n - 1}) by the b < 0 convention, not q_exact's")
     if order < 0:
         raise ValueError("derivative order must be non-negative")
-    value = _atom_sum(sys, n, y, order + 1)
-    return -value if order % 2 else value
+    (num,), den = q_row(sys, (n,), y, order)
+    return Fraction(num, den)
 
 
 def q_series(

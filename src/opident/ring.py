@@ -915,24 +915,14 @@ def _packed_det(m: RingMatrix, variables, trunc: int) -> InverseSeries:
     return InverseSeries._make(variables, terms, trunc, trunc)
 
 
-def det_rational(m: RingMatrix) -> Fraction:
-    """Fraction-free Bareiss determinant, fast path for rational matrices.
-
-    Entries are ints or Fractions.  Each row is scaled to integers by the
-    lcm of its denominators first, so the elimination runs on plain Python
-    ints; agrees exactly with det_generic.
-    """
-    _require_square(m)
-    n = m.rows
+def det_int(a: list) -> int:
+    """Fraction-free Bareiss determinant of a square integer matrix given as
+    a list of row lists, which it overwrites.  Every division in the
+    elimination is exact (Bareiss 1968), so it runs on plain Python ints;
+    the empty matrix gives 1."""
+    n = len(a)
     if n == 0:
-        return _ONE
-    a = []
-    denom_scale = 1
-    for i in range(n):
-        row = m.row(i)
-        l = math.lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (l // x.denominator) for x in row])
-        denom_scale *= l
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -943,7 +933,7 @@ def det_rational(m: RingMatrix) -> Fraction:
                     sign = -sign
                     break
             else:
-                return _ZERO
+                return 0
         pivot = a[k][k]
         row_k = a[k]
         for i in range(k + 1, n):
@@ -953,7 +943,25 @@ def det_rational(m: RingMatrix) -> Fraction:
                 row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return Fraction(sign * a[n - 1][n - 1], denom_scale)
+    return sign * a[n - 1][n - 1]
+
+
+def det_rational(m: RingMatrix) -> Fraction:
+    """Determinant of a matrix of ints or Fractions; agrees exactly with
+    det_generic.
+
+    Each row is scaled to integers by the lcm of its denominators, det_int
+    eliminates, and the product of the row scales is divided out once.
+    """
+    _require_square(m)
+    a = []
+    denom_scale = 1
+    for i in range(m.rows):
+        row = m.row(i)
+        l = math.lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (l // x.denominator) for x in row])
+        denom_scale *= l
+    return Fraction(det_int(a), denom_scale)
 
 
 def vandermonde_product(values, mults=None):

@@ -17,6 +17,7 @@ from opident.identity import (
     matrix_M,
     matrix_N,
     modified_functional,
+    prop13_sign,
     rhs_theorem1,
     sweep_prop13,
     sweep_theorem1_atom,
@@ -29,11 +30,12 @@ from opident.identity import (
 from opident.moments import (
     ChebyshevCatalanFunctional,
     FiniteAtomFunctional,
+    PoleAtAtomError,
     functional_from_json,
     random_atom_functional,
     random_sequence_functional,
 )
-from opident.orthopoly import build_ortho_system, poly_lemma5, q_exact
+from opident.orthopoly import build_ortho_system, poly_lemma5, q_exact, q_row
 from opident.ring import RingMatrix, UniPoly, det_rational, vandermonde_product
 
 F = Fraction
@@ -203,6 +205,28 @@ def test_verify_error_becomes_failed_report(rng):
     assert "error" in rep.note
 
 
+def test_pole_on_atom_raises_only_with_a_q_column():
+    # A y on an atom node divides by zero only in a q_b column with b >= 0.
+    # At n = 0 with m = 0 every column is a power column q_b(y) = y^(-b-1),
+    # so the instance must verify (line 121 of theorem1-fractional-values).
+    f = _fractional_functional()
+    sys = build_ortho_system(f, 3)
+    node = F(-1, 3)
+    assert node in f.nodes
+    nums, den = q_row(sys, range(-2, 0), node)
+    assert [F(v, den) for v in nums] == [node, 1]
+    with pytest.raises(PoleAtAtomError):
+        q_row(sys, range(-2, 1), node)
+    for inst in (
+        IdentityInstance(n=0, ys=(node, F(1, 9))),
+        IdentityInstance(n=0, omega=((node, 2),)),
+    ):
+        rep = verify_theorem1(sys, inst)
+        assert rep.equal and rep.lhs == 1, rep.params
+    rep = verify_theorem1(sys, IdentityInstance(n=0, xs=(F(1, 2),), ys=(node,)))
+    assert not rep.equal and rep.note == "error: y = -1/3 is an atom node"
+
+
 # Each known fault, patched in, must make a sweep report a value mismatch,
 # so that an exact pass means something.  name -> (attribute of identity,
 # faulty replacement built from the original, sweep that must catch it).
@@ -213,7 +237,7 @@ NEGATIVE_CONTROLS = {
         lambda: sweep_theorem1_atom(seed=11, trials=1),
     ),
     "column index shifted by one": (
-        "_theorem1_matrix",
+        "_theorem1_rows",
         lambda orig: lambda sys, inst: orig(sys, dataclasses.replace(inst, n=inst.n - 1)),
         lambda: sweep_theorem1_atom(seed=11, trials=1),
     ),
@@ -387,6 +411,104 @@ def test_confluent_all_multiplicities_one_matches_theorem1(rng):
         )
         assert plain.equal and conf.equal
         assert plain.lhs == conf.lhs and plain.rhs == conf.rhs
+
+
+def _fractional_functional():
+    path = Path(__file__).parent / "golden" / "atoms8-fractional.json"
+    return functional_from_json(path.read_text())
+
+
+def _oracle_matrix(sys, inst):
+    """The atom-mode p/q matrix in plain Fractions, entry by entry: Taylor
+    coefficients of the UniPoly p_b, the atom sums
+    sum_a w_a p_b(u_a) (-1)^r / (y - u_a)^(r+1), and the b < 0 conventions."""
+    f = sys.functional
+    cols = range(inst.n - inst.k, inst.n + inst.m)
+    rows = []
+    for x, c in inst.xi:
+        for r in range(c):
+            rows.append([
+                sys.p(b).derivative(r).eval(x) / math.factorial(r) if b >= 0 else F(0)
+                for b in cols
+            ])
+    for y, c in inst.omega:
+        for r in range(c):
+            rows.append([
+                sum((w * sys.p(b).eval(u) * (-1) ** r / (y - u) ** (r + 1) for u, w in f.atoms),
+                    F(0))
+                if b >= 0
+                else (UniPoly.variable() ** (-b - 1)).derivative(r).eval(y) / math.factorial(r)
+                for b in cols
+            ])
+    return RingMatrix.from_rows(rows)
+
+
+def _oracle_instances(seed):
+    # every plain (n, k, m) with n, k, m small, n < k included, plus
+    # confluent blocks; ys have denominator 9, which no atom node has
+    draw = random.Random(seed)
+    xs_pool = [F(p, 4) for p in range(-13, 14)]
+    ys_pool = [F(p, 9) for p in range(-40, 41) if p % 3]
+    for n in range(5):
+        for k in range(3):
+            for m in range(3):
+                yield IdentityInstance(n=n, xs=draw.sample(xs_pool, m), ys=draw.sample(ys_pool, k))
+        for x_mults, y_mults in (((2,), ()), ((), (2,)), ((2, 1), (1,)), ((1,), (3,))):
+            xs = draw.sample(xs_pool, len(x_mults))
+            ys = draw.sample(ys_pool, len(y_mults))
+            yield IdentityInstance(n=n, xi=tuple(zip(xs, x_mults)), omega=tuple(zip(ys, y_mults)))
+
+
+@pytest.mark.parametrize("fractional", [False, True])
+def test_integer_rhs_matches_fraction_oracle(fractional, rng):
+    # the integer rows and their one Bareiss run against det_rational of the
+    # matrix built entry by entry in Fractions, over integer nodes and over
+    # nodes with node_scale > 1
+    if fractional:
+        f = _fractional_functional()
+    else:
+        f = random_atom_functional(rng, 8, hankel_nonzero_upto=7)
+    assert (f.node_scale > 1) == fractional
+    sys = build_ortho_system(f, 7)
+    for inst in _oracle_instances(12):
+        mat = _oracle_matrix(sys, inst)
+        assert identity._theorem1_matrix(sys, inst) == mat, inst.params()
+        expected = prop13_sign(inst) * det_rational(mat) / identity._vandermondes(inst)
+        assert rhs_theorem1(sys, inst) == expected, inst.params()
+
+
+def test_shared_ortho_system_verifies_from_threads():
+    # A built OrthoSystem is documented as safe to share across threads: six
+    # threads verify the same instances on one system, and every report
+    # equals the one computed serially on a separate system.
+    import sys
+    import threading
+
+    insts = list(_oracle_instances(3))
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            system = build_ortho_system(_fractional_functional(), 7)
+            alone = build_ortho_system(_fractional_functional(), 7)
+            serial = [verify_theorem1(alone, i) for i in insts]
+            assert all(r.equal for r in serial)
+            barrier = threading.Barrier(6)
+            results = [None] * 6
+
+            def worker(slot):
+                barrier.wait(timeout=10)
+                results[slot] = [verify_theorem1(system, i) for i in insts]
+
+            threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert all(r == serial for r in results)
+    finally:
+        sys.setswitchinterval(old_interval)
 
 
 def test_confluent_matrix_negative_index_entry(rng):

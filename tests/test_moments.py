@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,7 @@ from opident.moments import (
     functional_from_json,
     random_atom_functional,
 )
-from opident.ring import InverseSeries, RingMatrix, UniPoly, det_generic
+from opident.ring import InverseSeries, RingMatrix, UniPoly, det_generic, det_rational
 
 from conftest import bruteforce_det
 
@@ -220,6 +221,49 @@ def test_modified_hankel_det_reductions(rng):
     assert f.modified_hankel_det(0, xs=(1,), ys=(F(1, 3),)) == 1
     for n in range(4):
         assert f.modified_hankel_det(n) == f.hankel_det(n)
+
+
+def _fraction_modified_moment(f, i, xs, ys):
+    """L(u^i prod(u - x) / prod(u - y)) summed over the atoms in Fractions."""
+    total = F(0)
+    for u, w in f.atoms:
+        term = w * u**i
+        for x in xs:
+            term *= u - x
+        for y in ys:
+            term /= u - y
+        total += term
+    return total
+
+
+def test_modified_hankel_det_matches_fraction_hankel_on_fractional_nodes():
+    # the one integer Bareiss run over D^n B^(n(n-1)) against det_rational of
+    # the Hankel matrix of modified moments summed in Fractions; B = 210 here
+    path = Path(__file__).parent / "golden" / "atoms8-fractional.json"
+    f = functional_from_json(path.read_text())
+    assert f.node_scale == 210
+    params = [
+        ((), ()),
+        ((F(1, 2),), ()),
+        ((), (F(1, 9),)),
+        ((F(3, 4), F(-5, 3)), (F(2, 9), F(-7, 9), F(4, 9))),
+        ((F(1, 4), F(7, 6), F(-2, 9)), (F(5, 9),)),
+    ]
+    for xs, ys in params:
+        mm = [_fraction_modified_moment(f, i, xs, ys) for i in range(9)]
+        for n in range(5):
+            assert f.modified_hankel_det(n, xs, ys) == det_rational(RingMatrix.hankel(mm, n))
+
+
+def test_modified_hankel_det_on_moment_sequences():
+    # the other backends reach the same Bareiss run through integer_form
+    seq = SequenceFunctional(F(k * k - 7, 1 + k % 4) for k in range(12))
+    cheb = ChebyshevCatalanFunctional()
+    for f in (seq, cheb):
+        for xs in ((), (F(1, 2),), (F(2, 3), -3)):
+            for n in range(4):
+                mm = f.modified_moments(2 * n - 1, xs) if n else []
+                assert f.modified_hankel_det(n, xs) == det_rational(RingMatrix.hankel(mm, n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from opident.moments import (
     MomentHorizonError,
     PoleAtAtomError,
     SequenceFunctional,
+    functional_from_json,
     random_atom_functional,
 )
 from opident.orthopoly import (
@@ -275,6 +277,24 @@ def test_q_derivative_order_zero_and_single_atom():
     single = build_ortho_system(FiniteAtomFunctional([(0, 1)]), 0)
     assert q_exact(single, 0, 2, 0) * math.factorial(0) == q_exact(single, 0, 2)
     assert q_exact(single, 0, 2, 1) * math.factorial(1) == F(-1, 4)
+
+
+def test_q_exact_equals_the_atom_sum_in_fractions(rng):
+    # q_exact is the one-column q_row; the oracle is the atom sum
+    # sum_a w_a p_n(u_a) (-1)^r / (y - u_a)^(r+1) in plain Fractions, over
+    # integer nodes and over nodes with node_scale 210
+    path = Path(__file__).parent / "golden" / "atoms8-fractional.json"
+    fractional = functional_from_json(path.read_text())
+    for f in (random_atom_functional(rng, 7, hankel_nonzero_upto=5), fractional):
+        sys = build_ortho_system(f, 5)
+        for n in range(6):
+            p = sys.p(n)
+            for y in (F(1, 9), F(-22, 7), F(9, 2), F(-35, 3)):
+                for r in range(3):
+                    expected = sum(
+                        (w * p.eval(u) * (-1) ** r / (y - u) ** (r + 1) for u, w in f.atoms), F(0)
+                    )
+                    assert q_exact(sys, n, y, r) == expected, (n, y, r)
 
 
 def test_q_exact_refuses_negative_index():
