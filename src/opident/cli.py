@@ -116,12 +116,22 @@ def _report_sweep(reports, args, command: str, config: dict) -> int:
     return 0 if not bad else 1
 
 
+# Default (max_n, max_k, max_m) of `verify theorem1`, atom and series mode.
+# The series max_k is also its limit: one k = 3 instance costs seconds.
+_THEOREM1_SHAPE = {False: (6, 3, 3), True: (4, 2, 2)}
+
+
 def _cmd_verify_theorem1(args) -> int:
     seed = _seed_from(args)
     functional = None
+    for name, default in zip(("max_n", "max_k", "max_m"), _THEOREM1_SHAPE[args.series]):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.series and args.max_k < 1:
         raise SystemExit2("series mode needs k >= 1 formal y (--max-k at least 1); "
                           "k = 0 has no series to compare, use atom mode")
+    if args.series and args.max_k > 2:
+        raise SystemExit2("series mode runs k <= 2 formal ys (--max-k at most 2)")
     if args.functional:
         if args.series:
             raise SystemExit2("--functional is not supported with --series "
@@ -144,9 +154,9 @@ def _cmd_verify_theorem1(args) -> int:
                 seed,
                 trials=args.trials,
                 truncation=args.truncation,
-                max_n=min(args.max_n, 4),
-                ks=tuple(k for k in (1, 2) if k <= args.max_k),
-                max_m=min(args.max_m, 2),
+                max_n=args.max_n,
+                ks=tuple(range(1, args.max_k + 1)),
+                max_m=args.max_m,
             )
         else:
             reports = sweep_theorem1_atom(
@@ -351,9 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = verify.add_subparsers(dest="target", required=True)
 
     p = vsub.add_parser("theorem1", help="the main determinant identity")
-    p.add_argument("--max-n", type=_int_at_least(0), default=6)
-    p.add_argument("--max-k", type=_int_at_least(0), default=3)
-    p.add_argument("--max-m", type=_int_at_least(0), default=3)
+    p.add_argument("--max-n", type=_int_at_least(0), help="default 6, 4 with --series")
+    p.add_argument("--max-k", type=_int_at_least(0), help="default 3, 2 with --series (its limit)")
+    p.add_argument("--max-m", type=_int_at_least(0), help="default 3, 2 with --series")
     p.add_argument("--trials", type=_int_at_least(1), default=100)
     p.add_argument("--truncation", type=_int_at_least(1), default=25)
     p.add_argument("--series", action="store_true",

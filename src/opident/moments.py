@@ -130,19 +130,26 @@ class MomentFunctional:
         Rational y's need a finite-atom backend; with no y's any backend
         works (the integrand is a polynomial).
         """
-        if ys:
-            raise ModeError("rational y parameters need a finite-atom functional")
-        return self.apply(_numerator_poly(i, xs))
+        return self.modified_moments(i + 1, xs, ys)[i]
 
     def modified_moments(self, count: int, xs=(), ys=()) -> list[Fraction]:
-        """Modified moments for i = 0..count-1 (see modified_moment)."""
-        return [self.modified_moment(s, xs, ys) for s in range(count)]
+        """Modified moment i is M_i / (D B^i) (see _modified_ints), for
+        i = 0..count-1."""
+        mm, den, b = self._modified_ints(count, xs, ys)
+        out = []
+        for m in mm:
+            out.append(Fraction(m, den))
+            den *= b
+        return out
 
     def _modified_ints(self, count: int, xs=(), ys=()) -> tuple[list[int], int, int]:
         """Integers M_i, D > 0 and B > 0 with modified moment i equal to
-        M_i / (D B^i) for i = 0..count-1."""
-        nums, den = integer_form(self.modified_moments(count, xs, ys))
-        return list(nums), den, 1
+        M_i / (D B^i) for i = 0..count-1; here B = 1 and M_i / D is the
+        polynomial moment of _modified_row."""
+        if ys:
+            raise ModeError("rational y parameters need a finite-atom functional")
+        nums, den = self._modified_row(xs, 0, count)
+        return nums, den, 1
 
     def modified_hankel_det(self, n: int, xs=(), ys=()) -> Fraction:
         """det of the modified moments M_{i+j} / (D B^(i+j)), 0 <= i, j <= n-1:
@@ -188,7 +195,8 @@ class MomentFunctional:
         max_extra = truncation - 1 - k
         if max_extra < 0:
             return [zero] * count
-        r = self._modified_row(xs, start, count + max_extra)
+        nums, den = self._modified_row(xs, start, count + max_extra)
+        r = [ratio(v, den) for v in nums]
         shapes = [_shifted_compositions(d, k) for d in range(max_extra + 1)]
         out = []
         for s in range(count):
@@ -203,16 +211,19 @@ class MomentFunctional:
             out.append(InverseSeries._make(variables, terms, truncation, truncation))
         return out
 
-    def _modified_row(self, xs, start: int, count: int) -> list:
-        """r_j = L(u^j prod(u - x_l)) for j = start..start+count-1, each an int
-        when it is integral: the integer coefficients of prod(u - x_l) against
-        the integer moment numerators, over the product of their lcms."""
-        base, den = integer_form(_numerator_poly(0, xs).coeffs)
+    def _modified_row(self, xs, start: int, count: int) -> tuple[list[int], int]:
+        """Integers r_j and D > 0 with L(u^j prod(u - x_l)) = r_j / D for
+        j = start..start+count-1: the integer coefficients of prod(u - x_l)
+        against the integer moment numerators, over the product of their
+        lcms."""
+        u = UniPoly.variable("u")
+        poly = math.prod((u - Fraction(x) for x in xs), start=UniPoly.one("u"))
+        base, den = integer_form(poly.coeffs)
         width = len(base)
-        self._require_horizon(start + count + width - 2)
+        if count:
+            self._require_horizon(start + count + width - 2)
         mu, mu_den = integer_form([self.moment(start + t) for t in range(count + width - 1)])
-        den *= mu_den
-        return [ratio(sum(map(mul, base, mu[j : j + width])), den) for j in range(count)]
+        return [sum(map(mul, base, mu[j : j + width])) for j in range(count)], den * mu_den
 
     # -- serialization -----------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -220,15 +231,6 @@ class MomentFunctional:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
-
-
-def _numerator_poly(i: int, xs) -> UniPoly:
-    """u^i * prod(u - x_l) as a polynomial in u."""
-    p = UniPoly.one("u").shift(i)
-    u = UniPoly.variable("u")
-    for x in xs:
-        p = p * (u - Fraction(x))
-    return p
 
 
 class FiniteAtomFunctional(MomentFunctional):
@@ -309,18 +311,6 @@ class FiniteAtomFunctional(MomentFunctional):
             out.append(sum(powers))
             powers = [p * u for p, u in zip(powers, self.node_numerators)]
         return out, den, self.node_scale
-
-    def modified_moments(self, count: int, xs=(), ys=()) -> list[Fraction]:
-        """Modified moment i is M_i / (D B^i) with M_i = sum_a N_a U_a^i."""
-        mm, den, b = self._modified_ints(count, xs, ys)
-        out = []
-        for m in mm:
-            out.append(Fraction(m, den))
-            den *= b
-        return out
-
-    def modified_moment(self, i: int, xs=(), ys=()) -> Fraction:
-        return self.modified_moments(i + 1, xs, ys)[i]
 
     def to_json_dict(self) -> dict:
         return {

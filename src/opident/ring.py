@@ -651,12 +651,15 @@ def det_cofactor(m: RingMatrix, one=_ONE):
 
 
 def det_berkowitz(m: RingMatrix, one=_ONE):
-    """Berkowitz's division-free determinant.
+    """Berkowitz's division-free determinant: a cross-checked reference that
+    no product path calls.
 
     Works over any commutative ring, including rings with zero divisors
     (truncated series) and rings without division (polynomials).  Computes
     the characteristic polynomial of each trailing principal submatrix via
-    Toeplitz products; det A = (-1)^n * (constant coefficient).
+    Toeplitz products; det A = (-1)^n * (constant coefficient).  On series
+    its trunc follows the valuations of intermediate sums, so it can differ
+    from det_generic's, whose values it matches below both.
     """
     _require_square(m)
     n = m.rows
@@ -716,9 +719,12 @@ def _dot(row, vec, zero):
 def _det_subset_expansion(m: RingMatrix, one, reduce=None):
     """First-row expansion with minors memoized over column subsets.
 
-    n * 2^(n-1) ring multiplications; good for the small series matrices.
-    ``reduce``, when given, maps every minor as it is formed (the packed
-    series path truncates there).
+    At most n * 2^(n-1) ring multiplications.  Minors grow from the bottom
+    rows up, so scalar rows on top only scale the minors of series rows.
+    Each minor is multilinear in the columns: a column scaled by a nonzero
+    integer scales all its terms alike, so the same sums cancel and trunc
+    and cap do not change.  ``reduce``, when given, maps every minor as it is formed
+    (the packed series path truncates there).
     """
     n = m.rows
     if n == 0:
@@ -754,18 +760,11 @@ def _det_subset_expansion(m: RingMatrix, one, reduce=None):
 
 
 def det_generic(m: RingMatrix, one=_ONE):
-    """Division-free determinant over any commutative ring.
-
-    Dimension <= 4 uses memoized cofactor expansion, larger matrices use
-    Berkowitz.  Both agree in value with the plain cofactor oracle below the
-    common order; on truncated series Berkowitz (5x5 and up) can keep
-    different trunc bookkeeping, since its trunc follows the valuations of
-    other intermediate sums.
-    """
+    """Division-free determinant over any commutative ring: the memoized
+    subset expansion, n * 2^(n-1) ring multiplications at every size.  Large
+    matrices have det_rational (rationals) and det_poly (polynomials)."""
     _require_square(m)
-    if m.rows <= 4:
-        return _det_subset_expansion(m, one)
-    return det_berkowitz(m, one)
+    return _det_subset_expansion(m, one)
 
 
 def det_series(m: RingMatrix, variables):
@@ -780,10 +779,8 @@ def det_series(m: RingMatrix, variables):
     plain ints.  A matrix of series in at most two variables with
     nonnegative exponents and one shared trunc == cap (the modified-moment
     Hankel shape) is expanded Kronecker-packed (_packed_det).  Anything else
-    runs det_generic on the integer columns, except above 4x4: there
-    det_generic is Berkowitz, whose truncation bookkeeping depends on the
-    valuations of sums that column scaling would change, so it gets the
-    matrix as given.
+    runs det_generic on the integer columns.  Both are the subset
+    expansion, so at every size column scaling leaves trunc and cap alone.
     """
     _require_square(m)
     variables = tuple(variables)
@@ -795,8 +792,6 @@ def det_series(m: RingMatrix, variables):
     # scale and pack every distinct entry (or entry and scale) once.
     distinct = {id(x): x for x in m.entries}
     trunc = _packed_trunc(distinct.values(), variables)
-    if trunc is None and n > 4:
-        return det_generic(m, one)
     dens = {key: _denominator(x) for key, x in distinct.items()}
     scales = [math.lcm(*(dens[id(m.get(i, j))] for i in range(n))) for j in range(n)]
     cache = {}

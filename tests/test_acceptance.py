@@ -218,3 +218,20 @@ def test_criterion_9_determinant_cross_check():
         assert det_cofactor(mat) == a
     elapsed = time.perf_counter() - t0
     _report("9 (determinant cross-check)", "1000 matrices", elapsed)
+
+
+def test_criterion_10_series_sweep_up_to_n6_m3():
+    """The series shapes beyond criterion 2 for k in {1,2}: n <= 6, m <= 3,
+    which include the 5x5 right-hand side at k + m = 5; every instance
+    agrees below total degree 25; < 60 s."""
+    t0 = time.perf_counter()
+    reports = sweep_theorem1_series(
+        SEED, trials=2, truncation=25, max_n=6, ks=(1, 2), max_m=3
+    )
+    elapsed = time.perf_counter() - t0
+    assert len(reports) == 2 * 2 * 4 * 7
+    assert all(r.equal for r in reports)
+    assert all(r.compared_order is not None and r.compared_order >= 25 for r in reports)
+    assert elapsed < 60.0
+    _report("10 (theorem 1, formal series, n <= 6, m <= 3)",
+            f"{len(reports)} instances, order 25", elapsed)

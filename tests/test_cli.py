@@ -264,6 +264,38 @@ def test_series_max_k_zero_exits_2(capsys):
     assert err.startswith("error:") and "k >= 1" in err
 
 
+def test_series_default_shape_is_what_runs(capsys):
+    argv = ["verify", "theorem1", "--series", "--trials", "1", "--truncation", "8", "--json"]
+    code, out, _ = run_cli(argv, capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["all_equal"] is True
+    config = payload["config"]
+    assert (config["max_n"], config["max_k"], config["max_m"]) == (4, 2, 2)
+    assert payload["instances"] == 2 * 3 * 5  # k in 1..2, m in 0..2, n in 0..4
+
+
+@pytest.mark.parametrize("max_k", ["3", "4"])
+def test_series_max_k_above_limit_exits_2(max_k, capsys):
+    argv = ["verify", "theorem1", "--series", "--max-k", max_k, "--trials", "1",
+            "--truncation", "8", "--json"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "k <= 2" in err
+
+
+def test_series_runs_the_max_n_and_max_m_it_echoes(capsys):
+    # n and m run as given: clamped to n <= 4 and m <= 2 this would be 15
+    # instances under an echo of 5 and 3
+    argv = ["verify", "theorem1", "--series", "--max-n", "5", "--max-k", "1",
+            "--max-m", "3", "--trials", "1", "--truncation", "8", "--json"]
+    code, out, _ = run_cli(argv, capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["all_equal"] is True
+    assert (payload["config"]["max_n"], payload["config"]["max_m"]) == (5, 3)
+    assert payload["instances"] == 1 * 4 * 6
+
+
 @pytest.mark.parametrize("series", [False, True])
 def test_verify_theorem1_depth_zero(series, capsys):
     # max_n = max_m = 0 leaves only the power-column instances (n = 0, m = 0).

@@ -256,6 +256,12 @@ NEGATIVE_CONTROLS = {
         lambda orig: vandermonde_product,
         lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
     ),
+    "series column index shifted by one": (
+        "_theorem1_matrix",
+        lambda orig: lambda sys, inst: orig(sys, dataclasses.replace(inst, n=inst.n - 1)),
+        lambda: sweep_theorem1_series(
+            seed=11, trials=1, truncation=12, max_n=3, ks=(2,), max_m=3),
+    ),
     "series H(n-k) dropped": (
         "_hankel_divisor",
         lambda orig: lambda f, n, k: 1,

@@ -256,13 +256,20 @@ def test_modified_hankel_det_matches_fraction_hankel_on_fractional_nodes():
 
 
 def test_modified_hankel_det_on_moment_sequences():
-    # the other backends reach the same Bareiss run through integer_form
+    # the other backends reach the same Bareiss run through _modified_row;
+    # the oracle applies the functional to u^i prod(u - x) in Fractions
     seq = SequenceFunctional(F(k * k - 7, 1 + k % 4) for k in range(12))
     cheb = ChebyshevCatalanFunctional()
+    u = UniPoly.variable("u")
     for f in (seq, cheb):
         for xs in ((), (F(1, 2),), (F(2, 3), -3)):
+            poly = UniPoly.one("u")
+            for x in xs:
+                poly = poly * (u - x)
+            mm = [f.apply(poly.shift(i)) for i in range(7)]
+            assert f.modified_moments(7, xs) == mm
+            assert f.modified_moments(0, xs) == []
             for n in range(4):
-                mm = f.modified_moments(2 * n - 1, xs) if n else []
                 assert f.modified_hankel_det(n, xs) == det_rational(RingMatrix.hankel(mm, n))
 
 
@@ -318,6 +325,13 @@ def test_series_horizon_error_names_the_largest_demanded_moment():
     f = SequenceFunctional(range(1, 12))  # horizon 10
     with pytest.raises(MomentHorizonError, match=r"^moment 13 requested, horizon is 10$"):
         f.modified_moment_series(6, (1,), ("y1",), 8)
+
+
+def test_modified_hankel_horizon_error_names_the_largest_demanded_moment():
+    # H(6) of two-x modified moments needs moments up to 2*6 - 2 + 2 = 12
+    f = SequenceFunctional(range(1, 11))  # horizon 9
+    with pytest.raises(MomentHorizonError, match=r"^moment 12 requested, horizon is 9$"):
+        f.modified_hankel_det(6, (F(1, 2), 3))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -216,16 +216,19 @@ def test_det_cofactor_and_berkowitz_series_bookkeeping():
     got = det_cofactor(m, one)
     assert got.is_exact_zero
     assert _same_det(got, _det_subset_expansion(m, one))
-    # 5x5 goes to Berkowitz, which books this zero with trunc 3 where the
-    # cofactor oracle has the exact zero: the two agree in value only
+    # Berkowitz books this 5x5 zero with trunc 3 where the cofactor oracle
+    # has the exact zero: the two agree in value only.  det_generic, the
+    # subset expansion at every size, matches the oracle in bookkeeping too.
     u = InverseSeries(v, {}, 3)
     w = InverseSeries(v, {(0,): F(-1)}, 1)
     rows = [[0] * 5 for _ in range(5)]
     rows[0][3], rows[3][0], rows[3][3] = u, w, 2
     m5 = RingMatrix.from_rows(rows)
-    berkowitz = det_generic(m5, one)
-    assert berkowitz == det_cofactor(m5, one)
-    assert (berkowitz.trunc, det_cofactor(m5, one).trunc) == (3, None)
+    berkowitz = det_berkowitz(m5, one)
+    cofactor = det_cofactor(m5, one)
+    assert berkowitz == cofactor
+    assert (berkowitz.trunc, cofactor.trunc) == (3, None)
+    assert _same_det(det_generic(m5, one), cofactor)
 
 
 def test_jacobi_condensation_on_random_matrices():
@@ -607,8 +610,8 @@ def test_det_series_matches_generic_and_cofactor(k, rational):
             got = det_series(m, variables)
             assert _same_det(got, det_generic(m, one))
             assert _same_det(got, det_cofactor(m, one))
-            if n and not rational and (k <= 2 or n <= 4):
-                # integer input stays on ints (Berkowitz multiplies by one)
+            if n and not rational:
+                # integer input stays on ints
                 assert all(type(c) is int for c in got.terms.values())
 
 
@@ -632,9 +635,8 @@ def _mixed_entry(rng, variables, low):
 def test_det_series_mixed_entries(laurent):
     # zero scalars, exact zero series, exact (trunc=None) entries, unequal
     # truncations and, with laurent, negative exponents: all take the
-    # integer-column det_generic (5x5 takes det_generic as given).
-    # Berkowitz above 4x4 books truncation differently, so against
-    # det_cofactor the bookkeeping is compared up to 4x4; the values always.
+    # integer-column det_generic, which matches det_cofactor's bookkeeping
+    # at every size.
     rng = random.Random(71 + laurent)
     low = -2 if laurent else 0
     for k in (1, 2, 3):
@@ -647,29 +649,33 @@ def test_det_series_mixed_entries(laurent):
                 want = det_generic(m, one)
                 cofactor = det_cofactor(m, one)
                 assert _same_det(got, want)
-                assert got == cofactor
-                if n <= 4:
-                    assert _same_det(want, cofactor)
-                    assert _same_det(got, cofactor)
+                assert _same_det(got, cofactor)
 
 
-def test_det_series_5x5_keeps_berkowitz_bookkeeping():
-    # Above 4x4 det_generic is Berkowitz.  Scaling this matrix's last column
-    # by 2 changes the valuation of one of its intermediate sums and with it
-    # the trunc of the result (the exact zero as given, trunc 2 scaled), so
-    # det_series must hand it to det_generic unscaled.
+def test_det_series_5x5_scaled_keeps_bookkeeping():
+    # Scaling this matrix's last column by 2 changes the valuation of one of
+    # Berkowitz's intermediate sums and with it the trunc of its result (the
+    # exact zero as given, trunc 2 scaled).  The subset expansion's minors
+    # scale term by term, so det_series scales it like any other matrix and
+    # still equals det_generic and det_cofactor in terms, trunc and cap.
     v = ("y1",)
     s = InverseSeries(v, {}, 2)
     t = InverseSeries(v, {(1,): F(1, 2), (2,): F(-1)}, 3)
-    m = RingMatrix.from_rows([
+    rows = [
         [0, 1, 0, 0, 0],
         [1, 0, 1, 0, 0],
         [0, s, 0, 0, 0],
         [0, 0, 0, -1, t],
         [0, 0, 0, 0, 1],
-    ])
-    want = det_generic(m, InverseSeries.one(v))
+    ]
+    m = RingMatrix.from_rows(rows)
+    scaled = RingMatrix.from_rows([r[:4] + [2 * r[4]] for r in rows])
+    one = InverseSeries.one(v)
+    want = det_generic(m, one)
     assert want.is_exact_zero
+    assert (det_berkowitz(m, one).trunc, det_berkowitz(scaled, one).trunc) == (None, 2)
+    assert _same_det(det_generic(scaled, one), want)
+    assert _same_det(want, det_cofactor(m, one))
     assert _same_det(det_series(m, v), want)
 
 
