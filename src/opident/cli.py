@@ -202,6 +202,8 @@ def _cmd_hankel(args) -> int:
     f = _load_functional(args.functional, default=ChebyshevCatalanFunctional())
     xs = _parse_rational_list(args.xs)
     ys = _parse_rational_list(args.ys)
+    if ys and not isinstance(f, FiniteAtomFunctional):
+        raise SystemExit2("rational y parameters need a finite-atom functional")
     try:
         if xs or ys:
             value = f.modified_hankel_det(args.n, xs, ys)

@@ -37,7 +37,7 @@ from .orthopoly import (
     OrthoSystem,
     build_ortho_system,
     q_row,
-    q_series,
+    q_series_row,
 )
 from .ring import (
     InverseSeries,
@@ -243,8 +243,9 @@ def _pq_rows(sys: OrthoSystem, cols, xi, omega) -> list:
 
 
 def _fractions(rows) -> list:
-    """Integer rows over row denominators as rows of Fractions."""
-    return [[Fraction(v, den) for v in nums] for nums, den in rows]
+    """Integer rows over row denominators as rows of Fractions (series
+    entries get Fraction coefficients)."""
+    return [[v * Fraction(1, den) for v in nums] for nums, den in rows]
 
 
 def _y_blocks(inst) -> tuple:
@@ -256,25 +257,21 @@ def _y_blocks(inst) -> tuple:
 
 
 def _theorem1_rows(sys: OrthoSystem, inst: IdentityInstance) -> list:
-    """The atom-mode p/q matrix of an instance as _pq_rows; repeated
-    parameters give derivative rows."""
-    return _pq_rows(sys, range(inst.n - inst.k, inst.n + inst.m), inst.xi, inst.omega)
+    """The p/q matrix of an instance as _pq_rows (integer entries, row
+    denominator); repeated parameters give derivative rows.  In series mode
+    each formal y gives one q_series_row at the work truncation."""
+    cols = range(inst.n - inst.k, inst.n + inst.m)
+    if inst.mode == "atom":
+        return _pq_rows(sys, cols, inst.xi, inst.omega)
+    wt = _work_truncation(inst.truncation, inst.k)
+    q_rows = [q_series_row(sys, cols, wt, inst.ys, slot) for slot in range(inst.k)]
+    return _pq_rows(sys, cols, inst.xi, ()) + q_rows
 
 
 def _theorem1_matrix(sys: OrthoSystem, inst: IdentityInstance) -> RingMatrix:
-    """The p/q matrix of an instance; repeated parameters give derivative
-    blocks.  In series mode the q-rows are the truncated series q_series of
-    the formal ys."""
-    if inst.mode == "atom":
-        return RingMatrix.from_rows(_fractions(_theorem1_rows(sys, inst)))
-    cols = range(inst.n - inst.k, inst.n + inst.m)
-    wt = _work_truncation(inst.truncation, inst.k)
-    rows = _fractions(_pq_rows(sys, cols, inst.xi, ()))
-    for slot, (y, _) in enumerate(_y_blocks(inst)):
-        rows.append([
-            q_series(sys, b, wt, inst.ys, slot) if b >= 0 else y ** (-b - 1) for b in cols
-        ])
-    return RingMatrix.from_rows(rows)
+    """_theorem1_rows over their row denominators: in series mode the
+    q-rows hold the truncated q_series and the exact powers y^(-b-1), b < 0."""
+    return RingMatrix.from_rows(_fractions(_theorem1_rows(sys, inst)))
 
 
 def matrix_M(sys: OrthoSystem, inst: IdentityInstance) -> RingMatrix:
@@ -340,15 +337,16 @@ def rhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
 
     The sign is prop13_sign, which is (-1)^(n(m-k)+km) when every
     multiplicity is 1.  Each Vandermonde factor is raised to the product of
-    the two multiplicities.
+    the two multiplicities.  Both modes run one determinant on the integer
+    _theorem1_rows and divide by the product of their row denominators in
+    one Fraction.
     """
-    sign = prop13_sign(inst)
+    rows = _theorem1_rows(sys, inst)
+    sign, den = prop13_sign(inst), math.prod(d for _, d in rows)
     if inst.mode == "atom":
-        rows = _theorem1_rows(sys, inst)
-        det = Fraction(sign * det_int([nums for nums, _ in rows]), math.prod(d for _, d in rows))
-        return det / _vandermondes(inst)
-    d = det_series(_theorem1_matrix(sys, inst), inst.ys)
-    return d * (sign * _hankel_divisor(sys.functional, inst.n, inst.k))
+        return Fraction(sign * det_int([nums for nums, _ in rows]), den) / _vandermondes(inst)
+    d = det_series(RingMatrix.from_rows(nums for nums, _ in rows), inst.ys)
+    return d * (Fraction(sign, den) * _hankel_divisor(sys.functional, inst.n, inst.k))
 
 
 def verify_theorem1(sys: OrthoSystem, inst: IdentityInstance) -> VerificationReport:

@@ -34,7 +34,7 @@ from .ring import (
     format_rational,
     integer_form,
     parse_rational,
-    ratio,
+    series_ratio,
 )
 
 _ZERO = Fraction(0)
@@ -167,36 +167,40 @@ class MomentFunctional:
         -sum_t u^t y_l^(-t-1), truncated at total inverse degree `truncation`.
 
         The coefficient of prod y_l^(-e_l) (all e_l >= 1) is
-        (-1)^k * L(u^(i + sum(e_l - 1)) * prod(u - x_l)).
+        (-1)^k * L(u^(i + sum(e_l - 1)) * prod(u - x_l)).  It is the
+        one-entry _modified_series_row; integral coefficients stay ints.
         """
-        return self._modified_series_row(i, 1, xs, variables, truncation)[0]
+        (s,), den = self._modified_series_row(i, 1, xs, variables, truncation)
+        return series_ratio(s, den)
 
     def modified_hankel_det_series(
         self, n: int, xs=(), variables=("y1",), truncation: int = 25
     ) -> InverseSeries:
+        """det of the modified-moment series, 0 <= i, j <= n-1: one det_series
+        run on the integer-coefficient Hankel matrix, divided by D^n."""
         variables = tuple(variables)
         if n == 0:
             return InverseSeries.one(variables)
-        mm = self._modified_series_row(0, 2 * n - 1, xs, variables, truncation)
-        return det_series(RingMatrix.hankel(mm, n), variables)
+        mm, den = self._modified_series_row(0, 2 * n - 1, xs, variables, truncation)
+        return series_ratio(det_series(RingMatrix.hankel(mm, n), variables), den**n)
 
     def _modified_series_row(self, start: int, count: int, xs, variables, truncation):
-        """modified_moment_series(s, ...) for s = start..start+count-1.
+        """Integer-coefficient series S_s and D > 0 with S_s / D equal to
+        modified_moment_series(s, ...) for s = start..start+count-1.
 
         Entry s only needs r_j = L(u^j prod(u - x_l)) for j = s..s+max_extra,
-        with max_extra = truncation - 1 - k, so the r_j are computed once for
-        the whole row and entry s reads its window of them.
+        with max_extra = truncation - 1 - k, so the integer numerators of the
+        r_j over their one denominator D (_modified_row) are computed once
+        for the whole row and entry s reads its window of them.
         """
         variables = tuple(variables)
         k = len(variables)
         if k == 0:
             raise ValueError("series mode needs at least one inverse variable")
-        zero = InverseSeries.zero(variables, truncation, cap=truncation)
         max_extra = truncation - 1 - k
         if max_extra < 0:
-            return [zero] * count
-        nums, den = self._modified_row(xs, start, count + max_extra)
-        r = [ratio(v, den) for v in nums]
+            return [InverseSeries.zero(variables, truncation, cap=truncation)] * count, 1
+        r, den = self._modified_row(xs, start, count + max_extra)
         shapes = [_shifted_compositions(d, k) for d in range(max_extra + 1)]
         out = []
         for s in range(count):
@@ -209,7 +213,7 @@ class MomentFunctional:
                         terms[e] = c
             # built clean: nonzero coefficients, k exponents, degree d + k < trunc
             out.append(InverseSeries._make(variables, terms, truncation, truncation))
-        return out
+        return out, den
 
     def _modified_row(self, xs, start: int, count: int) -> tuple[list[int], int]:
         """Integers r_j and D > 0 with L(u^j prod(u - x_l)) = r_j / D for

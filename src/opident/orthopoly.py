@@ -23,6 +23,7 @@ from .ring import (
     det_poly,
     integer_form,
     ratio,
+    series_ratio,
 )
 
 
@@ -284,6 +285,55 @@ def q_exact(sys: OrthoSystem, n: int, y, order: int = 0) -> Fraction:
     return Fraction(num, den)
 
 
+def q_series_row(
+    sys: OrthoSystem, cols, truncation: int, variables=("y",), slot: int = 0
+) -> tuple[list[InverseSeries], int]:
+    """Integer-coefficient series Q_b and D > 0 with Q_b / D the formal
+    series q_b in 1/y_slot for each b in cols (see q_series), truncated at
+    `truncation`.  L(p_b u^i) = sum_r c_r mu_(i+r) / (d_b M): p_b's integer
+    coefficients c_r over d_b against the integer moment numerators over
+    their lcm M, read once for the row; D is the lcm of the d_b M.  For
+    b < 0 the convention q_b(y) = y^(-b-1) gives the exact D y^(-b-1).
+    """
+    if truncation <= 0:
+        raise ValueError("truncation order must be positive")
+    variables = tuple(variables)
+    f = sys.functional
+    count = truncation - 1
+    built = [b for b in cols if b >= 0]
+    for b in built:
+        sys._check_index(b)
+        if count:
+            f._require_horizon(b + count - 1)
+    top = max(built) + count if built and count else 0
+    mu, mu_den = integer_form([f.moment(t) for t in range(top)])
+    den = math.lcm(*(sys._int_polys[b][1] * mu_den for b in built))
+    row = []
+    for b in cols:
+        exps = [0] * len(variables)
+        if b < 0:
+            exps[slot] = b + 1
+            row.append(InverseSeries._make(variables, {tuple(exps): den}, None, None))
+            continue
+        coeffs, d = sys._int_polys[b]
+        lift = den // (d * mu_den)
+        terms = {}
+        for i in range(count):
+            num = sum(map(mul, coeffs, mu[i : i + b + 1]))
+            if i < b:
+                if num:
+                    raise ArithmeticError(
+                        f"orthogonality violated: L(p_{b} u^{i}) = {ratio(num, d * mu_den)} != 0"
+                    )
+                continue
+            if num:
+                exps[slot] = i + 1
+                terms[tuple(exps)] = num * lift
+        # built clean: nonzero coefficients, degree i + 1 <= count < truncation
+        row.append(InverseSeries._make(variables, terms, truncation, truncation))
+    return row, den
+
+
 def q_series(
     sys: OrthoSystem, n: int, truncation: int, variables=("y",), slot: int = 0
 ) -> InverseSeries:
@@ -291,36 +341,11 @@ def q_series(
 
     Orthogonality kills every i < n (checked), the coefficient of y^(-n-1)
     is the norm H(n+1)/H(n).  `slot` picks which variable of a multivariate
-    series ring carries the expansion.  For n < 0 the convention is
+    series ring carries the expansion.  It is the one-column q_series_row;
+    integral coefficients stay ints.  For n < 0 the convention is
     q_n(y) = y^(-n-1), which this does not compute.
     """
     if n < 0:
         raise ValueError(f"q_{n} is y^({-n - 1}) by the b < 0 convention; q_series needs n >= 0")
-    variables = tuple(variables)
-    sys._check_index(n)
-    f = sys.functional
-    empty = InverseSeries(variables, {}, truncation, cap=truncation)
-    count = truncation - 1
-    if count <= 0:
-        return empty
-    f._require_horizon(n + count - 1)
-    # L(p_n u^i) = sum_r c_r mu_(i+r) / (d D): p_n's integer coefficients c_r
-    # over d against the integer moment numerators over their lcm D.
-    coeffs, d = sys._int_polys[n]
-    mu, mu_den = integer_form([f.moment(t) for t in range(n + count)])
-    den = d * mu_den
-    terms = {}
-    for i in range(count):
-        num = sum(map(mul, coeffs, mu[i : i + n + 1]))
-        if i < n:
-            if num:
-                raise ArithmeticError(
-                    f"orthogonality violated: L(p_{n} u^{i}) = {ratio(num, den)} != 0"
-                )
-            continue
-        if num:
-            exps = [0] * len(variables)
-            exps[slot] = i + 1
-            terms[tuple(exps)] = ratio(num, den)
-    # built clean: nonzero coefficients, degree i + 1 <= count < truncation
-    return InverseSeries._make(variables, terms, truncation, truncation)
+    (s,), den = q_series_row(sys, (n,), truncation, variables, slot)
+    return series_ratio(s, den)

@@ -553,6 +553,13 @@ class InverseSeries:
         return f"InverseSeries({self.variables!r}, {self.terms!r}, trunc={self.trunc!r})"
 
 
+def series_ratio(x: InverseSeries, den: int) -> InverseSeries:
+    """x / den for a series x with int coefficients, each coefficient through
+    ratio (integral ones stay ints); trunc and cap are kept."""
+    terms = {e: ratio(c, den) for e, c in x.terms.items()}
+    return InverseSeries._make(x.variables, terms, x.trunc, x.cap)
+
+
 class RingMatrix:
     """Immutable row-major matrix over one coefficient ring.
 
@@ -773,73 +780,35 @@ def det_series(m: RingMatrix, variables):
     The result equals det_generic(m, InverseSeries.one(variables)) in
     terms, trunc and cap; det_generic stays the oracle.
 
-    Each column is scaled to integers by the lcm of the denominators in it
-    (scalars and series coefficients alike), and the product of the scales
-    is divided out once at the end; when it is 1 the coefficients stay
-    plain ints.  A matrix of series in at most two variables with
-    nonnegative exponents and one shared trunc == cap (the modified-moment
-    Hankel shape) is expanded Kronecker-packed (_packed_det).  Anything else
-    runs det_generic on the integer columns.  Both are the subset
-    expansion, so at every size column scaling leaves trunc and cap alone.
+    A matrix of integer-coefficient series in at most two variables with
+    nonnegative exponents and one shared trunc == cap (the shape the row
+    builders of both Theorem 1 sides produce when every entry is a series)
+    is expanded Kronecker-packed (_packed_det); anything else goes to
+    det_generic as given.  Denominators belong to the caller: the row
+    builders hand over integer rows and divide by their row denominators
+    once.
     """
     _require_square(m)
     variables = tuple(variables)
-    one = InverseSeries.one(variables)
-    n = m.rows
-    if n == 0:
-        return one
-    # A Hankel matrix repeats each entry along an antidiagonal: inspect,
-    # scale and pack every distinct entry (or entry and scale) once.
-    distinct = {id(x): x for x in m.entries}
-    trunc = _packed_trunc(distinct.values(), variables)
-    dens = {key: _denominator(x) for key, x in distinct.items()}
-    scales = [math.lcm(*(dens[id(m.get(i, j))] for i in range(n))) for j in range(n)]
-    cache = {}
-    cells = []
-    for idx, x in enumerate(m.entries):
-        key = (id(x), scales[idx % n])
-        if key not in cache:
-            cache[key] = _scaled(x, key[1])
-        cells.append(cache[key])
-    scaled = RingMatrix(n, n, cells)
+    # A Hankel matrix repeats each entry along an antidiagonal: inspect and
+    # pack every distinct entry once.
+    trunc = _packed_trunc({id(x): x for x in m.entries}.values(), variables)
     if trunc is None:
-        d = det_generic(scaled, one)
-    else:
-        d = _packed_det(scaled, variables, trunc)
-    scale = math.prod(scales)
-    if scale == 1:
-        return d
-    if isinstance(d, InverseSeries):
-        terms = {e: Fraction(c, scale) for e, c in d.terms.items()}
-        return InverseSeries._make(d.variables, terms, d.trunc, d.cap)
-    return Fraction(d, scale)
-
-
-def _denominator(x) -> int:
-    """The lcm of the denominators of a scalar or of a series' coefficients."""
-    if isinstance(x, InverseSeries):
-        return math.lcm(*(c.denominator for c in x.terms.values()))
-    return x.denominator
-
-
-def _scaled(x, scale: int):
-    """x times scale, with int coefficients (scale clears their denominators)."""
-    if isinstance(x, InverseSeries):
-        terms = {e: c.numerator * (scale // c.denominator) for e, c in x.terms.items()}
-        return InverseSeries._make(x.variables, terms, x.trunc, x.cap)
-    return x.numerator * (scale // x.denominator)
+        return det_generic(m, InverseSeries.one(variables))
+    return _packed_det(m, variables, trunc)
 
 
 def _packed_trunc(entries, variables):
-    """The shared trunc when the entries fit _packed_det, else None."""
-    if len(variables) > 2:
-        return None
+    """The shared trunc when the entries fit _packed_det, else None: every
+    entry a series over ``variables`` (at most two) with int coefficients,
+    exponents >= 0 and trunc == cap, the same for all."""
     truncs = {x.trunc if isinstance(x, InverseSeries) else None for x in entries}
-    trunc = truncs.pop()
-    if truncs or trunc is None:
+    trunc = truncs.pop() if len(truncs) == 1 else None
+    if trunc is None or len(variables) > 2:
         return None
     for x in entries:
-        if x.variables != variables or x.cap != trunc or min(map(min, x.terms), default=0) < 0:
+        if (x.variables != variables or x.cap != trunc or min(map(min, x.terms), default=0) < 0
+                or not all(type(c) is int for c in x.terms.values())):
             return None
     return trunc
 

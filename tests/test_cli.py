@@ -94,6 +94,20 @@ def test_hankel_horizon_exits_1(tmp_path, capsys):
     assert "horizon" in err
 
 
+@pytest.mark.parametrize("n", ["0", "3"])
+def test_hankel_ys_without_atoms_exits_2(tmp_path, capsys, n):
+    # rational ys need a finite-atom functional: bad input, not a mismatch,
+    # refused before anything is computed (n = 0 used to print 1)
+    path = tmp_path / "seq.json"
+    path.write_text('{"type":"sequence","moments":["1","0","1/2","0","3/8"]}')
+    for functional in ([], ["--functional", str(path)]):
+        code, out, err = run_cli(["hankel", "--n", n, "--ys", "3", *functional], capsys)
+        assert (code, out) == (2, "")
+        assert "finite-atom functional" in err
+    code, out, _ = run_cli(["hankel", "--n", "2", "--xs", "3"], capsys)
+    assert code == 0 and out.strip() == "8"
+
+
 def test_hankel_modified(tmp_path, capsys):
     path = tmp_path / "atoms.json"
     path.write_text('{"type":"atoms","atoms":[["0","1"]]}')

@@ -31,12 +31,28 @@ from opident.moments import (
     ChebyshevCatalanFunctional,
     FiniteAtomFunctional,
     PoleAtAtomError,
+    SequenceFunctional,
     functional_from_json,
     random_atom_functional,
     random_sequence_functional,
 )
-from opident.orthopoly import build_ortho_system, poly_lemma5, q_exact, q_row
-from opident.ring import RingMatrix, UniPoly, det_rational, vandermonde_product
+from opident.orthopoly import (
+    DegenerateFunctionalError,
+    build_ortho_system,
+    poly_lemma5,
+    q_exact,
+    q_row,
+    q_series,
+    q_series_row,
+)
+from opident.ring import (
+    InverseSeries,
+    RingMatrix,
+    UniPoly,
+    det_generic,
+    det_rational,
+    vandermonde_product,
+)
 
 F = Fraction
 
@@ -257,7 +273,7 @@ NEGATIVE_CONTROLS = {
         lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
     ),
     "series column index shifted by one": (
-        "_theorem1_matrix",
+        "_theorem1_rows",
         lambda orig: lambda sys, inst: orig(sys, dataclasses.replace(inst, n=inst.n - 1)),
         lambda: sweep_theorem1_series(
             seed=11, trials=1, truncation=12, max_n=3, ks=(2,), max_m=3),
@@ -308,8 +324,6 @@ def test_condensation_relation_of_matrices(rng):
 def test_rhs_series_corollary3_leading_coefficient():
     # k = 1, m = 0 over the Chebyshev functional: rhs = (-1)^n q_{n-1}(y),
     # leading coefficient (-1)^n H(n)/H(n-1) y^(-n) = (-1)^n y^(-n)
-    from opident.orthopoly import q_series
-
     sys = build_ortho_system(ChebyshevCatalanFunctional(), 5)
     for n in range(1, 5):
         inst = IdentityInstance(n=n, ys=("y1",), mode="series", truncation=12)
@@ -481,6 +495,72 @@ def test_integer_rhs_matches_fraction_oracle(fractional, rng):
         assert identity._theorem1_matrix(sys, inst) == mat, inst.params()
         expected = prop13_sign(inst) * det_rational(mat) / identity._vandermondes(inst)
         assert rhs_theorem1(sys, inst) == expected, inst.params()
+
+
+def _same_entry(got, want):
+    """Equal values; series also equal in variables, trunc and cap."""
+    if isinstance(want, InverseSeries):
+        return isinstance(got, InverseSeries) and (
+            got.variables, got.terms, got.trunc, got.cap
+        ) == (want.variables, want.terms, want.trunc, want.cap)
+    return not isinstance(got, InverseSeries) and got == want
+
+
+def _series_oracle_matrix(sys, inst):
+    """The series-mode p/q matrix entry by entry: p_b(x) in Fractions, the
+    one-column q_series and the plain powers y^(-b-1) for b < 0."""
+    cols = range(inst.n - inst.k, inst.n + inst.m)
+    wt = identity._work_truncation(inst.truncation, inst.k)
+    rows = [[sys.p(b).eval(x) if b >= 0 else F(0) for b in cols] for x in inst.xs]
+    for slot in range(inst.k):
+        y = InverseSeries.plain_variable(inst.ys, slot)
+        rows.append([
+            q_series(sys, b, wt, inst.ys, slot) if b >= 0 else y ** (-b - 1) for b in cols
+        ])
+    return RingMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("fractional", [False, True])
+def test_series_rhs_matches_fraction_oracle(fractional):
+    # the integer series rows and their one det_series run against
+    # det_generic of the matrix built entry by entry, over integer moments
+    # and over moments with denominators; n < k puts power columns first
+    draw = random.Random(40 + fractional)
+    denominators = (1, 2, 3, 7) if fractional else (1,)
+    while True:
+        f = SequenceFunctional(F(draw.randint(-9, 9), draw.choice(denominators)) for _ in range(30))
+        try:
+            sys = build_ortho_system(f, 5)
+            break
+        except DegenerateFunctionalError:
+            continue
+    assert any(f.moment(t).denominator > 1 for t in range(30)) == fractional
+    xs_pool = [F(p, 4) for p in range(-13, 14)]
+    T = 7
+    q_dens = set()
+    for n in range(5):
+        for k in (1, 2, 3):
+            variables = tuple(f"y{i + 1}" for i in range(k))
+            cols = range(n - k, n + 2)
+            wt = identity._work_truncation(T, k)
+            for m in range(3):
+                inst = IdentityInstance(n=n, xs=draw.sample(xs_pool, m), ys=variables,
+                                        mode="series", truncation=T)
+                mat = _series_oracle_matrix(sys, inst)
+                got = identity._theorem1_matrix(sys, inst)
+                assert got.rows == mat.rows and all(map(_same_entry, got.entries, mat.entries))
+                h = f.hankel_det(n - k) if n >= k else 1
+                want = det_generic(mat, InverseSeries.one(variables)) * (prop13_sign(inst) * h)
+                assert _same_entry(rhs_theorem1(sys, inst), want), inst.params()
+            for slot in range(k):
+                row, den = q_series_row(sys, cols, wt, variables, slot)
+                q_dens.add(den)
+                y = InverseSeries.plain_variable(variables, slot)
+                for b, entry in zip(cols, row):
+                    assert all(type(c) is int for c in entry.terms.values())
+                    want = q_series(sys, b, wt, variables, slot) if b >= 0 else y ** (-b - 1)
+                    assert _same_entry(entry * F(1, den), want), (n, k, b)
+    assert max(q_dens) > 1
 
 
 def test_shared_ortho_system_verifies_from_threads():

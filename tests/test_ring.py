@@ -566,7 +566,7 @@ def test_series_variable_cap():
 
 
 # ---------------------------------------------------------------------------
-# det_series: integer columns and the packed path, against det_generic
+# det_series: the packed path and det_generic dispatch, against det_generic
 # ---------------------------------------------------------------------------
 
 def _same_det(got, want):
@@ -597,8 +597,8 @@ def _random_series_matrix(rng, n, make):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("rational", [False, True])
 def test_det_series_matches_generic_and_cofactor(k, rational):
-    # one shared trunc == cap and exponents >= 0: k <= 2 takes the packed
-    # path, k = 3 the integer-column det_generic
+    # one shared trunc == cap and exponents >= 0: integer coefficients with
+    # k <= 2 take the packed path, rational ones and k = 3 det_generic
     rng = random.Random(700 + 10 * k + rational)
     variables = tuple(f"y{i + 1}" for i in range(k))
     one = InverseSeries.one(variables)
@@ -634,9 +634,9 @@ def _mixed_entry(rng, variables, low):
 @pytest.mark.parametrize("laurent", [False, True])
 def test_det_series_mixed_entries(laurent):
     # zero scalars, exact zero series, exact (trunc=None) entries, unequal
-    # truncations and, with laurent, negative exponents: all take the
-    # integer-column det_generic, which matches det_cofactor's bookkeeping
-    # at every size.
+    # truncations and, with laurent, negative exponents: all go to
+    # det_generic as given, which matches det_cofactor's bookkeeping at
+    # every size.
     rng = random.Random(71 + laurent)
     low = -2 if laurent else 0
     for k in (1, 2, 3):
@@ -656,8 +656,9 @@ def test_det_series_5x5_scaled_keeps_bookkeeping():
     # Scaling this matrix's last column by 2 changes the valuation of one of
     # Berkowitz's intermediate sums and with it the trunc of its result (the
     # exact zero as given, trunc 2 scaled).  The subset expansion's minors
-    # scale term by term, so det_series scales it like any other matrix and
-    # still equals det_generic and det_cofactor in terms, trunc and cap.
+    # scale term by term, so scaling a row or column leaves trunc and cap
+    # alone, and det_series still equals det_generic and det_cofactor in
+    # terms, trunc and cap.
     v = ("y1",)
     s = InverseSeries(v, {}, 2)
     t = InverseSeries(v, {(1,): F(1, 2), (2,): F(-1)}, 3)
