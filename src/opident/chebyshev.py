@@ -4,7 +4,8 @@ Only the monic second-kind polynomials exist internally (recurrence
 p_n = x p_{n-1} - p_{n-2}); every classical value U_n(z) is the monic
 polynomial evaluated at 2z.  The transcendental integral value is never
 evaluated analytically: it lives as the formal symbol X, and all determinant
-identities below are exact polynomial identities in Q[X] or Q[Y].
+identities below are exact polynomial identities in Q[X] or Q[Y].  Every
+check returns a VerificationReport whose identity is its equation label.
 """
 
 from __future__ import annotations
@@ -13,26 +14,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .identity import VerificationReport
 from .moments import catalan
-from .ring import RingMatrix, UniPoly, binomial, det_poly, det_rational
+from .ring import RingMatrix, UniPoly, binomial, det_poly, det_rational, format_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
-def chebU_monic(n: int, var: str = "x") -> UniPoly:
-    """Monic Chebyshev-U polynomial: p_0 = 1, p_1 = x, p_n = x p_{n-1} - p_{n-2};
-    index -1 is the zero polynomial."""
+def chebU_monic(n: int) -> UniPoly:
+    """Monic Chebyshev-U polynomial in x: p_0 = 1, p_1 = x,
+    p_n = x p_{n-1} - p_{n-2}; index -1 is the zero polynomial."""
     if n < -1:
         raise ValueError("index must be >= -1")
     if n == -1:
-        return UniPoly.zero(var)
+        return UniPoly.zero()
     if n == 0:
-        return UniPoly.one(var)
+        return UniPoly.one()
     if n == 1:
-        return UniPoly.variable(var)
-    return UniPoly.variable(var) * chebU_monic(n - 1, var) - chebU_monic(n - 2, var)
+        return UniPoly.variable()
+    return UniPoly.variable() * chebU_monic(n - 1) - chebU_monic(n - 2)
 
 
 def chebU_classical(n: int, z: Fraction) -> Fraction:
@@ -49,57 +51,64 @@ def _chebU_at(n: int, z: Fraction) -> Fraction:
     return chebU_monic(n).eval(z)
 
 
-def modified_moment_cheb(n: int, a: Fraction, var: str = "X") -> UniPoly:
+def _report(identity: str, n: int, lhs, rhs, note: str = "", **rationals) -> VerificationReport:
+    """lhs against rhs at one n; the rationals (a, b) join n in params as
+    "p/q" strings."""
+    params = {"n": n} | {name: format_rational(v) for name, v in rationals.items()}
+    return VerificationReport(identity, params, lhs, rhs, lhs == rhs, note=note)
+
+
+def modified_moment_cheb(n: int, a: Fraction) -> UniPoly:
     """n-th moment of the Chebyshev weight divided by (u + 2a):
 
         X (-2a)^n + sum_{k=0}^{floor((n-1)/2)} (-2a)^(n-2k-1) C_k,
 
     linear in the formal symbol X."""
-    return _cheb_moments(n + 1, Fraction(a), var)[n]
+    return _cheb_moments(n + 1, Fraction(a))[n]
 
 
 @lru_cache(maxsize=64)
-def _cheb_moments(count: int, a: Fraction, var: str) -> tuple:
-    """modified_moment_cheb(s, a, var) for s = 0..count-1 in one pass: the
+def _cheb_moments(count: int, a: Fraction) -> tuple:
+    """modified_moment_cheb(s, a) for s = 0..count-1 in one pass: the
     constant terms satisfy c_0 = 0 and c_s = -2a c_{s-1} + [s odd] C_{(s-1)/2}."""
     base = -2 * a
     out, const, power = [], _ZERO, _ONE
     for s in range(count):
-        out.append(UniPoly([const, power], var))
+        out.append(UniPoly([const, power], "X"))
         const = base * const + (catalan(s // 2) if s % 2 == 0 else 0)
         power *= base
     return tuple(out)
 
 
-def q_cheb(n: int, a: Fraction, var: str = "X") -> UniPoly:
+def q_cheb(n: int, a: Fraction) -> UniPoly:
     """q_n(-2a) = -(X U_n(-a) + U_{n-1}(-a)) over Q[X] (monic convention)."""
     if n < 0:
         raise ValueError("n must be non-negative")
     base = -2 * Fraction(a)
-    return UniPoly([-_chebU_at(n - 1, base), -_chebU_at(n, base)], var)
+    return UniPoly([-_chebU_at(n - 1, base), -_chebU_at(n, base)], "X")
 
 
-def theorem14_eval(n: int, a: Fraction, var: str = "X"):
-    """Both sides of the X-linear Hankel evaluation
+def theorem14_eval(n: int, a: Fraction) -> VerificationReport:
+    """The "7.9" report: the X-linear Hankel evaluation
 
         det(X (-2a)^(i+j) + sum ...) = (-1)^(n-1) (X U_{n-1}(-a) + U_{n-2}(-a)).
 
-    Returns (lhs, rhs, equal); also asserts the degree-in-X of the
-    determinant is at most 1 (the replacement argument that makes X a free
-    variable)."""
+    Also asserts the degree-in-X of the determinant is at most 1 (the
+    replacement argument that makes X a free variable)."""
     if n < 1:
         raise ValueError("n must be positive")
-    lhs = det_poly(RingMatrix.hankel(_cheb_moments(2 * n - 1, Fraction(a), var), n), [var])
+    a = Fraction(a)
+    lhs = det_poly(RingMatrix.hankel(_cheb_moments(2 * n - 1, a), n), ["X"])
     if lhs.degree > 1:
         raise ArithmeticError("determinant should be linear in X")
-    base = -2 * Fraction(a)
+    base = -2 * a
     sign = -1 if (n - 1) % 2 else 1
-    rhs = UniPoly([sign * _chebU_at(n - 2, base), sign * _chebU_at(n - 1, base)], var)
-    return lhs, rhs, lhs == rhs
+    rhs = UniPoly([sign * _chebU_at(n - 2, base), sign * _chebU_at(n - 1, base)], "X")
+    return _report("7.9", n, lhs, rhs, a=a)
 
 
-def theorem15_eval(n: int, a: Fraction, b: Fraction, var: str = "X"):
-    """Both sides of the k = m = 1 specialization: the determinant of
+def theorem15_eval(n: int, a: Fraction, b: Fraction) -> VerificationReport:
+    """The "7.13" report, the k = m = 1 specialization: the determinant of
     rho_{i+j+1} - b rho_{i+j} against
 
         U_{n-1}(b/2)(X U_n(-a) + U_{n-1}(-a)) - U_n(b/2)(X U_{n-1}(-a) + U_{n-2}(-a)).
@@ -107,7 +116,7 @@ def theorem15_eval(n: int, a: Fraction, b: Fraction, var: str = "X"):
     if n < 1:
         raise ValueError("n must be positive")
     a, b = Fraction(a), Fraction(b)
-    rho = _cheb_moments(2 * n, a, var)
+    rho = _cheb_moments(2 * n, a)
     # rho_s has a denominator dividing ad^s and sigma_s = rho_{s+1} - b rho_s
     # one dividing bd ad^(s+1).  Row i scaled by ad^i and column j by
     # bd ad^(j+1) turn sigma_{i+j} into S_{i+j} = bd R_{s+1} - bn ad R_s,
@@ -118,17 +127,17 @@ def theorem15_eval(n: int, a: Fraction, b: Fraction, var: str = "X"):
         for s, r in enumerate(rho)
     ]
     sigma = [
-        UniPoly([bd * hi - bn * ad * lo for hi, lo in zip(scaled[s + 1], scaled[s])], var)
+        UniPoly([bd * hi - bn * ad * lo for hi, lo in zip(scaled[s + 1], scaled[s])], "X")
         for s in range(2 * n - 1)
     ]
-    lhs = det_poly(RingMatrix.hankel(sigma, n), [var]) * Fraction(1, bd**n * ad ** (n * n))
+    lhs = det_poly(RingMatrix.hankel(sigma, n), ["X"]) * Fraction(1, bd**n * ad ** (n * n))
     if lhs.degree > 1:
         raise ArithmeticError("determinant should be linear in X")
     base = -2 * a
     u_n2, u_n1, u_n = (_chebU_at(j, base) for j in (n - 2, n - 1, n))
     u_n1_b, u_n_b = _chebU_at(n - 1, b), _chebU_at(n, b)
-    rhs = UniPoly([u_n1_b * u_n1 - u_n_b * u_n2, u_n1_b * u_n - u_n_b * u_n1], var)
-    return lhs, rhs, lhs == rhs
+    rhs = UniPoly([u_n1_b * u_n1 - u_n_b * u_n2, u_n1_b * u_n - u_n_b * u_n1], "X")
+    return _report("7.13", n, lhs, rhs, a=a, b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -147,34 +156,7 @@ def _det_shifted_identity(entry, n: int) -> UniPoly:
     return det_poly(RingMatrix.hankel(shifted, n), ["Y"])
 
 
-@dataclass
-class SuiteRow:
-    """One row of the closed-form table: identity id, lhs, rhs, verdict."""
-
-    ident: str
-    n: int
-    lhs: object
-    rhs: object
-    equal: bool
-    note: str = ""
-
-    def to_json_dict(self) -> dict:
-        from .ring import format_rational
-
-        def fmt(v):
-            return format_rational(v) if isinstance(v, Fraction) else str(v)
-
-        return {
-            "id": self.ident,
-            "n": self.n,
-            "lhs": fmt(self.lhs),
-            "rhs": fmt(self.rhs),
-            "equal": self.equal,
-            "note": self.note,
-        }
-
-
-def row_7_10(n: int) -> SuiteRow:
+def row_7_10(n: int) -> VerificationReport:
     """-2^n + sum 2^(n-2k-1) C_k  ==  -binom(n, n/2) (even) or
     -binom(n+1, (n+1)/2)/2 (odd): the a = -1, X = -1 value of the modified
     moment."""
@@ -183,31 +165,31 @@ def row_7_10(n: int) -> SuiteRow:
         rhs = -Fraction(binomial(n, n // 2))
     else:
         rhs = -Fraction(binomial(n + 1, (n + 1) // 2), 2)
-    return SuiteRow("7.10", n, lhs, rhs, lhs == rhs)
+    return _report("7.10", n, lhs, rhs)
 
 
-def row_7_11(n: int) -> SuiteRow:
+def row_7_11(n: int) -> VerificationReport:
     """det of the pure central-binomial matrix == 2^(-n(n-1))."""
     lhs = det_rational(RingMatrix.hankel([central_weight(s) for s in range(2 * n - 1)], n))
     rhs = Fraction(1, 2 ** (n * (n - 1)))
-    return SuiteRow("7.11", n, lhs, rhs, lhs == rhs)
+    return _report("7.11", n, lhs, rhs)
 
 
-def row_7_12(n: int) -> SuiteRow:
+def row_7_12(n: int) -> VerificationReport:
     """det(Y + central(i+j)) == 2^(-n(n-1)) (Y n + 1)."""
     lhs = _det_shifted_identity(central_weight, n)
     scale = Fraction(1, 2 ** (n * (n - 1)))
     rhs = UniPoly([scale, scale * n], "Y")
-    return SuiteRow("7.12", n, lhs, rhs, lhs == rhs)
+    return _report("7.12", n, lhs, rhs)
 
 
-def row_7_15(n: int) -> SuiteRow:
+def row_7_15(n: int) -> VerificationReport:
     """det(Y + central(i+j+1)) == (-1)^binom(n,2) 2^(-n^2) (2 ceil(n/2) Y + 1)."""
     lhs = _det_shifted_identity(lambda s: central_weight(s + 1), n)
     sign = -1 if binomial(n, 2) % 2 else 1
     scale = Fraction(sign, 2 ** (n * n))
     rhs = UniPoly([scale, scale * 2 * ((n + 1) // 2)], "Y")
-    return SuiteRow("7.15", n, lhs, rhs, lhs == rhs)
+    return _report("7.15", n, lhs, rhs)
 
 
 def _entry_7_16(s: int) -> Fraction:
@@ -225,32 +207,28 @@ def _rhs_7_16(n: int, residue: int) -> UniPoly:
     return UniPoly([scale, scale * n], "Y")
 
 
-def row_7_16(n: int) -> tuple[SuiteRow, SuiteRow]:
+def row_7_16(n: int) -> tuple[VerificationReport, VerificationReport]:
     """The b = 1 specialization, compared against the stated mod-3 case
-    split and against the case split it actually satisfies.
+    split ("7.16") and against the case split it actually satisfies
+    ("7.16-corrected").
 
     Direct evaluation shows the stated residue labels are rotated by one:
     the formula filed under n = 0 (mod 3) holds at n = 1 (mod 3), and so on
     cyclically (already at n = 1 the determinant is Y while the stated case
-    says -(2Y + 1)).  The first row reports the literal stated form, the
+    says -(2Y + 1)).  The first report is the literal stated form, the
     second the label-corrected form; the discrepancy is reported, never
     patched over silently.
     """
     lhs = _det_shifted_identity(_entry_7_16, n)
-    stated = _rhs_7_16(n, n % 3)
-    corrected = _rhs_7_16(n, (n - 1) % 3)
-    row_stated = SuiteRow(
-        "7.16", n, lhs, stated, lhs == stated,
-        note="stated mod-3 case labels (rotated by one)",
+    return (
+        _report("7.16", n, lhs, _rhs_7_16(n, n % 3),
+                note="stated mod-3 case labels (rotated by one)"),
+        _report("7.16-corrected", n, lhs, _rhs_7_16(n, (n - 1) % 3),
+                note="same case formulas attached to residue (n-1) mod 3"),
     )
-    row_corrected = SuiteRow(
-        "7.16-corrected", n, lhs, corrected, lhs == corrected,
-        note="same case formulas attached to residue (n-1) mod 3",
-    )
-    return row_stated, row_corrected
 
 
-def closed_form_suite(max_n: int = 12) -> list[SuiteRow]:
+def closed_form_suite(max_n: int = 12) -> list[VerificationReport]:
     """Evaluate every catalogued closed form for n = 1..max_n."""
     rows = []
     for n in range(1, max_n + 1):
@@ -276,24 +254,25 @@ def _entry_7_18(s: int) -> Fraction:
     return Fraction(binomial(2 * c, c), 2 ** (s + 1))
 
 
-def conjecture16_check(n: int) -> tuple[SuiteRow, SuiteRow]:
+def conjecture16_check(n: int) -> tuple[VerificationReport, VerificationReport]:
     """Status of the two conjectured evaluations at one n (exact lhs and the
     conjectured rhs; `equal` records whether the conjecture holds there)."""
     lhs17 = _det_shifted_identity(_entry_7_17, n)
     q17 = Fraction(-1, 2 ** ((n - 1) ** 2))
     rhs17 = UniPoly([q17, q17 * (n - 3)], "Y")
-    row17 = SuiteRow("7.17", n, lhs17, rhs17, lhs17 == rhs17, note="conjecture")
 
     lhs18 = _det_shifted_identity(_entry_7_18, n)
     sign = -1 if (n // 6) % 2 else 1
     scale = Fraction(sign, 2 ** (n * (n - 1)))
     halves = (4 * n + 2) // 3 if n % 2 == 0 else (4 * n + 4) // 3
     rhs18 = UniPoly([scale, scale * Fraction(halves, 2)], "Y")
-    row18 = SuiteRow("7.18", n, lhs18, rhs18, lhs18 == rhs18, note="conjecture")
-    return row17, row18
+    return (
+        _report("7.17", n, lhs17, rhs17, note="conjecture"),
+        _report("7.18", n, lhs18, rhs18, note="conjecture"),
+    )
 
 
-def conjecture16_table(max_n: int = 12) -> list[SuiteRow]:
+def conjecture16_table(max_n: int = 12) -> list[VerificationReport]:
     rows = []
     for n in range(1, max_n + 1):
         rows.extend(conjecture16_check(n))
@@ -306,21 +285,22 @@ def conjecture16_table(max_n: int = 12) -> list[SuiteRow]:
 
 @dataclass
 class ChebyshevRun:
-    theorem14: list
-    theorem15: list
-    closed_forms: list
-    conjectures: list
+    """The reports of one suite run: the 7.9 and 7.13 grids, the closed
+    forms and the conjectures."""
+
+    theorem14: list[VerificationReport]
+    theorem15: list[VerificationReport]
+    closed_forms: list[VerificationReport]
+    conjectures: list[VerificationReport]
 
     @property
     def all_theorems_hold(self) -> bool:
-        """Every non-conjectural row (with 7.16 read through its corrected
-        case labels --- the stated labels are off by one, reported separately)."""
-        if not all(eq for _, _, _, eq in self.theorem14):
-            return False
-        if not all(eq for _, _, _, _, eq in self.theorem15):
-            return False
+        """Every non-conjectural report is equal, except "7.16": its stated
+        case labels are off by one and "7.16-corrected" stands in for it."""
         return all(
-            row.equal for row in self.closed_forms if row.ident != "7.16"
+            r.equal
+            for r in self.theorem14 + self.theorem15 + self.closed_forms
+            if r.identity != "7.16"
         )
 
 
@@ -329,18 +309,12 @@ B_GRID = (Fraction(-1), Fraction(0), Fraction(1), Fraction(2), Fraction(1, 3))
 
 
 def run_chebyshev_suite(max_n: int = 10, closed_form_max_n: int = 12) -> ChebyshevRun:
-    """Theorem grids over rational (a, b), the closed forms, the conjectures."""
-    t14 = []
-    for n in range(1, max_n + 1):
-        for a in A_GRID:
-            lhs, rhs, equal = theorem14_eval(n, a)
-            t14.append((n, a, (lhs, rhs), equal))
-    t15 = []
-    for n in range(1, max_n + 1):
-        for a in A_GRID:
-            for b in B_GRID:
-                lhs, rhs, equal = theorem15_eval(n, a, b)
-                t15.append((n, a, b, (lhs, rhs), equal))
-    closed = closed_form_suite(closed_form_max_n)
-    conj = conjecture16_table(closed_form_max_n)
-    return ChebyshevRun(t14, t15, closed, conj)
+    """Theorem grids over rational (a, b), the closed forms and the
+    conjectures, each evaluation one VerificationReport."""
+    ns = range(1, max_n + 1)
+    return ChebyshevRun(
+        [theorem14_eval(n, a) for n in ns for a in A_GRID],
+        [theorem15_eval(n, a, b) for n in ns for a in A_GRID for b in B_GRID],
+        closed_form_suite(closed_form_max_n),
+        conjecture16_table(closed_form_max_n),
+    )

@@ -20,6 +20,7 @@ import sys
 from . import chebyshev as cheb
 from .identity import (
     _DOMAIN_ERRORS,
+    _jsonify,
     sweep_jacobi,
     sweep_lemmas,
     sweep_prop13,
@@ -28,7 +29,7 @@ from .identity import (
     uvarov_system,
 )
 from .moments import ChebyshevCatalanFunctional, FiniteAtomFunctional, functional_from_json
-from .ring import format_rational, parse_rational
+from .ring import binomial, format_rational, parse_rational
 
 DEFAULT_SEED = 42
 
@@ -132,6 +133,13 @@ def _cmd_verify_theorem1(args) -> int:
                           "k = 0 has no series to compare, use atom mode")
     if args.series and args.max_k > 2:
         raise SystemExit2("series mode runs k <= 2 formal ys (--max-k at most 2)")
+    if args.series:
+        # The cleared lhs of an (n, k) instance starts at total degree
+        # n k - C(k, 2); a truncation at or below it compares nothing.
+        least = 1 + max(args.max_n * k - binomial(k, 2) for k in range(1, args.max_k + 1))
+        if args.truncation < least:
+            raise SystemExit2(f"--truncation {args.truncation} compares no coefficient of the "
+                              f"largest instance; this shape needs --truncation at least {least}")
     if args.functional:
         if args.series:
             raise SystemExit2("--functional is not supported with --series "
@@ -280,42 +288,40 @@ def _cmd_uvarov(args) -> int:
 def _cmd_chebyshev(args) -> int:
     run = cheb.run_chebyshev_suite(max_n=args.max_n, closed_form_max_n=args.max_n)
     if args.json:
+
+        def row(r):
+            return {"id": r.identity, "n": r.params["n"], "lhs": _jsonify(r.lhs, r.equal),
+                    "rhs": _jsonify(r.rhs, r.equal), "equal": r.equal, "note": r.note}
+
         payload = {
             "command": "chebyshev",
             "max_n": args.max_n,
-            "theorem14": [
-                {"n": n, "a": format_rational(a), "equal": eq}
-                for n, a, _, eq in run.theorem14
-            ],
-            "theorem15": [
-                {"n": n, "a": format_rational(a), "b": format_rational(b), "equal": eq}
-                for n, a, b, _, eq in run.theorem15
-            ],
-            "closed_forms": [row.to_json_dict() for row in run.closed_forms],
-            "conjectures": [row.to_json_dict() for row in run.conjectures],
+            "theorem14": [{**r.params, "equal": r.equal} for r in run.theorem14],
+            "theorem15": [{**r.params, "equal": r.equal} for r in run.theorem15],
+            "closed_forms": [row(r) for r in run.closed_forms],
+            "conjectures": [row(r) for r in run.conjectures],
             "all_theorems_hold": run.all_theorems_hold,
         }
         _emit_json(payload)
     else:
-        t14_bad = [t for t in run.theorem14 if not t[3]]
-        t15_bad = [t for t in run.theorem15 if not t[4]]
+        t14_bad = sum(not r.equal for r in run.theorem14)
+        t15_bad = sum(not r.equal for r in run.theorem15)
         print(f"7.9  (n <= {args.max_n}, a grid): "
-              + ("all equal" if not t14_bad else f"{len(t14_bad)} FAILURES"))
+              + ("all equal" if not t14_bad else f"{t14_bad} FAILURES"))
         print(f"7.13 (n <= {args.max_n}, a,b grid): "
-              + ("all equal" if not t15_bad else f"{len(t15_bad)} FAILURES"))
-        for ident in ("7.10", "7.11", "7.12", "7.15", "7.16", "7.16-corrected"):
-            rows = [r for r in run.closed_forms if r.ident == ident]
-            good = all(r.equal for r in rows)
+              + ("all equal" if not t15_bad else f"{t15_bad} FAILURES"))
+        for ident in dict.fromkeys(r.identity for r in run.closed_forms):
+            good = all(r.equal for r in run.closed_forms if r.identity == ident)
             if ident == "7.16":
                 status = "all equal" if good else "stated case labels FAIL (rotated by one)"
             else:
                 status = "all equal" if good else "FAILURES"
             print(f"{ident}: {status}")
         print("conjectures:")
-        for row in run.conjectures:
-            mark = "holds" if row.equal else "fails"
-            detail = "" if row.equal else f"  lhs={row.lhs}  rhs={row.rhs}"
-            print(f"  {row.ident} n={row.n}: {mark}{detail}")
+        for r in run.conjectures:
+            mark = "holds" if r.equal else "fails"
+            detail = "" if r.equal else f"  lhs={r.lhs}  rhs={r.rhs}"
+            print(f"  {r.identity} n={r.params['n']}: {mark}{detail}")
     return 0 if run.all_theorems_hold else 1
 
 

@@ -376,10 +376,10 @@ def verify_theorem1(sys: OrthoSystem, inst: IdentityInstance) -> VerificationRep
 # ---------------------------------------------------------------------------
 
 def uvarov_polynomial(
-    sys: OrthoSystem, n: int, xs_fixed=(), ys=(), var: str = "x1"
+    sys: OrthoSystem, n: int, xs_fixed=(), ys=()
 ) -> tuple[UniPoly, bool]:
     """Right-hand side of the identity with x_1 left formal: a polynomial
-    in x_1 that (when its degree is n) is the n-th orthogonal polynomial for
+    in "x1" that (when its degree is n) is the n-th orthogonal polynomial for
     the modified density prod_{l>=2}(u - x_l) / prod(u - y_l) dmu.
 
     Returns (polynomial, degree_ok); a degree below n is reported, never
@@ -393,9 +393,9 @@ def uvarov_polynomial(
     k = len(ys)
     cols = range(n - k, n + m)
     fixed = _fractions(_pq_rows(sys, cols, [(x, 1) for x in xs_fixed], [(y, 1) for y in ys]))
-    x1_row = [sys.p(b).rename(var) if b >= 0 else _ZERO for b in cols]
-    d = det_poly(RingMatrix.from_rows([x1_row, *fixed]), [var])
-    vx = vandermonde_product((UniPoly.variable(var),) + xs_fixed)
+    x1_row = [sys.p(b).rename("x1") if b >= 0 else _ZERO for b in cols]
+    d = det_poly(RingMatrix.from_rows([x1_row, *fixed]), ["x1"])
+    vx = vandermonde_product((UniPoly.variable("x1"),) + xs_fixed)
     poly = d.exact_div(vx) * (theorem1_sign(n, k, m) / _y_vandermonde(ys))
     return poly, poly.degree == n
 
@@ -434,7 +434,7 @@ def modified_functional(
 
 
 def uvarov_system(
-    f: FiniteAtomFunctional, ys=(), upto: int = 5, xs_fixed=(), var: str = "x1"
+    f: FiniteAtomFunctional, ys=(), upto: int = 5, xs_fixed=()
 ) -> UvarovResult:
     """Construct P_0..P_upto and check L'(P_i P_j) = 0 for i != j exactly.
 
@@ -449,7 +449,7 @@ def uvarov_system(
                 raise ValueError(f"repeated {kind} parameter {format_rational(v)}")
     mod = modified_functional(f, xs_fixed, ys)
     sys = build_ortho_system(f, upto + len(xs_fixed))
-    results = [uvarov_polynomial(sys, n, xs_fixed, ys, var) for n in range(upto + 1)]
+    results = [uvarov_polynomial(sys, n, xs_fixed, ys) for n in range(upto + 1)]
     polys = tuple(p for p, _ in results)
     flags = tuple(ok for _, ok in results)
     size = upto + 1
@@ -678,17 +678,20 @@ def sweep_prop13(
     return reports
 
 
+_ENTRY_BOUND = 9  # |entry| of the random sequences and matrices of the lemma sweeps
+
+
 def sweep_lemmas(
     seed: int,
     trials: int = 10,
     max_n: int = 6,
-    bound: int = 9,
 ) -> list[VerificationReport]:
-    """Lemma 8 and Lemma 9 on random integer sequences, all n <= max_n."""
+    """Lemma 8 and Lemma 9 on random integer sequences (entries in [-9, 9]),
+    all n <= max_n."""
     rng = random.Random(seed)
     reports = []
     for _ in range(trials):
-        c = [Fraction(rng.randint(-bound, bound)) for _ in range(2 * max_n + 1)]
+        c = [Fraction(rng.randint(-_ENTRY_BOUND, _ENTRY_BOUND)) for _ in range(2 * max_n + 1)]
         for n in range(1, max_n + 1):
             reports.append(lemma8_check(c, n))
             reports.append(lemma9_check(c, n))
@@ -698,15 +701,14 @@ def sweep_lemmas(
 def sweep_jacobi(
     seed: int,
     sizes=(5, 6),
-    bound: int = 9,
 ) -> list[VerificationReport]:
-    """All admissible index pairs on one random matrix per size, each
-    distinct minor computed once per matrix."""
+    """All admissible index pairs on one random matrix per size (entries in
+    [-9, 9]), each distinct minor computed once per matrix."""
     rng = random.Random(seed)
     reports = []
     for nn in sizes:
         mat = RingMatrix(
-            nn, nn, [Fraction(rng.randint(-bound, bound)) for _ in range(nn * nn)]
+            nn, nn, [Fraction(rng.randint(-_ENTRY_BOUND, _ENTRY_BOUND)) for _ in range(nn * nn)]
         )
         minors = {}
         for i1 in range(1, nn + 1):

@@ -394,21 +394,23 @@ def functional_from_json(source) -> MomentFunctional:
     raise ValueError(f"unknown functional type {kind!r}")
 
 
+_ATOM_BOUND = 9  # |node| and |weight| of random_atom_functional
+_MOMENT_BOUND = 4  # |moment| of random_sequence_functional
+
+
 def random_atom_functional(
     rng,
     count: int = 8,
-    node_bound: int = 9,
-    weight_bound: int = 9,
     hankel_nonzero_upto: int | None = None,
     normalize: bool = False,
 ) -> FiniteAtomFunctional:
     """Seeded random finite-atom functional: distinct integer nodes in
-    [-node_bound, node_bound], nonzero integer weights; redrawn until every
+    [-9, 9], nonzero integer weights in [-9, 9]; redrawn until every
     required H(j) is nonzero.  H(j) vanishes for j > count, so asking for
     more is a ValueError rather than an endless redraw.  `normalize`
     rescales the weights so mu_0 = 1.
     """
-    if count > 2 * node_bound + 1:
+    if count > 2 * _ATOM_BOUND + 1:
         raise ValueError("not enough distinct integer nodes available")
     upto = hankel_nonzero_upto if hankel_nonzero_upto is not None else count
     if upto > count:
@@ -416,9 +418,9 @@ def random_atom_functional(
             f"H({upto}) vanishes for every {count}-atom functional; "
             f"need hankel_nonzero_upto <= {count}"
         )
-    nonzero = [w for w in range(-weight_bound, weight_bound + 1) if w]
+    nonzero = [w for w in range(-_ATOM_BOUND, _ATOM_BOUND + 1) if w]
     while True:
-        nodes = rng.sample(range(-node_bound, node_bound + 1), count)
+        nodes = rng.sample(range(-_ATOM_BOUND, _ATOM_BOUND + 1), count)
         weights = [Fraction(rng.choice(nonzero)) for _ in range(count)]
         if normalize:
             total = sum(weights)
@@ -433,12 +435,13 @@ def random_atom_functional(
 def random_sequence_functional(
     rng,
     horizon: int,
-    bound: int = 4,
     hankel_nonzero_upto: int = 6,
 ) -> SequenceFunctional:
-    """Seeded random moment sequence with nonvanishing leading Hankel minors."""
+    """Seeded random moment sequence, integer moments in [-4, 4], with
+    nonvanishing leading Hankel minors."""
     while True:
-        moments = [Fraction(rng.randint(-bound, bound)) for _ in range(horizon + 1)]
+        moments = [Fraction(rng.randint(-_MOMENT_BOUND, _MOMENT_BOUND))
+                   for _ in range(horizon + 1)]
         f = SequenceFunctional(moments)
         if all(f.hankel_det(j) for j in range(1, hankel_nonzero_upto + 1)):
             return f

@@ -97,8 +97,6 @@ class OrthoSystem:
         """L(p_n^2); equals H(n+1)/H(n)."""
         if n < len(self.norms):
             return self.norms[n]
-        if n == self.depth:
-            return self.functional.apply(self.polys[n] * self.polys[n])
         raise ValueError(f"system depth is {self.depth}, norm {n} not available")
 
     def p_row(self, cols, x, order: int = 0) -> tuple[list[int], int]:
@@ -197,25 +195,25 @@ def hankel_product_formula(sys: OrthoSystem, n: int) -> Fraction:
     return value
 
 
-def poly_lemma4(f: MomentFunctional, n: int, var: str = "x") -> UniPoly:
-    """Monic p_n as a bordered-Hankel determinant divided by H(n).
+def poly_lemma4(f: MomentFunctional, n: int) -> UniPoly:
+    """Monic p_n in x as a bordered-Hankel determinant divided by H(n).
 
     The (n+1) x (n+1) matrix has moment rows (mu_i .. mu_{i+n}) for
     i = 0..n-1 and the bottom row (1, x, ..., x^n); det_poly computes it.
     """
     if n == 0:
-        return UniPoly.one(var)
+        return UniPoly.one()
     h_n = f.hankel_det(n)
     if not h_n:
         raise DegenerateFunctionalError(n)
     f._require_horizon(2 * n - 1)
-    x = UniPoly.variable(var)
+    x = UniPoly.variable()
     rows = [[f.moment(i + j) for j in range(n + 1)] for i in range(n)]
     rows.append([x**j for j in range(n + 1)])
-    return det_poly(RingMatrix.from_rows(rows), [var]) * (1 / h_n)
+    return det_poly(RingMatrix.from_rows(rows), ["x"]) * (1 / h_n)
 
 
-def poly_lemma5(f: MomentFunctional, n: int, var: str = "x") -> UniPoly:
+def poly_lemma5(f: MomentFunctional, n: int) -> UniPoly:
     """det(mu_{i+j+1} - mu_{i+j} x), 0 <= i, j <= n-1: an orthogonal
     polynomial of degree <= n.
 
@@ -223,10 +221,10 @@ def poly_lemma5(f: MomentFunctional, n: int, var: str = "x") -> UniPoly:
     determinant is det(-mu_{i+j}) = (-1)^n H(n).  Computed by det_poly.
     """
     if n == 0:
-        return UniPoly.one(var)
+        return UniPoly.one()
     f._require_horizon(2 * n - 1)
-    lin = [UniPoly([f.moment(s + 1), -f.moment(s)], var) for s in range(2 * n - 1)]
-    return det_poly(RingMatrix.hankel(lin, n), [var])
+    lin = [UniPoly([f.moment(s + 1), -f.moment(s)]) for s in range(2 * n - 1)]
+    return det_poly(RingMatrix.hankel(lin, n), ["x"])
 
 
 def q_row(sys: OrthoSystem, cols, y, order: int = 0) -> tuple[list[int], int]:

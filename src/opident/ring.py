@@ -283,18 +283,18 @@ class InverseSeries:
     arithmetic: results never keep terms at or above it.  Discarding that
     knowledge is always sound (trunc is a lower bound on validity); the
     verifiers use it so that intermediate determinant products do not
-    accumulate coefficients the final comparison cannot use.  Capped at 4
-    variables.
+    accumulate coefficients the final comparison cannot use.  One to three
+    variables: multiplication is unrolled for each count.
     """
 
     __slots__ = ("variables", "terms", "trunc", "cap")
 
-    MAX_VARIABLES = 4
+    MAX_VARIABLES = 3
 
     def __init__(self, variables, terms, trunc, cap=None):
         variables = tuple(variables)
-        if len(variables) > self.MAX_VARIABLES:
-            raise ValueError(f"at most {self.MAX_VARIABLES} inverse variables supported")
+        if not 0 < len(variables) <= self.MAX_VARIABLES:
+            raise ValueError(f"1 to {self.MAX_VARIABLES} inverse variables supported")
         if trunc is not None and trunc <= 0:
             raise ValueError("truncation order must be positive")
         if cap is not None and (trunc is None or trunc > cap):
@@ -476,10 +476,11 @@ class InverseSeries:
                     prev = get(e)
                     out[e] = p if prev is None else prev + p
             else:
+                x1, y1, z1 = e1
                 for e2, d2, c2 in b:
                     if limit is not None and d2 >= limit:
                         break
-                    e = tuple(x + y for x, y in zip(e1, e2))
+                    e = (x1 + e2[0], y1 + e2[1], z1 + e2[2])
                     p = c1 * c2
                     prev = get(e)
                     out[e] = p if prev is None else prev + p
@@ -700,8 +701,6 @@ def det_berkowitz(m: RingMatrix, one=_ONE):
         for r in range(t + 2):
             acc = None
             for s in range(min(r, t) + 1):
-                if r - s > t + 1 or r - s >= len(col):
-                    continue
                 c = col[r - s]
                 if not c or not poly[s]:
                     continue

@@ -165,16 +165,16 @@ def test_criterion_7_section7_reproduction():
     t0 = time.perf_counter()
     run = run_chebyshev_suite(max_n=10, closed_form_max_n=12)
     elapsed = time.perf_counter() - t0
-    assert all(eq for _, _, _, eq in run.theorem14)
-    assert all(eq for _, _, _, _, eq in run.theorem15)
+    assert all(r.equal for r in run.theorem14)
+    assert all(r.equal for r in run.theorem15)
     for row in run.closed_forms:
-        if row.ident in ("7.10", "7.11", "7.12", "7.15", "7.16-corrected"):
-            assert row.equal, (row.ident, row.n)
-        elif row.ident == "7.16":
-            assert not row.equal, (row.ident, row.n)
+        if row.identity in ("7.10", "7.11", "7.12", "7.15", "7.16-corrected"):
+            assert row.equal, (row.identity, row.params)
+        elif row.identity == "7.16":
+            assert not row.equal, (row.identity, row.params)
     # spot values the closed forms must hit exactly
-    r711 = [r for r in run.closed_forms if r.ident == "7.11"]
-    assert all(r.lhs == F(1, 2 ** (r.n * (r.n - 1))) for r in r711)
+    r711 = [r for r in run.closed_forms if r.identity == "7.11"]
+    assert all(r.lhs == F(1, 2 ** (r.params["n"] * (r.params["n"] - 1))) for r in r711)
     assert elapsed < 30.0
     _report(
         "7 (chebyshev closed forms)",
@@ -189,7 +189,7 @@ def test_criterion_8_conjecture_status_table():
     t0 = time.perf_counter()
     rows = conjecture16_table(12)
     assert len(rows) == 24  # both conjectured evaluations, n = 1..12
-    table = {(r.ident, r.n): r for r in rows}
+    table = {(r.identity, r.params["n"]): r for r in rows}
     for ident in ("7.17", "7.18"):
         for n in range(1, 13):
             row = table[(ident, n)]
@@ -235,3 +235,19 @@ def test_criterion_10_series_sweep_up_to_n6_m3():
     assert elapsed < 60.0
     _report("10 (theorem 1, formal series, n <= 6, m <= 3)",
             f"{len(reports)} instances, order 25", elapsed)
+
+
+def test_criterion_11_series_sweep_k3():
+    """Three formal ys: n <= 4, m <= 2, every instance agrees below total
+    degree 20; < 60 s."""
+    t0 = time.perf_counter()
+    reports = sweep_theorem1_series(
+        SEED, trials=5, truncation=20, max_n=4, ks=(3,), max_m=2
+    )
+    elapsed = time.perf_counter() - t0
+    assert len(reports) == 5 * 3 * 5
+    assert all(r.equal for r in reports)
+    assert all(r.compared_order is not None and r.compared_order >= 20 for r in reports)
+    assert elapsed < 60.0
+    _report("11 (theorem 1, formal series, k = 3)",
+            f"{len(reports)} instances, order 20", elapsed)

@@ -1,8 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from opident.chebyshev import (
+    ChebyshevRun,
     central_weight,
     chebU_classical,
     chebU_monic,
@@ -19,6 +21,7 @@ from opident.chebyshev import (
     theorem14_eval,
     theorem15_eval,
 )
+from opident.identity import VerificationReport
 from opident.moments import ChebyshevCatalanFunctional, catalan
 from opident.orthopoly import build_ortho_system
 from opident.ring import RingMatrix, UniPoly, binomial, det_generic
@@ -96,8 +99,8 @@ def test_q_cheb_matches_exact_series_route():
     # coefficient check against the generic machinery: q_n(-2a) has the
     # series expansion with coefficients L(p_n u^i); compare by clearing X
     # via the atomless structural identity at small n through theorem14
-    lhs, rhs, equal = theorem14_eval(1, F(7, 5))
-    assert equal and lhs == UniPoly([F(0), F(1)], "X")
+    r = theorem14_eval(1, F(7, 5))
+    assert r.equal and r.lhs == UniPoly([F(0), F(1)], "X")
 
 
 # ---------------------------------------------------------------------------
@@ -105,17 +108,17 @@ def test_q_cheb_matches_exact_series_route():
 # ---------------------------------------------------------------------------
 
 def test_theorem14_base_case():
-    lhs, rhs, equal = theorem14_eval(1, F(-1))
-    assert equal
-    assert lhs == UniPoly([F(0), F(1)], "X")
+    r = theorem14_eval(1, F(-1))
+    assert r.equal
+    assert r.lhs == UniPoly([F(0), F(1)], "X")
 
 
 @pytest.mark.parametrize("a", [F(-1), F(2), F(1, 2), F(-3, 5)])
 def test_theorem14_grid(a):
     for n in range(1, 8):
-        lhs, rhs, equal = theorem14_eval(n, a)
-        assert equal, (n, a)
-        assert lhs.degree <= 1  # X-degree bound: the replacement argument
+        r = theorem14_eval(n, a)
+        assert r.equal, (n, a)
+        assert r.lhs.degree <= 1  # X-degree bound: the replacement argument
 
 
 def test_theorem14_against_generic_determinant():
@@ -125,16 +128,16 @@ def test_theorem14_against_generic_determinant():
         rho = [modified_moment_cheb(s, a) for s in range(2 * n - 1)]
         mat = RingMatrix(n, n, [rho[i + j] for i in range(n) for j in range(n)])
         direct = det_generic(mat, one=UniPoly.one("X"))
-        lhs, _, _ = theorem14_eval(n, a)
-        assert direct == lhs
+        assert direct == theorem14_eval(n, a).lhs
 
 
 def test_theorem14_substitution_gives_7_12():
     # a = -1, X = -Y - 1 turns the evaluation into det(Y + central) and the
     # right side into (-1)^n (Y n + 1) after pulling 2-powers out
     for n in range(1, 7):
-        lhs, _, equal = theorem14_eval(n, F(-1))
-        assert equal
+        r = theorem14_eval(n, F(-1))
+        assert r.equal
+        lhs = r.lhs
         y = UniPoly.variable("Y")
         substituted = lhs.coeffs[0] + lhs.coeffs[1] * (-y - 1)
         sign = -1 if n % 2 else 1
@@ -145,16 +148,15 @@ def test_theorem14_substitution_gives_7_12():
 @pytest.mark.parametrize("b", [F(-1), F(0), F(1), F(2)])
 def test_theorem15_grid(a, b):
     for n in range(1, 6):
-        lhs, rhs, equal = theorem15_eval(n, a, b)
-        assert equal, (n, a, b)
+        assert theorem15_eval(n, a, b).equal, (n, a, b)
 
 
 def test_theorem15_base_case_pins_transcription():
     # n = 1: the entry is rho_1 - b rho_0 = (-2a X + 1) - b X
     a, b = F(2), F(3)
-    lhs, rhs, equal = theorem15_eval(1, a, b)
-    assert equal
-    assert lhs == UniPoly([F(1), -2 * a - b], "X")
+    r = theorem15_eval(1, a, b)
+    assert r.equal
+    assert r.lhs == UniPoly([F(1), -2 * a - b], "X")
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +212,7 @@ def test_row_7_16_stated_labels_are_rotated():
 
 def test_closed_form_suite_shape():
     rows = closed_form_suite(3)
-    idents = [r.ident for r in rows]
+    idents = [r.identity for r in rows]
     assert idents.count("7.10") == 3
     assert idents.count("7.16") == 3
     assert idents.count("7.16-corrected") == 3
@@ -240,7 +242,7 @@ def test_conjecture_table_is_reported_per_n():
     assert len(rows) == 24
     assert all(row.note == "conjecture" for row in rows)
     # frozen sample of the observed pattern (no ground-truth claim):
-    by_key = {(r.ident, r.n): r.equal for r in rows}
+    by_key = {(r.identity, r.params["n"]): r.equal for r in rows}
     assert by_key[("7.17", 1)] is False
     assert by_key[("7.17", 8)] is True
     assert by_key[("7.18", 2)] is False
@@ -255,3 +257,34 @@ def test_run_chebyshev_suite_small():
     run = run_chebyshev_suite(max_n=4, closed_form_max_n=5)
     assert run.all_theorems_hold
     assert any(not row.equal for row in run.conjectures)
+
+
+def test_every_check_is_a_labelled_report():
+    r14 = theorem14_eval(3, F(-3, 5))
+    assert (r14.identity, r14.params) == ("7.9", {"n": 3, "a": "-3/5"})
+    r15 = theorem15_eval(2, F(1, 2), F(1, 3))
+    assert (r15.identity, r15.params) == ("7.13", {"n": 2, "a": "1/2", "b": "1/3"})
+    closed = closed_form_suite(1)
+    assert [r.identity for r in closed] == [
+        "7.10", "7.11", "7.12", "7.15", "7.16", "7.16-corrected"]
+    conj = conjecture16_check(2)
+    for r in (r14, r15, *closed, *conj):
+        assert isinstance(r, VerificationReport)
+        assert r.equal == (r.lhs == r.rhs)
+    assert all(r.params == {"n": 1} for r in closed)
+    assert [(r.identity, r.params, r.note) for r in conj] == [
+        ("7.17", {"n": 2}, "conjecture"), ("7.18", {"n": 2}, "conjecture")]
+
+
+def test_all_theorems_hold_excludes_only_stated_7_16():
+    run = run_chebyshev_suite(max_n=1, closed_form_max_n=1)
+    assert run.all_theorems_hold
+    assert not [r for r in run.closed_forms if r.identity == "7.16"][0].equal
+    for field in ("theorem14", "theorem15", "closed_forms"):
+        for i, r in enumerate(getattr(run, field)):
+            if r.identity == "7.16":
+                continue
+            broken = dataclasses.replace(run, **{field: list(getattr(run, field))})
+            getattr(broken, field)[i] = dataclasses.replace(r, equal=False)
+            assert not broken.all_theorems_hold, (field, r.identity)
+    assert ChebyshevRun([], [], [], run.conjectures).all_theorems_hold

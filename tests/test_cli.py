@@ -288,6 +288,19 @@ def test_series_default_shape_is_what_runs(capsys):
     assert payload["instances"] == 2 * 3 * 5  # k in 1..2, m in 0..2, n in 0..4
 
 
+@pytest.mark.parametrize("truncation", ["1", "7"])
+def test_series_truncation_that_compares_nothing_exits_2(truncation, capsys):
+    # The cleared lhs of n = 4, k = 2 starts at total degree 4 * 2 - C(2, 2) = 7,
+    # so below T = 8 it has no coefficient to compare; the default shape at
+    # T = 8 runs in test_series_default_shape_is_what_runs.
+    argv = ["verify", "theorem1", "--series", "--trials", "1", "--truncation", truncation,
+            "--json"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--truncation at least 8" in err
+
+
 @pytest.mark.parametrize("max_k", ["3", "4"])
 def test_series_max_k_above_limit_exits_2(max_k, capsys):
     argv = ["verify", "theorem1", "--series", "--max-k", max_k, "--trials", "1",
@@ -371,6 +384,29 @@ def test_report_sweep_serializes_first_counterexample(capsys):
     assert payload["first_counterexample"]["params"] == {"n": 2}
 
 
+def test_series_counterexample_json_holds_both_series(capsys, monkeypatch):
+    from opident import identity
+
+    sign = identity.theorem1_sign
+    monkeypatch.setattr(identity, "theorem1_sign",
+                        lambda n, k, m: -sign(n, k, m) if n else sign(n, k, m))
+    argv = ["verify", "theorem1", "--series", "--max-n", "1", "--max-k", "1", "--max-m", "0",
+            "--trials", "1", "--truncation", "3", "--seed", "1", "--json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert (payload["instances"], payload["failures"]) == (2, 1)
+    assert payload["first_counterexample"] == {
+        "identity": "theorem1",
+        "params": {"n": 1, "k": 1, "m": 0, "xs": [], "ys": ["y1"], "mode": "series"},
+        "lhs": "2*y1^-1 + 3*y1^-2 + O(deg 3)",
+        "rhs": "-2*y1^-1 - 3*y1^-2 + O(deg 3)",
+        "equal": False,
+        "compared_order": 3,
+        "note": "denominator-cleared comparison; first differing coefficient at exponents (1,)",
+    }
+
+
 def test_chebyshev_json_schema(capsys):
     code, out, _ = run_cli(["chebyshev", "--max-n", "3", "--json"], capsys)
     assert code == 0
@@ -395,7 +431,18 @@ def test_chebyshev_max_n_bounds_closed_forms(capsys):
 def test_chebyshev_conjectures_do_not_affect_exit_code(capsys):
     code, out, _ = run_cli(["chebyshev", "--max-n", "2"], capsys)
     assert code == 0
-    assert "fails" in out  # conjecture failures are printed
+    assert out.splitlines()[:9] == [
+        "7.9  (n <= 2, a grid): all equal",
+        "7.13 (n <= 2, a,b grid): all equal",
+        "7.10: all equal",
+        "7.11: all equal",
+        "7.12: all equal",
+        "7.15: all equal",
+        "7.16: stated case labels FAIL (rotated by one)",
+        "7.16-corrected: all equal",
+        "conjectures:",
+    ]
+    assert "  7.17 n=1: fails  lhs=Y + 1  rhs=2*Y - 1" in out  # printed, not suppressed
 
 
 def test_json_determinism_same_config():

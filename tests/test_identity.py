@@ -278,6 +278,12 @@ NEGATIVE_CONTROLS = {
         lambda: sweep_theorem1_series(
             seed=11, trials=1, truncation=12, max_n=3, ks=(2,), max_m=3),
     ),
+    "series k = 3 y-Vandermonde not reversed": (
+        "_y_vandermonde",
+        lambda orig: vandermonde_product,
+        lambda: sweep_theorem1_series(
+            seed=11, trials=1, truncation=12, max_n=3, ks=(3,), max_m=1),
+    ),
     "series H(n-k) dropped": (
         "_hankel_divisor",
         lambda orig: lambda f, n, k: 1,
@@ -735,7 +741,7 @@ def test_uvarov_matches_lemma5_of_modified_functional(rng):
     mod = modified_functional(f, xs_fixed, ys)
     for n in range(1, 5):
         p_n, _ = uvarov_polynomial(sys, n, xs_fixed, ys)
-        d_n = poly_lemma5(mod, n, var="x1")
+        d_n = poly_lemma5(mod, n).rename("x1")
         assert d_n == f.hankel_det(n - 1) * p_n
 
 

@@ -481,6 +481,26 @@ def test_series_bivariate_commutes(f, g):
     assert (f * g).equal_up_to(g * f, 6)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_series_strategy(variables=("y1", "y2", "y3"), trunc=5),
+       _series_strategy(variables=("y1", "y2", "y3"), trunc=5))
+def test_series_trivariate_product_is_the_convolution(f, g):
+    want = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+            want[e] = want.get(e, 0) + c1 * c2
+    prod = f * g
+    assert prod.terms == {e: c for e, c in want.items() if c and sum(e) < prod.trunc}
+
+
+def test_series_str():
+    v = ("y1", "y2")
+    s = InverseSeries(v, {(-1, 0): 2, (0, 0): 1, (0, 1): F(-3, 4), (1, 1): 5, (2, 0): F(1, 3)}, 3)
+    assert str(s) == "2*y1^1 + 1*1 - 3/4*y2^-1 + 5*y1^-1*y2^-1 + 1/3*y1^-2 + O(deg 3)"
+    assert str(InverseSeries.zero(v)) == "0"
+
+
 def test_series_truncation_bookkeeping():
     v = ("y1",)
     f = InverseSeries(v, {(1,): F(1)}, 5)      # known below degree 5
@@ -560,9 +580,10 @@ def test_series_never_stores_beyond_truncation():
 
 
 def test_series_variable_cap():
-    with pytest.raises(ValueError):
-        InverseSeries.one(("a", "b", "c", "d", "e"))
-    InverseSeries.one(("a", "b", "c", "d"))  # four is the cap
+    for variables in ((), ("a", "b", "c", "d")):
+        with pytest.raises(ValueError):
+            InverseSeries.one(variables)
+    InverseSeries.one(("a", "b", "c"))  # three is the cap
 
 
 # ---------------------------------------------------------------------------
