@@ -47,7 +47,7 @@ def _load_functional(path: str | None, default=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit2(f"cannot read functional file: {exc}")
     try:
         return functional_from_json(text)

@@ -588,7 +588,6 @@ def sweep_theorem1_atom(
     max_k: int = 3,
     max_m: int = 3,
     functional: FiniteAtomFunctional | None = None,
-    atom_count: int = 8,
 ) -> list[VerificationReport]:
     """Full (n, k, m) grid per trial over seeded random atom functionals
     (y parameters are drawn with denominator 3, so they never hit the
@@ -599,7 +598,7 @@ def sweep_theorem1_atom(
     for _ in range(trials):
         f = functional
         if f is None:
-            f = random_atom_functional(rng, atom_count, hankel_nonzero_upto=depth)
+            f = random_atom_functional(rng, hankel_nonzero_upto=depth)
         sys = build_ortho_system(f, depth)
         for n in range(max_n + 1):
             for k in range(max_k + 1):
@@ -655,7 +654,6 @@ def sweep_prop13(
     seed: int,
     trials: int = 4,
     max_n: int = 5,
-    atom_count: int = 8,
 ) -> list[VerificationReport]:
     """Confluent sweep: double x, double y, and mixed shapes, n <= max_n."""
     rng = random.Random(seed)
@@ -663,7 +661,7 @@ def sweep_prop13(
     depth = max_n + max_m - 1
     reports = []
     for _ in range(trials):
-        f = random_atom_functional(rng, atom_count, hankel_nonzero_upto=depth)
+        f = random_atom_functional(rng, hankel_nonzero_upto=depth)
         sys = build_ortho_system(f, depth)
         for n in range(max_n + 1):
             for x_mults, y_mults in _CONFLUENT_SHAPES:

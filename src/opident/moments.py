@@ -383,12 +383,18 @@ def functional_from_json(source) -> MomentFunctional:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("functional JSON must be an object with a 'type' field")
     kind = obj["type"]
+
+    def rational(field, value):
+        if not isinstance(value, str):
+            raise ValueError(f"{field}: rationals travel as strings \"p/q\", got {value!r}")
+        return parse_rational(value)
+
     if kind == "atoms":
         return FiniteAtomFunctional(
-            (parse_rational(u), parse_rational(w)) for u, w in obj["atoms"]
+            (rational("atoms", u), rational("atoms", w)) for u, w in obj["atoms"]
         )
     if kind == "sequence":
-        return SequenceFunctional(parse_rational(m) for m in obj["moments"])
+        return SequenceFunctional(rational("moments", m) for m in obj["moments"])
     if kind == "chebyshev":
         return ChebyshevCatalanFunctional()
     raise ValueError(f"unknown functional type {kind!r}")

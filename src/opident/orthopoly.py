@@ -4,9 +4,9 @@ Builds the monic orthogonal polynomials p_n through the three-term
 recurrence p_n = (x - s_{n-1}) p_{n-1} - t_{n-2} p_{n-2}, together with the
 recurrence coefficients, the norms L(p_n^2), and the second-kind functions
 q_n(y) = L(p_n(u) / (y - u)) in both exact (finite-atom) and formal-series
-form.  The recurrence coefficients are always computed by two independent
-routes (inner-product quotients and Hankel-determinant quotients) and any
-disagreement is a hard error.
+form.  Each norm L(p_n^2) is computed by two independent routes (an inner
+product and the Hankel quotient H(n+1)/H(n)) and any disagreement is a hard
+error; t_n, a quotient of two checked norms, needs no check of its own.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .ring import (
     ratio,
     series_ratio,
 )
-
 
 
 class DegenerateFunctionalError(Exception):
@@ -53,28 +52,26 @@ class OrthoSystem:
 
     ``depth`` is the largest constructed polynomial index: p_0..p_depth,
     s_0..s_{depth-1}, t_0..t_{depth-2}, norms L(p_0^2)..L(p_{depth-1}^2).
-    Immutable once built; p(-1) is the zero polynomial.  Each p_n is also
-    kept as integer coefficients over one denominator and, for a finite-atom
-    functional, as the integer values w_a p_n(u_a) over one denominator;
-    both tables are filled here, so a built system is safe to share across
-    threads.
+    Immutable once built; p(-1) is the zero polynomial.  p_n is kept only as
+    ``int_polys[n] = (c, d)``, integer coefficients over one denominator, and
+    p(n) builds its UniPoly when read.  For a finite-atom functional the
+    integer values w_a p_n(u_a) over one denominator are tabled here too, so
+    a built system is safe to share across threads.
     """
 
-    def __init__(self, functional, depth, s, t, polys, norms, var):
+    def __init__(self, functional, depth, s, t, int_polys, norms):
         self.functional = functional
         self.depth = depth
         self.s = tuple(s)
         self.t = tuple(t)
-        self.polys = tuple(polys)
+        self.int_polys = tuple(int_polys)
         self.norms = tuple(norms)
-        self.var = var
-        self._int_polys = tuple(integer_form(p.coeffs) for p in self.polys)
         self._atom_values = None
         if isinstance(functional, FiniteAtomFunctional):
             weights, weight_den = functional.modified_weights()
             b = functional.node_scale
             table = []
-            for coeffs, d in self._int_polys:
+            for coeffs, d in self.int_polys:
                 vals, den = [], weight_den * d * b ** (len(coeffs) - 1)
                 for w, un in zip(weights, functional.node_numerators):
                     vals.append(w * _homogeneous_eval(coeffs, un, b)[0])
@@ -90,8 +87,9 @@ class OrthoSystem:
     def p(self, n: int) -> UniPoly:
         self._check_index(n)
         if n == -1:
-            return UniPoly.zero(self.var)
-        return self.polys[n]
+            return UniPoly.zero()
+        coeffs, d = self.int_polys[n]
+        return UniPoly([Fraction(c, d) for c in coeffs])
 
     def norm(self, n: int) -> Fraction:
         """L(p_n^2); equals H(n+1)/H(n)."""
@@ -113,7 +111,7 @@ class OrthoSystem:
             if b < order:  # p_b has degree below r, or is zero
                 vals.append((0, 1))
                 continue
-            coeffs, d = self._int_polys[b]
+            coeffs, d = self.int_polys[b]
             if order:
                 coeffs = [c * math.comb(i, order) for i, c in enumerate(coeffs)][order:]
             acc, bpow = _homogeneous_eval(coeffs, xn, xd)
@@ -137,48 +135,48 @@ class OrthoSystem:
         return self._atom_values[n]
 
 
-def build_ortho_system(
-    f: MomentFunctional, depth: int, var: str = "x"
-) -> OrthoSystem:
-    """Run the three-term recurrence up to p_depth.
+def build_ortho_system(f: MomentFunctional, depth: int) -> OrthoSystem:
+    """Run the three-term recurrence up to p_depth on integer coefficients.
 
     Needs H(1)..H(depth) nonzero (checked; the first vanishing index is
-    reported).  Each t is computed both as a norm quotient and as the
-    Hankel quotient H(n+1)H(n-1)/H(n)^2 and the two must agree exactly.
+    reported).  With p_{n-1} = c / d and mu_i = m_i / M, L(p_{n-1}^2) and
+    L(u p_{n-1}^2) are integer dot products of c*c against m and m shifted,
+    over d^2 M; the norm must equal H(n)/H(n-1) exactly.  Both norms in
+    t_{n-2} = L(p_{n-1}^2) / L(p_{n-2}^2) passed that check, so t_{n-2} is
+    H(n)H(n-2)/H(n-1)^2 (2.4) exactly and is not checked again.  Only the
+    O(n) update of p_n runs on Fractions; integer_form closes each step.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    x = UniPoly.variable(var)
-    polys = [UniPoly.one(var)]
-    s: list[Fraction] = []
-    t: list[Fraction] = []
-    norms: list[Fraction] = []
+    int_polys = [((1,), 1)]
+    s, t, norms = [], [], []
+    prev2, prev = [], [Fraction(1)]
     for n in range(1, depth + 1):
         h_n = f.hankel_det(n)
         if not h_n:
             raise DegenerateFunctionalError(n)
-        p_prev = polys[n - 1]
-        sq = p_prev * p_prev
-        w_prev = f.apply(sq)
+        mu, mu_den = integer_form([f.moment(i) for i in range(2 * n)])
+        coeffs, d = int_polys[n - 1]
+        sq = [0] * (2 * n - 1)
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(coeffs, i):
+                sq[j] += a * b
+        dot = sum(map(mul, sq, mu))
+        w_prev = Fraction(dot, d * d * mu_den)
         if w_prev != h_n / f.hankel_det(n - 1):
-            raise ArithmeticError(
-                f"norm L(p_{n-1}^2) disagrees with H({n})/H({n-1})"
-            )
+            raise ArithmeticError(f"norm L(p_{n-1}^2) disagrees with H({n})/H({n-1})")
         norms.append(w_prev)
-        s_n = f.apply(sq.shift(1)) / w_prev
+        s_n = Fraction(sum(map(mul, sq, mu[1:])), dot)
         s.append(s_n)
-        new = x * p_prev - s_n * p_prev
+        new = [a - s_n * b for a, b in zip([0, *prev], [*prev, 0])]
         if n >= 2:
             t_n = w_prev / norms[n - 2]
-            t_hankel = h_n * f.hankel_det(n - 2) / f.hankel_det(n - 1) ** 2
-            if t_n != t_hankel:
-                raise ArithmeticError(
-                    f"t_{n-2} from norms disagrees with Hankel quotient (2.4)"
-                )
             t.append(t_n)
-            new = new - t_n * polys[n - 2]
-        polys.append(new)
-    return OrthoSystem(f, depth, s, t, polys, norms, var)
+            for i, c in enumerate(prev2):
+                new[i] -= t_n * c
+        prev2, prev = prev, new
+        int_polys.append(integer_form(new))
+    return OrthoSystem(f, depth, s, t, int_polys, norms)
 
 
 def hankel_product_formula(sys: OrthoSystem, n: int) -> Fraction:
@@ -305,7 +303,7 @@ def q_series_row(
             f._require_horizon(b + count - 1)
     top = max(built) + count if built and count else 0
     mu, mu_den = integer_form([f.moment(t) for t in range(top)])
-    den = math.lcm(*(sys._int_polys[b][1] * mu_den for b in built))
+    den = math.lcm(*(sys.int_polys[b][1] * mu_den for b in built))
     row = []
     for b in cols:
         exps = [0] * len(variables)
@@ -313,7 +311,7 @@ def q_series_row(
             exps[slot] = b + 1
             row.append(InverseSeries._make(variables, {tuple(exps): den}, None, None))
             continue
-        coeffs, d = sys._int_polys[b]
+        coeffs, d = sys.int_polys[b]
         lift = den // (d * mu_den)
         terms = {}
         for i in range(count):

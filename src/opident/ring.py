@@ -204,12 +204,6 @@ class UniPoly:
             coeffs = tuple(i * coeffs[i] for i in range(1, len(coeffs)))
         return UniPoly(coeffs, self.var)
 
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by var**k."""
-        if not self.coeffs:
-            return self
-        return UniPoly((_ZERO,) * k + self.coeffs, self.var)
-
     def exact_div(self, divisor: "UniPoly") -> "UniPoly":
         """Exact polynomial division; raises if the remainder is nonzero.
 

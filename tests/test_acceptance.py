@@ -39,9 +39,7 @@ def test_criterion_1_theorem1_atom_sweep():
     """100 random 8-atom functionals, all (n,k,m) with n<=6, k<=3, m<=3,
     exact equality in every instance including every n < k case; < 60 s."""
     t0 = time.perf_counter()
-    reports = sweep_theorem1_atom(
-        SEED, trials=100, max_n=6, max_k=3, max_m=3, atom_count=8
-    )
+    reports = sweep_theorem1_atom(SEED, trials=100, max_n=6, max_k=3, max_m=3)
     elapsed = time.perf_counter() - t0
     assert len(reports) == 100 * 7 * 4 * 4
     bad = [r for r in reports if not r.equal]

@@ -1,9 +1,12 @@
+import ast
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from opident.cli import main
 
@@ -205,6 +208,127 @@ def test_uvarov_fixed_x_on_atom_node_exits_2(capsys):
     assert out == ""
     assert err.startswith("error:") and "kills the atom" in err
     assert "Traceback" not in err
+
+
+def test_uvarov_text_mode_matches_json(capsys):
+    path = str(Path(__file__).parent / "golden" / "atoms7.json")
+    argv = ["uvarov", "--functional", path, "--ys", "1/3", "--max-n", "2"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    code, js, _ = run_cli(argv + ["--json"], capsys)
+    assert code == 0
+    payload = json.loads(js)
+    lines = out.splitlines()
+    assert lines[:3] == [
+        f"P_{row['n']}: {row['coefficients']}" for row in payload["polynomials"]
+    ]
+    assert [ast.literal_eval(line.split(": ", 1)[1]) for line in lines[:3]] == [
+        row["coefficients"] for row in payload["polynomials"]
+    ]
+    assert lines[3] == "gram:"
+    assert [line.split() for line in lines[4:7]] == payload["gram"]
+    assert lines[7:] == ["orthogonal: yes"]
+
+
+_NON_STRING_ATOMS = '{"type":"atoms","atoms":[[0,1]]}'
+
+
+@pytest.mark.parametrize(
+    "document, argv, named",
+    [
+        (_NON_STRING_ATOMS, ["hankel", "--n", "1"], "atoms"),
+        (_NON_STRING_ATOMS, ["uvarov"], "atoms"),
+        (_NON_STRING_ATOMS, ["verify", "theorem1", "--trials", "1"], "atoms"),
+        ('{"type":"atoms","atoms":[["0",null]]}', ["hankel", "--n", "1"], "atoms"),
+        ('{"type":"atoms","atoms":[[true,"1"]]}', ["hankel", "--n", "1"], "atoms"),
+        ('{"type":"sequence","moments":[1,2,3]}', ["hankel", "--n", "1"], "moments"),
+    ],
+    ids=["number-hankel", "number-uvarov", "number-theorem1", "null", "boolean", "moments"],
+)
+def test_non_string_rational_exits_2(tmp_path, capsys, document, argv, named):
+    # Rationals travel as strings "p/q"; a JSON number, null or boolean is
+    # refused with the field named instead of ending in a traceback.
+    path = tmp_path / "f.json"
+    path.write_text(document)
+    code, out, err = run_cli(argv + ["--functional", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed functional JSON") and named in err
+    assert err.count("\n") == 1
+
+
+def test_non_utf8_functional_exits_2(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = run_cli(["hankel", "--n", "1", "--functional", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read functional file") and err.count("\n") == 1
+
+
+# Fuzzing the input boundary: wire rationals "p/q" with small ints mixed
+# with junk.  Strings stay at most 4 characters, so no value nears Python's
+# int-to-str digit limit.
+def _mostly(common, rare):
+    """`common` nine times in ten, else `rare`."""
+    return st.integers(0, 9).flatmap(lambda i: rare if i == 0 else common)
+
+
+_junk = st.one_of(
+    st.integers(-9, 9),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(-9, 9), max_size=2),
+    st.text(max_size=4),
+)
+_wire = st.builds(
+    "{}/{}".format, st.integers(-9, 9), _mostly(st.integers(1, 3), st.integers(-3, 0))
+)
+_value = _mostly(_wire, _junk)
+_document = _mostly(
+    st.one_of(
+        st.fixed_dictionaries(
+            {"type": st.just("atoms"),
+             "atoms": st.lists(_mostly(st.tuples(_value, _value), _junk), max_size=4)}
+        ),
+        st.fixed_dictionaries(
+            {"type": st.just("sequence"), "moments": st.lists(_value, max_size=8)}
+        ),
+        st.fixed_dictionaries({"type": st.sampled_from(["chebyshev", "bogus"])}),
+    ),
+    _junk,
+)
+_flag_list = st.lists(_mostly(_wire, st.text(max_size=4)), max_size=3).map(",".join)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    document=_document,
+    command=st.sampled_from(["hankel", "uvarov", "theorem1"]),
+    n=st.integers(0, 3),
+    xs=_flag_list,
+    ys=_flag_list,
+)
+def test_fuzzed_input_exits_cleanly(tmp_path, capsys, document, command, n, xs, ys):
+    # Whatever the functional file and the rational-list flags hold, main()
+    # returns 0, 1 or 2 and never raises; exit 2 prints one line.  The file is
+    # rewritten for every example.
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(document))
+    functional = ["--functional", str(path)]
+    argv = {
+        "hankel": ["hankel", "--n", str(n), *functional, f"--xs={xs}", f"--ys={ys}"],
+        "uvarov": ["uvarov", *functional, "--max-n", str(n % 2), f"--ys={ys}",
+                   f"--xs-fixed={xs}"],
+        "theorem1": ["verify", "theorem1", *functional, "--trials", "1", "--max-n", "1",
+                     "--max-k", "1", "--max-m", "1"],
+    }[command]
+    code, _, err = run_cli(argv, capsys)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

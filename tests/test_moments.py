@@ -266,7 +266,7 @@ def test_modified_hankel_det_on_moment_sequences():
             poly = UniPoly.one("u")
             for x in xs:
                 poly = poly * (u - x)
-            mm = [f.apply(poly.shift(i)) for i in range(7)]
+            mm = [f.apply(poly * u**i) for i in range(7)]
             assert f.modified_moments(7, xs) == mm
             assert f.modified_moments(0, xs) == []
             for n in range(4):
@@ -395,7 +395,7 @@ def _series_oracle(f, i, xs, variables, truncation):
     for e in itertools.product(range(1, truncation), repeat=k):
         if sum(e) >= truncation:
             continue
-        poly = UniPoly.one("u").shift(i + sum(e) - k)
+        poly = u ** (i + sum(e) - k)
         for x in xs:
             poly = poly * (u - F(x))
         terms[e] = (-1) ** k * f.apply(poly)

@@ -14,6 +14,7 @@ from opident.moments import (
     SequenceFunctional,
     functional_from_json,
     random_atom_functional,
+    random_sequence_functional,
 )
 from opident.orthopoly import (
     DegenerateFunctionalError,
@@ -112,6 +113,35 @@ def test_hankel_product_formula(rng):
         for i in range(n - 1):
             prod *= sys.t[i] ** (n - i - 1)
         assert f.hankel_det(n) == prod
+
+
+def test_norm_cross_check_has_teeth():
+    # One wrong Hankel route stops the build at the first norm that reads it.
+    class DoubledH3(SequenceFunctional):
+        def hankel_det(self, n):
+            value = super().hankel_det(n)
+            return 2 * value if n == 3 else value
+
+    f = DoubledH3(ChebyshevCatalanFunctional().moment(i) for i in range(8))
+    assert build_ortho_system(f, 2).t == (1,)
+    with pytest.raises(ArithmeticError, match=r"norm L\(p_2\^2\) disagrees with H\(3\)/H\(2\)"):
+        build_ortho_system(f, 4)
+
+
+@pytest.mark.parametrize("kind", ["atoms", "sequence"])
+def test_t_is_the_hankel_quotient(rng, kind):
+    # (2.4): t_i = H(i+2) H(i) / H(i+1)^2.  The build takes t as a quotient
+    # of two checked norms and does not compare it with this again.
+    for _ in range(5):
+        if kind == "atoms":
+            f = random_atom_functional(rng, 8, hankel_nonzero_upto=8)
+        else:
+            f = random_sequence_functional(rng, 15, hankel_nonzero_upto=8)
+        sys = build_ortho_system(f, 8)
+        h = f.hankel_det
+        assert len(sys.t) == 7
+        for i, t in enumerate(sys.t):
+            assert t == h(i + 2) * h(i) / h(i + 1) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +387,7 @@ def test_q_series_tampered_moment_breaks_orthogonality():
     moments = list(sys.functional.moments)
     moments[3] += F(1, 2)
     bad = OrthoSystem(
-        SequenceFunctional(moments), sys.depth, sys.s, sys.t, sys.polys, sys.norms, sys.var
+        SequenceFunctional(moments), sys.depth, sys.s, sys.t, sys.int_polys, sys.norms
     )
     q_series(bad, 1, 10)  # L(p_1 u^0) = mu_1 - s_0 mu_0 does not read mu_3
     for n in (2, 3, 4):
