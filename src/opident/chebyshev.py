@@ -308,13 +308,13 @@ A_GRID = (Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 5))
 B_GRID = (Fraction(-1), Fraction(0), Fraction(1), Fraction(2), Fraction(1, 3))
 
 
-def run_chebyshev_suite(max_n: int = 10, closed_form_max_n: int = 12) -> ChebyshevRun:
+def run_chebyshev_suite(max_n: int = 10) -> ChebyshevRun:
     """Theorem grids over rational (a, b), the closed forms and the
-    conjectures, each evaluation one VerificationReport."""
+    conjectures for n <= max_n, each evaluation one VerificationReport."""
     ns = range(1, max_n + 1)
     return ChebyshevRun(
         [theorem14_eval(n, a) for n in ns for a in A_GRID],
         [theorem15_eval(n, a, b) for n in ns for a in A_GRID for b in B_GRID],
-        closed_form_suite(closed_form_max_n),
-        conjecture16_table(closed_form_max_n),
+        closed_form_suite(max_n),
+        conjecture16_table(max_n),
     )

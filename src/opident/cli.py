@@ -51,7 +51,8 @@ def _load_functional(path: str | None, default=None):
         raise SystemExit2(f"cannot read functional file: {exc}")
     try:
         return functional_from_json(text)
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the JSON decoder can follow
         raise SystemExit2(f"malformed functional JSON: {exc}")
 
 
@@ -286,7 +287,7 @@ def _cmd_uvarov(args) -> int:
 
 
 def _cmd_chebyshev(args) -> int:
-    run = cheb.run_chebyshev_suite(max_n=args.max_n, closed_form_max_n=args.max_n)
+    run = cheb.run_chebyshev_suite(args.max_n)
     if args.json:
 
         def row(r):
@@ -345,7 +346,7 @@ def _cmd_selftest(args) -> int:
     check(f"lemma 8/9 sweep ({len(reports)} instances)", all(r.equal for r in reports))
     reports = sweep_jacobi(seed, sizes=(4,))
     check(f"jacobi condensation ({len(reports)} instances)", all(r.equal for r in reports))
-    run = cheb.run_chebyshev_suite(max_n=5, closed_form_max_n=6)
+    run = cheb.run_chebyshev_suite(max_n=6)
     check("chebyshev closed-form suite", run.all_theorems_hold)
     return 0 if failures == 0 else 1
 

@@ -8,10 +8,11 @@ moment sequence mu_n = L(x^n).  Three backends:
   raise, never silently return zero),
 * the Chebyshev weight, whose even moments are the Catalan numbers.
 
-On top of the plain moments sit the rationally modified moments
+Readers take the moments in one form, ``moment_row``: integer numerators
+over one denominator.  On top of them sit the rationally modified moments
 L(u^i * prod(u - x_l) / prod(u - y_l)), exact for finite-atom measures and
 truncated inverse-power series for formal y's, together with the Hankel
-determinants of both.
+determinants of both; H(n) is the one with no x's and no y's.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .ring import (
     UniPoly,
     binomial,
     det_int,
-    det_rational,
     det_series,
     format_rational,
     integer_form,
@@ -94,53 +94,44 @@ class MomentFunctional:
         if h is not None and n > h:
             raise MomentHorizonError(f"moment {n} requested, horizon is {h}")
 
+    def moment_row(self, count: int) -> tuple[tuple[int, ...], int]:
+        """Integers m_i and M > 0 with mu_i = m_i / M for i = 0..count-1:
+        the one form in which the readers of the moments take them."""
+        if count:
+            self._require_horizon(count - 1)
+        return integer_form([self.moment(i) for i in range(count)])
+
     # -- linear functional ----------------------------------------------
     def apply(self, p: UniPoly) -> Fraction:
-        """L(p) = sum_i coeff_i * mu_i."""
-        if p.coeffs:
-            self._require_horizon(len(p.coeffs) - 1)
-        total = _ZERO
-        for i, c in enumerate(p.coeffs):
-            if c:
-                total += c * self.moment(i)
-        return total
+        """L(p) = sum_i coeff_i * mu_i: the integer coefficients of p against
+        the moment row, over both denominators."""
+        coeffs, den = integer_form(p.coeffs)
+        mu, mu_den = self.moment_row(len(coeffs))
+        return Fraction(sum(map(mul, coeffs, mu)), den * mu_den)
 
     # -- Hankel determinants ---------------------------------------------
-    def hankel_matrix(self, n: int) -> RingMatrix:
-        if n:
-            self._require_horizon(2 * n - 2)
-        return RingMatrix(n, n, [self.moment(i + j) for i in range(n) for j in range(n)])
-
     def hankel_det(self, n: int) -> Fraction:
-        """H(n) = det(mu_{i+j}), 0 <= i, j <= n-1; H(0) = 1.  Memoized."""
+        """H(n) = det(mu_{i+j}), 0 <= i, j <= n-1, H(0) = 1: modified_hankel_det(n), memoized."""
         cached = self._hankel_cache.get(n)
         if cached is not None:
             return cached
         with self._hankel_lock:
             cached = self._hankel_cache.get(n)
             if cached is None:
-                cached = det_rational(self.hankel_matrix(n))
+                cached = self.modified_hankel_det(n)
                 self._hankel_cache[n] = cached
         return cached
 
     # -- modified moments --------------------------------------------------
     def modified_moment(self, i: int, xs=(), ys=()) -> Fraction:
-        """L(u^i * prod(u - x_l) / prod(u - y_l)), exact.
+        """L(u^i * prod(u - x_l) / prod(u - y_l)), exact: M_i / (D B^i)
+        (see _modified_ints).
 
         Rational y's need a finite-atom backend; with no y's any backend
         works (the integrand is a polynomial).
         """
-        return self.modified_moments(i + 1, xs, ys)[i]
-
-    def modified_moments(self, count: int, xs=(), ys=()) -> list[Fraction]:
-        """Modified moment i is M_i / (D B^i) (see _modified_ints), for
-        i = 0..count-1."""
-        mm, den, b = self._modified_ints(count, xs, ys)
-        out = []
-        for m in mm:
-            out.append(Fraction(m, den))
-            den *= b
-        return out
+        mm, den, b = self._modified_ints(i + 1, xs, ys)
+        return Fraction(mm[i], den * b**i)
 
     def _modified_ints(self, count: int, xs=(), ys=()) -> tuple[list[int], int, int]:
         """Integers M_i, D > 0 and B > 0 with modified moment i equal to
@@ -218,15 +209,14 @@ class MomentFunctional:
     def _modified_row(self, xs, start: int, count: int) -> tuple[list[int], int]:
         """Integers r_j and D > 0 with L(u^j prod(u - x_l)) = r_j / D for
         j = start..start+count-1: the integer coefficients of prod(u - x_l)
-        against the integer moment numerators, over the product of their
-        lcms."""
+        over their lcm against moment_row, over the product of the two
+        denominators."""
         u = UniPoly.variable("u")
         poly = math.prod((u - Fraction(x) for x in xs), start=UniPoly.one("u"))
         base, den = integer_form(poly.coeffs)
         width = len(base)
-        if count:
-            self._require_horizon(start + count + width - 2)
-        mu, mu_den = integer_form([self.moment(start + t) for t in range(count + width - 1)])
+        mu, mu_den = self.moment_row(start + count + width - 1)
+        mu = mu[start:]
         return [sum(map(mul, base, mu[j : j + width])) for j in range(count)], den * mu_den
 
     # -- serialization -----------------------------------------------------
@@ -260,8 +250,6 @@ class FiniteAtomFunctional(MomentFunctional):
         self.node_numerators = tuple(
             u.numerator * (self.node_scale // u.denominator) for u in nodes
         )
-        self._moments = ()
-        self._moment_lock = threading.Lock()
 
     @property
     def nodes(self):
@@ -269,16 +257,13 @@ class FiniteAtomFunctional(MomentFunctional):
 
     def moment(self, n: int) -> Fraction:
         self._require_horizon(n)
-        # The table is only ever replaced whole, under the lock, so a reader
-        # sees either the old or the new tuple, never a half-extended one.
-        moments = self._moments
-        if n >= len(moments):
-            with self._moment_lock:
-                if n >= len(self._moments):
-                    count = max(n + 1, 2 * len(self._moments))
-                    self._moments = tuple(self.modified_moments(count))
-                moments = self._moments
-        return moments[n]
+        return self.modified_moment(n)
+
+    def moment_row(self, count: int) -> tuple[tuple[int, ...], int]:
+        """mu_i = M_i / (D B^i) (see _modified_ints) over one denominator D B^(count-1)."""
+        mm, den, b = self._modified_ints(count)
+        top = b ** max(count - 1, 0)
+        return tuple(m * (top // b**i) for i, m in enumerate(mm)), den * top
 
     def modified_weights(self, xs=(), ys=()) -> tuple[list[int], int]:
         """Integers N_a and D > 0 with N_a / D = w_a prod(u_a - x_l) / prod(u_a - y_l),
@@ -309,6 +294,8 @@ class FiniteAtomFunctional(MomentFunctional):
     def _modified_ints(self, count: int, xs=(), ys=()) -> tuple[list[int], int, int]:
         """M_i = sum_a N_a U_a^i over D B^i, with N_a / D the modified
         weights and B the node scale."""
+        if count < 0:
+            raise ValueError("moment index must be non-negative")
         powers, den = self.modified_weights(xs, ys)
         out = []
         for _ in range(count):
@@ -390,11 +377,16 @@ def functional_from_json(source) -> MomentFunctional:
         return parse_rational(value)
 
     if kind == "atoms":
-        return FiniteAtomFunctional(
-            (rational("atoms", u), rational("atoms", w)) for u, w in obj["atoms"]
-        )
+        atoms = obj["atoms"]
+        pairs = isinstance(atoms, list) and all(isinstance(a, list) and len(a) == 2 for a in atoms)
+        if not pairs:
+            raise ValueError("atoms: expected a list of [node, weight] pairs")
+        return FiniteAtomFunctional((rational("atoms", u), rational("atoms", w)) for u, w in atoms)
     if kind == "sequence":
-        return SequenceFunctional(rational("moments", m) for m in obj["moments"])
+        moments = obj["moments"]
+        if not isinstance(moments, list):
+            raise ValueError("moments: expected a list of rationals")
+        return SequenceFunctional(rational("moments", m) for m in moments)
     if kind == "chebyshev":
         return ChebyshevCatalanFunctional()
     raise ValueError(f"unknown functional type {kind!r}")

@@ -139,12 +139,13 @@ def build_ortho_system(f: MomentFunctional, depth: int) -> OrthoSystem:
     """Run the three-term recurrence up to p_depth on integer coefficients.
 
     Needs H(1)..H(depth) nonzero (checked; the first vanishing index is
-    reported).  With p_{n-1} = c / d and mu_i = m_i / M, L(p_{n-1}^2) and
-    L(u p_{n-1}^2) are integer dot products of c*c against m and m shifted,
-    over d^2 M; the norm must equal H(n)/H(n-1) exactly.  Both norms in
-    t_{n-2} = L(p_{n-1}^2) / L(p_{n-2}^2) passed that check, so t_{n-2} is
-    H(n)H(n-2)/H(n-1)^2 (2.4) exactly and is not checked again.  Only the
-    O(n) update of p_n runs on Fractions; integer_form closes each step.
+    reported).  With p_{n-1} = c / d and the moment row mu_i = m_i / M,
+    L(p_{n-1}^2) and L(u p_{n-1}^2) are integer dot products of c*c against
+    m and m shifted, over d^2 M; the norm must equal H(n)/H(n-1) exactly.
+    Both norms in t_{n-2} = L(p_{n-1}^2) / L(p_{n-2}^2) passed that check,
+    so t_{n-2} is H(n)H(n-2)/H(n-1)^2 (2.4) exactly and is not checked
+    again.  Only the O(n) update of p_n runs on Fractions; integer_form
+    closes each step.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -155,7 +156,7 @@ def build_ortho_system(f: MomentFunctional, depth: int) -> OrthoSystem:
         h_n = f.hankel_det(n)
         if not h_n:
             raise DegenerateFunctionalError(n)
-        mu, mu_den = integer_form([f.moment(i) for i in range(2 * n)])
+        mu, mu_den = f.moment_row(2 * n)
         coeffs, d = int_polys[n - 1]
         sq = [0] * (2 * n - 1)
         for i, a in enumerate(coeffs):
@@ -287,9 +288,9 @@ def q_series_row(
     """Integer-coefficient series Q_b and D > 0 with Q_b / D the formal
     series q_b in 1/y_slot for each b in cols (see q_series), truncated at
     `truncation`.  L(p_b u^i) = sum_r c_r mu_(i+r) / (d_b M): p_b's integer
-    coefficients c_r over d_b against the integer moment numerators over
-    their lcm M, read once for the row; D is the lcm of the d_b M.  For
-    b < 0 the convention q_b(y) = y^(-b-1) gives the exact D y^(-b-1).
+    coefficients c_r over d_b against the moment row m_i / M, read once for
+    the row; D is the lcm of the d_b M.  For b < 0 the convention
+    q_b(y) = y^(-b-1) gives the exact D y^(-b-1).
     """
     if truncation <= 0:
         raise ValueError("truncation order must be positive")
@@ -302,7 +303,7 @@ def q_series_row(
         if count:
             f._require_horizon(b + count - 1)
     top = max(built) + count if built and count else 0
-    mu, mu_den = integer_form([f.moment(t) for t in range(top)])
+    mu, mu_den = f.moment_row(top)
     den = math.lcm(*(sys.int_polys[b][1] * mu_den for b in built))
     row = []
     for b in cols:

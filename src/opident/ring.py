@@ -181,10 +181,9 @@ class UniPoly:
             return not other
         return len(self.coeffs) == 1 and self.coeffs[0] == other
 
-    def __hash__(self):
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs)
-        return hash((self.var, self.coeffs))
+    # A constant polynomial equals its scalar, whose hash no polynomial hash
+    # can match in general, so UniPoly is unhashable.
+    __hash__ = None
 
     def eval(self, v):
         """Horner evaluation at *v* (any ring compatible with the coefficients)."""

@@ -154,6 +154,7 @@ def test_criterion_6_uvarov_orthogonality():
 def test_criterion_7_section7_reproduction():
     """The two X-linear Hankel evaluations exact over Q[X] for n <= 10 on a
     rational (a, b) grid, and the catalogued closed forms for n <= 12; < 30 s.
+    One suite run to n = 12 covers both.
 
     The b = 1 specialization's stated mod-3 case labels are rotated by one
     (already false at n = 1 by direct evaluation); its content is verified
@@ -161,7 +162,7 @@ def test_criterion_7_section7_reproduction():
     rather than suppressed.
     """
     t0 = time.perf_counter()
-    run = run_chebyshev_suite(max_n=10, closed_form_max_n=12)
+    run = run_chebyshev_suite(max_n=12)
     elapsed = time.perf_counter() - t0
     assert all(r.equal for r in run.theorem14)
     assert all(r.equal for r in run.theorem15)

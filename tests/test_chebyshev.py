@@ -254,7 +254,7 @@ def test_conjecture_table_is_reported_per_n():
 # ---------------------------------------------------------------------------
 
 def test_run_chebyshev_suite_small():
-    run = run_chebyshev_suite(max_n=4, closed_form_max_n=5)
+    run = run_chebyshev_suite(max_n=5)
     assert run.all_theorems_hold
     assert any(not row.equal for row in run.conjectures)
 
@@ -277,7 +277,7 @@ def test_every_check_is_a_labelled_report():
 
 
 def test_all_theorems_hold_excludes_only_stated_7_16():
-    run = run_chebyshev_suite(max_n=1, closed_form_max_n=1)
+    run = run_chebyshev_suite(max_n=1)
     assert run.all_theorems_hold
     assert not [r for r in run.closed_forms if r.identity == "7.16"][0].equal
     for field in ("theorem14", "theorem15", "closed_forms"):

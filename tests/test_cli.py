@@ -257,6 +257,49 @@ def test_non_string_rational_exits_2(tmp_path, capsys, document, argv, named):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "document, named",
+    [
+        ('{"type":"atoms","atoms":["12","34"]}', "atoms"),
+        ('{"type":"atoms","atoms":{"1":"2"}}', "atoms"),
+        ('{"type":"atoms","atoms":[["1","2","3"]]}', "atoms"),
+        ('{"type":"atoms","atoms":"12"}', "atoms"),
+        ('{"type":"sequence","moments":"123"}', "moments"),
+        ('{"type":"sequence","moments":{"0":"1"}}', "moments"),
+    ],
+    ids=["atoms-strings", "atoms-object", "atoms-triple", "atoms-string",
+         "moments-string", "moments-object"],
+)
+def test_malformed_functional_containers_exit_2(tmp_path, capsys, document, named):
+    # `atoms` is a list of [node, weight] pairs and `moments` a list; a string
+    # or an object there used to be unpacked character by character.
+    path = tmp_path / "f.json"
+    path.write_text(document)
+    code, out, err = run_cli(["hankel", "--n", "2", "--functional", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: malformed functional JSON: {named}:")
+    assert err.count("\n") == 1
+
+
+def test_deeply_nested_functional_exits_2(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_cli(["hankel", "--n", "1", "--functional", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed functional JSON: ") and err.count("\n") == 1
+
+
+def test_uvarov_vanishing_hankel_exits_1(capsys):
+    # a 7-atom functional has H(8) = 0, so p_8 does not exist
+    path = str(Path(__file__).parent / "golden" / "atoms7.json")
+    code, out, err = run_cli(["uvarov", "--functional", path, "--max-n", "8"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: Hankel determinant H(8) vanishes\n"
+
+
 def test_non_utf8_functional_exits_2(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_bytes(b"\xff\xfe{")
@@ -529,6 +572,26 @@ def test_series_counterexample_json_holds_both_series(capsys, monkeypatch):
         "compared_order": 3,
         "note": "denominator-cleared comparison; first differing coefficient at exponents (1,)",
     }
+
+
+def test_text_counterexample_line_matches_json(capsys, monkeypatch):
+    from opident import identity
+
+    sign = identity.theorem1_sign
+    monkeypatch.setattr(identity, "theorem1_sign",
+                        lambda n, k, m: -sign(n, k, m) if n else sign(n, k, m))
+    argv = ["verify", "theorem1", "--max-n", "2", "--max-k", "1", "--max-m", "1",
+            "--trials", "1", "--seed", "1"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    code, js, _ = run_cli(argv + ["--json"], capsys)
+    assert code == 1
+    payload = json.loads(js)
+    lines = out.splitlines()
+    prefix = "FAIL  first counterexample: "
+    assert lines[0] == f"verify theorem1: {payload['instances']} instances checked"
+    assert len(lines) == 2 and lines[1].startswith(prefix)
+    assert json.loads(lines[1][len(prefix):]) == payload["first_counterexample"]
 
 
 def test_chebyshev_json_schema(capsys):

@@ -143,8 +143,8 @@ def test_hankel_cache_concurrent_readers(rng):
 
 
 def test_atom_moment_table_concurrent_fill():
-    # The hankel test above never races: random_atom_functional has already
-    # filled the moment table.  Here every trial starts from a fresh one.
+    # The atom backend keeps no moment table: each moment is a fresh integer
+    # power sum.  Concurrent readers of a fresh functional must still agree.
     import sys
     import threading
 
@@ -172,6 +172,42 @@ def test_atom_moment_table_concurrent_fill():
             assert len(results) == len(threads)
             assert all(r == expected for r in results)
             assert [f.moment(n) for n in range(count)] == expected
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_hankel_memo_concurrent_first_fill():
+    # test_hankel_cache_concurrent_readers never races: random_atom_functional
+    # has already filled the memo.  The memo is the only shared state of a
+    # functional; here 6 threads fill it on a fresh one.
+    import sys
+    import threading
+
+    atoms = [(F(u, 3), F(w, 2)) for u, w in zip(range(-4, 4), (3, -1, 2, 5, -2, 1, 4, 7))]
+    moments = [sum((w * u**t for u, w in atoms), F(0)) for t in range(19)]
+    expected = [det_rational(RingMatrix.hankel(moments, n)) for n in range(10)]
+    assert expected[8] and not expected[9]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            f = FiniteAtomFunctional(atoms)
+            barrier = threading.Barrier(6)
+            results = []
+
+            def reader():
+                barrier.wait(timeout=10)
+                results.append([f.hankel_det(n) for n in range(10)])
+
+            threads = [threading.Thread(target=reader) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == len(threads)
+            assert all(r == expected for r in results)
+            assert sorted(f._hankel_cache) == list(range(10))
     finally:
         sys.setswitchinterval(old_interval)
 
@@ -267,8 +303,7 @@ def test_modified_hankel_det_on_moment_sequences():
             for x in xs:
                 poly = poly * (u - x)
             mm = [f.apply(poly * u**i) for i in range(7)]
-            assert f.modified_moments(7, xs) == mm
-            assert f.modified_moments(0, xs) == []
+            assert [f.modified_moment(i, xs) for i in range(7)] == mm
             for n in range(4):
                 assert f.modified_hankel_det(n, xs) == det_rational(RingMatrix.hankel(mm, n))
 

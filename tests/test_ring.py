@@ -128,6 +128,15 @@ def test_poly_scalar_mixing():
     assert nested.coeffs[1] == inner * inner
 
 
+def test_poly_is_unhashable():
+    # A constant polynomial equals its scalar (UniPoly.constant(3) == 3), so
+    # no polynomial hash could agree with the scalar's: hashing must refuse.
+    assert UniPoly.constant(Fraction(3)) == 3 and UniPoly.zero() == 0
+    for p in (UniPoly.constant(Fraction(3)), UniPoly.zero(), UniPoly.variable()):
+        with pytest.raises(TypeError):
+            hash(p)
+
+
 # ---------------------------------------------------------------------------
 # Determinants
 # ---------------------------------------------------------------------------
