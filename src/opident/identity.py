@@ -49,6 +49,7 @@ from .ring import (
     det_rational,
     det_series,
     format_rational,
+    integer_form,
     vandermonde_product,
 )
 
@@ -86,28 +87,38 @@ def _work_truncation(truncation: int, k: int) -> int:
     return truncation + binomial(k, 2)
 
 
-def _blocks(values, blocks, kind: str, convert) -> tuple[tuple, tuple]:
-    """(values, blocks) of one parameter list.  With ``blocks`` None the
-    values are the multiplicity-1 shorthand and must be distinct; otherwise
-    the (value, multiplicity) blocks are the source and each value repeats
-    by its multiplicity.  Given together, as dataclasses.replace does, the
-    two must agree."""
-    if blocks is None:
-        values = tuple(convert(v) for v in values)
-        if len(set(values)) != len(values):
+def _blocks(values, blocks, kind: str, rational: bool) -> tuple[tuple, tuple, tuple | None]:
+    """(values, blocks, form) of one parameter list.  With ``blocks`` None
+    the values are the multiplicity-1 shorthand and must be distinct;
+    otherwise the (value, multiplicity) blocks are the source and each value
+    repeats by its multiplicity.  Given together, as dataclasses.replace does,
+    the two must agree.  ``form`` is IdentityInstance.x_form (repeats are
+    found among its numerators); rationals become Fractions."""
+    shorthand = blocks is None
+    if shorthand:
+        block_values = tuple(values)
+        mults = (1,) * len(block_values)
+    else:
+        block_values, mults = [v for v, _ in blocks], tuple(int(c) for _, c in blocks)
+        if any(c < 1 for c in mults):
+            raise ValueError("multiplicities must be >= 1")
+    if rational:  # Fractions stay as they are
+        block_values = tuple([v if isinstance(v, Fraction) else Fraction(v) for v in block_values])
+    blocks = tuple(zip(block_values, mults))
+    keys, den = integer_form(block_values) if rational else (block_values, None)
+    form = (keys, mults, den) if rational else None
+    if len(set(keys)) != len(keys):
+        if shorthand:
             raise ConfluentRequiredError(
                 f"repeated {kind} parameters: give them as (value, multiplicity) blocks"
             )
-        return values, tuple((v, 1) for v in values)
-    blocks = tuple((convert(v), int(c)) for v, c in blocks)
-    if any(c < 1 for _, c in blocks):
-        raise ValueError("multiplicities must be >= 1")
-    if len({v for v, _ in blocks}) != len(blocks):
         raise ValueError(f"{kind} block values must be pairwise distinct")
+    if shorthand:
+        return block_values, blocks, form
     expanded = tuple(v for v, c in blocks for _ in range(c))
     if values and tuple(values) != expanded:
         raise ValueError(f"{kind} parameters disagree with their blocks")
-    return expanded, blocks
+    return expanded, blocks, form
 
 
 @dataclass(frozen=True)
@@ -121,7 +132,9 @@ class IdentityInstance:
     the confluent form (Proposition 13), which is atom mode only.
 
     In atom mode the ys are rationals (away from the atoms); in series mode
-    they are the names of formal inverse variables.
+    they are the names of formal inverse variables.  x_form and y_form (atom
+    mode) are the blocks in the integer form the atom path reads, as
+    (numerators, multiplicities, denominator) by integer_form.
     """
 
     n: int
@@ -131,14 +144,23 @@ class IdentityInstance:
     truncation: int = 25
     xi: tuple | None = field(default=None, repr=False, compare=False)
     omega: tuple | None = field(default=None, repr=False, compare=False)
+    x_form: tuple = field(init=False, repr=False, compare=False)
+    y_form: tuple | None = field(init=False, repr=False, compare=False)
+    k: int = field(init=False, repr=False, compare=False)
+    m: int = field(init=False, repr=False, compare=False)
+    # whether some parameter is repeated (Proposition 13, not Theorem 1)
+    confluent: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("atom", "series"):
             raise ValueError("mode must be 'atom' or 'series'")
-        xs, xi = _blocks(self.xs, self.xi, "x", Fraction)
         atom = self.mode == "atom"
-        ys, omega = _blocks(self.ys, self.omega, "y", Fraction if atom else lambda y: y)
-        for name, value in (("xs", xs), ("ys", ys), ("xi", xi), ("omega", omega)):
+        xs, xi, x_form = _blocks(self.xs, self.xi, "x", True)
+        ys, omega, y_form = _blocks(self.ys, self.omega, "y", atom)
+        confluent = len(xs) + len(ys) != len(xi) + len(omega)
+        derived = {"xs": xs, "ys": ys, "xi": xi, "omega": omega, "x_form": x_form,
+                   "y_form": y_form, "k": len(ys), "m": len(xs), "confluent": confluent}
+        for name, value in derived.items():
             object.__setattr__(self, name, value)
         if not atom:
             if not ys:
@@ -151,28 +173,16 @@ class IdentityInstance:
             if self.confluent:
                 raise ValueError("series mode takes multiplicity 1 only")
 
-    @property
-    def k(self) -> int:
-        return len(self.ys)
-
-    @property
-    def m(self) -> int:
-        return len(self.xs)
-
-    @property
-    def confluent(self) -> bool:
-        """Whether some parameter is repeated (Proposition 13, not Theorem 1)."""
-        return len(self.xs) + len(self.ys) != len(self.xi) + len(self.omega)
-
     def params(self) -> dict:
         shape = {"n": self.n, "k": self.k, "m": self.m}
         if self.confluent:
-            return shape | {
-                "xi": [[format_rational(v), c] for v, c in self.xi],
-                "omega": [[format_rational(v), c] for v, c in self.omega],
-            }
-        ys = [y if isinstance(y, str) else format_rational(y) for y in self.ys]
-        return shape | {"xs": [format_rational(x) for x in self.xs], "ys": ys, "mode": self.mode}
+            shape["xi"] = [[format_rational(v), c] for v, c in self.xi]
+            shape["omega"] = [[format_rational(v), c] for v, c in self.omega]
+            return shape
+        shape["xs"] = [format_rational(x) for x in self.xs]
+        shape["ys"] = list(self.ys if self.mode == "series" else map(format_rational, self.ys))
+        shape["mode"] = self.mode
+        return shape
 
 
 @dataclass
@@ -206,8 +216,6 @@ class VerificationReport:
 def _jsonify(value, equal: bool):
     if value is None:
         return None
-    if isinstance(value, Fraction):
-        return format_rational(value)
     if isinstance(value, InverseSeries):
         # Full series strings only matter for counterexamples.
         return "(series)" if equal else str(value)
@@ -228,17 +236,19 @@ _DOMAIN_ERRORS = (
 # Theorem-1 matrices
 # ---------------------------------------------------------------------------
 
-def _pq_rows(sys: OrthoSystem, cols, xi, omega) -> list:
+def _pq_rows(sys: OrthoSystem, cols, x_form, y_form=((), (), 1)) -> list:
     """The p/q rows of rational parameters over the column indices b in
     ``cols``, each as (integer numerators, row denominator).
 
-    xi and omega are (value, multiplicity) blocks.  An x of multiplicity c
-    gives the Taylor rows p_b^(r)(x)/r!, a y of multiplicity c the rows
-    q_b^(r)(y)/r!, for r = 0..c-1, with the conventions p_b = 0 and
-    q_b(y) = y^(-b-1) for b < 0 (OrthoSystem.p_row and q_row).
+    The parameters are blocks (values, multiplicities, denominator) as
+    IdentityInstance.x_form, each value an int or Fraction.  An x of
+    multiplicity c gives the Taylor rows p_b^(r)(x)/r!, a y of multiplicity
+    c the rows q_b^(r)(y)/r!, for r = 0..c-1, with the conventions p_b = 0
+    and q_b(y) = y^(-b-1) for b < 0 (OrthoSystem.p_row and q_row).
     """
-    rows = [sys.p_row(cols, x, r) for x, c in xi for r in range(c)]
-    rows += [q_row(sys, cols, y, r) for y, c in omega for r in range(c)]
+    (xs, x_mults, xd), (ys, y_mults, yd) = x_form, y_form
+    rows = [sys.p_row(cols, x, r, xd) for x, c in zip(xs, x_mults) for r in range(c)]
+    rows += [q_row(sys, cols, y, r, yd) for y, c in zip(ys, y_mults) for r in range(c)]
     return rows
 
 
@@ -248,24 +258,16 @@ def _fractions(rows) -> list:
     return [[v * Fraction(1, den) for v in nums] for nums, den in rows]
 
 
-def _y_blocks(inst) -> tuple:
-    """omega with ring elements for values: in series mode each variable
-    name becomes the exact series y_slot."""
-    if inst.mode == "atom":
-        return inst.omega
-    return tuple((InverseSeries.plain_variable(inst.ys, slot), 1) for slot in range(inst.k))
-
-
 def _theorem1_rows(sys: OrthoSystem, inst: IdentityInstance) -> list:
     """The p/q matrix of an instance as _pq_rows (integer entries, row
     denominator); repeated parameters give derivative rows.  In series mode
     each formal y gives one q_series_row at the work truncation."""
     cols = range(inst.n - inst.k, inst.n + inst.m)
     if inst.mode == "atom":
-        return _pq_rows(sys, cols, inst.xi, inst.omega)
+        return _pq_rows(sys, cols, inst.x_form, inst.y_form)
     wt = _work_truncation(inst.truncation, inst.k)
     q_rows = [q_series_row(sys, cols, wt, inst.ys, slot) for slot in range(inst.k)]
-    return _pq_rows(sys, cols, inst.xi, ()) + q_rows
+    return _pq_rows(sys, cols, inst.x_form) + q_rows
 
 
 def _theorem1_matrix(sys: OrthoSystem, inst: IdentityInstance) -> RingMatrix:
@@ -307,10 +309,21 @@ def _hankel_divisor(f, n: int, k: int) -> Fraction:
 
 
 def _vandermondes(inst: IdentityInstance):
-    """prod(x_j - x_i)^(c_i c_j) * prod(y_i - y_j)^(c_i c_j) over the blocks."""
-    xi, omega = inst.xi, _y_blocks(inst)
-    vx = vandermonde_product([v for v, _ in xi], [c for _, c in xi])
-    return vx * _y_vandermonde([v for v, _ in omega], [c for _, c in omega])
+    """prod(x_j - x_i)^(c_i c_j) * prod(y_i - y_j)^(c_i c_j) over the blocks:
+    vandermonde_product of each rational list's numerators, the denominator
+    powers d^(sum_{i<j} c_i c_j) divided out once."""
+    xs, xm, xd = inst.x_form
+    if inst.mode == "atom":
+        ys, ym, yd = inst.y_form
+        den = xd ** _pair_count(xm) * yd ** _pair_count(ym)
+        return Fraction(vandermonde_product(xs, xm) * _y_vandermonde(ys, ym), den)
+    vy = _y_vandermonde([InverseSeries.plain_variable(inst.ys, i) for i in range(inst.k)])
+    return Fraction(vandermonde_product(xs, xm), xd ** _pair_count(xm)) * vy
+
+
+def _pair_count(mults) -> int:
+    """sum_{i<j} c_i c_j, the total exponent of a Vandermonde product."""
+    return (sum(mults) ** 2 - sum(c * c for c in mults)) // 2
 
 
 def lhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
@@ -325,7 +338,7 @@ def lhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
     f = sys.functional
     n, k = inst.n, inst.k
     if inst.mode == "atom":
-        return f.modified_hankel_det(n, inst.xs, inst.ys) / _hankel_divisor(f, n, k)
+        return f.modified_hankel_det(n, inst.xs, inst.ys, _hankel_divisor(f, n, k))
     wt = _work_truncation(inst.truncation, k)
     return f.modified_hankel_det_series(n, inst.xs, inst.ys, wt) * _vandermondes(inst)
 
@@ -339,12 +352,13 @@ def rhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
     multiplicity is 1.  Each Vandermonde factor is raised to the product of
     the two multiplicities.  Both modes run one determinant on the integer
     _theorem1_rows and divide by the product of their row denominators in
-    one Fraction.
+    one Fraction, which in atom mode also takes the Vandermondes.
     """
     rows = _theorem1_rows(sys, inst)
     sign, den = prop13_sign(inst), math.prod(d for _, d in rows)
     if inst.mode == "atom":
-        return Fraction(sign * det_int([nums for nums, _ in rows]), den) / _vandermondes(inst)
+        v, det = _vandermondes(inst), det_int([nums for nums, _ in rows])
+        return Fraction(sign * det * v.denominator, den * v.numerator)
     d = det_series(RingMatrix.from_rows(nums for nums, _ in rows), inst.ys)
     return d * (Fraction(sign, den) * _hankel_divisor(sys.functional, inst.n, inst.k))
 
@@ -392,11 +406,11 @@ def uvarov_polynomial(
     m = 1 + len(xs_fixed)
     k = len(ys)
     cols = range(n - k, n + m)
-    fixed = _fractions(_pq_rows(sys, cols, [(x, 1) for x in xs_fixed], [(y, 1) for y in ys]))
+    fixed = _fractions(_pq_rows(sys, cols, (xs_fixed, (1,) * (m - 1), 1), (ys, (1,) * k, 1)))
     x1_row = [sys.p(b).rename("x1") if b >= 0 else _ZERO for b in cols]
     d = det_poly(RingMatrix.from_rows([x1_row, *fixed]), ["x1"])
     vx = vandermonde_product((UniPoly.variable("x1"),) + xs_fixed)
-    poly = d.exact_div(vx) * (theorem1_sign(n, k, m) / _y_vandermonde(ys))
+    poly = d.exact_div(vx) * Fraction(theorem1_sign(n, k, m), _y_vandermonde(ys))
     return poly, poly.degree == n
 
 
@@ -422,7 +436,7 @@ def modified_functional(
     f: FiniteAtomFunctional, xs_fixed=(), ys=()
 ) -> FiniteAtomFunctional:
     """The finite-atom functional of the density prod_{l>=2}(u-x_l)/prod(u-y_l) dmu."""
-    nums, den = f.modified_weights(xs_fixed, ys)
+    nums, den = f.modified_weights(integer_form(xs_fixed), integer_form(ys))
     atoms = []
     for (u, _), num in zip(f.atoms, nums):
         if not num:
@@ -603,9 +617,8 @@ def sweep_theorem1_atom(
         for n in range(max_n + 1):
             for k in range(max_k + 1):
                 for m in range(max_m + 1):
-                    xs = tuple(rng.sample(_XS_POOL, m))
-                    ys = tuple(rng.sample(_YS_POOL, k))
-                    inst = IdentityInstance(n=n, xs=xs, ys=ys, mode="atom")
+                    xs = rng.sample(_XS_POOL, m)
+                    inst = IdentityInstance(n=n, xs=xs, ys=rng.sample(_YS_POOL, k))
                     reports.append(verify_theorem1(sys, inst))
     return reports
 
@@ -632,11 +645,9 @@ def sweep_theorem1_series(
         for k in ks:
             for m in range(max_m + 1):
                 for n in range(max_n + 1):
-                    xs = tuple(rng.sample(_XS_POOL_INT, m))
                     variables = tuple(f"y{i+1}" for i in range(k))
-                    inst = IdentityInstance(
-                        n=n, xs=xs, ys=variables, mode="series", truncation=truncation
-                    )
+                    inst = IdentityInstance(n=n, xs=rng.sample(_XS_POOL_INT, m), ys=variables,
+                                            mode="series", truncation=truncation)
                     reports.append(verify_theorem1(sys, inst))
     return reports
 
@@ -665,13 +676,9 @@ def sweep_prop13(
         sys = build_ortho_system(f, depth)
         for n in range(max_n + 1):
             for x_mults, y_mults in _CONFLUENT_SHAPES:
-                xs = rng.sample(_XS_POOL, len(x_mults))
-                ys = rng.sample(_YS_POOL, len(y_mults))
-                inst = IdentityInstance(
-                    n=n,
-                    xi=tuple(zip(xs, x_mults)),
-                    omega=tuple(zip(ys, y_mults)),
-                )
+                xi = tuple(zip(rng.sample(_XS_POOL, len(x_mults)), x_mults))
+                omega = tuple(zip(rng.sample(_YS_POOL, len(y_mults)), y_mults))
+                inst = IdentityInstance(n=n, xi=xi, omega=omega)
                 reports.append(verify_theorem1(sys, inst))
     return reports
 

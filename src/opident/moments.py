@@ -39,6 +39,7 @@ from .ring import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_NO_PARAMS = ((), 1)  # integer_form of the empty parameter list
 
 
 class MomentHorizonError(Exception):
@@ -130,26 +131,28 @@ class MomentFunctional:
         Rational y's need a finite-atom backend; with no y's any backend
         works (the integrand is a polynomial).
         """
-        mm, den, b = self._modified_ints(i + 1, xs, ys)
+        mm, den, b = self._modified_ints(i + 1, integer_form(xs), integer_form(ys))
         return Fraction(mm[i], den * b**i)
 
-    def _modified_ints(self, count: int, xs=(), ys=()) -> tuple[list[int], int, int]:
+    def _modified_ints(self, count: int, xs=_NO_PARAMS, ys=_NO_PARAMS):
         """Integers M_i, D > 0 and B > 0 with modified moment i equal to
-        M_i / (D B^i) for i = 0..count-1; here B = 1 and M_i / D is the
-        polynomial moment of _modified_row."""
-        if ys:
+        M_i / (D B^i) for i = 0..count-1, the parameters given by
+        integer_form; here B = 1 and M_i / D is from _modified_row."""
+        if ys[0]:
             raise ModeError("rational y parameters need a finite-atom functional")
         nums, den = self._modified_row(xs, 0, count)
         return nums, den, 1
 
-    def modified_hankel_det(self, n: int, xs=(), ys=()) -> Fraction:
-        """det of the modified moments M_{i+j} / (D B^(i+j)), 0 <= i, j <= n-1:
-        row i carries B^i and column j carries B^j, so it is one integer
-        Bareiss run on M_{i+j} over D^n B^(n(n-1))."""
-        if n == 0:
-            return _ONE
-        mm, den, b = self._modified_ints(2 * n - 1, xs, ys)
-        return Fraction(det_int([mm[i : i + n] for i in range(n)]), den**n * b ** (n * (n - 1)))
+    def modified_hankel_det(self, n: int, xs=(), ys=(), divisor=_ONE) -> Fraction:
+        """det of the modified moments M_{i+j} / (D B^(i+j)), 0 <= i, j <= n-1,
+        over the nonzero rational ``divisor``: with B^i on row i and B^j on
+        column j, one integer Bareiss run over D^n B^(n(n-1)) and the divisor."""
+        top, bottom = divisor.denominator, divisor.numerator
+        if n:
+            mm, den, b = self._modified_ints(2 * n - 1, integer_form(xs), integer_form(ys))
+            top *= det_int([mm[i : i + n] for i in range(n)])
+            bottom *= den**n * b ** (n * (n - 1))
+        return Fraction(top, bottom)
 
     def modified_moment_series(
         self, i: int, xs=(), variables=("y1",), truncation: int = 25
@@ -191,7 +194,7 @@ class MomentFunctional:
         max_extra = truncation - 1 - k
         if max_extra < 0:
             return [InverseSeries.zero(variables, truncation, cap=truncation)] * count, 1
-        r, den = self._modified_row(xs, start, count + max_extra)
+        r, den = self._modified_row(integer_form(xs), start, count + max_extra)
         shapes = [_shifted_compositions(d, k) for d in range(max_extra + 1)]
         out = []
         for s in range(count):
@@ -208,16 +211,17 @@ class MomentFunctional:
 
     def _modified_row(self, xs, start: int, count: int) -> tuple[list[int], int]:
         """Integers r_j and D > 0 with L(u^j prod(u - x_l)) = r_j / D for
-        j = start..start+count-1: the integer coefficients of prod(u - x_l)
-        over their lcm against moment_row, over the product of the two
-        denominators."""
-        u = UniPoly.variable("u")
-        poly = math.prod((u - Fraction(x) for x in xs), start=UniPoly.one("u"))
-        base, den = integer_form(poly.coeffs)
+        j = start..start+count-1.  With the xs as numerators X_l over d
+        (integer_form), the integer coefficients of prod(d u - X_l) go
+        against moment_row, over d^m times the row's denominator."""
+        nums, d = xs
+        base = [1]
+        for x in nums:
+            base = [d * a - x * c for a, c in zip([0, *base], [*base, 0])]
         width = len(base)
         mu, mu_den = self.moment_row(start + count + width - 1)
-        mu = mu[start:]
-        return [sum(map(mul, base, mu[j : j + width])) for j in range(count)], den * mu_den
+        mu, den = mu[start:], d ** len(nums) * mu_den
+        return [sum(map(mul, base, mu[j : j + width])) for j in range(count)], den
 
     # -- serialization -----------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -246,10 +250,8 @@ class FiniteAtomFunctional(MomentFunctional):
         if any(not w for _, w in atoms):
             raise ValueError("atom weights must be nonzero")
         self.atoms = atoms
-        self.node_scale = math.lcm(*(u.denominator for u in nodes))
-        self.node_numerators = tuple(
-            u.numerator * (self.node_scale // u.denominator) for u in nodes
-        )
+        self.node_numerators, self.node_scale = integer_form(nodes)
+        self._weights = integer_form([w for _, w in atoms])
 
     @property
     def nodes(self):
@@ -265,33 +267,34 @@ class FiniteAtomFunctional(MomentFunctional):
         top = b ** max(count - 1, 0)
         return tuple(m * (top // b**i) for i, m in enumerate(mm)), den * top
 
-    def modified_weights(self, xs=(), ys=()) -> tuple[list[int], int]:
+    def modified_weights(self, xs=_NO_PARAMS, ys=_NO_PARAMS) -> tuple[list[int], int]:
         """Integers N_a and D > 0 with N_a / D = w_a prod(u_a - x_l) / prod(u_a - y_l),
-        the atom weights of the modified functional."""
-        xs = [(x.numerator, x.denominator) for x in map(Fraction, xs)]
-        ys = [(y.numerator, y.denominator) for y in map(Fraction, ys)]
-        b = self.node_scale
-        nums, dens = [], []
-        for (_, w), un in zip(self.atoms, self.node_numerators):
-            num, den = w.numerator, w.denominator
-            for xn, xd in xs:
-                num *= un * xd - xn * b
-            for yn, yd in ys:
-                diff = un * yd - yn * b
-                if not diff:
-                    y = format_rational(Fraction(yn, yd))
-                    raise PoleAtAtomError(f"y = {y} is an atom node")
-                den *= diff
-            nums.append(num)
-            dens.append(den)
-        # u_a - v = (U_a d_v - n_v B) / (B d_v): the B d_v factors are the same
-        # for every atom, so they go into the shared scale.
+        the atom weights of the modified functional, the xs and the ys each
+        given by integer_form; each factor runs over all atoms at once."""
+        (xs, xd), (ys, yd) = xs, ys
+        b, nodes = self.node_scale, self.node_numerators
+        nums, den = self._weights
+        for x in xs:
+            x *= b
+            nums = [w * (u * xd - x) for w, u in zip(nums, nodes)]
+        # u_a - v = (U_a d - n_v B) / (B d): the B d factors are the same for
+        # every atom, so they go into the shared scale.
+        den *= b ** max(len(xs) - len(ys), 0) * xd ** len(xs)
+        if not ys:
+            return list(nums), den
+        dens = [1] * len(nodes)
+        for y in ys:
+            y *= b
+            dens = [d * (u * yd - y) for d, u in zip(dens, nodes)]
+        if not all(dens):  # name the y on the first atom node hit
+            u = nodes[dens.index(0)]
+            y = format_rational(next(Fraction(y, yd) for y in ys if u * yd == y * b))
+            raise PoleAtAtomError(f"y = {y} is an atom node")
         common = math.lcm(*dens)
-        num_scale = b ** max(len(ys) - len(xs), 0) * math.prod(yd for _, yd in ys)
-        den_scale = b ** max(len(xs) - len(ys), 0) * math.prod(xd for _, xd in xs)
-        return [n * (common // d) * num_scale for n, d in zip(nums, dens)], common * den_scale
+        scale = b ** max(len(ys) - len(xs), 0) * yd ** len(ys)
+        return [n * (common // d) * scale for n, d in zip(nums, dens)], common * den
 
-    def _modified_ints(self, count: int, xs=(), ys=()) -> tuple[list[int], int, int]:
+    def _modified_ints(self, count: int, xs=_NO_PARAMS, ys=_NO_PARAMS):
         """M_i = sum_a N_a U_a^i over D B^i, with N_a / D the modified
         weights and B the node scale."""
         if count < 0:
@@ -300,7 +303,7 @@ class FiniteAtomFunctional(MomentFunctional):
         out = []
         for _ in range(count):
             out.append(sum(powers))
-            powers = [p * u for p, u in zip(powers, self.node_numerators)]
+            powers = list(map(mul, powers, self.node_numerators))
         return out, den, self.node_scale
 
     def to_json_dict(self) -> dict:

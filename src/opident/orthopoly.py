@@ -69,14 +69,12 @@ class OrthoSystem:
         self._atom_values = None
         if isinstance(functional, FiniteAtomFunctional):
             weights, weight_den = functional.modified_weights()
-            b = functional.node_scale
-            table = []
-            for coeffs, d in self.int_polys:
-                vals, den = [], weight_den * d * b ** (len(coeffs) - 1)
-                for w, un in zip(weights, functional.node_numerators):
-                    vals.append(w * _homogeneous_eval(coeffs, un, b)[0])
-                table.append((tuple(vals), den))
-            self._atom_values = tuple(table)
+            nodes, b = functional.node_numerators, functional.node_scale
+            self._atom_values = tuple(
+                (tuple(w * _homogeneous_eval(c, u, b)[0] for w, u in zip(weights, nodes)),
+                 weight_den * d * b ** (len(c) - 1))
+                for c, d in self.int_polys
+            )
 
     def _check_index(self, n: int):
         if n < -1:
@@ -97,17 +95,15 @@ class OrthoSystem:
             return self.norms[n]
         raise ValueError(f"system depth is {self.depth}, norm {n} not available")
 
-    def p_row(self, cols, x, order: int = 0) -> tuple[list[int], int]:
+    def p_row(self, cols, x, order: int = 0, scale: int = 1) -> tuple[list[int], int]:
         """Integers P_b and D > 0 with P_b / D the Taylor coefficient
-        p_b^(r)(x)/r! for r = order and each b in cols, where p_b = 0 for
-        b < 0.  At x = x_n / x_d integer Horner on the coefficients
-        c_i binom(i, r) of p_b gives the value as A_b / (d_b x_d^(b-r))."""
-        x = Fraction(x)
-        xn, xd = x.numerator, x.denominator
+        p_b^(r)(x / scale)/r! for r = order and each b in cols, where p_b = 0
+        for b < 0; x is an int or a Fraction.  At x_n / x_d integer Horner on
+        the coefficients c_i binom(i, r) of p_b gives A_b / (d_b x_d^(b-r))."""
+        xn, xd = x.numerator, x.denominator * scale
+        self._check_index(max(-1, *cols))
         vals = []
         for b in cols:
-            if b >= 0:
-                self._check_index(b)
             if b < order:  # p_b has degree below r, or is zero
                 vals.append((0, 1))
                 continue
@@ -116,7 +112,7 @@ class OrthoSystem:
                 coeffs = [c * math.comb(i, order) for i, c in enumerate(coeffs)][order:]
             acc, bpow = _homogeneous_eval(coeffs, xn, xd)
             vals.append((acc, d * bpow))
-        den = math.lcm(*(d for _, d in vals))
+        den = math.lcm(*[d for _, d in vals])
         return [a * (den // d) for a, d in vals], den
 
     def p_value(self, n: int, x, order: int = 0) -> Fraction:
@@ -145,18 +141,21 @@ def build_ortho_system(f: MomentFunctional, depth: int) -> OrthoSystem:
     Both norms in t_{n-2} = L(p_{n-1}^2) / L(p_{n-2}^2) passed that check,
     so t_{n-2} is H(n)H(n-2)/H(n-1)^2 (2.4) exactly and is not checked
     again.  Only the O(n) update of p_n runs on Fractions; integer_form
-    closes each step.
+    closes each step.  The moment row is read once, up to the horizon; a
+    step past it raises MomentHorizonError after its H(n) check.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
     int_polys = [((1,), 1)]
     s, t, norms = [], [], []
     prev2, prev = [], [Fraction(1)]
+    mu, mu_den = f.moment_row(2 * depth if f.horizon is None else min(2 * depth, f.horizon + 1))
     for n in range(1, depth + 1):
         h_n = f.hankel_det(n)
         if not h_n:
             raise DegenerateFunctionalError(n)
-        mu, mu_den = f.moment_row(2 * n)
+        if len(mu) < 2 * n:
+            f._require_horizon(2 * n - 1)
         coeffs, d = int_polys[n - 1]
         sq = [0] * (2 * n - 1)
         for i, a in enumerate(coeffs):
@@ -226,9 +225,10 @@ def poly_lemma5(f: MomentFunctional, n: int) -> UniPoly:
     return det_poly(RingMatrix.hankel(lin, n), ["x"])
 
 
-def q_row(sys: OrthoSystem, cols, y, order: int = 0) -> tuple[list[int], int]:
+def q_row(sys: OrthoSystem, cols, y, order: int = 0, scale: int = 1) -> tuple[list[int], int]:
     """Integers Q_b and D > 0 with Q_b / D the Taylor coefficient
-    q_b^(r)(y)/r! for r = order and each b in cols.
+    q_b^(r)(y / scale)/r! for r = order and each b in cols; y is an int or
+    a Fraction, as x in OrthoSystem.p_row.
 
     For b >= 0 that is the exact atom sum (finite-atom only)
     sum_a w_a p_b(u_a) (-1)^r / (y - u_a)^(r+1).  With y - u_a = d_a / (B y_d)
@@ -238,34 +238,32 @@ def q_row(sys: OrthoSystem, cols, y, order: int = 0) -> tuple[list[int], int]:
     q_b(y) = y^e, e = -b-1, gives binom(e, r) y^(e-r).  A y on an atom node
     raises PoleAtAtomError only when some b >= 0.
     """
-    y = Fraction(y)
-    yn, yd = y.numerator, y.denominator
-    atom_values = [sys.weighted_node_values(b) for b in cols if b >= 0]
-    if atom_values:
+    yn, yd = y.numerator, y.denominator * scale
+    top, pi = max(cols, default=-1), 1
+    if top >= 0:
+        sys.weighted_node_values(top)  # ModeError unless finite-atom
         f = sys.functional
-        scale = f.node_scale
-        powered = []
-        for un in f.node_numerators:
-            diff = yn * scale - un * yd
-            if not diff:
-                raise PoleAtAtomError(f"y = {y} is an atom node")
-            powered.append(diff ** (order + 1))
+        b, lift = f.node_scale, f.node_scale * yd
+        powered = [yn * b - u * yd for u in f.node_numerators]
+        if not all(powered):
+            raise PoleAtAtomError(f"y = {Fraction(yn, yd)} is an atom node")
+        if order:
+            powered = [p ** (order + 1) for p in powered]
+            lift = (-1) ** order * lift ** (order + 1)
         pi = math.prod(powered)
         cofactors = [pi // p for p in powered]
-        lift = (-1) ** order * (scale * yd) ** (order + 1)
-    vals = []
-    columns = iter(atom_values)
+    vals = []  # (A, D): the entry is A / (D Pi)
     for b in cols:
         e = -b - 1
         if b >= 0:
-            g, d = next(columns)
-            vals.append((lift * sum(map(mul, g, cofactors)), d * pi))
+            g, d = sys.weighted_node_values(b)
+            vals.append((lift * sum(map(mul, g, cofactors)), d))
         elif e >= order:
-            vals.append((math.comb(e, order) * yn ** (e - order), yd ** (e - order)))
+            vals.append((math.comb(e, order) * yn ** (e - order) * pi, yd ** (e - order)))
         else:
             vals.append((0, 1))
-    den = math.lcm(*(d for _, d in vals))
-    return [v * (den // d) for v, d in vals], den
+    den = math.lcm(*[d for _, d in vals])
+    return [v * (den // d) for v, d in vals], den * pi
 
 
 def q_exact(sys: OrthoSystem, n: int, y, order: int = 0) -> Fraction:

@@ -30,17 +30,15 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render ``p/q``, or just ``p`` when the denominator is 1."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render ``p/q``, or just ``p`` when the denominator is 1: the str of
+    the value as a Fraction, which is built only when it is not one."""
+    return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
 def integer_form(values) -> tuple[tuple[int, ...], int]:
     """Integer numerators c_i and the lcm d of the denominators: values[i] = c_i / d."""
-    d = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (d // v.denominator) for v in values), d
+    d = math.lcm(*[v.denominator for v in values])
+    return tuple([v.numerator * (d // v.denominator) for v in values]), d
 
 
 def ratio(num: int, den: int):
@@ -910,19 +908,13 @@ def det_rational(m: RingMatrix) -> Fraction:
     eliminates, and the product of the row scales is divided out once.
     """
     _require_square(m)
-    a = []
-    denom_scale = 1
-    for i in range(m.rows):
-        row = m.row(i)
-        l = math.lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (l // x.denominator) for x in row])
-        denom_scale *= l
-    return Fraction(det_int(a), denom_scale)
+    rows = [integer_form(m.row(i)) for i in range(m.rows)]
+    return Fraction(det_int([list(r) for r, _ in rows]), math.prod(d for _, d in rows))
 
 
 def vandermonde_product(values, mults=None):
     """prod_{i<j} (v_j - v_i)^(c_i c_j) over the multiplicities c (all 1 when
-    omitted); empty and singleton lists give 1."""
+    omitted); empty and singleton lists give the int 1."""
     values = list(values)
     prod = None
     for i in range(len(values)):
@@ -932,7 +924,7 @@ def vandermonde_product(values, mults=None):
             if e > 1:  # Theorem 1 passes all-ones lists: no unit powers
                 f = f ** e
             prod = f if prod is None else prod * f
-    return prod if prod is not None else _ONE
+    return prod if prod is not None else 1
 
 
 def det_poly(m: RingMatrix, variables):

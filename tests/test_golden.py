@@ -18,6 +18,7 @@ diagonal of one ``uvarov_system`` result a line.
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -147,6 +148,21 @@ def test_cli_output_matches_golden(name, capsys, monkeypatch):
     out, _ = capsys.readouterr()
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+# The stdout SHA-256 of the benchmark's atom-sweep operation (perfbench,
+# workload "atom-sweep"): 2,240 instances at seed 1.  Its stdout is one JSON
+# line, so the digest is kept instead of a golden file.
+ATOM_SWEEP = ["verify", "theorem1", "--json", "--seed", "1", "--trials", "20"]
+ATOM_SWEEP_SHA256 = "6c4e54b3e0b3c75b2c232bdc3d0a839e0bb3783d85561336d6e3c3984b924dd2"
+
+
+def test_atom_sweep_operation_stdout_digest(capsys, monkeypatch):
+    monkeypatch.delenv("OPIDENT_SEED", raising=False)
+    code = main(ATOM_SWEEP)
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ATOM_SWEEP_SHA256
 
 
 @pytest.mark.parametrize("name", sorted(VALUE_CASES))

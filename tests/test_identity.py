@@ -124,6 +124,70 @@ def test_instance_rejects_repeated_parameters():
         IdentityInstance(n=1, ys=(F(1, 3), F(1, 3)))
 
 
+def test_instance_coerces_ints_strings_and_fractions_alike():
+    # each rational becomes one Fraction whatever its type, and the integer
+    # form is numerators over the lcm of the denominators
+    given = [
+        ((3, -2), ("1/3", "-5/3")),
+        (("3", "-2/1"), (F(1, 3), "-5/3")),
+        ((F(3), F(-2)), (F(1, 3), F(-5, 3))),
+    ]
+    insts = [IdentityInstance(n=2, xs=xs, ys=ys) for xs, ys in given]
+    for inst in insts:
+        assert inst == insts[0] and inst.params() == insts[0].params()
+        assert all(type(v) is F for v in inst.xs + inst.ys)
+        assert (inst.x_form, inst.y_form) == (((3, -2), (1, 1), 1), ((1, -5), (1, 1), 3))
+    assert insts[0].params() == {"n": 2, "k": 2, "m": 2, "xs": ["3", "-2"],
+                                 "ys": ["1/3", "-5/3"], "mode": "atom"}
+    mixed = IdentityInstance(n=1, xs=("1/2", 3, F(5, 4)))
+    assert mixed.x_form == ((2, 12, 5), (1, 1, 1), 4)
+    assert mixed.xs == (F(1, 2), F(3), F(5, 4))
+
+
+def test_instance_finds_repeats_across_input_types():
+    # the repeat check runs on the integer numerators, so equal values
+    # given in different types are still repeats
+    for xs in (("1/2", F(1, 2)), (F(2), 2), ("3", F(6, 2))):
+        with pytest.raises(ConfluentRequiredError):
+            IdentityInstance(n=1, xs=xs)
+    with pytest.raises(ConfluentRequiredError):
+        IdentityInstance(n=1, ys=(F(2, 3), "4/6"))
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        IdentityInstance(n=1, xi=(("1/2", 2), (F(1, 2), 1)))
+
+
+def test_confluent_instance_round_trips_through_replace():
+    inst = IdentityInstance(n=3, xi=((F(1, 2), 2), ("3", 1)), omega=(("1/3", 2),))
+    assert inst.confluent and (inst.m, inst.k) == (3, 2)
+    assert inst.xs == (F(1, 2), F(1, 2), F(3)) and inst.ys == (F(1, 3), F(1, 3))
+    for changes in ({}, {"n": 4}, {"n": 0}):
+        again = dataclasses.replace(inst, **changes)
+        assert (again.xs, again.ys, again.xi, again.omega) == (
+            inst.xs, inst.ys, inst.xi, inst.omega)
+        assert (again.x_form, again.y_form) == (inst.x_form, inst.y_form)
+        assert again.params() == {**inst.params(), **changes}
+    assert inst.x_form == ((1, 6), (2, 1), 2) and inst.y_form == ((1,), (2,), 3)
+
+
+def test_integer_vandermonde_matches_fraction_oracle():
+    # _vandermondes runs vandermonde_product on integer numerators and
+    # divides by the denominator powers once; the oracle is the same product
+    # over Fractions, the y factor in _y_vandermonde's reversed orientation
+    draw = random.Random(18)
+    xs_pool = [F(p, q) for q in (1, 2, 4) for p in range(-9, 10) if math.gcd(p, q) == 1]
+    ys_pool = [F(p, q) for q in (3, 9) for p in range(-20, 21) if math.gcd(p, q) == 1]
+    shapes = identity._CONFLUENT_SHAPES + (((1, 1, 1), (1, 1, 1)), ((1, 1), (1, 1, 1)))
+    for _ in range(20):
+        for x_mults, y_mults in shapes:
+            xs = draw.sample(xs_pool, len(x_mults))
+            ys = draw.sample(ys_pool, len(y_mults))
+            inst = IdentityInstance(n=2, xi=tuple(zip(xs, x_mults)), omega=tuple(zip(ys, y_mults)))
+            vx = vandermonde_product(xs, x_mults)
+            vy = vandermonde_product(ys[::-1], y_mults[::-1])
+            got = identity._vandermondes(inst)
+            assert type(got) is F and got == vx * vy, (xs, x_mults, ys, y_mults)
+
+
 # ---------------------------------------------------------------------------
 # Sign and orientation pinning
 # ---------------------------------------------------------------------------
@@ -288,6 +352,13 @@ NEGATIVE_CONTROLS = {
         "_hankel_divisor",
         lambda orig: lambda f, n, k: 1,
         lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
+    ),
+    # the x factor taken as prod(x_i - x_j), as if the x blocks came in
+    # reverse order; the y factor is left as it is
+    "x-Vandermonde reversed": (
+        "_vandermondes",
+        lambda orig: lambda inst: orig(dataclasses.replace(inst, xs=(), xi=inst.xi[::-1])),
+        lambda: sweep_theorem1_atom(seed=11, trials=1),
     ),
 }
 

@@ -233,6 +233,18 @@ def test_modified_moment_pole():
         f.modified_moment(1, ys=[2])
 
 
+@pytest.mark.parametrize(
+    "ys, named",
+    [((2, F(1, 2)), "1/2"), ((F(1, 2), 2), "1/2"), ((-1, 2), "2"), ((F(7, 3), -1, 2), "2")],
+)
+def test_pole_names_the_y_on_the_first_atom_node_hit(ys, named):
+    # several ys on atom nodes: the error names the y on the first node in
+    # atom order, whatever the order of the ys
+    f = FiniteAtomFunctional([(F(1, 2), 3), (2, 1), (-1, 5)])
+    with pytest.raises(PoleAtAtomError, match=rf"^y = {named} is an atom node$"):
+        f.modified_hankel_det(1, (3,), ys)
+
+
 def test_modified_moment_needs_atoms_for_poles():
     f = ChebyshevCatalanFunctional()
     with pytest.raises(ModeError):

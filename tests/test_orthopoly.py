@@ -92,6 +92,36 @@ def test_degenerate_functional_reports_index():
     assert err.value.index == 3
 
 
+@pytest.mark.parametrize(
+    "moments, depth, error, match",
+    [
+        # H(2) = 0 is known from mu_0..mu_2, before any row of depth 3 runs
+        # past the horizon: the vanishing minor is reported, not the horizon
+        ([1, 0, 0], 3, DegenerateFunctionalError, r"^Hankel determinant H\(2\) vanishes$"),
+        ([1, 0, 0, 5, 7], 4, DegenerateFunctionalError, r"^Hankel determinant H\(2\) vanishes$"),
+        # H(1), H(2) nonzero; step 2 needs mu_3 for L(u p_1^2)
+        ([1, 0, 1], 2, MomentHorizonError, r"^moment 3 requested, horizon is 2$"),
+        # H(2) itself needs mu_2
+        ([1, 0], 2, MomentHorizonError, r"^moment 2 requested, horizon is 1$"),
+    ],
+)
+def test_short_sequence_raises_at_the_step_that_needs_it(moments, depth, error, match):
+    # build_ortho_system reads the moment row once, up to the horizon; each
+    # step still checks its H(n) before it needs moments past the horizon
+    with pytest.raises(error, match=match):
+        build_ortho_system(SequenceFunctional(moments), depth)
+
+
+def test_short_sequence_builds_up_to_its_horizon():
+    # mu_0..mu_5 serve depth 3 exactly (step 3 reads up to mu_5)
+    f = SequenceFunctional([1, 0, 1, 0, 2, 0])
+    sys = build_ortho_system(f, 3)
+    assert sys.p(3) == poly_lemma4(f, 3)
+    # step 4 first checks H(4), which needs mu_6
+    with pytest.raises(MomentHorizonError, match=r"^moment 6 requested, horizon is 5$"):
+        build_ortho_system(f, 4)
+
+
 def test_depth_capped_at_atom_count(rng):
     f = random_atom_functional(rng, 5, hankel_nonzero_upto=5)
     sys = build_ortho_system(f, 5)  # p_5 = node polynomial, still fine
