@@ -18,6 +18,7 @@ from .ring import (
 )
 from .moments import (
     ChebyshevCatalanFunctional,
+    DomainError,
     FiniteAtomFunctional,
     ModeError,
     MomentFunctional,

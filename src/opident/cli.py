@@ -4,10 +4,11 @@
     opident hankel | uvarov | chebyshev | selftest
 
 Exit codes: 0 = every check passed, 1 = a mathematical mismatch (the first
-counterexample is serialized), 2 = usage or I/O error.  All rationals print
-as "p/q" strings; with a fixed seed and flags, the JSON output is
-byte-identical between runs (wall-clock times are never serialized).
-Conjecture rows are informational and never affect the exit code.
+counterexample is serialized) or a domain error (one "error:" line), 2 = usage
+or I/O error.  All rationals print as "p/q" strings; with a fixed seed and
+flags, the JSON output is byte-identical between runs (wall-clock times are
+never serialized).  Conjecture rows are informational and never affect the
+exit code.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import sys
 
 from . import chebyshev as cheb
 from .identity import (
-    _DOMAIN_ERRORS,
     _jsonify,
     sweep_jacobi,
     sweep_lemmas,
@@ -28,7 +28,12 @@ from .identity import (
     sweep_theorem1_series,
     uvarov_system,
 )
-from .moments import ChebyshevCatalanFunctional, FiniteAtomFunctional, functional_from_json
+from .moments import (
+    ChebyshevCatalanFunctional,
+    DomainError,
+    FiniteAtomFunctional,
+    functional_from_json,
+)
 from .ring import binomial, format_rational, parse_rational
 
 DEFAULT_SEED = 42
@@ -176,11 +181,6 @@ def _cmd_verify_theorem1(args) -> int:
                 max_m=args.max_m,
                 functional=functional,
             )
-    except _DOMAIN_ERRORS as exc:
-        # e.g. a provided functional whose Hankel minors vanish at the
-        # depth the sweep needs
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         # a shape the random functionals cannot serve (depth above the atom count)
         depth = args.max_n + args.max_m - 1
@@ -213,14 +213,10 @@ def _cmd_hankel(args) -> int:
     ys = _parse_rational_list(args.ys)
     if ys and not isinstance(f, FiniteAtomFunctional):
         raise SystemExit2("rational y parameters need a finite-atom functional")
-    try:
-        if xs or ys:
-            value = f.modified_hankel_det(args.n, xs, ys)
-        else:
-            value = f.hankel_det(args.n)
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if xs or ys:
+        value = f.modified_hankel_det(args.n, xs, ys)
+    else:
+        value = f.hankel_det(args.n)
     if args.json:
         _emit_json(
             {
@@ -244,9 +240,6 @@ def _cmd_uvarov(args) -> int:
     xs_fixed = _parse_rational_list(args.xs_fixed)
     try:
         result = uvarov_system(f, ys=ys, upto=args.max_n, xs_fixed=xs_fixed)
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         # a repeated parameter, or a fixed x on an atom node
         raise SystemExit2(str(exc))
@@ -430,6 +423,11 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except DomainError as exc:
+        # a hypothesis of the theory fails for the input, e.g. a provided
+        # functional whose Hankel minors vanish at the depth the sweep needs
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         return 0
 

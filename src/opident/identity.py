@@ -25,10 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .moments import (
+    DomainError,
     FiniteAtomFunctional,
     ModeError,
-    MomentHorizonError,
-    PoleAtAtomError,
     random_atom_functional,
     random_sequence_functional,
 )
@@ -222,16 +221,6 @@ def _jsonify(value, equal: bool):
     return str(value)
 
 
-_DOMAIN_ERRORS = (
-    PoleAtAtomError,
-    DegenerateFunctionalError,
-    MomentHorizonError,
-    ModeError,
-    ConfluentRequiredError,
-    ZeroDivisionError,
-)
-
-
 # ---------------------------------------------------------------------------
 # Theorem-1 matrices
 # ---------------------------------------------------------------------------
@@ -366,8 +355,9 @@ def rhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
 def verify_theorem1(sys: OrthoSystem, inst: IdentityInstance) -> VerificationReport:
     """Compare lhs_theorem1 and rhs_theorem1 of one instance: exactly in
     atom mode, coefficient by coefficient below the reliable order in series
-    mode.  Domain errors become failed reports.  The report is labelled
-    "prop13" when some parameter is repeated, "theorem1" otherwise."""
+    mode.  A DomainError becomes a failed report whose note is "error: "
+    and its message.  The report is labelled "prop13" when some parameter
+    is repeated, "theorem1" otherwise."""
     identity = "prop13" if inst.confluent else "theorem1"
     params = inst.params()
     try:
@@ -377,7 +367,7 @@ def verify_theorem1(sys: OrthoSystem, inst: IdentityInstance) -> VerificationRep
             return VerificationReport(identity, params, lhs, rhs, lhs == rhs)
         order = min(t for t in (inst.truncation, lhs.trunc, rhs.trunc) if t is not None)
         diff = lhs.first_difference(rhs, order)
-    except _DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         return VerificationReport(identity, params, None, None, False, note=f"error: {exc}")
     note = "denominator-cleared comparison"
     if diff is not None:
@@ -389,6 +379,11 @@ def verify_theorem1(sys: OrthoSystem, inst: IdentityInstance) -> VerificationRep
 # Uvarov construction
 # ---------------------------------------------------------------------------
 
+def _require_atoms(f) -> None:
+    if not isinstance(f, FiniteAtomFunctional):
+        raise ModeError("the Uvarov construction needs a finite-atom functional")
+
+
 def uvarov_polynomial(
     sys: OrthoSystem, n: int, xs_fixed=(), ys=()
 ) -> tuple[UniPoly, bool]:
@@ -399,8 +394,7 @@ def uvarov_polynomial(
     Returns (polynomial, degree_ok); a degree below n is reported, never
     silently accepted.
     """
-    if not isinstance(sys.functional, FiniteAtomFunctional):
-        raise ModeError("the Uvarov construction needs a finite-atom functional")
+    _require_atoms(sys.functional)
     xs_fixed = tuple(Fraction(x) for x in xs_fixed)
     ys = tuple(Fraction(y) for y in ys)
     m = 1 + len(xs_fixed)
@@ -452,9 +446,10 @@ def uvarov_system(
 ) -> UvarovResult:
     """Construct P_0..P_upto and check L'(P_i P_j) = 0 for i != j exactly.
 
-    Repeated parameters (a vanishing Vandermonde) and a fixed x on an atom
-    node are refused with ValueError before any polynomial is built.
+    Refused before any polynomial is built: a non-atom functional (ModeError),
+    and repeated parameters or a fixed x on an atom node (ValueError).
     """
+    _require_atoms(f)
     xs_fixed = tuple(Fraction(x) for x in xs_fixed)
     ys = tuple(Fraction(y) for y in ys)
     for kind, values in (("fixed x", xs_fixed), ("y", ys)):

@@ -10,9 +10,10 @@ moment sequence mu_n = L(x^n).  Three backends:
 
 Readers take the moments in one form, ``moment_row``: integer numerators
 over one denominator.  On top of them sit the rationally modified moments
-L(u^i * prod(u - x_l) / prod(u - y_l)), exact for finite-atom measures and
-truncated inverse-power series for formal y's, together with the Hankel
-determinants of both; H(n) is the one with no x's and no y's.
+L(u^i * prod(u - x_l) / prod(u - y_l)), read in the same form
+(``_modified_row``), exact for finite-atom measures and truncated
+inverse-power series for formal y's, together with the Hankel determinants
+of both; H(n) is the one with no x's and no y's.
 """
 
 from __future__ import annotations
@@ -42,15 +43,21 @@ _ONE = Fraction(1)
 _NO_PARAMS = ((), 1)  # integer_form of the empty parameter list
 
 
-class MomentHorizonError(Exception):
+class DomainError(Exception):
+    """A hypothesis of the theory fails for the given input: a vanishing
+    Hankel determinant, a y on the support, a moment past the horizon, or a
+    backend that cannot form the requested functional."""
+
+
+class MomentHorizonError(DomainError):
     """A moment beyond the backend's horizon was requested."""
 
 
-class PoleAtAtomError(Exception):
+class PoleAtAtomError(DomainError):
     """A rational y parameter coincides with an atom node."""
 
 
-class ModeError(Exception):
+class ModeError(DomainError):
     """Operation not available for this backend."""
 
 
@@ -125,33 +132,26 @@ class MomentFunctional:
 
     # -- modified moments --------------------------------------------------
     def modified_moment(self, i: int, xs=(), ys=()) -> Fraction:
-        """L(u^i * prod(u - x_l) / prod(u - y_l)), exact: M_i / (D B^i)
-        (see _modified_ints).
+        """L(u^i * prod(u - x_l) / prod(u - y_l)), exact: the one-entry
+        _modified_row.
 
         Rational y's need a finite-atom backend; with no y's any backend
         works (the integrand is a polynomial).
         """
-        mm, den, b = self._modified_ints(i + 1, integer_form(xs), integer_form(ys))
-        return Fraction(mm[i], den * b**i)
-
-    def _modified_ints(self, count: int, xs=_NO_PARAMS, ys=_NO_PARAMS):
-        """Integers M_i, D > 0 and B > 0 with modified moment i equal to
-        M_i / (D B^i) for i = 0..count-1, the parameters given by
-        integer_form; here B = 1 and M_i / D is from _modified_row."""
-        if ys[0]:
-            raise ModeError("rational y parameters need a finite-atom functional")
-        nums, den = self._modified_row(xs, 0, count)
-        return nums, den, 1
+        if i < 0:
+            raise ValueError("moment index must be non-negative")
+        (num,), den = self._modified_row(i, 1, integer_form(xs), integer_form(ys))
+        return Fraction(num, den)
 
     def modified_hankel_det(self, n: int, xs=(), ys=(), divisor=_ONE) -> Fraction:
-        """det of the modified moments M_{i+j} / (D B^(i+j)), 0 <= i, j <= n-1,
-        over the nonzero rational ``divisor``: with B^i on row i and B^j on
-        column j, one integer Bareiss run over D^n B^(n(n-1)) and the divisor."""
+        """det of the modified moments, 0 <= i, j <= n-1, over the nonzero
+        rational ``divisor``: one integer Bareiss run on the Hankel matrix of
+        the _modified_row numerators, over D^n and the divisor."""
         top, bottom = divisor.denominator, divisor.numerator
         if n:
-            mm, den, b = self._modified_ints(2 * n - 1, integer_form(xs), integer_form(ys))
+            mm, den = self._modified_row(0, 2 * n - 1, integer_form(xs), integer_form(ys))
             top *= det_int([mm[i : i + n] for i in range(n)])
-            bottom *= den**n * b ** (n * (n - 1))
+            bottom *= den**n
         return Fraction(top, bottom)
 
     def modified_moment_series(
@@ -164,6 +164,8 @@ class MomentFunctional:
         (-1)^k * L(u^(i + sum(e_l - 1)) * prod(u - x_l)).  It is the
         one-entry _modified_series_row; integral coefficients stay ints.
         """
+        if i < 0:
+            raise ValueError("moment index must be non-negative")
         (s,), den = self._modified_series_row(i, 1, xs, variables, truncation)
         return series_ratio(s, den)
 
@@ -194,7 +196,7 @@ class MomentFunctional:
         max_extra = truncation - 1 - k
         if max_extra < 0:
             return [InverseSeries.zero(variables, truncation, cap=truncation)] * count, 1
-        r, den = self._modified_row(integer_form(xs), start, count + max_extra)
+        r, den = self._modified_row(start, count + max_extra, integer_form(xs))
         shapes = [_shifted_compositions(d, k) for d in range(max_extra + 1)]
         out = []
         for s in range(count):
@@ -209,11 +211,15 @@ class MomentFunctional:
             out.append(InverseSeries._make(variables, terms, truncation, truncation))
         return out, den
 
-    def _modified_row(self, xs, start: int, count: int) -> tuple[list[int], int]:
-        """Integers r_j and D > 0 with L(u^j prod(u - x_l)) = r_j / D for
-        j = start..start+count-1.  With the xs as numerators X_l over d
-        (integer_form), the integer coefficients of prod(d u - X_l) go
-        against moment_row, over d^m times the row's denominator."""
+    def _modified_row(self, start: int, count: int, xs=_NO_PARAMS, ys=_NO_PARAMS):
+        """Integers r_j and D > 0 with modified moment j equal to r_j / D for
+        j = start..start+count-1, the parameters given by integer_form.  Here
+        the integrand u^j prod(u - x_l) is a polynomial (rational y's raise
+        ModeError): with the xs as numerators X_l over d, the integer
+        coefficients of prod(d u - X_l) go against moment_row, over d^m
+        times the row's denominator."""
+        if ys[0]:
+            raise ModeError("rational y parameters need a finite-atom functional")
         nums, d = xs
         base = [1]
         for x in nums:
@@ -261,11 +267,9 @@ class FiniteAtomFunctional(MomentFunctional):
         self._require_horizon(n)
         return self.modified_moment(n)
 
-    def moment_row(self, count: int) -> tuple[tuple[int, ...], int]:
-        """mu_i = M_i / (D B^i) (see _modified_ints) over one denominator D B^(count-1)."""
-        mm, den, b = self._modified_ints(count)
-        top = b ** max(count - 1, 0)
-        return tuple(m * (top // b**i) for i, m in enumerate(mm)), den * top
+    def moment_row(self, count: int) -> tuple[list[int], int]:
+        """mu_0..mu_{count-1} over one denominator: _modified_row with no parameters."""
+        return self._modified_row(0, count)
 
     def modified_weights(self, xs=_NO_PARAMS, ys=_NO_PARAMS) -> tuple[list[int], int]:
         """Integers N_a and D > 0 with N_a / D = w_a prod(u_a - x_l) / prod(u_a - y_l),
@@ -294,17 +298,18 @@ class FiniteAtomFunctional(MomentFunctional):
         scale = b ** max(len(ys) - len(xs), 0) * yd ** len(ys)
         return [n * (common // d) * scale for n, d in zip(nums, dens)], common * den
 
-    def _modified_ints(self, count: int, xs=_NO_PARAMS, ys=_NO_PARAMS):
-        """M_i = sum_a N_a U_a^i over D B^i, with N_a / D the modified
-        weights and B the node scale."""
-        if count < 0:
-            raise ValueError("moment index must be non-negative")
+    def _modified_row(self, start: int, count: int, xs=_NO_PARAMS, ys=_NO_PARAMS):
+        """Modified moment j is sum_a N_a U_a^j / (D B^j), with N_a / D the
+        modified weights and B the node scale; entry j comes over the row's
+        one denominator D B^top, top = start+count-1, as its sum times B^(top-j)."""
+        nodes, b = self.node_numerators, self.node_scale
         powers, den = self.modified_weights(xs, ys)
-        out = []
-        for _ in range(count):
-            out.append(sum(powers))
-            powers = list(map(mul, powers, self.node_numerators))
-        return out, den, self.node_scale
+        sums = []
+        for _ in range(start + count):
+            sums.append(sum(powers))
+            powers = list(map(mul, powers, nodes))
+        top = start + count - 1
+        return [sums[j] * b ** (top - j) for j in range(start, top + 1)], den * b ** max(top, 0)
 
     def to_json_dict(self) -> dict:
         return {

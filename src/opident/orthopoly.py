@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .moments import FiniteAtomFunctional, ModeError, MomentFunctional, PoleAtAtomError
+from .moments import DomainError, FiniteAtomFunctional, ModeError, MomentFunctional, PoleAtAtomError
 from .ring import (
     InverseSeries,
     RingMatrix,
@@ -27,7 +27,7 @@ from .ring import (
 )
 
 
-class DegenerateFunctionalError(Exception):
+class DegenerateFunctionalError(DomainError):
     """A required Hankel determinant H(j) vanishes."""
 
     def __init__(self, index: int, message: str | None = None):

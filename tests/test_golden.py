@@ -157,12 +157,41 @@ ATOM_SWEEP = ["verify", "theorem1", "--json", "--seed", "1", "--trials", "20"]
 ATOM_SWEEP_SHA256 = "6c4e54b3e0b3c75b2c232bdc3d0a839e0bb3783d85561336d6e3c3984b924dd2"
 
 
-def test_atom_sweep_operation_stdout_digest(capsys, monkeypatch):
+# The other two workloads' operations at seed 1: "series-sweep" is one
+# step, "closed-forms" two.
+BENCHMARK_OPERATIONS = {
+    "series-sweep": (
+        ["verify", "theorem1", "--series", "--json", "--seed", "1", "--trials", "4",
+         "--truncation", "25", "--max-n", "4", "--max-k", "2", "--max-m", "2"],
+        "00cea55f96db28e7329b2624ac2c46eeb346a28ea8f0f10ce1c056dc03673b8b",
+    ),
+    "closed-forms-chebyshev": (
+        ["chebyshev", "--json", "--max-n", "12"],
+        "cf050bf59af933dfc15671b615116e6a5b1fe76be5eb4182d66dd84d73bfed30",
+    ),
+    "closed-forms-lemmas": (
+        ["verify", "lemmas", "--json", "--seed", "1", "--trials", "10"],
+        "a3a4e493a312a31e52f94d046a61722eb0b528807752a467f15dae1c3b1760f1",
+    ),
+}
+
+
+def _stdout_sha256(argv, capsys, monkeypatch) -> str:
     monkeypatch.delenv("OPIDENT_SEED", raising=False)
-    code = main(ATOM_SWEEP)
+    code = main(argv)
     out, _ = capsys.readouterr()
     assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ATOM_SWEEP_SHA256
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+def test_atom_sweep_operation_stdout_digest(capsys, monkeypatch):
+    assert _stdout_sha256(ATOM_SWEEP, capsys, monkeypatch) == ATOM_SWEEP_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_OPERATIONS))
+def test_benchmark_operation_stdout_digest(name, capsys, monkeypatch):
+    argv, digest = BENCHMARK_OPERATIONS[name]
+    assert _stdout_sha256(argv, capsys, monkeypatch) == digest
 
 
 @pytest.mark.parametrize("name", sorted(VALUE_CASES))

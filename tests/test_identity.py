@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import opident
 import opident.identity as identity
 from opident.identity import (
     ConfluentRequiredError,
@@ -30,6 +31,8 @@ from opident.identity import (
 from opident.moments import (
     ChebyshevCatalanFunctional,
     FiniteAtomFunctional,
+    ModeError,
+    MomentHorizonError,
     PoleAtAtomError,
     SequenceFunctional,
     functional_from_json,
@@ -51,6 +54,7 @@ from opident.ring import (
     UniPoly,
     det_generic,
     det_rational,
+    format_rational,
     vandermonde_product,
 )
 
@@ -276,13 +280,43 @@ def test_verify_with_provided_functional():
     assert all(r.equal for r in reports)
 
 
-def test_verify_error_becomes_failed_report(rng):
+def _pole_case(rng):
     f, sys = atom_system(rng, 6, 5)
-    node = f.nodes[0]
-    inst = IdentityInstance(n=2, ys=(node,))  # pole sits on an atom
+    node = f.nodes[0]  # the pole sits on an atom
+    return sys, IdentityInstance(n=2, ys=(node,)), f"y = {format_rational(node)} is an atom node"
+
+
+def _degenerate_case(rng):
+    # a 3-atom functional has H(4) = 0: the lhs divisor H(n - k) vanishes
+    sys = build_ortho_system(random_atom_functional(rng, 3), 3)
+    return sys, IdentityInstance(n=4), "Hankel determinant H(4) vanishes"
+
+
+def _horizon_case(rng):
+    # H(4) reads moments up to 6, past the horizon
+    sys = build_ortho_system(SequenceFunctional([1, 0, 1, 0, 2]), 2)
+    return sys, IdentityInstance(n=4), "moment 6 requested, horizon is 4"
+
+
+def _mode_case(rng):
+    # a rational y needs a finite-atom functional
+    sys = build_ortho_system(SequenceFunctional([1, 0, 1, 0, 2]), 2)
+    inst = IdentityInstance(n=1, ys=(F(1, 3),))
+    return sys, inst, "rational y parameters need a finite-atom functional"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_pole_case, _degenerate_case, _horizon_case, _mode_case],
+    ids=["pole", "degenerate", "horizon", "mode"],
+)
+def test_verify_error_becomes_failed_report(rng, case):
+    # one case per DomainError subclass
+    sys, inst, message = case(rng)
     rep = verify_theorem1(sys, inst)
     assert not rep.equal
-    assert "error" in rep.note
+    assert (rep.lhs, rep.rhs) == (None, None)
+    assert rep.note == f"error: {message}"
 
 
 def test_pole_on_atom_raises_only_with_a_q_column():
@@ -823,6 +857,22 @@ def test_uvarov_degree_flag_is_reported():
     res = uvarov_system(f, ys=(F(1, 2),), upto=3)
     assert res.degree_ok == (True, True, False, True)
     assert res.polys[2].degree == 1
+
+
+@pytest.mark.parametrize(
+    "f", [SequenceFunctional([1, 0, 1, 0, 2]), ChebyshevCatalanFunctional()],
+    ids=["sequence", "chebyshev"],
+)
+def test_uvarov_system_needs_a_finite_atom_functional(f):
+    with pytest.raises(ModeError, match="^the Uvarov construction needs a finite-atom"):
+        uvarov_system(f, upto=1)
+
+
+def test_domain_errors_share_one_base():
+    for cls in (DegenerateFunctionalError, ModeError, MomentHorizonError, PoleAtAtomError):
+        assert issubclass(cls, opident.DomainError)
+    # a repeated parameter in the shorthand is a usage error, not a domain error
+    assert not issubclass(ConfluentRequiredError, opident.DomainError)
 
 
 def test_uvarov_refuses_fixed_x_on_atom_node_before_any_polynomial(monkeypatch):

@@ -245,6 +245,18 @@ def test_pole_names_the_y_on_the_first_atom_node_hit(ys, named):
         f.modified_hankel_det(1, (3,), ys)
 
 
+@pytest.mark.parametrize(
+    "f", [two_atom(), SequenceFunctional(range(1, 30)), ChebyshevCatalanFunctional()],
+    ids=["atoms", "sequence", "chebyshev"],
+)
+def test_negative_modified_moment_index_is_refused(f):
+    # there is no u^(-1) moment; a negative index must not read a shifted row
+    with pytest.raises(ValueError, match="^moment index must be non-negative$"):
+        f.modified_moment(-1)
+    with pytest.raises(ValueError, match="^moment index must be non-negative$"):
+        f.modified_moment_series(-1, (), ("y1",), 5)
+
+
 def test_modified_moment_needs_atoms_for_poles():
     f = ChebyshevCatalanFunctional()
     with pytest.raises(ModeError):
@@ -285,8 +297,9 @@ def _fraction_modified_moment(f, i, xs, ys):
 
 
 def test_modified_hankel_det_matches_fraction_hankel_on_fractional_nodes():
-    # the one integer Bareiss run over D^n B^(n(n-1)) against det_rational of
-    # the Hankel matrix of modified moments summed in Fractions; B = 210 here
+    # the one integer Bareiss run over D^n, the powers of the node scale B
+    # kept in the entries, against det_rational of the Hankel matrix of
+    # modified moments summed in Fractions; B = 210 here
     path = Path(__file__).parent / "golden" / "atoms8-fractional.json"
     f = functional_from_json(path.read_text())
     assert f.node_scale == 210
