@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .identity import VerificationReport
-from .moments import catalan
+from .moments import ChebyshevCatalanFunctional
 from .ring import RingMatrix, UniPoly, binomial, det_poly, det_rational, format_rational
 
 _ZERO = Fraction(0)
@@ -63,21 +63,42 @@ def modified_moment_cheb(n: int, a: Fraction) -> UniPoly:
 
         X (-2a)^n + sum_{k=0}^{floor((n-1)/2)} (-2a)^(n-2k-1) C_k,
 
-    linear in the formal symbol X."""
-    return _cheb_moments(n + 1, Fraction(a))[n]
+    linear in the formal symbol X: entry n of _cheb_row, over d^n."""
+    a = Fraction(a)
+    rows, d = _cheb_row(n + 1, a)
+    return UniPoly([Fraction(c, d**n) for c in rows[n]], "X")
 
 
 @lru_cache(maxsize=64)
-def _cheb_moments(count: int, a: Fraction) -> tuple:
-    """modified_moment_cheb(s, a) for s = 0..count-1 in one pass: the
-    constant terms satisfy c_0 = 0 and c_s = -2a c_{s-1} + [s odd] C_{(s-1)/2}."""
-    base = -2 * a
-    out, const, power = [], _ZERO, _ONE
+def _cheb_row(count: int, a: Fraction) -> tuple[tuple, int]:
+    """Integer pairs (K_s, P_s) and d, the denominator of a, with
+    modified_moment_cheb(s, a) = (K_s + P_s X) / d^s for s = 0..count-1.
+
+    With a = p/d the X coefficient is (-2a)^s, so P_s = (-2p)^s; the
+    constant terms satisfy c_0 = 0 and c_{s+1} = -2a c_s + mu_s, so
+    K_{s+1} = -2p K_s + d^(s+1) mu_s on the Chebyshev moment row, whose
+    denominator is 1."""
+    mu, _ = ChebyshevCatalanFunctional().moment_row(count)
+    p, d = a.numerator, a.denominator
+    rows, const, power, dpow = [], 0, 1, 1
     for s in range(count):
-        out.append(UniPoly([const, power], "X"))
-        const = base * const + (catalan(s // 2) if s % 2 == 0 else 0)
-        power *= base
-    return tuple(out)
+        rows.append((const, power))
+        dpow *= d
+        const = -2 * p * const + dpow * mu[s]
+        power *= -2 * p
+    return tuple(rows), d
+
+
+def _x_linear_hankel_det(entries, n: int, divisor: int) -> UniPoly:
+    """det of the n x n Hankel matrix of the integer X-linear entries
+    (constant, X coefficient), over the divisor.  The determinant must have
+    degree at most 1 in X (the replacement argument that makes X a free
+    variable)."""
+    polys = [UniPoly(e, "X") for e in entries]
+    lhs = det_poly(RingMatrix.hankel(polys, n), ["X"]) * Fraction(1, divisor)
+    if lhs.degree > 1:
+        raise ArithmeticError("determinant should be linear in X")
+    return lhs
 
 
 def q_cheb(n: int, a: Fraction) -> UniPoly:
@@ -93,14 +114,13 @@ def theorem14_eval(n: int, a: Fraction) -> VerificationReport:
 
         det(X (-2a)^(i+j) + sum ...) = (-1)^(n-1) (X U_{n-1}(-a) + U_{n-2}(-a)).
 
-    Also asserts the degree-in-X of the determinant is at most 1 (the
-    replacement argument that makes X a free variable)."""
+    With rho_s = R_s / d^s (_cheb_row), row i scaled by d^i and column j by
+    d^j turn rho_{i+j} into R_{i+j}, and the determinant by d^(n(n-1))."""
     if n < 1:
         raise ValueError("n must be positive")
     a = Fraction(a)
-    lhs = det_poly(RingMatrix.hankel(_cheb_moments(2 * n - 1, a), n), ["X"])
-    if lhs.degree > 1:
-        raise ArithmeticError("determinant should be linear in X")
+    rows, d = _cheb_row(2 * n - 1, a)
+    lhs = _x_linear_hankel_det(rows, n, d ** (n * (n - 1)))
     base = -2 * a
     sign = -1 if (n - 1) % 2 else 1
     rhs = UniPoly([sign * _chebU_at(n - 2, base), sign * _chebU_at(n - 1, base)], "X")
@@ -112,27 +132,21 @@ def theorem15_eval(n: int, a: Fraction, b: Fraction) -> VerificationReport:
     rho_{i+j+1} - b rho_{i+j} against
 
         U_{n-1}(b/2)(X U_n(-a) + U_{n-1}(-a)) - U_n(b/2)(X U_{n-1}(-a) + U_{n-2}(-a)).
+
+    With rho_s = R_s / d^s and b = b_num / b_den, row i scaled by d^i and
+    column j by b_den d^(j+1) turn rho_{s+1} - b rho_s, s = i+j, into
+    S_s = b_den R_{s+1} - b_num d R_s, and the determinant by b_den^n d^(n^2).
     """
     if n < 1:
         raise ValueError("n must be positive")
     a, b = Fraction(a), Fraction(b)
-    rho = _cheb_moments(2 * n, a)
-    # rho_s has a denominator dividing ad^s and sigma_s = rho_{s+1} - b rho_s
-    # one dividing bd ad^(s+1).  Row i scaled by ad^i and column j by
-    # bd ad^(j+1) turn sigma_{i+j} into S_{i+j} = bd R_{s+1} - bn ad R_s,
-    # with R_s = ad^s rho_s integral, and the determinant by bd^n ad^(n^2).
-    ad, bn, bd = a.denominator, b.numerator, b.denominator
-    scaled = [
-        [c.numerator * (ad**s // c.denominator) for c in (r.coefficient(0), r.coefficient(1))]
-        for s, r in enumerate(rho)
-    ]
+    rows, d = _cheb_row(2 * n, a)
+    bn, bd = b.numerator, b.denominator
     sigma = [
-        UniPoly([bd * hi - bn * ad * lo for hi, lo in zip(scaled[s + 1], scaled[s])], "X")
-        for s in range(2 * n - 1)
+        tuple(bd * hi - bn * d * lo for hi, lo in zip(r1, r0))
+        for r0, r1 in zip(rows, rows[1:])
     ]
-    lhs = det_poly(RingMatrix.hankel(sigma, n), ["X"]) * Fraction(1, bd**n * ad ** (n * n))
-    if lhs.degree > 1:
-        raise ArithmeticError("determinant should be linear in X")
+    lhs = _x_linear_hankel_det(sigma, n, bd**n * d ** (n * n))
     base = -2 * a
     u_n2, u_n1, u_n = (_chebU_at(j, base) for j in (n - 2, n - 1, n))
     u_n1_b, u_n_b = _chebU_at(n - 1, b), _chebU_at(n, b)

@@ -182,9 +182,12 @@ def _cmd_verify_theorem1(args) -> int:
                 functional=functional,
             )
     except ValueError as exc:
-        # a shape the random functionals cannot serve (depth above the atom count)
-        depth = args.max_n + args.max_m - 1
-        raise SystemExit2(f"sweep depth max_n + max_m - 1 = {depth} not supported: {exc}")
+        # a shape the random functionals cannot serve (depth above the atom
+        # count); with max_m = 0 the k = 0 left-hand side at n = max_n still
+        # divides by H(max_n), so the depth is max_n
+        shape = "max_n + max_m - 1" if args.max_m else "max_n"
+        depth = args.max_n + max(args.max_m, 1) - 1
+        raise SystemExit2(f"sweep depth {shape} = {depth} not supported: {exc}")
     return _report_sweep(reports, args, "verify theorem1", config)
 
 

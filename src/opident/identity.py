@@ -600,9 +600,11 @@ def sweep_theorem1_atom(
 ) -> list[VerificationReport]:
     """Full (n, k, m) grid per trial over seeded random atom functionals
     (y parameters are drawn with denominator 3, so they never hit the
-    integer atom nodes)."""
+    integer atom nodes).  The depth max_n + max(max_m, 1) - 1 covers the
+    k = 0, m = 0 instance at n = max_n, whose left-hand side divides by
+    H(max_n)."""
     rng = random.Random(seed)
-    depth = max(max_n + max_m - 1, 0)
+    depth = max_n + max(max_m, 1) - 1
     reports = []
     for _ in range(trials):
         f = functional

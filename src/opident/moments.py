@@ -38,7 +38,6 @@ from .ring import (
     series_ratio,
 )
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 _NO_PARAMS = ((), 1)  # integer_form of the empty parameter list
 
@@ -92,7 +91,10 @@ class MomentFunctional:
         """Largest servable moment index, or None when unbounded."""
         return None
 
-    def moment(self, n: int) -> Fraction:
+    def moment_row(self, count: int) -> tuple[tuple[int, ...], int]:
+        """Integers m_i and M > 0 with mu_i = m_i / M for i = 0..count-1:
+        the one form in which the readers of the moments take them, and the
+        one thing a backend implements."""
         raise NotImplementedError
 
     def _require_horizon(self, n: int):
@@ -102,12 +104,11 @@ class MomentFunctional:
         if h is not None and n > h:
             raise MomentHorizonError(f"moment {n} requested, horizon is {h}")
 
-    def moment_row(self, count: int) -> tuple[tuple[int, ...], int]:
-        """Integers m_i and M > 0 with mu_i = m_i / M for i = 0..count-1:
-        the one form in which the readers of the moments take them."""
-        if count:
-            self._require_horizon(count - 1)
-        return integer_form([self.moment(i) for i in range(count)])
+    def moment(self, n: int) -> Fraction:
+        """mu_n = L(x^n): entry n of moment_row."""
+        self._require_horizon(n)
+        mu, den = self.moment_row(n + 1)
+        return Fraction(mu[n], den)
 
     # -- linear functional ----------------------------------------------
     def apply(self, p: UniPoly) -> Fraction:
@@ -233,9 +234,6 @@ class MomentFunctional:
     def to_json_dict(self) -> dict:
         raise NotImplementedError
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 class FiniteAtomFunctional(MomentFunctional):
     """Discrete measure sum w_a * delta(u_a): nodes pairwise distinct,
@@ -262,10 +260,6 @@ class FiniteAtomFunctional(MomentFunctional):
     @property
     def nodes(self):
         return tuple(u for u, _ in self.atoms)
-
-    def moment(self, n: int) -> Fraction:
-        self._require_horizon(n)
-        return self.modified_moment(n)
 
     def moment_row(self, count: int) -> tuple[list[int], int]:
         """mu_0..mu_{count-1} over one denominator: _modified_row with no parameters."""
@@ -322,32 +316,27 @@ class FiniteAtomFunctional(MomentFunctional):
 
 
 class SequenceFunctional(MomentFunctional):
-    """Explicit moment list mu_0..mu_N; indices past N raise, never 0."""
+    """Explicit moment list mu_0..mu_N; indices past N raise, never 0.  The
+    moments are kept once, as one integer row over its denominator."""
 
     def __init__(self, moments):
         super().__init__()
-        self.moments = tuple(Fraction(m) for m in moments)
-        if not self.moments:
+        self._row, self._den = integer_form([Fraction(m) for m in moments])
+        if not self._row:
             raise ValueError("need at least mu_0")
-
-    @classmethod
-    def from_generator(cls, generator, horizon: int) -> "SequenceFunctional":
-        """Materialize mu_0..mu_horizon from a callable index -> rational;
-        the horizon stays hard afterwards."""
-        if horizon < 0:
-            raise ValueError("horizon must be non-negative")
-        return cls(generator(n) for n in range(horizon + 1))
 
     @property
     def horizon(self) -> int:
-        return len(self.moments) - 1
+        return len(self._row) - 1
 
-    def moment(self, n: int) -> Fraction:
-        self._require_horizon(n)
-        return self.moments[n]
+    def moment_row(self, count: int) -> tuple[tuple[int, ...], int]:
+        if count:
+            self._require_horizon(count - 1)
+        return self._row[:count], self._den
 
     def to_json_dict(self) -> dict:
-        return {"type": "sequence", "moments": [format_rational(m) for m in self.moments]}
+        moments = [format_rational(Fraction(m, self._den)) for m in self._row]
+        return {"type": "sequence", "moments": moments}
 
     def __repr__(self):
         return f"SequenceFunctional(horizon={self.horizon})"
@@ -356,9 +345,9 @@ class SequenceFunctional(MomentFunctional):
 class ChebyshevCatalanFunctional(MomentFunctional):
     """Moments of the Chebyshev weight: mu_n = C_(n/2) for even n, 0 for odd."""
 
-    def moment(self, n: int) -> Fraction:
-        self._require_horizon(n)
-        return Fraction(catalan(n // 2)) if n % 2 == 0 else _ZERO
+    def moment_row(self, count: int) -> tuple[list[int], int]:
+        """The Catalan numbers at the even places, over 1."""
+        return [catalan(i // 2) if i % 2 == 0 else 0 for i in range(count)], 1
 
     def to_json_dict(self) -> dict:
         return {"type": "chebyshev"}

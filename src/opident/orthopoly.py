@@ -89,12 +89,6 @@ class OrthoSystem:
         coeffs, d = self.int_polys[n]
         return UniPoly([Fraction(c, d) for c in coeffs])
 
-    def norm(self, n: int) -> Fraction:
-        """L(p_n^2); equals H(n+1)/H(n)."""
-        if n < len(self.norms):
-            return self.norms[n]
-        raise ValueError(f"system depth is {self.depth}, norm {n} not available")
-
     def p_row(self, cols, x, order: int = 0, scale: int = 1) -> tuple[list[int], int]:
         """Integers P_b and D > 0 with P_b / D the Taylor coefficient
         p_b^(r)(x / scale)/r! for r = order and each b in cols, where p_b = 0
@@ -197,18 +191,19 @@ def poly_lemma4(f: MomentFunctional, n: int) -> UniPoly:
     """Monic p_n in x as a bordered-Hankel determinant divided by H(n).
 
     The (n+1) x (n+1) matrix has moment rows (mu_i .. mu_{i+n}) for
-    i = 0..n-1 and the bottom row (1, x, ..., x^n); det_poly computes it.
+    i = 0..n-1 and the bottom row (1, x, ..., x^n); det_poly computes it on
+    the integer moment row m_i / M, and M^n goes into the divisor.
     """
     if n == 0:
         return UniPoly.one()
     h_n = f.hankel_det(n)
     if not h_n:
         raise DegenerateFunctionalError(n)
-    f._require_horizon(2 * n - 1)
+    mu, den = f.moment_row(2 * n)
     x = UniPoly.variable()
-    rows = [[f.moment(i + j) for j in range(n + 1)] for i in range(n)]
+    rows = [mu[i : i + n + 1] for i in range(n)]
     rows.append([x**j for j in range(n + 1)])
-    return det_poly(RingMatrix.from_rows(rows), ["x"]) * (1 / h_n)
+    return det_poly(RingMatrix.from_rows(rows), ["x"]) * (1 / (den**n * h_n))
 
 
 def poly_lemma5(f: MomentFunctional, n: int) -> UniPoly:
@@ -216,13 +211,14 @@ def poly_lemma5(f: MomentFunctional, n: int) -> UniPoly:
     polynomial of degree <= n.
 
     When H(n) != 0 it equals (-1)^n H(n) p_n(x): the x^n coefficient of the
-    determinant is det(-mu_{i+j}) = (-1)^n H(n).  Computed by det_poly.
+    determinant is det(-mu_{i+j}) = (-1)^n H(n).  Computed by det_poly on
+    the integer moment row m_i / M, over M^n.
     """
     if n == 0:
         return UniPoly.one()
-    f._require_horizon(2 * n - 1)
-    lin = [UniPoly([f.moment(s + 1), -f.moment(s)]) for s in range(2 * n - 1)]
-    return det_poly(RingMatrix.hankel(lin, n), ["x"])
+    mu, den = f.moment_row(2 * n)
+    lin = [UniPoly([mu[s + 1], -mu[s]]) for s in range(2 * n - 1)]
+    return det_poly(RingMatrix.hankel(lin, n), ["x"]) * Fraction(1, den**n)
 
 
 def q_row(sys: OrthoSystem, cols, y, order: int = 0, scale: int = 1) -> tuple[list[int], int]:

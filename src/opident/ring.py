@@ -104,11 +104,6 @@ class UniPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def leading_coefficient(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def coefficient(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else _ZERO
 
@@ -338,13 +333,6 @@ class InverseSeries:
     @classmethod
     def monomial(cls, variables, exps, coeff=_ONE, trunc=None, cap=None) -> "InverseSeries":
         return cls(variables, {tuple(exps): coeff}, trunc, cap)
-
-    @classmethod
-    def inverse_variable(cls, variables, slot: int) -> "InverseSeries":
-        """The exact series 1/y_slot."""
-        exps = [0] * len(tuple(variables))
-        exps[slot] = 1
-        return cls.monomial(variables, exps)
 
     @classmethod
     def plain_variable(cls, variables, slot: int) -> "InverseSeries":

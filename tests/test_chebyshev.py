@@ -122,13 +122,30 @@ def test_theorem14_grid(a):
 
 
 def test_theorem14_against_generic_determinant():
-    # cross-check the packed det_poly determinant against the division-free one
-    for n in range(1, 5):
-        a = F(-1)
-        rho = [modified_moment_cheb(s, a) for s in range(2 * n - 1)]
-        mat = RingMatrix(n, n, [rho[i + j] for i in range(n) for j in range(n)])
-        direct = det_generic(mat, one=UniPoly.one("X"))
-        assert direct == theorem14_eval(n, a).lhs
+    # cross-check the integer det_poly determinant over d^(n(n-1)) against
+    # the division-free one on the Fraction Hankel matrix; a = -1 has d = 1
+    for a in (F(-1), F(1, 2), F(-3, 5)):
+        for n in range(1, 5):
+            rho = [modified_moment_cheb(s, a) for s in range(2 * n - 1)]
+            mat = RingMatrix.hankel(rho, n)
+            direct = det_generic(mat, one=UniPoly.one("X"))
+            assert direct == theorem14_eval(n, a).lhs
+
+
+def test_theorem15_against_generic_determinant():
+    # the same oracle for the 7.13 determinant of rho_{s+1} - b rho_s, whose
+    # integer form is over b_den^n d^(n^2)
+    for a in (F(-1), F(1, 2), F(-3, 5)):
+        for b in (F(0), F(1, 3)):
+            for n in range(1, 5):
+                rho = [modified_moment_cheb(s, a) for s in range(2 * n)]
+                sigma = [
+                    UniPoly([rho[s + 1].coefficient(i) - b * rho[s].coefficient(i)
+                             for i in (0, 1)], "X")
+                    for s in range(2 * n - 1)
+                ]
+                direct = det_generic(RingMatrix.hankel(sigma, n), one=UniPoly.one("X"))
+                assert direct == theorem15_eval(n, a, b).lhs
 
 
 def test_theorem14_substitution_gives_7_12():

@@ -399,16 +399,18 @@ def test_out_of_range_flags_exit_2(argv, capsys):
 
 
 def test_atom_sweep_deeper_than_atom_count_exits_2(capsys):
-    # depth max_n + max_m - 1 = 9 > 8 atoms: H(9) always vanishes, so no
-    # random draw could succeed.
-    code, out, err = run_cli(
-        ["verify", "theorem1", "--max-n", "8", "--max-m", "2", "--max-k", "1",
-         "--trials", "1", "--json"],
-        capsys,
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "H(9)" in err
+    # depth max_n + max(max_m, 1) - 1 = 9 > 8 atoms: H(9) always vanishes, so
+    # no random draw could succeed.  With max_m = 0 the k = 0 instance at
+    # n = max_n still divides by H(max_n), so the depth stays max_n.
+    for shape in (["--max-n", "8", "--max-m", "2"], ["--max-n", "9", "--max-m", "0"]):
+        code, out, err = run_cli(
+            ["verify", "theorem1", *shape, "--max-k", "1", "--trials", "1", "--json"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "= 9 not supported" in err and "H(9)" in err
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,9 @@ diagonal of one ``uvarov_system`` result a line.
 """
 
 import hashlib
+import importlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,7 +33,7 @@ from opident.identity import (
     sweep_theorem1_series,
     uvarov_system,
 )
-from opident.moments import FiniteAtomFunctional, functional_from_json
+from opident.moments import FiniteAtomFunctional, MomentFunctional, functional_from_json
 from opident.ring import format_rational
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -192,6 +194,29 @@ def test_atom_sweep_operation_stdout_digest(capsys, monkeypatch):
 def test_benchmark_operation_stdout_digest(name, capsys, monkeypatch):
     argv, digest = BENCHMARK_OPERATIONS[name]
     assert _stdout_sha256(argv, capsys, monkeypatch) == digest
+
+
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+
+
+def test_benchmark_names_resolve(monkeypatch):
+    # The tracer patches every (module, attribute path) of its LAYERS and
+    # cases.py imports and calls opident names: a rename would otherwise
+    # fail only a benchmark run.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        tracer = importlib.import_module("tracer")
+        importlib.import_module("cases")
+        for targets in tracer.LAYERS.values():
+            for module_name, path in targets:
+                owner = importlib.import_module(module_name)
+                for part in path.split("."):
+                    owner = getattr(owner, part)
+                assert callable(owner), (module_name, path)
+        assert callable(MomentFunctional.modified_moment_series)  # called by cases.py
+    finally:
+        for name in ("workloads", "tracer", "cases"):
+            sys.modules.pop(name, None)
 
 
 @pytest.mark.parametrize("name", sorted(VALUE_CASES))

@@ -67,12 +67,35 @@ def test_sequence_horizon_is_hard():
         f.apply(UniPoly.from_coeffs([0, 0, 0, 1]))
 
 
-def test_sequence_from_generator():
-    f = SequenceFunctional.from_generator(lambda n: F(1, n + 1), horizon=6)
-    assert f.moment(3) == F(1, 4)
-    assert f.horizon == 6
-    with pytest.raises(MomentHorizonError):
-        f.moment(7)
+_FRACTIONAL_ATOMS = Path(__file__).parent / "golden" / "atoms8-fractional.json"
+_FRACTIONAL_SEQUENCE = [F(3, 2), F(-1, 3), 2, F(5, 7), 0, F(-9, 4)]
+
+
+def _moment_row_case(backend):
+    """(functional, its moments up to 12 or its horizon, computed without
+    it)."""
+    if backend == "atoms":
+        f = functional_from_json(_FRACTIONAL_ATOMS.read_text())
+        return f, [sum(w * u**i for u, w in f.atoms) for i in range(12)]
+    if backend == "sequence":
+        return SequenceFunctional(_FRACTIONAL_SEQUENCE), _FRACTIONAL_SEQUENCE
+    return ChebyshevCatalanFunctional(), [catalan(i // 2) * (1 - i % 2) for i in range(12)]
+
+
+@pytest.mark.parametrize("backend", ["atoms", "sequence", "chebyshev"])
+def test_moment_row_is_the_moments_over_one_denominator(backend):
+    f, expected = _moment_row_case(backend)
+    count = len(expected)
+    mu, den = f.moment_row(count)
+    assert den > 0 and all(type(m) is int for m in mu)
+    assert [F(m, den) for m in mu] == expected
+    assert [f.moment(i) for i in range(count)] == expected
+    assert list(f.moment_row(0)[0]) == []
+    if f.horizon is None:
+        assert len(f.moment_row(3 * count)[0]) == 3 * count
+    else:
+        with pytest.raises(MomentHorizonError, match=rf"^moment {count} requested"):
+            f.moment_row(count + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -515,15 +538,15 @@ def test_modified_moment_row_below_degree_k_is_zero(k):
 
 def test_json_round_trip_atoms():
     f = FiniteAtomFunctional([(F(1, 2), 1), (-1, F(2, 3))])
-    g = functional_from_json(f.to_json())
+    g = functional_from_json(json.dumps(f.to_json_dict()))
     assert isinstance(g, FiniteAtomFunctional)
     assert g.atoms == f.atoms
 
 
 def test_json_round_trip_sequence_and_chebyshev():
     f = SequenceFunctional([1, 0, F(1, 2)])
-    g = functional_from_json(f.to_json())
-    assert g.moments == f.moments
+    g = functional_from_json(json.dumps(f.to_json_dict()))
+    assert g.moment_row(3) == f.moment_row(3)
     assert isinstance(
         functional_from_json('{"type":"chebyshev"}'), ChebyshevCatalanFunctional
     )

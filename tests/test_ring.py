@@ -548,7 +548,7 @@ def test_series_integral_scalars_stay_ints():
 def test_series_laurent_direction():
     v = ("y1",)
     y = InverseSeries.plain_variable(v, 0)       # y^(+1), exponent -1
-    inv = InverseSeries.inverse_variable(v, 0)   # 1/y, exponent +1
+    inv = InverseSeries.monomial(v, (1,))       # 1/y, exponent +1
     assert (y * inv) == InverseSeries.one(v)
     assert y.valuation() == -1
 
