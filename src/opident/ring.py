@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import add, sub
 
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
@@ -756,62 +757,90 @@ def det_series(m: RingMatrix, variables):
     """Exact determinant of a square matrix of InverseSeries and rational
     scalars: the fast path for series that det_rational is for rationals.
     The result equals det_generic(m, InverseSeries.one(variables)) in
-    terms, trunc and cap; det_generic stays the oracle.
+    terms, trunc and cap; det_generic stays the oracle.  A 1x1 matrix gives
+    its entry.
 
-    A matrix of integer-coefficient series in at most two variables with
-    nonnegative exponents and one shared trunc == cap (the shape the row
-    builders of both Theorem 1 sides produce when every entry is a series)
-    is expanded Kronecker-packed (_packed_det); anything else goes to
-    det_generic as given.  Denominators belong to the caller: the row
-    builders hand over integer rows and divide by their row denominators
-    once.
+    Series over ``variables`` with exponents >= 0 and one shared trunc ==
+    cap == T (both Theorem 1 sides when every entry is a series) first lose
+    each row's common monomial.  Let z^e be the monomial of exponents e,
+    low_i the componentwise least exponent of row i's terms (0 for none)
+    and s = sum_i low_i.  By multilinearity in the rows det(m) = z^s det(r),
+    r_ij = m_ij / z^low_i, and r again has exponents >= 0, so det(m) below
+    T is z^s times det(r) below T' = T - deg(s), which needs r only below
+    T' (known there: deg(low_i) <= deg(s)).  Each distinct entry is
+    re-based and cut at T' once; deg(s) >= T gives zero, and the result
+    keeps trunc == cap == T.  Every row of the series-mode lhs has low
+    (1, ..., 1), so its reduced determinant is needed only below T - nk.
+    The reduced matrix is Kronecker-packed (_packed_det) when its
+    coefficients are ints in at most two variables, else det_generic
+    expands it (k = 3 too).
+
+    Any other matrix goes to det_generic as given.  Denominators belong to
+    the caller: the row builders hand over integer rows and divide by their
+    row denominators once.
     """
     _require_square(m)
+    if m.rows == 1:
+        return m.entries[0]
     variables = tuple(variables)
-    # A Hankel matrix repeats each entry along an antidiagonal: inspect and
-    # pack every distinct entry once.
-    trunc = _packed_trunc({id(x): x for x in m.entries}.values(), variables)
-    if trunc is None:
-        return det_generic(m, InverseSeries.one(variables))
-    return _packed_det(m, variables, trunc)
-
-
-def _packed_trunc(entries, variables):
-    """The shared trunc when the entries fit _packed_det, else None: every
-    entry a series over ``variables`` (at most two) with int coefficients,
-    exponents >= 0 and trunc == cap, the same for all."""
+    # A Hankel matrix repeats each entry along an antidiagonal: inspect
+    # every distinct entry once.
+    entries = {id(x): x for x in m.entries}.values()
     truncs = {x.trunc if isinstance(x, InverseSeries) else None for x in entries}
     trunc = truncs.pop() if len(truncs) == 1 else None
-    if trunc is None or len(variables) > 2:
-        return None
-    for x in entries:
-        if (x.variables != variables or x.cap != trunc or min(map(min, x.terms), default=0) < 0
-                or not all(type(c) is int for c in x.terms.values())):
-            return None
-    return trunc
+    lows = {id(x): tuple(map(min, zip(*x.terms))) for x in entries if trunc and x.terms}
+    if (trunc is None or any(x.variables != variables or x.cap != trunc for x in entries)
+            or min(map(min, lows.values()), default=0) < 0):
+        return det_generic(m, InverseSeries.one(variables))
+    n = m.rows
+    found = [[lows[id(x)] for x in m.row(i) if id(x) in lows] for i in range(n)]
+    row_lows = [tuple(map(min, zip(*f))) if f else (0,) * len(variables) for f in found]
+    shift = tuple(map(sum, zip(*row_lows)))
+    reduced = trunc - sum(shift)
+    if reduced <= 0:
+        return InverseSeries._make(variables, {}, trunc, trunc)
+    # cells[i] keys entry i with its row's low; each key is re-based once.
+    cells = [(id(x), low) for i, low in enumerate(row_lows) for x in m.row(i)]
+    distinct = {(id(x), low): (x, low) for i, low in enumerate(row_lows) for x in m.row(i)}
+    if len(variables) <= 2 and all(type(c) is int for x in entries for c in x.terms.values()):
+        det = _packed_det(n, cells, distinct, variables, reduced)
+    else:
+        rebased = {}
+        for key, (x, low) in distinct.items():
+            limit = reduced + sum(low)
+            terms = {tuple(map(sub, e, low)): c for e, c in x.terms.items() if sum(e) < limit}
+            rebased[key] = InverseSeries._make(variables, terms, reduced, reduced)
+        det = det_generic(RingMatrix(n, n, [rebased[key] for key in cells]),
+                          InverseSeries.one(variables))
+    terms = {tuple(map(add, e, shift)): c for e, c in det.terms.items()}
+    return InverseSeries._make(variables, terms, trunc, trunc)
 
 
-def _packed_det(m: RingMatrix, variables, trunc: int) -> InverseSeries:
-    """det of integer-coefficient series with exponents >= 0 in one or two
-    variables, all with trunc == cap == ``trunc``, Kronecker-packed.
+def _packed_det(n: int, cells, distinct, variables, trunc: int) -> InverseSeries:
+    """det of the n x n matrix with cell i the series x / z^low below total
+    degree ``trunc``, (x, low) = distinct[cells[i]], for x with int
+    coefficients in one or two variables (det_series re-bases each row by
+    its low); trunc == cap == ``trunc``.  Kronecker-packed.
 
-    Each entry becomes one int sum_i c_i B^i, B = 2^w, with the term of
-    exponents e in slot i = deg(e) * trunc + e[0] for two variables and
-    i = deg(e) for one: the total degree is the most significant digit.
-    A product's term lands in the slot of the summed exponents whenever its
-    degree is below trunc (then e[0] <= deg(e) < trunc cannot carry into
-    the next degree), and in a slot >= N otherwise, N = trunc^2 or trunc
-    slots in all, so truncating is keeping the low N slots.  The first-row
-    expansion runs on these ints, and each minor is truncated as it is
-    formed.
+    Each re-based entry becomes one int sum_i c_i B^i, B = 2^w, with the
+    term of exponents e in slot i = deg(e) * trunc + e[0] for two variables
+    and i = deg(e) for one: the total degree is the most significant digit.
+    The slot is linear in e, so the term e of x goes to slot(e) - slot(low)
+    unless deg(e) >= trunc + deg(low).  A product's term lands in the slot
+    of the summed exponents whenever its degree is below trunc (then e[0]
+    <= deg(e) < trunc cannot carry into the next degree), and in a slot
+    >= N otherwise, N = trunc^2 or trunc slots in all, so truncating is
+    keeping the low N slots.  The first-row expansion runs on these ints,
+    and each minor is truncated as it is formed.
 
     Slot width: the coefficient of a monomial in a product of r entries is
     a sum of at most T^(r-1) products of r coefficients (the last factor is
     fixed by the others), so every coefficient of any minor or partial sum
     of the expansion is at most bound = n! C^n T^(n-1), with C the largest
-    |coefficient| and T the most terms in one entry.  w is bitlen(bound) + 2
-    rounded up to whole bytes, so each digit lies in (-B/4, B/4) and the
-    low part L = sum_{i<N} c_i B^i of N slots lies in (-B^N/2, B^N/2).
+    |coefficient| and T the most terms in one re-based, truncated entry.
+    w is bitlen(bound) + 2 rounded up to whole bytes, so each digit lies in
+    (-B/4, B/4) and the low part L = sum_{i<N} c_i B^i of N slots lies in
+    (-B^N/2, B^N/2).
 
     Why masking is exact: the packed value is L + B^N * H for an integer H
     that carries every term of degree >= trunc; carries in integer
@@ -819,13 +848,19 @@ def _packed_det(m: RingMatrix, variables, trunc: int) -> InverseSeries:
     and because |L| < B^N/2, reducing modulo B^N into [-B^N/2, B^N/2)
     recovers L itself.
     """
-    n = m.rows
     two = len(variables) == 2
     stride = trunc if two else 1
     slots = trunc * stride
-    entries = {id(x): x for x in m.entries}.values()
-    top = max((abs(c) for x in entries for c in x.terms.values()), default=0)
-    most = max(len(x.terms) for x in entries)
+    digits = {}
+    for key, (x, low) in distinct.items():
+        d = digits[key] = [0] * slots
+        limit, base = trunc + sum(low), sum(low) * stride + (low[0] if two else 0)
+        for e, c in x.terms.items():
+            deg = sum(e)
+            if deg < limit:
+                d[deg * stride + (e[0] if two else 0) - base] = c
+    top = max(max(map(abs, d)) for d in digits.values())
+    most = max(slots - d.count(0) for d in digits.values())
     bound = math.factorial(n) * top**n * most ** (n - 1)
     width = (bound.bit_length() + 2 + 7) // 8
     half = 1 << (8 * width - 1)
@@ -834,18 +869,15 @@ def _packed_det(m: RingMatrix, variables, trunc: int) -> InverseSeries:
     mask = (1 << total) - 1
     sign = 1 << (total - 1)
 
-    def pack(x):
+    def pack(d):
         # The balanced digits c_i are stored as c_i + B/2 in [0, B).
-        digits = [half] * slots
-        for e, c in x.terms.items():
-            digits[sum(e) * stride + (e[0] if two else 0)] += c
-        raw = b"".join(d.to_bytes(width, "little") for d in digits)
+        raw = b"".join((c + half).to_bytes(width, "little") for c in d)
         return int.from_bytes(raw, "little") - offset
 
-    packed = {id(x): pack(x) for x in entries}
-    cells = [packed[id(x)] for x in m.entries]
+    packed = {key: pack(d) for key, d in digits.items()}
     det = _det_subset_expansion(
-        RingMatrix(n, n, cells), 1, lambda v: ((v + sign) & mask) - sign
+        RingMatrix(n, n, [packed[key] for key in cells]), 1,
+        lambda v: ((v + sign) & mask) - sign,
     )
     raw = (det + offset).to_bytes(width * slots, "little")
     terms = {}

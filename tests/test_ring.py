@@ -710,6 +710,99 @@ def test_det_series_5x5_scaled_keeps_bookkeeping():
     assert _same_det(det_series(m, v), want)
 
 
+def _times_monomial(x, low, trunc):
+    """z^low * x with trunc == cap == trunc."""
+    terms = {tuple(map(sum, zip(e, low))): c for e, c in x.terms.items()}
+    return InverseSeries(x.variables, terms, trunc, cap=trunc)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("rational", [False, True])
+def test_det_series_row_monomials(k, rational):
+    # Rows with forced monomial factors z^low_i: det_series takes the
+    # determinant of the re-based rows below T - deg(sum low_i) and shifts
+    # it back.  Hankel matrices share each entry object between rows (times
+    # z^(1, ..., 1), as the series-mode lhs); general ones give each row its
+    # own low, as the rhs q-rows; some have a row with no terms.
+    rng = random.Random(900 + 10 * k + rational)
+    variables = tuple(f"y{i + 1}" for i in range(k))
+    one = InverseSeries.one(variables)
+    nontrivial = 0
+    for n in range(1, 5):
+        for trial in range(8):
+            trunc = rng.randint(n * k, n * k + 6)
+
+            def make(low):
+                # terms anywhere below trunc, and more of them at degree < 3
+                terms = {**_random_series(rng, variables, trunc, rational).terms,
+                         **_random_series(rng, variables, 3, rational).terms}
+                return _times_monomial(InverseSeries(variables, terms, trunc), low, trunc)
+
+            if trial % 2:
+                m = RingMatrix.hankel([make((1,) * k) for _ in range(2 * n - 1)], n)
+            else:
+                rows = [[make(tuple(rng.randint(0, 2) for _ in variables)) for _ in range(n)]
+                        for _ in range(n)]
+                if trial == 2:
+                    rows[rng.randrange(n)] = [InverseSeries.zero(variables, trunc, trunc)] * n
+                m = RingMatrix.from_rows(rows)
+            got = det_series(m, variables)
+            assert _same_det(got, det_generic(m, one))
+            assert _same_det(got, det_cofactor(m, one))
+            nontrivial += bool(got.terms) and min(map(sum, got.terms)) >= n
+            if n == 1:
+                assert got is m.entries[0]
+    assert nontrivial >= 8
+    # A shift that reaches T: the zero series with trunc == cap == T.
+    trunc = 2 * k
+    m = RingMatrix(2, 2, [_times_monomial(_random_series(rng, variables, trunc, rational),
+                                          (1,) * k, trunc) for _ in range(4)])
+    got = det_series(m, variables)
+    assert (got.terms, got.trunc, got.cap) == ({}, trunc, trunc)
+    assert _same_det(got, det_generic(m, one))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_det_series_packs_the_reduced_entries(k, monkeypatch):
+    # The packed ints of a matrix whose rows carry factors z^low_i are those
+    # of its explicit reduction r below T' = T - deg(sum low_i): the same
+    # layout and the same slot width, although the rows also carry huge
+    # coefficients at degrees >= T' + deg(low_i) that the reduction drops.
+    rng = random.Random(60 + k)
+    variables = tuple(f"y{i + 1}" for i in range(k))
+    lows = [(1,), (2,), (0,)] if k == 1 else [(1, 0), (0, 2), (1, 1)]
+    trunc = 12
+    reduced = trunc - sum(map(sum, lows))
+    monomials = [e for e in itertools.product(range(trunc), repeat=k) if sum(e) < trunc]
+    r_rows, m_rows = [], []
+    for low in lows:
+        r_row, m_row = [], []
+        for j in range(3):
+            small = {e: rng.randint(-9, 9) for e in monomials if sum(e) < reduced}
+            if j == 0:  # a constant term keeps the low of r's row at 0
+                small[(0,) * k] = 1
+            huge = {e: 10**40 for e in monomials if reduced <= sum(e) < trunc - sum(low)}
+            r_row.append(InverseSeries(variables, small, reduced, cap=reduced))
+            m_row.append(_times_monomial(InverseSeries(variables, {**small, **huge}, trunc),
+                                         low, trunc))
+        r_rows.append(r_row)
+        m_rows.append(m_row)
+    packed = []
+
+    def spy(m, one, reduce=None):
+        if reduce is not None:
+            packed.append(m.entries)
+        return _det_subset_expansion(m, one, reduce)
+
+    monkeypatch.setattr(ring, "_det_subset_expansion", spy)
+    m = RingMatrix.from_rows(m_rows)
+    got = det_series(m, variables)
+    det_series(RingMatrix.from_rows(r_rows), variables)
+    assert len(packed) == 2 and packed[0] == packed[1]
+    monkeypatch.undo()
+    assert _same_det(got, det_generic(m, InverseSeries.one(variables)))
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_det_series_determinant_wider_than_entries(k):
     # Every entry fits a 16-bit slot, the determinant's coefficients do not:
