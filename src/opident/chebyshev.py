@@ -10,11 +10,10 @@ check returns a VerificationReport whose identity is its equation label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .identity import VerificationReport
+from .identity import Record, VerificationReport
 from .moments import ChebyshevCatalanFunctional
 from .ring import RingMatrix, UniPoly, binomial, det_poly, det_rational, format_rational
 
@@ -297,15 +296,16 @@ def conjecture16_table(max_n: int = 12) -> list[VerificationReport]:
 # Full chebyshev suite
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ChebyshevRun:
+class ChebyshevRun(Record):
     """The reports of one suite run: the 7.9 and 7.13 grids, the closed
     forms and the conjectures."""
 
-    theorem14: list[VerificationReport]
-    theorem15: list[VerificationReport]
-    closed_forms: list[VerificationReport]
-    conjectures: list[VerificationReport]
+    __slots__ = _fields = _compared = ("theorem14", "theorem15", "closed_forms", "conjectures")
+
+    def __init__(self, theorem14: list[VerificationReport], theorem15: list[VerificationReport],
+                 closed_forms: list[VerificationReport], conjectures: list[VerificationReport]):
+        self.theorem14, self.theorem15 = theorem14, theorem15
+        self.closed_forms, self.conjectures = closed_forms, conjectures
 
     @property
     def all_theorems_hold(self) -> bool:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -90,9 +89,9 @@ def _blocks(values, blocks, kind: str, rational: bool) -> tuple[tuple, tuple, tu
     """(values, blocks, form) of one parameter list.  With ``blocks`` None
     the values are the multiplicity-1 shorthand and must be distinct;
     otherwise the (value, multiplicity) blocks are the source and each value
-    repeats by its multiplicity.  Given together, as dataclasses.replace does,
-    the two must agree.  ``form`` is IdentityInstance.x_form (repeats are
-    found among its numerators); rationals become Fractions."""
+    repeats by its multiplicity.  Given together, as IdentityInstance.replace
+    does, the two must agree.  ``form`` is IdentityInstance.x_form (repeats
+    are found among its numerators); rationals become Fractions."""
     shorthand = blocks is None
     if shorthand:
         block_values = tuple(values)
@@ -120,8 +119,33 @@ def _blocks(values, blocks, kind: str, rational: bool) -> tuple[tuple, tuple, tu
     return expanded, blocks, form
 
 
-@dataclass(frozen=True)
-class IdentityInstance:
+class Record:
+    """Base of the plain record classes: a class names its __init__ fields
+    in ``_fields`` and the ones that ``==`` compares and repr shows in
+    ``_compared``; replace(**changes) builds a new record from every field
+    with ``changes`` applied.  Unhashable unless a class defines __hash__."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None
+
+    def replace(self, **changes):
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields}, **changes})
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__name__}({shown})"
+
+
+class IdentityInstance(Record):
     """One (n, k, m) instance of the identity.
 
     The parameters are (value, multiplicity) blocks xi (the xs) and omega
@@ -133,44 +157,40 @@ class IdentityInstance:
     In atom mode the ys are rationals (away from the atoms); in series mode
     they are the names of formal inverse variables.  x_form and y_form (atom
     mode) are the blocks in the integer form the atom path reads, as
-    (numerators, multiplicities, denominator) by integer_form.
+    (numerators, multiplicities, denominator) by integer_form.  An instance
+    compares and hashes by (n, xs, ys, mode, truncation); no field is
+    reassigned after __init__.
     """
 
-    n: int
-    xs: tuple = ()
-    ys: tuple = ()
-    mode: str = "atom"
-    truncation: int = 25
-    xi: tuple | None = field(default=None, repr=False, compare=False)
-    omega: tuple | None = field(default=None, repr=False, compare=False)
-    x_form: tuple = field(init=False, repr=False, compare=False)
-    y_form: tuple | None = field(init=False, repr=False, compare=False)
-    k: int = field(init=False, repr=False, compare=False)
-    m: int = field(init=False, repr=False, compare=False)
-    # whether some parameter is repeated (Proposition 13, not Theorem 1)
-    confluent: bool = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "xs", "ys", "mode", "truncation", "xi", "omega",
+                 "x_form", "y_form", "k", "m", "confluent")
+    _fields = __slots__[:7]
+    _compared = __slots__[:5]
 
-    def __post_init__(self):
-        if self.mode not in ("atom", "series"):
+    def __init__(self, n: int, xs: tuple = (), ys: tuple = (), mode: str = "atom",
+                 truncation: int = 25, xi: tuple | None = None, omega: tuple | None = None):
+        if mode not in ("atom", "series"):
             raise ValueError("mode must be 'atom' or 'series'")
-        atom = self.mode == "atom"
-        xs, xi, x_form = _blocks(self.xs, self.xi, "x", True)
-        ys, omega, y_form = _blocks(self.ys, self.omega, "y", atom)
-        confluent = len(xs) + len(ys) != len(xi) + len(omega)
-        derived = {"xs": xs, "ys": ys, "xi": xi, "omega": omega, "x_form": x_form,
-                   "y_form": y_form, "k": len(ys), "m": len(xs), "confluent": confluent}
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        atom = mode == "atom"
+        self.n, self.mode, self.truncation = n, mode, truncation
+        self.xs, self.xi, self.x_form = _blocks(xs, xi, "x", True)
+        self.ys, self.omega, self.y_form = _blocks(ys, omega, "y", atom)
+        self.k, self.m = len(self.ys), len(self.xs)
+        # whether some parameter is repeated (Proposition 13, not Theorem 1)
+        self.confluent = self.k + self.m != len(self.xi) + len(self.omega)
         if not atom:
-            if not ys:
+            if not self.ys:
                 raise ValueError(
                     "series mode needs at least one formal y; with k = 0 use "
                     "atom mode (it needs no finite-atom backend then)"
                 )
-            if not all(isinstance(y, str) for y in ys):
+            if not all(isinstance(y, str) for y in self.ys):
                 raise ValueError("series mode takes inverse-variable names for ys")
             if self.confluent:
                 raise ValueError("series mode takes multiplicity 1 only")
+
+    def __hash__(self):
+        return hash(self._key())
 
     def params(self) -> dict:
         shape = {"n": self.n, "k": self.k, "m": self.m}
@@ -184,21 +204,20 @@ class IdentityInstance:
         return shape
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one identity check: parameters, both sides, exact verdict.
 
     In series mode ``compared_order`` records the total inverse degree up to
     which the coefficients were actually compared.
     """
 
-    identity: str
-    params: dict
-    lhs: object
-    rhs: object
-    equal: bool
-    compared_order: int | None = None
-    note: str = ""
+    __slots__ = _fields = _compared = (
+        "identity", "params", "lhs", "rhs", "equal", "compared_order", "note")
+
+    def __init__(self, identity: str, params: dict, lhs, rhs, equal: bool,
+                 compared_order: int | None = None, note: str = ""):
+        self.identity, self.params, self.lhs, self.rhs = identity, params, lhs, rhs
+        self.equal, self.compared_order, self.note = equal, compared_order, note
 
     def to_json_dict(self) -> dict:
         return {
@@ -342,13 +361,19 @@ def rhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
     the two multiplicities.  Both modes run one determinant on the integer
     _theorem1_rows and divide by the product of their row denominators in
     one Fraction, which in atom mode also takes the Vandermondes.
+
+    In series mode the k q-rows go above the m p-rows, at the sign
+    (-1)^(mk), so that every minor the subset expansion forms from the
+    bottom rows up is an int until it reaches the q-rows.
     """
     rows = _theorem1_rows(sys, inst)
     sign, den = prop13_sign(inst), math.prod(d for _, d in rows)
     if inst.mode == "atom":
         v, det = _vandermondes(inst), det_int([nums for nums, _ in rows])
         return Fraction(sign * det * v.denominator, den * v.numerator)
-    d = det_series(RingMatrix.from_rows(nums for nums, _ in rows), inst.ys)
+    sign *= (-1) ** (inst.m * inst.k)
+    q_first = rows[inst.m:] + rows[:inst.m]
+    d = det_series(RingMatrix.from_rows(nums for nums, _ in q_first), inst.ys)
     return d * (Fraction(sign, den) * _hankel_divisor(sys.functional, inst.n, inst.k))
 
 
@@ -408,15 +433,15 @@ def uvarov_polynomial(
     return poly, poly.degree == n
 
 
-@dataclass
-class UvarovResult:
+class UvarovResult(Record):
     """P_0..P_N for a rationally modified density, with the exact Gram
     matrix of the modified functional as the orthogonality witness."""
 
-    polys: tuple
-    degree_ok: tuple
-    gram: RingMatrix
-    modified: FiniteAtomFunctional
+    __slots__ = _fields = _compared = ("polys", "degree_ok", "gram", "modified")
+
+    def __init__(self, polys: tuple, degree_ok: tuple, gram: RingMatrix,
+                 modified: FiniteAtomFunctional):
+        self.polys, self.degree_ok, self.gram, self.modified = polys, degree_ok, gram, modified
 
     @property
     def orthogonal(self) -> bool:

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -301,7 +300,7 @@ def test_all_theorems_hold_excludes_only_stated_7_16():
         for i, r in enumerate(getattr(run, field)):
             if r.identity == "7.16":
                 continue
-            broken = dataclasses.replace(run, **{field: list(getattr(run, field))})
-            getattr(broken, field)[i] = dataclasses.replace(r, equal=False)
+            broken = run.replace(**{field: list(getattr(run, field))})
+            getattr(broken, field)[i] = r.replace(equal=False)
             assert not broken.all_theorems_hold, (field, r.identity)
     assert ChebyshevRun([], [], [], run.conjectures).all_theorems_hold

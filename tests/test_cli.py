@@ -645,6 +645,15 @@ def test_json_determinism_same_config():
     assert a == b
 
 
+def test_cli_import_leaves_out_dataclasses():
+    # each CLI run is a fresh process: the package's records are plain
+    # classes, so importing the CLI skips dataclasses and what it pulls in
+    heavy = ("dataclasses", "inspect", "ast", "dis")
+    code = f"import sys, opident.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True).stdout
+    assert out.decode().strip() == "[]"
+
+
 def test_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("OPIDENT_SEED", "123")
     code, out1, _ = run_cli(

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -11,6 +10,7 @@ import opident.identity as identity
 from opident.identity import (
     ConfluentRequiredError,
     IdentityInstance,
+    VerificationReport,
     jacobi_check,
     lemma8_check,
     lemma9_check,
@@ -165,7 +165,7 @@ def test_confluent_instance_round_trips_through_replace():
     assert inst.confluent and (inst.m, inst.k) == (3, 2)
     assert inst.xs == (F(1, 2), F(1, 2), F(3)) and inst.ys == (F(1, 3), F(1, 3))
     for changes in ({}, {"n": 4}, {"n": 0}):
-        again = dataclasses.replace(inst, **changes)
+        again = inst.replace(**changes)
         assert (again.xs, again.ys, again.xi, again.omega) == (
             inst.xs, inst.ys, inst.xi, inst.omega)
         assert (again.x_form, again.y_form) == (inst.x_form, inst.y_form)
@@ -352,7 +352,7 @@ NEGATIVE_CONTROLS = {
     ),
     "column index shifted by one": (
         "_theorem1_rows",
-        lambda orig: lambda sys, inst: orig(sys, dataclasses.replace(inst, n=inst.n - 1)),
+        lambda orig: lambda sys, inst: orig(sys, inst.replace(n=inst.n - 1)),
         lambda: sweep_theorem1_atom(seed=11, trials=1),
     ),
     "y-Vandermonde not reversed": (
@@ -372,7 +372,7 @@ NEGATIVE_CONTROLS = {
     ),
     "series column index shifted by one": (
         "_theorem1_rows",
-        lambda orig: lambda sys, inst: orig(sys, dataclasses.replace(inst, n=inst.n - 1)),
+        lambda orig: lambda sys, inst: orig(sys, inst.replace(n=inst.n - 1)),
         lambda: sweep_theorem1_series(
             seed=11, trials=1, truncation=12, max_n=3, ks=(2,), max_m=3),
     ),
@@ -391,7 +391,7 @@ NEGATIVE_CONTROLS = {
     # reverse order; the y factor is left as it is
     "x-Vandermonde reversed": (
         "_vandermondes",
-        lambda orig: lambda inst: orig(dataclasses.replace(inst, xs=(), xi=inst.xi[::-1])),
+        lambda orig: lambda inst: orig(inst.replace(xs=(), xi=inst.xi[::-1])),
         lambda: sweep_theorem1_atom(seed=11, trials=1),
     ),
 }
@@ -635,7 +635,10 @@ def _series_oracle_matrix(sys, inst):
 def test_series_rhs_matches_fraction_oracle(fractional):
     # the integer series rows and their one det_series run against
     # det_generic of the matrix built entry by entry, over integer moments
-    # and over moments with denominators; n < k puts power columns first
+    # and over moments with denominators; n < k puts power columns first.
+    # rhs_theorem1 expands the q-rows first, at the sign (-1)^(mk): trunc
+    # and cap follow the expansion order, so the exact oracle takes the
+    # same order, and the paper order must agree below the truncation
     draw = random.Random(40 + fractional)
     denominators = (1, 2, 3, 7) if fractional else (1,)
     while True:
@@ -661,8 +664,14 @@ def test_series_rhs_matches_fraction_oracle(fractional):
                 got = identity._theorem1_matrix(sys, inst)
                 assert got.rows == mat.rows and all(map(_same_entry, got.entries, mat.entries))
                 h = f.hankel_det(n - k) if n >= k else 1
-                want = det_generic(mat, InverseSeries.one(variables)) * (prop13_sign(inst) * h)
-                assert _same_entry(rhs_theorem1(sys, inst), want), inst.params()
+                one = InverseSeries.one(variables)
+                rows = mat.to_rows()
+                q_first = RingMatrix.from_rows(rows[m:] + rows[:m])
+                want = det_generic(q_first, one) * ((-1) ** (m * k) * prop13_sign(inst) * h)
+                rhs = rhs_theorem1(sys, inst)
+                assert _same_entry(rhs, want), inst.params()
+                paper = det_generic(mat, one) * (prop13_sign(inst) * h)
+                assert rhs.first_difference(paper, T) is None, inst.params()
             for slot in range(k):
                 row, den = q_series_row(sys, cols, wt, variables, slot)
                 q_dens.add(den)
@@ -672,6 +681,18 @@ def test_series_rhs_matches_fraction_oracle(fractional):
                     want = q_series(sys, b, wt, variables, slot) if b >= 0 else y ** (-b - 1)
                     assert _same_entry(entry * F(1, den), want), (n, k, b)
     assert max(q_dens) > 1
+
+
+@pytest.mark.parametrize("seed, ks, truncation", [(1, (1, 2), 25), (7, (1, 2), 25), (1, (3,), 12)])
+def test_series_sweep_compares_below_the_full_truncation(seed, ks, truncation):
+    # the rhs trunc follows its expansion order; _work_truncation's headroom
+    # must keep it at or above the requested truncation, so that every
+    # report compares every coefficient below it
+    reports = sweep_theorem1_series(seed, trials=4, truncation=truncation, ks=ks)
+    assert len(reports) == 4 * len(ks) * 15
+    for r in reports:
+        assert r.equal and r.compared_order == truncation, r.params
+        assert r.rhs.trunc is None or r.rhs.trunc >= truncation, r.params
 
 
 def test_shared_ortho_system_verifies_from_threads():
@@ -772,6 +793,29 @@ def test_confluent_two_double_y_blocks_below_k(rng):
         assert rep.equal, rep.params
 
 
+def test_records_compare_and_hash_by_their_fields():
+    # an instance compares and hashes by n, xs, ys, mode and truncation
+    # (the blocks and the integer forms follow from them); reports compare
+    # every field and are unhashable
+    shape = {"n": 2, "xs": (F(1, 2),), "ys": (F(1, 3),)}
+    base = IdentityInstance(**shape)
+    same = IdentityInstance(n=2, xi=(("1/2", 1),), omega=((F(1, 3), 1),))
+    assert base == same and hash(base) == hash(same) and len({base, same}) == 1
+    for changes in ({"n": 3}, {"xs": (F(3, 2),)}, {"ys": (F(2, 3),)}, {"truncation": 12},
+                    {"xs": (F(1, 2), F(3, 2))}, {"ys": (F(1, 3), F(2, 3))}):
+        assert IdentityInstance(**{**shape, **changes}) != base, changes
+    series = IdentityInstance(n=2, ys=("y1",), mode="series")
+    assert series != IdentityInstance(n=2, ys=("y2",), mode="series") and series != base
+    assert base != (2, (F(1, 2),), (F(1, 3),), "atom", 25)
+    assert repr(base) == ("IdentityInstance(n=2, xs=(Fraction(1, 2),), "
+                          "ys=(Fraction(1, 3),), mode='atom', truncation=25)")
+    rep = VerificationReport("theorem1", {"n": 1}, 1, 1, True)
+    assert rep == VerificationReport("theorem1", {"n": 1}, 1, 1, True, None, "")
+    assert rep != rep.replace(note="x") and rep.replace(equal=False).equal is False
+    with pytest.raises(TypeError):
+        hash(rep)
+
+
 def test_block_form_instance():
     inst = IdentityInstance(n=2, xi=((F(1, 2), 2), (3, 1)), omega=((F(1, 3), 1),))
     assert inst.xs == (F(1, 2), F(1, 2), F(3))
@@ -780,7 +824,7 @@ def test_block_form_instance():
     assert inst.params() == {
         "n": 2, "k": 1, "m": 3, "xi": [["1/2", 2], ["3", 1]], "omega": [["1/3", 1]],
     }
-    assert dataclasses.replace(inst, n=1).xi == inst.xi
+    assert inst.replace(n=1).xi == inst.xi
     # every multiplicity 1: the Theorem 1 params, equal to the shorthand's
     plain = IdentityInstance(n=2, xi=((F(1, 2), 1),), omega=((F(1, 3), 1),))
     assert plain == IdentityInstance(n=2, xs=(F(1, 2),), ys=(F(1, 3),))
@@ -788,7 +832,7 @@ def test_block_form_instance():
         "n": 2, "k": 1, "m": 1, "xs": ["1/2"], "ys": ["1/3"], "mode": "atom",
     }
     series = IdentityInstance(n=2, ys=("y1",), mode="series")
-    assert dataclasses.replace(series, n=1).ys == ("y1",)
+    assert series.replace(n=1).ys == ("y1",)
     for bad in (
         dict(xi=((F(1, 2), 0),)),
         dict(omega=((F(1, 3), 1), (F(1, 3), 2))),
