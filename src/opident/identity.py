@@ -48,6 +48,7 @@ from .ring import (
     det_series,
     format_rational,
     integer_form,
+    ratio,
     vandermonde_product,
 )
 
@@ -507,17 +508,22 @@ def uvarov_system(
 # so each is computed once per (sequence, size); the sequence is a tuple.
 
 @lru_cache(maxsize=64)
-def _hankel_slice_det(c, size: int) -> Fraction:
+def _hankel_slice_det(c, size: int) -> int | Fraction:
     return det_rational(RingMatrix.hankel(c, size))
 
 
 @lru_cache(maxsize=64)
+def _lin_poly(c, size: int) -> UniPoly:
+    """det(v c_{i+j} + c_{i+j+1}) as a polynomial in v (degree <= size)."""
+    lin = [UniPoly([c[s + 1], c[s]], "v") for s in range(2 * size - 1)]
+    return det_poly(RingMatrix.hankel(lin, size), ["v"])
+
+
 def _lin_det(c, size: int, slot: int) -> UniPoly:
-    """det(v c_{i+j} + c_{i+j+1}) with v = alpha (slot 0) or beta (slot 1),
-    as a polynomial in alpha over Q[beta] (degree <= size in v)."""
-    var = ("alpha", "beta")[slot]
-    lin = [UniPoly([c[s + 1], c[s]], var) for s in range(2 * size - 1)]
-    return det_poly(RingMatrix.hankel(lin, size), ["alpha", "beta"])
+    """_lin_poly with v = alpha (slot 0) or beta (slot 1), as a polynomial
+    in alpha over Q[beta]."""
+    d = _lin_poly(c, size)
+    return d.rename("alpha") if slot == 0 else UniPoly([d.rename("beta")], "alpha")
 
 
 @lru_cache(maxsize=64)
@@ -532,7 +538,8 @@ def _quad_det(c, size: int) -> UniPoly:
 
 
 def _coerce_sequence(c, needed: int) -> tuple:
-    c = tuple(Fraction(v) for v in c)
+    """The entries as rationals, integral ones as ints."""
+    c = tuple(v if type(v) is int else ratio(*Fraction(v).as_integer_ratio()) for v in c)
     if len(c) < needed:
         raise ValueError(f"sequence too short: need indices up to {needed - 1}")
     return c
@@ -545,9 +552,7 @@ def lemma8_check(c, n: int) -> VerificationReport:
     if n < 1:
         raise ValueError("n must be positive")
     c = _coerce_sequence(c, 2 * n)
-    beta_minus_alpha = UniPoly(
-        [UniPoly.variable("beta"), UniPoly.constant(-_ONE, "beta")], "alpha"
-    )
+    beta_minus_alpha = UniPoly([UniPoly([0, 1], "beta"), UniPoly([-1], "beta")], "alpha")
     lhs = beta_minus_alpha * _quad_det(c, n - 1) * _hankel_slice_det(c, n)
     rhs = _lin_det(c, n - 1, 0) * _lin_det(c, n, 1) - _lin_det(c, n - 1, 1) * _lin_det(c, n, 0)
     return VerificationReport(
@@ -718,7 +723,7 @@ def sweep_lemmas(
     rng = random.Random(seed)
     reports = []
     for _ in range(trials):
-        c = [Fraction(rng.randint(-_ENTRY_BOUND, _ENTRY_BOUND)) for _ in range(2 * max_n + 1)]
+        c = [rng.randint(-_ENTRY_BOUND, _ENTRY_BOUND) for _ in range(2 * max_n + 1)]
         for n in range(1, max_n + 1):
             reports.append(lemma8_check(c, n))
             reports.append(lemma9_check(c, n))
@@ -734,9 +739,7 @@ def sweep_jacobi(
     rng = random.Random(seed)
     reports = []
     for nn in sizes:
-        mat = RingMatrix(
-            nn, nn, [Fraction(rng.randint(-_ENTRY_BOUND, _ENTRY_BOUND)) for _ in range(nn * nn)]
-        )
+        mat = RingMatrix(nn, nn, [rng.randint(-_ENTRY_BOUND, _ENTRY_BOUND) for _ in range(nn * nn)])
         minors = {}
         for i1 in range(1, nn + 1):
             for i2 in range(i1 + 1, nn + 1):

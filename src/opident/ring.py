@@ -32,8 +32,9 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Render ``p/q``, or just ``p`` when the denominator is 1: the str of
-    the value as a Fraction, which is built only when it is not one."""
-    return str(value if isinstance(value, Fraction) else Fraction(value))
+    the value as a Fraction, which is built only when it is neither an int
+    nor a Fraction."""
+    return str(value if type(value) is int or isinstance(value, Fraction) else Fraction(value))
 
 
 def integer_form(values) -> tuple[tuple[int, ...], int]:
@@ -149,7 +150,7 @@ class UniPoly:
                 for j, y in enumerate(b):
                     p = x * y
                     out[i + j] = p if out[i + j] is None else out[i + j] + p
-            return UniPoly([c if c is not None else _ZERO for c in out], self.var)
+            return UniPoly([c if c is not None else 0 for c in out], self.var)
         if not other:
             return UniPoly((), self.var)
         return UniPoly([c * other for c in self.coeffs], self.var)
@@ -200,7 +201,8 @@ class UniPoly:
     def exact_div(self, divisor: "UniPoly") -> "UniPoly":
         """Exact polynomial division; raises if the remainder is nonzero.
 
-        Requires a coefficient ring with true division (Fractions).
+        Requires scalar coefficients (ints or Fractions); an int quotient
+        coefficient stays an int when the division is exact (see ratio).
         """
         if not isinstance(divisor, UniPoly) or divisor.var != self.var:
             divisor = UniPoly.constant(divisor, self.var)
@@ -210,12 +212,12 @@ class UniPoly:
         dc = divisor.coeffs
         dd = len(dc) - 1
         lead = dc[-1]
-        out = [_ZERO] * max(len(rem) - dd, 0)
+        out = [0] * max(len(rem) - dd, 0)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
             if not c:
                 continue
-            q = c / lead
+            q = ratio(c, lead) if type(c) is int and type(lead) is int else c / lead
             out[i - dd] = q
             for j, d in enumerate(dc):
                 rem[i - dd + j] = rem[i - dd + j] - q * d
@@ -920,16 +922,16 @@ def det_int(a: list) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det_rational(m: RingMatrix) -> Fraction:
+def det_rational(m: RingMatrix) -> int | Fraction:
     """Determinant of a matrix of ints or Fractions; agrees exactly with
-    det_generic.
+    det_generic, as an int when the value is integral (see ratio).
 
     Each row is scaled to integers by the lcm of its denominators, det_int
     eliminates, and the product of the row scales is divided out once.
     """
     _require_square(m)
     rows = [integer_form(m.row(i)) for i in range(m.rows)]
-    return Fraction(det_int([list(r) for r, _ in rows]), math.prod(d for _, d in rows))
+    return ratio(det_int([list(r) for r, _ in rows]), math.prod(d for _, d in rows))
 
 
 def vandermonde_product(values, mults=None):
@@ -965,7 +967,7 @@ def det_poly(m: RingMatrix, variables):
     it (the product of their bound + 1), so the coefficient of x^i y^j sits
     in slot i (bound_y + 1) + j.  One det_rational on the packed ints gives
     every coefficient at once, and the product of the row multipliers is
-    divided out at the end.
+    divided out at the end: an integral coefficient is an int (see ratio).
 
     Why decoding is exact: packing is a ring map Phi: Z[x, y] -> Z, so
     det(Phi(M)) = Phi(det M), and the Bareiss intermediates never need
@@ -992,13 +994,13 @@ def det_poly(m: RingMatrix, variables):
     shifts = [width * s for s in slots[1:]]
     packed = {key: _pack(g, shifts, d) for key, (g, d, _, _) in forms.items()}
     cells = [packed[id(x)] * (scales[i] // forms[id(x)][1]) for i in range(n) for x in m.row(i)]
-    det = det_rational(RingMatrix(n, n, cells)).numerator
+    det = det_rational(RingMatrix(n, n, cells))
     flat = _unpack(det, width, slots[0])
     scale = math.prod(scales)
 
     def build(flat, level):
         if level == len(variables):
-            return Fraction(flat[0], scale)
+            return ratio(flat[0], scale)
         size = slots[level + 1]
         coeffs = [build(flat[i : i + size], level + 1) for i in range(0, len(flat), size)]
         return UniPoly(coeffs, variables[level])

@@ -20,6 +20,7 @@ from opident.identity import (
     modified_functional,
     prop13_sign,
     rhs_theorem1,
+    sweep_lemmas,
     sweep_prop13,
     sweep_theorem1_atom,
     sweep_theorem1_series,
@@ -53,6 +54,7 @@ from opident.ring import (
     RingMatrix,
     UniPoly,
     det_generic,
+    det_poly,
     det_rational,
     format_rational,
     vandermonde_product,
@@ -393,6 +395,18 @@ NEGATIVE_CONTROLS = {
         "_vandermondes",
         lambda orig: lambda inst: orig(inst.replace(xs=(), xi=inst.xi[::-1])),
         lambda: sweep_theorem1_atom(seed=11, trials=1),
+    ),
+    "lemma Hankel slice one size short": (
+        "_hankel_slice_det",
+        lambda orig: lambda c, size: orig(c, size - 1),
+        lambda: sweep_lemmas(seed=11, trials=1),
+    ),
+    # alpha and beta exchanged in every linear determinant: lemma 9 is
+    # symmetric in them, lemma 8 changes sign
+    "lemma linear determinant slots swapped": (
+        "_lin_det",
+        lambda orig: lambda c, size, slot: orig(c, size, 1 - slot),
+        lambda: sweep_lemmas(seed=11, trials=1),
     ),
 }
 
@@ -980,6 +994,36 @@ def test_lemmas_random(rng):
         for n in range(1, 7):
             assert lemma8_check(c, n).equal
             assert lemma9_check(c, n).equal
+
+
+def test_lemmas_on_rational_sequences(rng):
+    for _ in range(4):
+        c = [F(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(13)]
+        for n in range(1, 7):
+            for check in (lemma8_check, lemma9_check):
+                rep = check(c, n)
+                assert rep.equal, (check.__name__, n, c)
+                assert rep.params["c"] == [format_rational(v) for v in c]
+
+
+def test_lemma_params_keep_integral_entries_plain():
+    c = [3, F(6, 2), "-4", F(1, 2), "5/3"]
+    for rep in (lemma8_check(c, 2), lemma9_check(c, 2)):
+        assert rep.params["c"] == ["3", "3", "-4", "1/2", "5/3"]
+    assert [type(v) for v in identity._coerce_sequence(c, 5)] == [int, int, int, F, F]
+
+
+def test_lin_det_nests_one_univariate_determinant():
+    # _lin_det at slot 0 and slot 1 equals det_poly over (alpha, beta) of
+    # the linear entries in that variable
+    rng = random.Random(23)
+    for c in ([rng.randint(-9, 9) for _ in range(9)], [F(rng.randint(-9, 9), 2) for _ in range(9)]):
+        c = identity._coerce_sequence(c, 9)
+        for size in range(5):
+            for slot, var in enumerate(("alpha", "beta")):
+                lin = [UniPoly([c[s + 1], c[s]], var) for s in range(2 * size - 1)]
+                want = det_poly(RingMatrix.hankel(lin, size), ["alpha", "beta"])
+                assert identity._lin_det(c, size, slot) == want, (size, slot)
 
 
 def test_lemmas_sequence_too_short():

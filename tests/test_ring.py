@@ -118,6 +118,34 @@ def test_poly_exact_div_round_trip(p, q):
     assert (p * q).exact_div(q) == p
 
 
+def test_poly_exact_div_on_int_coefficients_is_exact():
+    # an int quotient coefficient where the division is exact, a Fraction
+    # otherwise, never a float
+    q = UniPoly([2, 4]).exact_div(UniPoly([1, 2]))
+    assert q == UniPoly([2]) and type(q.coeffs[0]) is int
+    assert UniPoly([2, 4]).exact_div(2).coeffs == (1, 2)
+    assert [type(c) for c in UniPoly([2, 4]).exact_div(2).coeffs] == [int, int]
+    assert UniPoly([1, 2]).exact_div(-2).coeffs == (F(-1, 2), -1)
+    rng = random.Random(23)
+    for _ in range(200):
+        p = UniPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 5))])
+        d = UniPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))])
+        if d.is_zero:
+            continue
+        got = (p * d).exact_div(d)
+        assert got == p and all(type(c) is int for c in got.coeffs)
+        got = (p * d).exact_div(d * 2)
+        assert got == p * F(1, 2) and all(type(c) in (int, F) for c in got.coeffs)
+
+
+def _exact_leaves(value) -> bool:
+    """Every scalar in value, a scalar or nested UniPoly, is an int when
+    integral and a Fraction otherwise: never a float."""
+    if isinstance(value, UniPoly):
+        return all(_exact_leaves(c) for c in value.coeffs)
+    return type(value) is (int if F(value).denominator == 1 else F)
+
+
 def test_poly_scalar_mixing():
     x = UniPoly.variable()
     assert 2 * x + 1 == UniPoly.from_coeffs([1, 2])
@@ -350,6 +378,49 @@ def test_det_poly_makes_one_det_rational_call(monkeypatch):
         calls.clear()
         det_poly(m, ["alpha", "x"])
         assert len(calls) == 1
+
+
+def test_det_rational_and_det_poly_return_integral_values_as_ints(rng):
+    # Rows scaled by 1/2, 2/3, ..., (n-1)/n and n (product 1) carry
+    # denominators that cancel in the determinant; random Fraction rows
+    # mostly do not.
+    alpha = UniPoly([UniPoly.zero("beta"), UniPoly.one("beta")], "alpha")
+    beta = UniPoly([UniPoly.variable("beta")], "alpha")
+    ones = {
+        (): F(1),
+        ("x",): UniPoly.one("x"),
+        ("alpha", "beta"): UniPoly([UniPoly.one("beta")], "alpha"),
+    }
+
+    def entry(variables, a, diagonal):
+        if not variables:
+            return a
+        if len(variables) == 1:
+            return UniPoly([a, F(diagonal)], "x")
+        return a + (alpha * beta if diagonal else alpha - beta)
+
+    for variables, one in ones.items():
+        for n in range(5):
+            for cancel in (True, False):
+                a = random_fraction_rows(rng, n, denominators=(1,) if cancel else (1, 1, 2, 3))
+                scales = [F(i + 1, i + 2) for i in range(n - 1)] + [F(n)] if cancel else [1] * n
+                m = RingMatrix.from_rows(
+                    [[entry(variables, a[i][j], i == j) * scales[i] for j in range(n)]
+                     for i in range(n)])
+                got = det_poly(m, variables) if variables else det_rational(m)
+                assert got == det_generic(m, one) == det_cofactor(m, one)
+                assert _exact_leaves(got), (variables, n, got)
+                if cancel and n > 1:
+                    assert any(type(x) is F for x in _scalars(m.entries))
+                    assert all(type(x) is int for x in _scalars([got]))
+
+
+def _scalars(values):
+    for x in values:
+        if isinstance(x, UniPoly):
+            yield from _scalars(x.coeffs)
+        else:
+            yield x
 
 
 def test_det_poly_one_variable_matches_cofactor(rng):
