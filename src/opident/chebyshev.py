@@ -6,6 +6,10 @@ polynomial evaluated at 2z.  The transcendental integral value is never
 evaluated analytically: it lives as the formal symbol X, and all determinant
 identities below are exact polynomial identities in Q[X] or Q[Y].  Every
 check returns a VerificationReport whose identity is its equation label.
+Every Hankel determinant here has integer entries K_s + V c r^s, V = X or
+Y: a rank-one variable part, so it is det K - V c det[[K, u], [u^T, 0]]
+with u_i = r^i, two integer determinants that hold for a singular K too
+(see _rank_one_hankel_det).
 """
 
 from __future__ import annotations
@@ -15,10 +19,10 @@ from functools import lru_cache
 
 from .identity import Record, VerificationReport
 from .moments import ChebyshevCatalanFunctional
-from .ring import RingMatrix, UniPoly, binomial, det_poly, det_rational, format_rational
+from .ring import (RingMatrix, UniPoly, binomial, det_int, det_rational, format_rational,
+                   integer_form, ratio)
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
@@ -88,16 +92,28 @@ def _cheb_row(count: int, a: Fraction) -> tuple[tuple, int]:
     return tuple(rows), d
 
 
-def _x_linear_hankel_det(entries, n: int, divisor: int) -> UniPoly:
-    """det of the n x n Hankel matrix of the integer X-linear entries
-    (constant, X coefficient), over the divisor.  The determinant must have
-    degree at most 1 in X (the replacement argument that makes X a free
-    variable)."""
-    polys = [UniPoly(e, "X") for e in entries]
-    lhs = det_poly(RingMatrix.hankel(polys, n), ["X"]) * Fraction(1, divisor)
-    if lhs.degree > 1:
-        raise ArithmeticError("determinant should be linear in X")
-    return lhs
+def _rank_one_hankel_det(entries, r: int, n: int, divisor: int, var: str) -> UniPoly:
+    """det of the n x n Hankel matrix of the integer V-linear entries
+    (K_s, c_s), V = var, over the divisor.  The V coefficients must be
+    c_s = c r^s: then the V part is c u u^T with u_i = r^i, rank one, and
+    by the bordered form of the matrix determinant lemma (Horn and Johnson,
+    Matrix Analysis, 2nd ed., 0.8.5)
+
+        det(K + V c u u^T) = det K - V c det [[K, u], [u^T, 0]],
+
+    linear in V (the replacement argument that makes X free).  Any other V
+    part raises ArithmeticError before a determinant is taken.  The bordered
+    determinant is -u^T adj(K) u, so this holds for every K, singular or
+    zero ones too: K is never inverted.  Each determinant is one det_int on
+    plain ints; c = 0 needs only det K."""
+    consts, coeffs = zip(*entries)
+    c = coeffs[0]
+    if any(x != c * r**s for s, x in enumerate(coeffs)):
+        raise ArithmeticError("variable part of the Hankel entries is not rank one")
+    rows = [list(consts[i : i + n]) for i in range(n)]
+    u = [r**i for i in range(n)]
+    lin = -c * det_int([row + [ui] for row, ui in zip(rows, u)] + [u + [0]]) if c else 0
+    return UniPoly([ratio(det_int(rows), divisor), ratio(lin, divisor)], var)
 
 
 def q_cheb(n: int, a: Fraction) -> UniPoly:
@@ -119,7 +135,7 @@ def theorem14_eval(n: int, a: Fraction) -> VerificationReport:
         raise ValueError("n must be positive")
     a = Fraction(a)
     rows, d = _cheb_row(2 * n - 1, a)
-    lhs = _x_linear_hankel_det(rows, n, d ** (n * (n - 1)))
+    lhs = _rank_one_hankel_det(rows, -2 * a.numerator, n, d ** (n * (n - 1)), "X")
     base = -2 * a
     sign = -1 if (n - 1) % 2 else 1
     rhs = UniPoly([sign * _chebU_at(n - 2, base), sign * _chebU_at(n - 1, base)], "X")
@@ -145,7 +161,7 @@ def theorem15_eval(n: int, a: Fraction, b: Fraction) -> VerificationReport:
         tuple(bd * hi - bn * d * lo for hi, lo in zip(r1, r0))
         for r0, r1 in zip(rows, rows[1:])
     ]
-    lhs = _x_linear_hankel_det(sigma, n, bd**n * d ** (n * n))
+    lhs = _rank_one_hankel_det(sigma, -2 * a.numerator, n, bd**n * d ** (n * n), "X")
     base = -2 * a
     u_n2, u_n1, u_n = (_chebU_at(j, base) for j in (n - 2, n - 1, n))
     u_n1_b, u_n_b = _chebU_at(n - 1, b), _chebU_at(n, b)
@@ -164,9 +180,10 @@ def central_weight(s: int) -> Fraction:
 
 
 def _det_shifted_identity(entry, n: int) -> UniPoly:
-    """det(Y + entry(i+j)) as a polynomial in Y."""
-    shifted = [UniPoly([entry(s), _ONE], "Y") for s in range(2 * n - 1)]
-    return det_poly(RingMatrix.hankel(shifted, n), ["Y"])
+    """det(Y + entry(i+j)) as a polynomial in Y: with the entries K_s / D over
+    their lcm D, the Y part is D times the all-ones matrix (c = D, r = 1)."""
+    consts, den = integer_form([entry(s) for s in range(2 * n - 1)])
+    return _rank_one_hankel_det([(k, den) for k in consts], 1, n, den**n, "Y")
 
 
 def row_7_10(n: int) -> VerificationReport:

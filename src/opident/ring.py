@@ -201,8 +201,8 @@ class UniPoly:
     def exact_div(self, divisor: "UniPoly") -> "UniPoly":
         """Exact polynomial division; raises if the remainder is nonzero.
 
-        Requires scalar coefficients (ints or Fractions); an int quotient
-        coefficient stays an int when the division is exact (see ratio).
+        Requires scalar coefficients (ints or Fractions); an integral
+        quotient coefficient is an int, any other a Fraction (see ratio).
         """
         if not isinstance(divisor, UniPoly) or divisor.var != self.var:
             divisor = UniPoly.constant(divisor, self.var)
@@ -217,7 +217,7 @@ class UniPoly:
             c = rem[i]
             if not c:
                 continue
-            q = ratio(c, lead) if type(c) is int and type(lead) is int else c / lead
+            q = ratio(c.numerator * lead.denominator, c.denominator * lead.numerator)
             out[i - dd] = q
             for j, d in enumerate(dc):
                 rem[i - dd + j] = rem[i - dd + j] - q * d
@@ -965,7 +965,7 @@ def det_poly(m: RingMatrix, variables):
     integer matrix is then Kronecker-packed: the innermost variable becomes
     B = 2^w and each outer one B^s, with s the slots of the variables inside
     it (the product of their bound + 1), so the coefficient of x^i y^j sits
-    in slot i (bound_y + 1) + j.  One det_rational on the packed ints gives
+    in slot i (bound_y + 1) + j.  One det_int on the packed integer rows gives
     every coefficient at once, and the product of the row multipliers is
     divided out at the end: an integral coefficient is an int (see ratio).
 
@@ -993,9 +993,8 @@ def det_poly(m: RingMatrix, variables):
     slots = [math.prod(b + 1 for b in bounds[i:]) for i in range(len(bounds) + 1)]
     shifts = [width * s for s in slots[1:]]
     packed = {key: _pack(g, shifts, d) for key, (g, d, _, _) in forms.items()}
-    cells = [packed[id(x)] * (scales[i] // forms[id(x)][1]) for i in range(n) for x in m.row(i)]
-    det = det_rational(RingMatrix(n, n, cells))
-    flat = _unpack(det, width, slots[0])
+    cells = [[packed[id(x)] * (scales[i] // forms[id(x)][1]) for x in m.row(i)] for i in range(n)]
+    flat = _unpack(det_int(cells), width, slots[0])
     scale = math.prod(scales)
 
     def build(flat, level):

@@ -1,9 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from opident import chebyshev
 from opident.chebyshev import (
+    A_GRID,
+    B_GRID,
     ChebyshevRun,
+    _det_shifted_identity,
+    _entry_7_16,
+    _entry_7_17,
+    _entry_7_18,
+    _rank_one_hankel_det,
     central_weight,
     chebU_classical,
     chebU_monic,
@@ -23,7 +33,7 @@ from opident.chebyshev import (
 from opident.identity import VerificationReport
 from opident.moments import ChebyshevCatalanFunctional, catalan
 from opident.orthopoly import build_ortho_system
-from opident.ring import RingMatrix, UniPoly, binomial, det_generic
+from opident.ring import RingMatrix, UniPoly, binomial, det_generic, det_poly
 
 F = Fraction
 
@@ -121,7 +131,7 @@ def test_theorem14_grid(a):
 
 
 def test_theorem14_against_generic_determinant():
-    # cross-check the integer det_poly determinant over d^(n(n-1)) against
+    # cross-check the two integer determinants over d^(n(n-1)) against
     # the division-free one on the Fraction Hankel matrix; a = -1 has d = 1
     for a in (F(-1), F(1, 2), F(-3, 5)):
         for n in range(1, 5):
@@ -145,6 +155,51 @@ def test_theorem15_against_generic_determinant():
                 ]
                 direct = det_generic(RingMatrix.hankel(sigma, n), one=UniPoly.one("X"))
                 assert direct == theorem15_eval(n, a, b).lhs
+
+
+def test_theorem_grids_against_det_poly():
+    # the two integer determinants of the bordered identity against one
+    # polynomial determinant of the Fraction Hankel matrix, whole grid
+    for a in A_GRID:
+        rho = [modified_moment_cheb(s, a) for s in range(24)]
+        for n in range(1, 13):
+            hankel = RingMatrix.hankel(rho[: 2 * n - 1], n)
+            assert det_poly(hankel, ["X"]) == theorem14_eval(n, a).lhs, (n, a)
+            for b in B_GRID:
+                sigma = [rho[s + 1] - b * rho[s] for s in range(2 * n - 1)]
+                direct = det_poly(RingMatrix.hankel(sigma, n), ["X"])
+                assert direct == theorem15_eval(n, a, b).lhs, (n, a, b)
+
+
+@pytest.mark.parametrize("entry", [
+    central_weight, lambda s: central_weight(s + 1), _entry_7_16, _entry_7_17, _entry_7_18,
+], ids=["7.12", "7.15", "7.16", "7.17", "7.18"])
+def test_shifted_identity_against_det_poly(entry):
+    for n in range(1, 13):
+        shifted = [UniPoly([entry(s), 1], "Y") for s in range(2 * n - 1)]
+        assert _det_shifted_identity(entry, n) == det_poly(RingMatrix.hankel(shifted, n), ["Y"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    consts=st.lists(st.integers(-3, 3), min_size=11, max_size=11),
+    scale=st.integers(-5, 5),
+    r=st.integers(-4, 4),
+    divisor=st.integers(1, 12),
+)
+@example(n=3, consts=[0] * 11, scale=2, r=-3, divisor=1)  # all-zero K
+@example(n=3, consts=[1] * 11, scale=-1, r=2, divisor=4)  # rank-one K
+@example(n=4, consts=[1, 0, -1, 0, 1, 0, -1, 0, 1, 0, 1], scale=0, r=5, divisor=3)  # scale 0
+@example(n=6, consts=list(range(11)), scale=7, r=-2, divisor=5)  # rank-two K
+def test_rank_one_hankel_det_against_generic(n, consts, scale, r, divisor):
+    # det(K + V scale u u^T), u_i = r^i, expanded division-free over Q[V]:
+    # singular K, scale 0 and negative r included
+    pairs = [(consts[s], scale * r**s) for s in range(2 * n - 1)]
+    entries = [UniPoly(pair, "V") for pair in pairs]
+    direct = det_generic(RingMatrix.hankel(entries, n), one=UniPoly.one("V"))
+    got = _rank_one_hankel_det(pairs, r, n, divisor, "V")
+    assert got == direct * Fraction(1, divisor)
 
 
 def test_theorem14_substitution_gives_7_12():
@@ -304,3 +359,66 @@ def test_all_theorems_hold_excludes_only_stated_7_16():
             getattr(broken, field)[i] = r.replace(equal=False)
             assert not broken.all_theorems_hold, (field, r.identity)
     assert ChebyshevRun([], [], [], run.conjectures).all_theorems_hold
+
+
+# ---------------------------------------------------------------------------
+# Negative controls
+# ---------------------------------------------------------------------------
+
+def _grid_rows():
+    """The 7.9, 7.13 and 7.12 reports for n <= 4."""
+    ns = range(1, 5)
+    return ([theorem14_eval(n, a) for n in ns for a in A_GRID]
+            + [theorem15_eval(n, a, b) for n in ns for a in A_GRID for b in B_GRID]
+            + [row_7_12(n) for n in ns])
+
+
+# Each known fault, patched in, must make some 7.9, 7.13 or 7.12 report a
+# value mismatch.  name -> (attribute of chebyshev, faulty replacement built
+# from the original).
+NEGATIVE_CONTROLS = {
+    # P_{s+1} = (-2p)^(s+1) in place of P_s
+    "X power in _cheb_row off by one": (
+        "_cheb_row",
+        lambda orig: lambda count, a: (
+            tuple((k, p) for (k, _), (_, p) in zip(orig(count, a)[0], orig(count + 1, a)[0][1:])),
+            orig(count, a)[1],
+        ),
+    ),
+    # K_{s+1} = +2p K_s + d^(s+1) mu_s is the constant recurrence at -a
+    "constant recurrence sign flipped": (
+        "_cheb_row",
+        lambda orig: lambda count, a: (
+            tuple((k, p) for (k, _), (_, p) in zip(orig(count, -a)[0], orig(count, a)[0])),
+            orig(count, a)[1],
+        ),
+    ),
+    "bordered term sign flipped": (
+        "_rank_one_hankel_det",
+        lambda orig: lambda entries, r, n, divisor, var: orig(
+            [(k, -c) for k, c in entries], r, n, divisor, var),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_CONTROLS))
+def test_negative_control_is_caught(name, monkeypatch):
+    attr, fault = NEGATIVE_CONTROLS[name]
+    assert all(r.equal for r in _grid_rows())
+    monkeypatch.setattr(chebyshev, attr, fault(getattr(chebyshev, attr)))
+    assert any(not r.equal for r in _grid_rows())
+
+
+def test_x_part_that_is_not_rank_one_is_refused(monkeypatch):
+    # P_s + s is not P_0 r^s: refused before any determinant is taken
+    with pytest.raises(ArithmeticError):
+        _rank_one_hankel_det([(0, 1), (0, 2), (0, 5)], 2, 2, 1, "X")
+    orig = chebyshev._cheb_row
+    monkeypatch.setattr(chebyshev, "_cheb_row", lambda count, a: (
+        tuple((k, p + s) for s, (k, p) in enumerate(orig(count, a)[0])), orig(count, a)[1]))
+    monkeypatch.setattr(chebyshev, "det_int", None)
+    for a in A_GRID:
+        with pytest.raises(ArithmeticError):
+            theorem14_eval(2, a)
+        with pytest.raises(ArithmeticError):
+            theorem15_eval(2, a, F(1, 3))

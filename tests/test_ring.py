@@ -17,6 +17,7 @@ from opident.ring import (
     det_berkowitz,
     det_cofactor,
     det_generic,
+    det_int,
     det_poly,
     det_rational,
     det_series,
@@ -126,6 +127,9 @@ def test_poly_exact_div_on_int_coefficients_is_exact():
     assert UniPoly([2, 4]).exact_div(2).coeffs == (1, 2)
     assert [type(c) for c in UniPoly([2, 4]).exact_div(2).coeffs] == [int, int]
     assert UniPoly([1, 2]).exact_div(-2).coeffs == (F(-1, 2), -1)
+    # an integral coefficient after a Fraction has entered the remainder
+    q = UniPoly([2, 5, 2]).exact_div(UniPoly([2, 4]))
+    assert q.coeffs == (1, F(1, 2)) and type(q.coeffs[0]) is int
     rng = random.Random(23)
     for _ in range(200):
         p = UniPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 5))])
@@ -135,7 +139,8 @@ def test_poly_exact_div_on_int_coefficients_is_exact():
         got = (p * d).exact_div(d)
         assert got == p and all(type(c) is int for c in got.coeffs)
         got = (p * d).exact_div(d * 2)
-        assert got == p * F(1, 2) and all(type(c) in (int, F) for c in got.coeffs)
+        assert got == p * F(1, 2)
+        assert all(type(c) is (int if c.denominator == 1 else F) for c in got.coeffs)
 
 
 def _exact_leaves(value) -> bool:
@@ -361,14 +366,17 @@ def test_det_poly_empty_and_constant_matrices():
     assert det_poly(m, ["alpha", "beta"]) == F(3)
 
 
-def test_det_poly_makes_one_det_rational_call(monkeypatch):
+def test_det_poly_makes_one_det_int_call(monkeypatch):
+    # the packed cells are ints already: one Bareiss run on them, with no
+    # det_rational rescan of the rows
     calls = []
 
-    def counted(m):
-        calls.append(m)
-        return det_rational(m)
+    def counted(a):
+        calls.append(a)
+        return det_int(a)
 
-    monkeypatch.setattr(ring, "det_rational", counted)
+    monkeypatch.setattr(ring, "det_int", counted)
+    monkeypatch.setattr(ring, "det_rational", None)
     x = UniPoly.variable("x")
     for n in range(4):
         m = RingMatrix.hankel([x + i for i in range(2 * n)], n)
