@@ -124,9 +124,9 @@ def _report_sweep(reports, args, command: str, config: dict) -> int:
 
 
 # Default (max_n, max_k, max_m) of `verify theorem1`, atom and series mode.
-# The series max_k is also its limit: at --truncation 25 one k = 3 instance
-# costs up to 0.7 s and one trial of 15 takes 3 to 4 s (Python 3.11, one
-# core of a shared 2-vCPU host).
+# Series mode runs k <= 3, the most variables an InverseSeries takes; at
+# --truncation 25 one --max-k 3 trial (45 instances) takes about 0.5 s
+# through the CLI (Python 3.11, one core of a shared 2-vCPU host).
 _THEOREM1_SHAPE = {False: (6, 3, 3), True: (4, 2, 2)}
 
 
@@ -139,8 +139,8 @@ def _cmd_verify_theorem1(args) -> int:
     if args.series and args.max_k < 1:
         raise SystemExit2("series mode needs k >= 1 formal y (--max-k at least 1); "
                           "k = 0 has no series to compare, use atom mode")
-    if args.series and args.max_k > 2:
-        raise SystemExit2("series mode runs k <= 2 formal ys (--max-k at most 2)")
+    if args.series and args.max_k > 3:
+        raise SystemExit2("series mode runs k <= 3 formal ys (--max-k at most 3)")
     if args.series:
         # The cleared lhs of an (n, k) instance starts at total degree
         # n k - C(k, 2); a truncation at or below it compares nothing.
@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("theorem1", help="the main determinant identity")
     p.add_argument("--max-n", type=_int_at_least(0), help="default 6, 4 with --series")
-    p.add_argument("--max-k", type=_int_at_least(0), help="default 3, 2 with --series (its limit)")
+    p.add_argument("--max-k", type=_int_at_least(0), help="default 3, 2 with --series (at most 3)")
     p.add_argument("--max-m", type=_int_at_least(0), help="default 3, 2 with --series")
     p.add_argument("--trials", type=_int_at_least(1), default=100)
     p.add_argument("--truncation", type=_int_at_least(1), default=25)

@@ -23,18 +23,17 @@ import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 
 from .ring import (
     InverseSeries,
-    RingMatrix,
     UniPoly,
     binomial,
     det_int,
-    det_series,
     format_rational,
     integer_form,
     parse_rational,
+    ratio,
     series_ratio,
 )
 
@@ -76,6 +75,21 @@ def _shifted_compositions(total: int, parts: int) -> tuple:
         for head in range(total + 1)
         for rest in _shifted_compositions(total - head, parts - 1)
     )
+
+
+def _bordered_minors(r, cols, border: int, count: int) -> list[int]:
+    """det M[{0..m-1, border+a}, cols] for a = 0..count-1, where M_pq = r_(p+q)
+    and m = len(cols) - 1: each is one expansion along its last row, and the
+    cofactors of that row depend only on the fixed rows and cols."""
+    m = len(cols) - 1
+    block = [[r[p + b] for b in cols] for p in range(m)]
+    cofactors = [(-1) ** (m + c) * det_int([row[:c] + row[c + 1 :] for row in block])
+                 for c in range(m + 1)]
+    out = [0] * count
+    for c, b in zip(cofactors, cols):
+        if c:
+            out = list(map(add, out, map(c.__mul__, r[border + b : border + b + count])))
+    return out
 
 
 class MomentFunctional:
@@ -173,17 +187,54 @@ class MomentFunctional:
     def modified_hankel_det_series(
         self, n: int, xs=(), variables=("y1",), truncation: int = 25
     ) -> InverseSeries:
-        """det of the modified-moment series, 0 <= i, j <= n-1: one det_series
-        run on the integer-coefficient Hankel matrix, divided by D^n."""
+        """det of the modified-moment series, 0 <= i, j <= n-1, k <= 3, by
+        Cauchy-Binet.  With z_l = 1/y_l and r_j / D the _modified_row, entry
+        s is (-1)^k z_1...z_k sum_e r_(s+|e|) z^e, e in N^k, so the det is
+        (-1)^(nk) (z_1...z_k)^n det(P^T M Q) / D^n below T, with M_pq =
+        r_(p+q), P_ai = z_1^(a-i) and Q_bj = h_(b-j)(z_2, ..., z_k).  The
+        nonzero maximal minors of P are z_1^a on rows {0..n-2, n-1+a}; by
+        Jacobi-Trudi those of Q are s_lambda(z_2, ...) on rows {0..n-1-l}
+        and n-1-i+lambda_(i+1), i < l = min(k-1, n).  So for a + |lambda| <
+        T - nk the coefficient of z_1^a s_lambda is that integer minor of M
+        (_bordered_minors); s_(p) = z_2^p, s_(p,q) = (z_2 z_3)^q h_(p-q).
+        """
         variables = tuple(variables)
+        k = len(variables)
+        if not 0 < k <= 3:
+            raise DomainError(f"series mode runs 1 to 3 formal ys, got {k}")
         if n == 0:
             return InverseSeries.one(variables)
-        mm, den = self._modified_series_row(0, 2 * n - 1, xs, variables, truncation)
-        return series_ratio(det_series(RingMatrix.hankel(mm, n), variables), den**n)
+        reach = truncation - n * k
+        if reach <= 0:
+            return InverseSeries._make(variables, {}, truncation, truncation)
+        r, den = self._modified_row(0, 2 * n - 2 + truncation - k, integer_form(xs))
+        # lambda, |lambda| < reach, and the exponents of (z_2...z_k)^n s_lambda
+        if k == 1:
+            shapes = [((), [()])]
+        elif k == 2:
+            shapes = [((p,), [(n + p,)]) for p in range(reach)]
+        else:
+            shapes = [((p, q), [(n + q + i, n + p - i) for i in range(p - q + 1)])
+                      for p in range(reach)
+                      for q in range(min(p, reach - 1 - p) + 1 if n > 1 else 1)]
+        parts = min(k - 1, n)
+        terms = {}
+        for lam, monomials in shapes:
+            cols = [*range(n - parts), *(n - 1 - i + lam[i] for i in reversed(range(parts)))]
+            minors = _bordered_minors(r, cols, n - 1, reach - sum(lam))
+            for tail in monomials:
+                for a, c in enumerate(minors, n):
+                    if c:
+                        e = (a, *tail)
+                        terms[e] = terms.get(e, 0) + c
+        sign, scale = (-1) ** (n * k), den**n
+        terms = {e: ratio(sign * c, scale) for e, c in terms.items() if c}
+        return InverseSeries._make(variables, terms, truncation, truncation)
 
     def _modified_series_row(self, start: int, count: int, xs, variables, truncation):
         """Integer-coefficient series S_s and D > 0 with S_s / D equal to
-        modified_moment_series(s, ...) for s = start..start+count-1.
+        modified_moment_series(s, ...) for s = start..start+count-1, its one
+        reader.
 
         Entry s only needs r_j = L(u^j prod(u - x_l)) for j = s..s+max_extra,
         with max_extra = truncation - 1 - k, so the integer numerators of the

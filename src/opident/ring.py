@@ -763,7 +763,7 @@ def det_series(m: RingMatrix, variables):
     its entry.
 
     Series over ``variables`` with exponents >= 0 and one shared trunc ==
-    cap == T (both Theorem 1 sides when every entry is a series) first lose
+    cap == T (the series-mode rhs when m = 0 and n >= k) first lose
     each row's common monomial.  Let z^e be the monomial of exponents e,
     low_i the componentwise least exponent of row i's terms (0 for none)
     and s = sum_i low_i.  By multilinearity in the rows det(m) = z^s det(r),
@@ -771,11 +771,9 @@ def det_series(m: RingMatrix, variables):
     T is z^s times det(r) below T' = T - deg(s), which needs r only below
     T' (known there: deg(low_i) <= deg(s)).  Each distinct entry is
     re-based and cut at T' once; deg(s) >= T gives zero, and the result
-    keeps trunc == cap == T.  Every row of the series-mode lhs has low
-    (1, ..., 1), so its reduced determinant is needed only below T - nk.
-    The reduced matrix is Kronecker-packed (_packed_det) when its
-    coefficients are ints in at most two variables, else det_generic
-    expands it (k = 3 too).
+    keeps trunc == cap == T.  The reduced matrix is Kronecker-packed
+    (_packed_det) when its coefficients are ints in at most two variables,
+    else det_generic expands it (k = 3 too).
 
     Any other matrix goes to det_generic as given.  Denominators belong to
     the caller: the row builders hand over integer rows and divide by their

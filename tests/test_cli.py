@@ -470,14 +470,24 @@ def test_series_truncation_that_compares_nothing_exits_2(truncation, capsys):
     assert err.startswith("error:") and "--truncation at least 8" in err
 
 
-@pytest.mark.parametrize("max_k", ["3", "4"])
+@pytest.mark.parametrize("max_k", ["4"])
 def test_series_max_k_above_limit_exits_2(max_k, capsys):
     argv = ["verify", "theorem1", "--series", "--max-k", max_k, "--trials", "1",
             "--truncation", "8", "--json"]
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "k <= 2" in err
+    assert err.startswith("error:") and "k <= 3" in err
+
+
+def test_series_max_k_3_runs_and_echoes_it(capsys):
+    argv = ["verify", "theorem1", "--series", "--max-n", "2", "--max-k", "3", "--max-m", "1",
+            "--trials", "1", "--truncation", "8", "--json"]
+    code, out, _ = run_cli(argv, capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["all_equal"] is True
+    assert payload["config"]["max_k"] == 3
+    assert payload["instances"] == 3 * 2 * 3  # k in 1..3, m in 0..1, n in 0..2
 
 
 def test_series_runs_the_max_n_and_max_m_it_echoes(capsys):

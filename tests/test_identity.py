@@ -7,6 +7,7 @@ import pytest
 
 import opident
 import opident.identity as identity
+import opident.moments as moments
 from opident.identity import (
     ConfluentRequiredError,
     IdentityInstance,
@@ -33,6 +34,7 @@ from opident.moments import (
     ChebyshevCatalanFunctional,
     FiniteAtomFunctional,
     ModeError,
+    MomentFunctional,
     MomentHorizonError,
     PoleAtAtomError,
     SequenceFunctional,
@@ -344,78 +346,92 @@ def test_pole_on_atom_raises_only_with_a_q_column():
 
 
 # Each known fault, patched in, must make a sweep report a value mismatch,
-# so that an exact pass means something.  name -> (attribute of identity,
-# faulty replacement built from the original, sweep that must catch it).
+# so that an exact pass means something.  name -> (module or class, its
+# attribute, faulty replacement built from the original, sweep that must
+# catch it).
 NEGATIVE_CONTROLS = {
     "flipped theorem1_sign": (
-        "theorem1_sign",
+        identity, "theorem1_sign",
         lambda orig: lambda n, k, m: -orig(n, k, m),
         lambda: sweep_theorem1_atom(seed=11, trials=1),
     ),
     "column index shifted by one": (
-        "_theorem1_rows",
+        identity, "_theorem1_rows",
         lambda orig: lambda sys, inst: orig(sys, inst.replace(n=inst.n - 1)),
         lambda: sweep_theorem1_atom(seed=11, trials=1),
     ),
     "y-Vandermonde not reversed": (
-        "_y_vandermonde",
+        identity, "_y_vandermonde",
         lambda orig: vandermonde_product,
         lambda: sweep_theorem1_atom(seed=11, trials=1),
     ),
     "confluent (-1)^binom(a,2) dropped": (
-        "prop13_sign",
+        identity, "prop13_sign",
         lambda orig: lambda inst: theorem1_sign(inst.n, inst.k, inst.m),
         lambda: sweep_prop13(seed=11, trials=1),
     ),
     "series y-Vandermonde not reversed": (
-        "_y_vandermonde",
+        identity, "_y_vandermonde",
         lambda orig: vandermonde_product,
         lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
     ),
     "series column index shifted by one": (
-        "_theorem1_rows",
+        identity, "_theorem1_rows",
         lambda orig: lambda sys, inst: orig(sys, inst.replace(n=inst.n - 1)),
         lambda: sweep_theorem1_series(
             seed=11, trials=1, truncation=12, max_n=3, ks=(2,), max_m=3),
     ),
     "series k = 3 y-Vandermonde not reversed": (
-        "_y_vandermonde",
+        identity, "_y_vandermonde",
         lambda orig: vandermonde_product,
         lambda: sweep_theorem1_series(
             seed=11, trials=1, truncation=12, max_n=3, ks=(3,), max_m=1),
     ),
     "series H(n-k) dropped": (
-        "_hankel_divisor",
+        identity, "_hankel_divisor",
         lambda orig: lambda f, n, k: 1,
         lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
     ),
     # the x factor taken as prod(x_i - x_j), as if the x blocks came in
     # reverse order; the y factor is left as it is
     "x-Vandermonde reversed": (
-        "_vandermondes",
+        identity, "_vandermondes",
         lambda orig: lambda inst: orig(inst.replace(xs=(), xi=inst.xi[::-1])),
         lambda: sweep_theorem1_atom(seed=11, trials=1),
     ),
     "lemma Hankel slice one size short": (
-        "_hankel_slice_det",
+        identity, "_hankel_slice_det",
         lambda orig: lambda c, size: orig(c, size - 1),
         lambda: sweep_lemmas(seed=11, trials=1),
     ),
     # alpha and beta exchanged in every linear determinant: lemma 9 is
     # symmetric in them, lemma 8 changes sign
     "lemma linear determinant slots swapped": (
-        "_lin_det",
+        identity, "_lin_det",
         lambda orig: lambda c, size, slot: orig(c, size, 1 - slot),
         lambda: sweep_lemmas(seed=11, trials=1),
+    ),
+    # the series lhs without its (-1)^(nk): wrong at every odd nk
+    "series lhs sign (-1)^(nk) dropped": (
+        MomentFunctional, "modified_hankel_det_series",
+        lambda orig: lambda f, n, xs, variables, truncation: (
+            orig(f, n, xs, variables, truncation) * (-1) ** (n * len(variables))),
+        lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
+    ),
+    # each series lhs minor bordered by row n + a of M, not n - 1 + a
+    "series lhs border row shifted by one": (
+        moments, "_bordered_minors",
+        lambda orig: lambda r, cols, border, count: orig(r, cols, border + 1, count),
+        lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NEGATIVE_CONTROLS))
 def test_negative_control_is_caught(name, monkeypatch):
-    attr, fault, sweep = NEGATIVE_CONTROLS[name]
+    owner, attr, fault, sweep = NEGATIVE_CONTROLS[name]
     assert all(r.equal for r in sweep())
-    monkeypatch.setattr(identity, attr, fault(getattr(identity, attr)))
+    monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
     assert any(not r.equal and r.lhs is not None for r in sweep())
 
 

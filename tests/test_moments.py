@@ -8,6 +8,7 @@ import pytest
 
 from opident.moments import (
     ChebyshevCatalanFunctional,
+    DomainError,
     FiniteAtomFunctional,
     ModeError,
     MomentHorizonError,
@@ -505,17 +506,52 @@ def test_modified_moment_row_matches_formula(functional, xs, k):
     f = _ROW_FUNCTIONALS[functional]()
     variables = tuple(f"y{l}" for l in range(k))
     truncation = {1: 12, 2: 10, 3: 8}[k]
-    oracle = {s: _series_oracle(f, s, xs, variables, truncation) for s in range(5)}
+    oracle = {s: _series_oracle(f, s, xs, variables, truncation) for s in range(7)}
     for s, want in oracle.items():
         got = f.modified_moment_series(s, xs, variables, truncation)
         assert (got.terms, got.trunc, got.cap) == (want.terms, want.trunc, want.cap)
         # integral values come back as ints, the rest as Fractions
         assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
-    for n in range(4):
+    for n in range(5):
         got = f.modified_hankel_det_series(n, xs, variables, truncation)
         mat = RingMatrix.hankel([oracle[s] for s in range(2 * n - 1)], n)
         want = det_generic(mat, InverseSeries.one(variables))
         assert (got.terms, got.trunc, got.cap) == (want.terms, want.trunc, want.cap)
+
+
+def _singular_block_sequence(n):
+    # r = mu with xs = (): moments 0 .. 2n-4 are sum_b b^j over n - 2 bases
+    # b, so the leading (n-1) x (n-1) Hankel block of r has rank n - 2
+    rng = random.Random(n)
+    head = [sum(b**j for b in (1, 2)[: n - 2]) for j in range(2 * n - 3)]
+    return SequenceFunctional(head + [rng.randint(-3, 3) for _ in range(24 - len(head))])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "row, xs",
+    [(lambda n: _fractional_sequence(), (F(1, 2), F(-2, 3))), (_singular_block_sequence, ())],
+    ids=["frac", "singular-block"],
+)
+def test_modified_hankel_det_series_matches_oracle(row, xs, n, k):
+    # The Cauchy-Binet route against det_generic on the Hankel matrix of the
+    # term-by-term oracle: three degrees past T' = T - nk (n = 1 < k - 1 at
+    # k = 3 included), and every T with T' <= 0, T <= k among them.
+    f = row(n)
+    variables = tuple(f"y{l}" for l in range(k))
+    for truncation in [*range(1, n * k + 1), n * k + 3]:
+        oracle = [_series_oracle(f, s, xs, variables, truncation) for s in range(2 * n - 1)]
+        want = det_generic(RingMatrix.hankel(oracle, n), InverseSeries.one(variables))
+        got = f.modified_hankel_det_series(n, xs, variables, truncation)
+        assert (got.terms, got.trunc, got.cap) == (want.terms, want.trunc, want.cap)
+    assert got.terms
+
+
+def test_modified_hankel_det_series_refuses_four_variables():
+    f = _fractional_sequence()
+    with pytest.raises(DomainError, match=r"^series mode runs 1 to 3 formal ys, got 4$"):
+        f.modified_hankel_det_series(2, (), ("y1", "y2", "y3", "y4"), 20)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
