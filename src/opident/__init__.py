@@ -11,7 +11,6 @@ from .ring import (
     det_cofactor,
     det_generic,
     det_rational,
-    det_series,
     format_rational,
     parse_rational,
     vandermonde_product,

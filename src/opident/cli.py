@@ -124,9 +124,9 @@ def _report_sweep(reports, args, command: str, config: dict) -> int:
 
 
 # Default (max_n, max_k, max_m) of `verify theorem1`, atom and series mode.
-# Series mode runs k <= 3, the most variables an InverseSeries takes; at
-# --truncation 25 one --max-k 3 trial (45 instances) takes about 0.5 s
-# through the CLI (Python 3.11, one core of a shared 2-vCPU host).
+# Series mode runs k <= 3, the most variables of its InverseSeries report
+# sides; at --truncation 25 one --max-k 3 trial (45 instances) takes about
+# 0.15 s through the CLI (Python 3.11, one core of a shared 2-vCPU host).
 _THEOREM1_SHAPE = {False: (6, 3, 3), True: (4, 2, 2)}
 
 

@@ -22,7 +22,7 @@ import json
 import math
 import threading
 from fractions import Fraction
-from functools import lru_cache
+from itertools import combinations_with_replacement, product
 from operator import add, mul
 
 from .ring import (
@@ -34,7 +34,6 @@ from .ring import (
     integer_form,
     parse_rational,
     ratio,
-    series_ratio,
 )
 
 _ONE = Fraction(1)
@@ -64,31 +63,18 @@ def catalan(n: int) -> int:
     return binomial(2 * n, n) // (n + 1)
 
 
-@lru_cache(maxsize=256)
-def _shifted_compositions(total: int, parts: int) -> tuple:
-    """All tuples of `parts` ints >= 1 summing to total + parts, in
-    lexicographic order: the exponent vectors of one inverse degree."""
-    if parts == 1:
-        return ((total + 1,),)
-    return tuple(
-        (head + 1,) + rest
-        for head in range(total + 1)
-        for rest in _shifted_compositions(total - head, parts - 1)
-    )
-
-
-def _bordered_minors(r, cols, border: int, count: int) -> list[int]:
-    """det M[{0..m-1, border+a}, cols] for a = 0..count-1, where M_pq = r_(p+q)
-    and m = len(cols) - 1: each is one expansion along its last row, and the
-    cofactors of that row depend only on the fixed rows and cols."""
-    m = len(cols) - 1
-    block = [[r[p + b] for b in cols] for p in range(m)]
-    cofactors = [(-1) ** (m + c) * det_int([row[:c] + row[c + 1 :] for row in block])
-                 for c in range(m + 1)]
+def _bordered_minors(r, fixed, border: int, count: int) -> list[int]:
+    """det M[fixed + [border + a], 0..m] for a = 0..count-1, where M_pq =
+    r_(p+q) and m = len(fixed): each is one expansion along its last row,
+    and the cofactors of that row depend only on the fixed rows."""
+    m = len(fixed)
+    block = [r[p : p + m + 1] for p in fixed]
+    cofactors = [(-1) ** (m + q) * det_int([row[:q] + row[q + 1 :] for row in block])
+                 for q in range(m + 1)]
     out = [0] * count
-    for c, b in zip(cofactors, cols):
+    for q, c in enumerate(cofactors):
         if c:
-            out = list(map(add, out, map(c.__mul__, r[border + b : border + b + count])))
+            out = list(map(add, out, map(c.__mul__, r[border + q : border + q + count])))
     return out
 
 
@@ -176,92 +162,65 @@ class MomentFunctional:
         -sum_t u^t y_l^(-t-1), truncated at total inverse degree `truncation`.
 
         The coefficient of prod y_l^(-e_l) (all e_l >= 1) is
-        (-1)^k * L(u^(i + sum(e_l - 1)) * prod(u - x_l)).  It is the
-        one-entry _modified_series_row; integral coefficients stay ints.
+        (-1)^k * L(u^(i + sum(e_l - 1)) * prod(u - x_l)), that is (-1)^k
+        r_(i+|e|-k) / D with r_j / D the _modified_row; integral
+        coefficients stay ints.
         """
         if i < 0:
             raise ValueError("moment index must be non-negative")
-        (s,), den = self._modified_series_row(i, 1, xs, variables, truncation)
-        return series_ratio(s, den)
-
-    def modified_hankel_det_series(
-        self, n: int, xs=(), variables=("y1",), truncation: int = 25
-    ) -> InverseSeries:
-        """det of the modified-moment series, 0 <= i, j <= n-1, k <= 3, by
-        Cauchy-Binet.  With z_l = 1/y_l and r_j / D the _modified_row, entry
-        s is (-1)^k z_1...z_k sum_e r_(s+|e|) z^e, e in N^k, so the det is
-        (-1)^(nk) (z_1...z_k)^n det(P^T M Q) / D^n below T, with M_pq =
-        r_(p+q), P_ai = z_1^(a-i) and Q_bj = h_(b-j)(z_2, ..., z_k).  The
-        nonzero maximal minors of P are z_1^a on rows {0..n-2, n-1+a}; by
-        Jacobi-Trudi those of Q are s_lambda(z_2, ...) on rows {0..n-1-l}
-        and n-1-i+lambda_(i+1), i < l = min(k-1, n).  So for a + |lambda| <
-        T - nk the coefficient of z_1^a s_lambda is that integer minor of M
-        (_bordered_minors); s_(p) = z_2^p, s_(p,q) = (z_2 z_3)^q h_(p-q).
-        """
-        variables = tuple(variables)
-        k = len(variables)
-        if not 0 < k <= 3:
-            raise DomainError(f"series mode runs 1 to 3 formal ys, got {k}")
-        if n == 0:
-            return InverseSeries.one(variables)
-        reach = truncation - n * k
-        if reach <= 0:
-            return InverseSeries._make(variables, {}, truncation, truncation)
-        r, den = self._modified_row(0, 2 * n - 2 + truncation - k, integer_form(xs))
-        # lambda, |lambda| < reach, and the exponents of (z_2...z_k)^n s_lambda
-        if k == 1:
-            shapes = [((), [()])]
-        elif k == 2:
-            shapes = [((p,), [(n + p,)]) for p in range(reach)]
-        else:
-            shapes = [((p, q), [(n + q + i, n + p - i) for i in range(p - q + 1)])
-                      for p in range(reach)
-                      for q in range(min(p, reach - 1 - p) + 1 if n > 1 else 1)]
-        parts = min(k - 1, n)
-        terms = {}
-        for lam, monomials in shapes:
-            cols = [*range(n - parts), *(n - 1 - i + lam[i] for i in reversed(range(parts)))]
-            minors = _bordered_minors(r, cols, n - 1, reach - sum(lam))
-            for tail in monomials:
-                for a, c in enumerate(minors, n):
-                    if c:
-                        e = (a, *tail)
-                        terms[e] = terms.get(e, 0) + c
-        sign, scale = (-1) ** (n * k), den**n
-        terms = {e: ratio(sign * c, scale) for e, c in terms.items() if c}
-        return InverseSeries._make(variables, terms, truncation, truncation)
-
-    def _modified_series_row(self, start: int, count: int, xs, variables, truncation):
-        """Integer-coefficient series S_s and D > 0 with S_s / D equal to
-        modified_moment_series(s, ...) for s = start..start+count-1, its one
-        reader.
-
-        Entry s only needs r_j = L(u^j prod(u - x_l)) for j = s..s+max_extra,
-        with max_extra = truncation - 1 - k, so the integer numerators of the
-        r_j over their one denominator D (_modified_row) are computed once
-        for the whole row and entry s reads its window of them.
-        """
         variables = tuple(variables)
         k = len(variables)
         if k == 0:
             raise ValueError("series mode needs at least one inverse variable")
-        max_extra = truncation - 1 - k
-        if max_extra < 0:
-            return [InverseSeries.zero(variables, truncation, cap=truncation)] * count, 1
-        r, den = self._modified_row(start, count + max_extra, integer_form(xs))
-        shapes = [_shifted_compositions(d, k) for d in range(max_extra + 1)]
-        out = []
-        for s in range(count):
-            terms = {}
-            for d, exps in enumerate(shapes):
-                c = r[s + d]
-                if c:
-                    c = -c if k % 2 else c
-                    for e in exps:
-                        terms[e] = c
-            # built clean: nonzero coefficients, k exponents, degree d + k < trunc
-            out.append(InverseSeries._make(variables, terms, truncation, truncation))
-        return out, den
+        terms = {}
+        if truncation > k:
+            r, den = self._modified_row(i, truncation - k, integer_form(xs))
+            if k % 2:
+                r = [-c for c in r]
+            for e in product(range(1, truncation - k + 1), repeat=k):
+                d = sum(e) - k
+                if d < len(r) and r[d]:
+                    terms[e] = ratio(r[d], den)
+        # built clean: nonzero coefficients, k exponents, degree < trunc
+        return InverseSeries._make(variables, terms, truncation, truncation)
+
+    def modified_hankel_det_series(
+        self, n: int, xs=(), variables=("y1",), truncation: int = 25
+    ) -> tuple[dict, int]:
+        """The Schur coefficients of the det of the modified-moment series,
+        0 <= i, j <= n-1, k <= 3 formal ys: ({mu: c_mu}, D^n).
+
+        With z_l = 1/y_l and r_j / D the _modified_row, entry s is (-1)^k
+        z_1...z_k sum_beta h_beta(z) r_(s+beta), so the det is (-1)^(nk)
+        (z_1...z_k)^n det(H^T M) / D^n, H_(beta,i) = h_(beta-i)(z), M_(beta,j)
+        = r_(beta+j).  By Cauchy-Binet and Jacobi-Trudi, det(H^T M) = sum_mu
+        c_mu s_mu(z), c_mu = det[r_(rho_a+j)] with rho_a = mu_(n-a) + a, over
+        the partitions mu (k-tuples) of at most min(n, k) parts; below total
+        degree `truncation` that is |mu| < truncation - nk.  The nonzero c_mu
+        of one tail mu_2..mu_k share the cofactors of the row rho_(n-1) =
+        mu_1 + n - 1 (_bordered_minors).
+        """
+        k = len(tuple(variables))
+        if not 0 < k <= 3:
+            raise DomainError(f"series mode runs 1 to 3 formal ys, got {k}")
+        reach = truncation - n * k
+        if reach <= 0:
+            return {}, 1
+        if n == 0:
+            return {(0,) * k: 1}, 1
+        r, den = self._modified_row(0, 2 * n - 2 + reach, integer_form(xs))
+        coeffs = {}
+        # the nonzero parts of mu_n <= ... <= mu_2, then mu_1 = low .. low + count - 1
+        for asc in combinations_with_replacement(range(reach), min(k, n) - 1):
+            low = asc[-1] if asc else 0
+            count = reach - sum(asc) - low
+            if count > 0:
+                fixed = [mu + a for a, mu in enumerate([0] * (n - 1 - len(asc)) + list(asc))]
+                tail = (*asc[::-1], *[0] * (k - 1 - len(asc)))
+                for mu_1, c in enumerate(_bordered_minors(r, fixed, low + n - 1, count), low):
+                    if c:
+                        coeffs[(mu_1, *tail)] = c
+        return coeffs, den**n
 
     def _modified_row(self, start: int, count: int, xs=_NO_PARAMS, ys=_NO_PARAMS):
         """Integers r_j and D > 0 with modified moment j equal to r_j / D for

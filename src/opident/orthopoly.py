@@ -23,7 +23,6 @@ from .ring import (
     det_poly,
     integer_form,
     ratio,
-    series_ratio,
 )
 
 
@@ -276,53 +275,39 @@ def q_exact(sys: OrthoSystem, n: int, y, order: int = 0) -> Fraction:
     return Fraction(num, den)
 
 
-def q_series_row(
-    sys: OrthoSystem, cols, truncation: int, variables=("y",), slot: int = 0
-) -> tuple[list[InverseSeries], int]:
-    """Integer-coefficient series Q_b and D > 0 with Q_b / D the formal
-    series q_b in 1/y_slot for each b in cols (see q_series), truncated at
-    `truncation`.  L(p_b u^i) = sum_r c_r mu_(i+r) / (d_b M): p_b's integer
-    coefficients c_r over d_b against the moment row m_i / M, read once for
-    the row; D is the lcm of the d_b M.  For b < 0 the convention
-    q_b(y) = y^(-b-1) gives the exact D y^(-b-1).
+def q_table(sys: OrthoSystem, cols, start: int, stop: int) -> tuple[list[list[int]], int]:
+    """Integers Q[i][j] and D > 0 with Q[i][j] / D the coefficient of z^d,
+    d = start + i < stop and z = 1/y, in q_b(y) for b = cols[j].  For b >= 0
+    that is L(p_b u^(d-1)), 0 for d <= 0: p_b's integer coefficients over
+    d_b against the moment row m_i / M, read once; D is the lcm of the d_b M.
+    Orthogonality makes it 0 for d <= b, which is checked.  For b < 0 the
+    convention q_b(y) = y^(-b-1) = z^(b+1) gives D at d = b + 1 alone.
     """
-    if truncation <= 0:
-        raise ValueError("truncation order must be positive")
-    variables = tuple(variables)
     f = sys.functional
-    count = truncation - 1
     built = [b for b in cols if b >= 0]
     for b in built:
         sys._check_index(b)
-        if count:
-            f._require_horizon(b + count - 1)
-    top = max(built) + count if built and count else 0
-    mu, mu_den = f.moment_row(top)
+    mu, mu_den = f.moment_row(max(built) + stop - 1 if built and stop > 1 else 0)
     den = math.lcm(*(sys.int_polys[b][1] * mu_den for b in built))
-    row = []
+    columns = []
     for b in cols:
-        exps = [0] * len(variables)
+        col = [0] * max(stop - start, 0)
         if b < 0:
-            exps[slot] = b + 1
-            row.append(InverseSeries._make(variables, {tuple(exps): den}, None, None))
-            continue
-        coeffs, d = sys.int_polys[b]
-        lift = den // (d * mu_den)
-        terms = {}
-        for i in range(count):
-            num = sum(map(mul, coeffs, mu[i : i + b + 1]))
-            if i < b:
-                if num:
+            if start <= b + 1 < stop:
+                col[b + 1 - start] = den
+        else:
+            coeffs, d = sys.int_polys[b]
+            lift = den // (d * mu_den)
+            for i in range(stop - 1):  # d = i + 1
+                num = sum(map(mul, coeffs, mu[i : i + b + 1]))
+                if i < b and num:
                     raise ArithmeticError(
                         f"orthogonality violated: L(p_{b} u^{i}) = {ratio(num, d * mu_den)} != 0"
                     )
-                continue
-            if num:
-                exps[slot] = i + 1
-                terms[tuple(exps)] = num * lift
-        # built clean: nonzero coefficients, degree i + 1 <= count < truncation
-        row.append(InverseSeries._make(variables, terms, truncation, truncation))
-    return row, den
+                if i >= start - 1:
+                    col[i + 1 - start] = num * lift
+        columns.append(col)
+    return [list(row) for row in zip(*columns)], den
 
 
 def q_series(
@@ -332,11 +317,21 @@ def q_series(
 
     Orthogonality kills every i < n (checked), the coefficient of y^(-n-1)
     is the norm H(n+1)/H(n).  `slot` picks which variable of a multivariate
-    series ring carries the expansion.  It is the one-column q_series_row;
-    integral coefficients stay ints.  For n < 0 the convention is
-    q_n(y) = y^(-n-1), which this does not compute.
+    series ring carries the expansion.  It is the one-column q_table over
+    1 <= d < truncation; integral coefficients stay ints.  For n < 0 the
+    convention is q_n(y) = y^(-n-1), which this does not compute.
     """
     if n < 0:
         raise ValueError(f"q_{n} is y^({-n - 1}) by the b < 0 convention; q_series needs n >= 0")
-    (s,), den = q_series_row(sys, (n,), truncation, variables, slot)
-    return series_ratio(s, den)
+    if truncation <= 0:
+        raise ValueError("truncation order must be positive")
+    variables = tuple(variables)
+    table, den = q_table(sys, (n,), 1, truncation)
+    exps = [0] * len(variables)
+    terms = {}
+    for d, (c,) in enumerate(table, 1):
+        if c:
+            exps[slot] = d
+            terms[tuple(exps)] = ratio(c, den)
+    # built clean: nonzero coefficients, degree d < truncation
+    return InverseSeries._make(variables, terms, truncation, truncation)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from operator import add, sub
 
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
@@ -269,11 +268,9 @@ class InverseSeries:
     operand's horizon by the other's valuation and takes the minimum.
 
     ``cap`` is an optional working ceiling that rides along through
-    arithmetic: results never keep terms at or above it.  Discarding that
-    knowledge is always sound (trunc is a lower bound on validity); the
-    verifiers use it so that intermediate determinant products do not
-    accumulate coefficients the final comparison cannot use.  One to three
-    variables: multiplication is unrolled for each count.
+    arithmetic: results never keep terms at or above it, which is always
+    sound (trunc is a lower bound on validity).  One to three variables:
+    multiplication is unrolled for each count.
     """
 
     __slots__ = ("variables", "terms", "trunc", "cap")
@@ -536,13 +533,6 @@ class InverseSeries:
         return f"InverseSeries({self.variables!r}, {self.terms!r}, trunc={self.trunc!r})"
 
 
-def series_ratio(x: InverseSeries, den: int) -> InverseSeries:
-    """x / den for a series x with int coefficients, each coefficient through
-    ratio (integral ones stay ints); trunc and cap are kept."""
-    terms = {e: ratio(c, den) for e, c in x.terms.items()}
-    return InverseSeries._make(x.variables, terms, x.trunc, x.cap)
-
-
 class RingMatrix:
     """Immutable row-major matrix over one coefficient ring.
 
@@ -704,15 +694,14 @@ def _dot(row, vec, zero):
     return acc if acc is not None else zero
 
 
-def _det_subset_expansion(m: RingMatrix, one, reduce=None):
+def _det_subset_expansion(m: RingMatrix, one):
     """First-row expansion with minors memoized over column subsets.
 
     At most n * 2^(n-1) ring multiplications.  Minors grow from the bottom
     rows up, so scalar rows on top only scale the minors of series rows.
     Each minor is multilinear in the columns: a column scaled by a nonzero
     integer scales all its terms alike, so the same sums cancel and trunc
-    and cap do not change.  ``reduce``, when given, maps every minor as it is formed
-    (the packed series path truncates there).
+    and cap do not change.
     """
     n = m.rows
     if n == 0:
@@ -738,11 +727,7 @@ def _det_subset_expansion(m: RingMatrix, one, reduce=None):
                 if idx % 2:
                     term = -term
                 acc = term if acc is None else acc + term
-            if acc is None:
-                acc = zero
-            elif reduce is not None:
-                acc = reduce(acc)
-            new[mask] = acc
+            new[mask] = acc if acc is not None else zero
         minors = new
     return minors[(1 << n) - 1]
 
@@ -753,140 +738,6 @@ def det_generic(m: RingMatrix, one=_ONE):
     matrices have det_rational (rationals) and det_poly (polynomials)."""
     _require_square(m)
     return _det_subset_expansion(m, one)
-
-
-def det_series(m: RingMatrix, variables):
-    """Exact determinant of a square matrix of InverseSeries and rational
-    scalars: the fast path for series that det_rational is for rationals.
-    The result equals det_generic(m, InverseSeries.one(variables)) in
-    terms, trunc and cap; det_generic stays the oracle.  A 1x1 matrix gives
-    its entry.
-
-    Series over ``variables`` with exponents >= 0 and one shared trunc ==
-    cap == T (the series-mode rhs when m = 0 and n >= k) first lose
-    each row's common monomial.  Let z^e be the monomial of exponents e,
-    low_i the componentwise least exponent of row i's terms (0 for none)
-    and s = sum_i low_i.  By multilinearity in the rows det(m) = z^s det(r),
-    r_ij = m_ij / z^low_i, and r again has exponents >= 0, so det(m) below
-    T is z^s times det(r) below T' = T - deg(s), which needs r only below
-    T' (known there: deg(low_i) <= deg(s)).  Each distinct entry is
-    re-based and cut at T' once; deg(s) >= T gives zero, and the result
-    keeps trunc == cap == T.  The reduced matrix is Kronecker-packed
-    (_packed_det) when its coefficients are ints in at most two variables,
-    else det_generic expands it (k = 3 too).
-
-    Any other matrix goes to det_generic as given.  Denominators belong to
-    the caller: the row builders hand over integer rows and divide by their
-    row denominators once.
-    """
-    _require_square(m)
-    if m.rows == 1:
-        return m.entries[0]
-    variables = tuple(variables)
-    # A Hankel matrix repeats each entry along an antidiagonal: inspect
-    # every distinct entry once.
-    entries = {id(x): x for x in m.entries}.values()
-    truncs = {x.trunc if isinstance(x, InverseSeries) else None for x in entries}
-    trunc = truncs.pop() if len(truncs) == 1 else None
-    lows = {id(x): tuple(map(min, zip(*x.terms))) for x in entries if trunc and x.terms}
-    if (trunc is None or any(x.variables != variables or x.cap != trunc for x in entries)
-            or min(map(min, lows.values()), default=0) < 0):
-        return det_generic(m, InverseSeries.one(variables))
-    n = m.rows
-    found = [[lows[id(x)] for x in m.row(i) if id(x) in lows] for i in range(n)]
-    row_lows = [tuple(map(min, zip(*f))) if f else (0,) * len(variables) for f in found]
-    shift = tuple(map(sum, zip(*row_lows)))
-    reduced = trunc - sum(shift)
-    if reduced <= 0:
-        return InverseSeries._make(variables, {}, trunc, trunc)
-    # cells[i] keys entry i with its row's low; each key is re-based once.
-    cells = [(id(x), low) for i, low in enumerate(row_lows) for x in m.row(i)]
-    distinct = {(id(x), low): (x, low) for i, low in enumerate(row_lows) for x in m.row(i)}
-    if len(variables) <= 2 and all(type(c) is int for x in entries for c in x.terms.values()):
-        det = _packed_det(n, cells, distinct, variables, reduced)
-    else:
-        rebased = {}
-        for key, (x, low) in distinct.items():
-            limit = reduced + sum(low)
-            terms = {tuple(map(sub, e, low)): c for e, c in x.terms.items() if sum(e) < limit}
-            rebased[key] = InverseSeries._make(variables, terms, reduced, reduced)
-        det = det_generic(RingMatrix(n, n, [rebased[key] for key in cells]),
-                          InverseSeries.one(variables))
-    terms = {tuple(map(add, e, shift)): c for e, c in det.terms.items()}
-    return InverseSeries._make(variables, terms, trunc, trunc)
-
-
-def _packed_det(n: int, cells, distinct, variables, trunc: int) -> InverseSeries:
-    """det of the n x n matrix with cell i the series x / z^low below total
-    degree ``trunc``, (x, low) = distinct[cells[i]], for x with int
-    coefficients in one or two variables (det_series re-bases each row by
-    its low); trunc == cap == ``trunc``.  Kronecker-packed.
-
-    Each re-based entry becomes one int sum_i c_i B^i, B = 2^w, with the
-    term of exponents e in slot i = deg(e) * trunc + e[0] for two variables
-    and i = deg(e) for one: the total degree is the most significant digit.
-    The slot is linear in e, so the term e of x goes to slot(e) - slot(low)
-    unless deg(e) >= trunc + deg(low).  A product's term lands in the slot
-    of the summed exponents whenever its degree is below trunc (then e[0]
-    <= deg(e) < trunc cannot carry into the next degree), and in a slot
-    >= N otherwise, N = trunc^2 or trunc slots in all, so truncating is
-    keeping the low N slots.  The first-row expansion runs on these ints,
-    and each minor is truncated as it is formed.
-
-    Slot width: the coefficient of a monomial in a product of r entries is
-    a sum of at most T^(r-1) products of r coefficients (the last factor is
-    fixed by the others), so every coefficient of any minor or partial sum
-    of the expansion is at most bound = n! C^n T^(n-1), with C the largest
-    |coefficient| and T the most terms in one re-based, truncated entry.
-    w is bitlen(bound) + 2 rounded up to whole bytes, so each digit lies in
-    (-B/4, B/4) and the low part L = sum_{i<N} c_i B^i of N slots lies in
-    (-B^N/2, B^N/2).
-
-    Why masking is exact: the packed value is L + B^N * H for an integer H
-    that carries every term of degree >= trunc; carries in integer
-    arithmetic only move upward, so the value is congruent to L modulo B^N,
-    and because |L| < B^N/2, reducing modulo B^N into [-B^N/2, B^N/2)
-    recovers L itself.
-    """
-    two = len(variables) == 2
-    stride = trunc if two else 1
-    slots = trunc * stride
-    digits = {}
-    for key, (x, low) in distinct.items():
-        d = digits[key] = [0] * slots
-        limit, base = trunc + sum(low), sum(low) * stride + (low[0] if two else 0)
-        for e, c in x.terms.items():
-            deg = sum(e)
-            if deg < limit:
-                d[deg * stride + (e[0] if two else 0) - base] = c
-    top = max(max(map(abs, d)) for d in digits.values())
-    most = max(slots - d.count(0) for d in digits.values())
-    bound = math.factorial(n) * top**n * most ** (n - 1)
-    width = (bound.bit_length() + 2 + 7) // 8
-    half = 1 << (8 * width - 1)
-    offset = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
-    total = 8 * width * slots
-    mask = (1 << total) - 1
-    sign = 1 << (total - 1)
-
-    def pack(d):
-        # The balanced digits c_i are stored as c_i + B/2 in [0, B).
-        raw = b"".join((c + half).to_bytes(width, "little") for c in d)
-        return int.from_bytes(raw, "little") - offset
-
-    packed = {key: pack(d) for key, d in digits.items()}
-    det = _det_subset_expansion(
-        RingMatrix(n, n, [packed[key] for key in cells]), 1,
-        lambda v: ((v + sign) & mask) - sign,
-    )
-    raw = (det + offset).to_bytes(width * slots, "little")
-    terms = {}
-    for i in range(slots):
-        c = int.from_bytes(raw[i * width : (i + 1) * width], "little") - half
-        if c:
-            d, a = divmod(i, stride)
-            terms[(a, d - a) if two else (d,)] = c
-    return InverseSeries._make(variables, terms, trunc, trunc)
 
 
 def det_int(a: list) -> int:

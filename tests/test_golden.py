@@ -21,6 +21,7 @@ diagonal of one ``uvarov_system`` result a line.
 import hashlib
 import importlib
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -217,6 +218,27 @@ def test_benchmark_names_resolve(monkeypatch):
     finally:
         for name in ("workloads", "tracer", "cases"):
             sys.modules.pop(name, None)
+
+
+def test_benchmark_cases_run(monkeypatch):
+    # The layer cases of perfbench/cases.py are the only callers of
+    # q_series and modified_moment_series outside the tests: run each once,
+    # with one timed call per case, and check their exact counts.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        cases = importlib.import_module("cases")
+        timed = []
+        monkeypatch.setattr(cases, "_median_ms", lambda fn: timed.append(fn()) or 0.0)
+        rng = random.Random(1)
+        metrics = {**cases.det_cases(rng), **cases.series_cases(rng)}
+    finally:
+        for name in ("workloads", "tracer", "cases"):
+            sys.modules.pop(name, None)
+    assert len(timed) == 8
+    for n in cases.DET_RATIONAL_SIZES:
+        assert metrics[f"ring.det_rational.n{n}.bits"] > 0
+    for k, _ in cases.SERIES_CASES:
+        assert metrics[f"ring.series_mul.k{k}.terms_out"] > 0
 
 
 @pytest.mark.parametrize("name", sorted(VALUE_CASES))

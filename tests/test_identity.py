@@ -49,7 +49,7 @@ from opident.orthopoly import (
     q_exact,
     q_row,
     q_series,
-    q_series_row,
+    q_table,
 )
 from opident.ring import (
     InverseSeries,
@@ -413,15 +413,35 @@ NEGATIVE_CONTROLS = {
     ),
     # the series lhs without its (-1)^(nk): wrong at every odd nk
     "series lhs sign (-1)^(nk) dropped": (
-        MomentFunctional, "modified_hankel_det_series",
-        lambda orig: lambda f, n, xs, variables, truncation: (
-            orig(f, n, xs, variables, truncation) * (-1) ** (n * len(variables))),
+        identity, "_series_lhs_sign",
+        lambda orig: lambda n, k: orig(n, k) * (-1) ** (n * k),
         lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
     ),
-    # each series lhs minor bordered by row n + a of M, not n - 1 + a
+    # the Vandermonde orientation (-1)^binom(k, 2) left out of the series
+    # lhs sign: wrong at k = 2 and 3
+    "series Vandermonde sign (-1)^binom(k,2) dropped": (
+        identity, "_series_lhs_sign",
+        lambda orig: lambda n, k: orig(n, k) * (-1) ** (k * (k - 1) // 2),
+        lambda: sweep_theorem1_series(
+            seed=11, trials=1, truncation=12, max_n=3, ks=(2, 3), max_m=1),
+    ),
+    # delta = (k, ..., 1): every lhs exponent vector one too high in each y
+    "series delta off by one": (
+        identity, "_staircase",
+        lambda orig: lambda k: tuple(d + 1 for d in orig(k)),
+        lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
+    ),
+    # every term of the Laplace expansion along an added row of the series
+    # rhs taken at the opposite sign of its complementary minor
+    "series complementary-minor sign flipped": (
+        identity, "_add_row",
+        lambda orig: lambda minors, row: {s: -c for s, c in orig(minors, row).items()},
+        lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
+    ),
+    # each series lhs Schur coefficient bordered by row rho_(n-1) + 1 of M
     "series lhs border row shifted by one": (
         moments, "_bordered_minors",
-        lambda orig: lambda r, cols, border, count: orig(r, cols, border + 1, count),
+        lambda orig: lambda r, fixed, border, count: orig(r, fixed, border + 1, count),
         lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
     ),
 }
@@ -515,6 +535,51 @@ def test_series_sweep_small():
     assert all(r.compared_order == 14 for r in reports)
     # n < k instances are present
     assert any(r.params["n"] < r.params["k"] for r in reports)
+
+
+def test_series_sweep_runs_on_integer_minors(monkeypatch):
+    # Series verification takes both sides from integer minors: no
+    # InverseSeries product, no det_generic and no q_series, and one
+    # modified_hankel_det_series per instance
+    import sys
+
+    calls = {"mul": 0, "det_generic": 0, "q_series": 0, "lhs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(InverseSeries, "__mul__", counted("mul", InverseSeries.__mul__))
+    monkeypatch.setattr(MomentFunctional, "modified_hankel_det_series",
+                        counted("lhs", MomentFunctional.modified_hankel_det_series))
+    for name, fn in (("det_generic", det_generic), ("q_series", q_series)):
+        wrapper = counted(name, fn)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "opident" and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, wrapper)
+    reports = sweep_theorem1_series(1, trials=1, ks=(1, 2, 3), truncation=12)
+    assert len(reports) == 45 and all(r.equal for r in reports)
+    assert calls == {"mul": 0, "det_generic": 0, "q_series": 0, "lhs": len(reports)}
+
+
+def test_series_failure_note_names_the_first_decreasing_exponent(monkeypatch):
+    # A failing k = 2 report names the first strictly decreasing exponent
+    # vector, by total degree and then lexicographically, at which the sides
+    # differ.  With the y-Vandermonde in the wrong orientation every
+    # coefficient changes sign, so that is the lowest term (2, 1) = mu +
+    # delta + (n - k + 1) at mu = (); its mirror image (1, 2) differs too.
+    sys = build_ortho_system(ChebyshevCatalanFunctional(), 4)
+    inst = IdentityInstance(n=2, ys=("y1", "y2"), mode="series", truncation=10)
+    monkeypatch.setattr(identity, "_y_vandermonde", vandermonde_product)
+    rep = verify_theorem1(sys, inst)
+    assert not rep.equal and rep.compared_order == 10
+    assert rep.note == (
+        "denominator-cleared comparison; first differing coefficient at exponents (2, 1)")
+    assert rep.lhs.coefficient((2, 1)) == -rep.rhs.coefficient((2, 1)) != 0
+    assert rep.lhs.coefficient((1, 2)) == -rep.rhs.coefficient((1, 2)) != 0
+    assert min(map(sum, rep.lhs.terms)) == 3
 
 
 def test_series_lhs_keeps_int_coefficients():
@@ -638,20 +703,11 @@ def test_integer_rhs_matches_fraction_oracle(fractional, rng):
         assert rhs_theorem1(sys, inst) == expected, inst.params()
 
 
-def _same_entry(got, want):
-    """Equal values; series also equal in variables, trunc and cap."""
-    if isinstance(want, InverseSeries):
-        return isinstance(got, InverseSeries) and (
-            got.variables, got.terms, got.trunc, got.cap
-        ) == (want.variables, want.terms, want.trunc, want.cap)
-    return not isinstance(got, InverseSeries) and got == want
-
-
 def _series_oracle_matrix(sys, inst):
     """The series-mode p/q matrix entry by entry: p_b(x) in Fractions, the
     one-column q_series and the plain powers y^(-b-1) for b < 0."""
     cols = range(inst.n - inst.k, inst.n + inst.m)
-    wt = identity._work_truncation(inst.truncation, inst.k)
+    wt = inst.truncation + inst.k * (inst.k - 1) // 2
     rows = [[sys.p(b).eval(x) if b >= 0 else F(0) for b in cols] for x in inst.xs]
     for slot in range(inst.k):
         y = InverseSeries.plain_variable(inst.ys, slot)
@@ -663,12 +719,12 @@ def _series_oracle_matrix(sys, inst):
 
 @pytest.mark.parametrize("fractional", [False, True])
 def test_series_rhs_matches_fraction_oracle(fractional):
-    # the integer series rows and their one det_series run against
-    # det_generic of the matrix built entry by entry, over integer moments
-    # and over moments with denominators; n < k puts power columns first.
-    # rhs_theorem1 expands the q-rows first, at the sign (-1)^(mk): trunc
-    # and cap follow the expansion order, so the exact oracle takes the
-    # same order, and the paper order must agree below the truncation
+    # the integer q-coefficient table and the rhs expansion along the
+    # q-rows against det_generic of the matrix built entry by entry, over
+    # integer moments and over moments with denominators; n < k puts power
+    # columns first.  Both the paper row order and the q-rows-first order at
+    # the sign (-1)^(mk) must agree with the rhs below the truncation T,
+    # and the rhs is known exactly there: trunc == cap == T
     draw = random.Random(40 + fractional)
     denominators = (1, 2, 3, 7) if fractional else (1,)
     while True:
@@ -686,38 +742,41 @@ def test_series_rhs_matches_fraction_oracle(fractional):
         for k in (1, 2, 3):
             variables = tuple(f"y{i + 1}" for i in range(k))
             cols = range(n - k, n + 2)
-            wt = identity._work_truncation(T, k)
+            wt = T + k * (k - 1) // 2
             for m in range(3):
                 inst = IdentityInstance(n=n, xs=draw.sample(xs_pool, m), ys=variables,
                                         mode="series", truncation=T)
                 mat = _series_oracle_matrix(sys, inst)
-                got = identity._theorem1_matrix(sys, inst)
-                assert got.rows == mat.rows and all(map(_same_entry, got.entries, mat.entries))
                 h = f.hankel_det(n - k) if n >= k else 1
                 one = InverseSeries.one(variables)
                 rows = mat.to_rows()
                 q_first = RingMatrix.from_rows(rows[m:] + rows[:m])
                 want = det_generic(q_first, one) * ((-1) ** (m * k) * prop13_sign(inst) * h)
                 rhs = rhs_theorem1(sys, inst)
-                assert _same_entry(rhs, want), inst.params()
+                assert (rhs.trunc, rhs.cap) == (T, T), inst.params()
+                assert rhs.first_difference(want, T) is None, inst.params()
                 paper = det_generic(mat, one) * (prop13_sign(inst) * h)
                 assert rhs.first_difference(paper, T) is None, inst.params()
-            for slot in range(k):
-                row, den = q_series_row(sys, cols, wt, variables, slot)
-                q_dens.add(den)
-                y = InverseSeries.plain_variable(variables, slot)
-                for b, entry in zip(cols, row):
-                    assert all(type(c) is int for c in entry.terms.values())
-                    want = q_series(sys, b, wt, variables, slot) if b >= 0 else y ** (-b - 1)
-                    assert _same_entry(entry * F(1, den), want), (n, k, b)
+            # table row d - lo holds the coefficients of z^d of every column
+            lo = n - k + 1
+            table, den = q_table(sys, cols, lo, wt)
+            q_dens.add(den)
+            assert len(table) == wt - lo
+            for j, b in enumerate(cols):
+                want = q_series(sys, b, wt, variables, 0) if b >= 0 else None
+                for d, row in enumerate(table, lo):
+                    value = F(row[j], den)
+                    if b < 0:  # y^(-b-1) = z^(b+1)
+                        assert value == (d == b + 1), (n, k, b, d)
+                    else:
+                        assert value == want.coefficient((d,) + (0,) * (k - 1)), (n, k, b, d)
     assert max(q_dens) > 1
 
 
 @pytest.mark.parametrize("seed, ks, truncation", [(1, (1, 2), 25), (7, (1, 2), 25), (1, (3,), 12)])
 def test_series_sweep_compares_below_the_full_truncation(seed, ks, truncation):
-    # the rhs trunc follows its expansion order; _work_truncation's headroom
-    # must keep it at or above the requested truncation, so that every
-    # report compares every coefficient below it
+    # every report compares every coefficient below the requested
+    # truncation, and both sides are known there
     reports = sweep_theorem1_series(seed, trials=4, truncation=truncation, ks=ks)
     assert len(reports) == 4 * len(ks) * 15
     for r in reports:

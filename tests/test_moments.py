@@ -420,12 +420,12 @@ def test_modified_hankel_horizon_error_names_the_largest_demanded_moment():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_modified_series_row_is_built_clean(k):
-    # the row skips InverseSeries validation: the validating constructor
-    # must find nothing to drop
+    # modified_moment_series skips InverseSeries validation: the validating
+    # constructor must find nothing to drop
     f = random_atom_functional(random.Random(k), 6)
     variables = tuple(f"y{l + 1}" for l in range(k))
-    row, den = f._modified_series_row(1, 4, (F(1, 2), F(-3)), variables, 9)
-    assert den > 1 and any(s.terms for s in row)
+    row = [f.modified_moment_series(i, (F(1, 2), F(-3)), variables, 9) for i in range(1, 5)]
+    assert any(s.terms for s in row)
     for s in row:
         checked = InverseSeries(variables, s.terms, 9, cap=9)
         assert (s.variables, s.terms, s.trunc, s.cap) == (
@@ -435,14 +435,13 @@ def test_modified_series_row_is_built_clean(k):
 
 def test_modified_hankel_series_leading_term(rng):
     # lowest-total-degree coefficient of the series Hankel det: the
-    # coefficient of prod w_l^n equals (-1)^(nk) H(n) when m = 0.
+    # coefficient of prod w_l^n is (-1)^(nk) c_() / D^n, and c_() / D^n
+    # equals H(n) when m = 0.
     f = random_atom_functional(rng, 6)
     for n, k in [(1, 1), (2, 1), (2, 2), (3, 2)]:
         variables = tuple(f"y{i}" for i in range(k))
-        d = f.modified_hankel_det_series(n, (), variables, 12)
-        expected = (-1) ** (n * k % 2) * f.hankel_det(n)
-        assert d.coefficient((n,) * k) == expected
-        assert d.valuation() is None or d.valuation() >= n * k
+        coeffs, den = f.modified_hankel_det_series(n, (), variables, 12)
+        assert F(coeffs[(0,) * k], den) == f.hankel_det(n)
 
 
 def test_modified_hankel_series_leading_term_formal_x():
@@ -486,6 +485,31 @@ def _series_oracle(f, i, xs, variables, truncation):
     return InverseSeries(variables, terms, truncation, cap=truncation)
 
 
+def _check_schur(got, det, n, variables, truncation):
+    """modified_hankel_det_series's ({mu: c_mu}, D^n) against the oracle
+    det of the modified-moment series: by the bialternant formula
+    det * a_delta(z), a_delta = prod_{i<j} (z_i - z_j), is (-1)^(nk)
+    sum_mu c_mu a_(mu+delta+n)(z) / D^n, with the alternant a_e(z) =
+    sum_sigma sgn(sigma) z^sigma(e), below total degree T + binom(k, 2)."""
+    k = len(variables)
+    coeffs, den = got
+    assert all(sum(mu) < truncation - n * k for mu in coeffs)
+    z = [InverseSeries.monomial(variables, [int(i == l) for i in range(k)], 1) for l in range(k)]
+    a_delta = InverseSeries.one(variables)
+    for i in range(k):
+        for j in range(i + 1, k):
+            a_delta = a_delta * (z[i] - z[j])
+    want = InverseSeries(variables, det.terms, det.trunc) * a_delta  # uncapped
+    assert want.trunc in (None, truncation + k * (k - 1) // 2)
+    terms = {}
+    for mu, c in coeffs.items():
+        e = [part + k - 1 - i + n for i, part in enumerate(mu)]
+        for p in itertools.permutations(range(k)):
+            inversions = sum(a > b for i, a in enumerate(p) for b in p[i + 1 :])
+            terms[tuple(e[i] for i in p)] = (-1) ** (n * k + inversions) * F(c, den)
+    assert terms == want.terms
+
+
 def _fractional_sequence():
     rng = random.Random(7)
     return SequenceFunctional(
@@ -515,8 +539,8 @@ def test_modified_moment_row_matches_formula(functional, xs, k):
     for n in range(5):
         got = f.modified_hankel_det_series(n, xs, variables, truncation)
         mat = RingMatrix.hankel([oracle[s] for s in range(2 * n - 1)], n)
-        want = det_generic(mat, InverseSeries.one(variables))
-        assert (got.terms, got.trunc, got.cap) == (want.terms, want.trunc, want.cap)
+        _check_schur(got, det_generic(mat, InverseSeries.one(variables)), n, variables,
+                     truncation)
 
 
 def _singular_block_sequence(n):
@@ -536,16 +560,17 @@ def _singular_block_sequence(n):
 )
 def test_modified_hankel_det_series_matches_oracle(row, xs, n, k):
     # The Cauchy-Binet route against det_generic on the Hankel matrix of the
-    # term-by-term oracle: three degrees past T' = T - nk (n = 1 < k - 1 at
-    # k = 3 included), and every T with T' <= 0, T <= k among them.
+    # term-by-term oracle, times a_delta: three degrees past T' = T - nk
+    # (n = 1 < k - 1 at k = 3 included), and every T with T' <= 0, T <= k
+    # among them.
     f = row(n)
     variables = tuple(f"y{l}" for l in range(k))
     for truncation in [*range(1, n * k + 1), n * k + 3]:
         oracle = [_series_oracle(f, s, xs, variables, truncation) for s in range(2 * n - 1)]
         want = det_generic(RingMatrix.hankel(oracle, n), InverseSeries.one(variables))
         got = f.modified_hankel_det_series(n, xs, variables, truncation)
-        assert (got.terms, got.trunc, got.cap) == (want.terms, want.trunc, want.cap)
-    assert got.terms
+        _check_schur(got, want, n, variables, truncation)
+    assert got[0]
 
 
 def test_modified_hankel_det_series_refuses_four_variables():
@@ -563,9 +588,9 @@ def test_modified_moment_row_below_degree_k_is_zero(k):
         s = f.modified_moment_series(1, (2,), variables, truncation)
         assert (s.terms, s.trunc, s.cap) == ({}, truncation, truncation)
         for n in (1, 2, 3):
-            d = f.modified_hankel_det_series(n, (2,), variables, truncation)
-            assert not d.terms and d.trunc == truncation
-    assert f.modified_hankel_det_series(0, (2,), variables, 1) == InverseSeries.one(variables)
+            assert f.modified_hankel_det_series(n, (2,), variables, truncation) == ({}, 1)
+    # the 0 x 0 det is 1 = s_()
+    assert f.modified_hankel_det_series(0, (2,), variables, 1) == ({(0,) * k: 1}, 1)
 
 
 # ---------------------------------------------------------------------------

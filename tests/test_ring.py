@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,7 +19,6 @@ from opident.ring import (
     det_int,
     det_poly,
     det_rational,
-    det_series,
     format_rational,
     parse_rational,
     vandermonde_product,
@@ -675,7 +673,7 @@ def test_series_variable_cap():
 
 
 # ---------------------------------------------------------------------------
-# det_series: the packed path and det_generic dispatch, against det_generic
+# det_generic on series matrices, against det_cofactor
 # ---------------------------------------------------------------------------
 
 def _same_det(got, want):
@@ -705,9 +703,8 @@ def _random_series_matrix(rng, n, make):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("rational", [False, True])
-def test_det_series_matches_generic_and_cofactor(k, rational):
-    # one shared trunc == cap and exponents >= 0: integer coefficients with
-    # k <= 2 take the packed path, rational ones and k = 3 det_generic
+def test_det_generic_matches_cofactor_on_series_matrices(k, rational):
+    # one shared trunc == cap and exponents >= 0, Hankel matrices among them
     rng = random.Random(700 + 10 * k + rational)
     variables = tuple(f"y{i + 1}" for i in range(k))
     one = InverseSeries.one(variables)
@@ -716,8 +713,7 @@ def test_det_series_matches_generic_and_cofactor(k, rational):
             trunc = rng.randint(1, 7)
             m = _random_series_matrix(
                 rng, n, lambda: _random_series(rng, variables, trunc, rational))
-            got = det_series(m, variables)
-            assert _same_det(got, det_generic(m, one))
+            got = det_generic(m, one)
             assert _same_det(got, det_cofactor(m, one))
             if n and not rational:
                 # integer input stays on ints
@@ -741,11 +737,10 @@ def _mixed_entry(rng, variables, low):
 
 
 @pytest.mark.parametrize("laurent", [False, True])
-def test_det_series_mixed_entries(laurent):
+def test_det_generic_mixed_series_entries_match_cofactor(laurent):
     # zero scalars, exact zero series, exact (trunc=None) entries, unequal
-    # truncations and, with laurent, negative exponents: all go to
-    # det_generic as given, which matches det_cofactor's bookkeeping at
-    # every size.
+    # truncations and, with laurent, negative exponents: det_generic
+    # matches det_cofactor's bookkeeping at every size.
     rng = random.Random(71 + laurent)
     low = -2 if laurent else 0
     for k in (1, 2, 3):
@@ -754,20 +749,16 @@ def test_det_series_mixed_entries(laurent):
         for n in range(6):
             for _ in range(12):
                 m = _random_series_matrix(rng, n, lambda: _mixed_entry(rng, variables, low))
-                got = det_series(m, variables)
-                want = det_generic(m, one)
-                cofactor = det_cofactor(m, one)
-                assert _same_det(got, want)
-                assert _same_det(got, cofactor)
+                assert _same_det(det_generic(m, one), det_cofactor(m, one))
 
 
-def test_det_series_5x5_scaled_keeps_bookkeeping():
+def test_det_generic_5x5_scaled_keeps_bookkeeping():
     # Scaling this matrix's last column by 2 changes the valuation of one of
     # Berkowitz's intermediate sums and with it the trunc of its result (the
     # exact zero as given, trunc 2 scaled).  The subset expansion's minors
     # scale term by term, so scaling a row or column leaves trunc and cap
-    # alone, and det_series still equals det_generic and det_cofactor in
-    # terms, trunc and cap.
+    # alone, and det_generic still equals det_cofactor in terms, trunc and
+    # cap.
     v = ("y1",)
     s = InverseSeries(v, {}, 2)
     t = InverseSeries(v, {(1,): F(1, 2), (2,): F(-1)}, 3)
@@ -786,119 +777,3 @@ def test_det_series_5x5_scaled_keeps_bookkeeping():
     assert (det_berkowitz(m, one).trunc, det_berkowitz(scaled, one).trunc) == (None, 2)
     assert _same_det(det_generic(scaled, one), want)
     assert _same_det(want, det_cofactor(m, one))
-    assert _same_det(det_series(m, v), want)
-
-
-def _times_monomial(x, low, trunc):
-    """z^low * x with trunc == cap == trunc."""
-    terms = {tuple(map(sum, zip(e, low))): c for e, c in x.terms.items()}
-    return InverseSeries(x.variables, terms, trunc, cap=trunc)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("rational", [False, True])
-def test_det_series_row_monomials(k, rational):
-    # Rows with forced monomial factors z^low_i: det_series takes the
-    # determinant of the re-based rows below T - deg(sum low_i) and shifts
-    # it back.  Hankel matrices share each entry object between rows (times
-    # z^(1, ..., 1), as the series-mode lhs); general ones give each row its
-    # own low, as the rhs q-rows; some have a row with no terms.
-    rng = random.Random(900 + 10 * k + rational)
-    variables = tuple(f"y{i + 1}" for i in range(k))
-    one = InverseSeries.one(variables)
-    nontrivial = 0
-    for n in range(1, 5):
-        for trial in range(8):
-            trunc = rng.randint(n * k, n * k + 6)
-
-            def make(low):
-                # terms anywhere below trunc, and more of them at degree < 3
-                terms = {**_random_series(rng, variables, trunc, rational).terms,
-                         **_random_series(rng, variables, 3, rational).terms}
-                return _times_monomial(InverseSeries(variables, terms, trunc), low, trunc)
-
-            if trial % 2:
-                m = RingMatrix.hankel([make((1,) * k) for _ in range(2 * n - 1)], n)
-            else:
-                rows = [[make(tuple(rng.randint(0, 2) for _ in variables)) for _ in range(n)]
-                        for _ in range(n)]
-                if trial == 2:
-                    rows[rng.randrange(n)] = [InverseSeries.zero(variables, trunc, trunc)] * n
-                m = RingMatrix.from_rows(rows)
-            got = det_series(m, variables)
-            assert _same_det(got, det_generic(m, one))
-            assert _same_det(got, det_cofactor(m, one))
-            nontrivial += bool(got.terms) and min(map(sum, got.terms)) >= n
-            if n == 1:
-                assert got is m.entries[0]
-    assert nontrivial >= 8
-    # A shift that reaches T: the zero series with trunc == cap == T.
-    trunc = 2 * k
-    m = RingMatrix(2, 2, [_times_monomial(_random_series(rng, variables, trunc, rational),
-                                          (1,) * k, trunc) for _ in range(4)])
-    got = det_series(m, variables)
-    assert (got.terms, got.trunc, got.cap) == ({}, trunc, trunc)
-    assert _same_det(got, det_generic(m, one))
-
-
-@pytest.mark.parametrize("k", [1, 2])
-def test_det_series_packs_the_reduced_entries(k, monkeypatch):
-    # The packed ints of a matrix whose rows carry factors z^low_i are those
-    # of its explicit reduction r below T' = T - deg(sum low_i): the same
-    # layout and the same slot width, although the rows also carry huge
-    # coefficients at degrees >= T' + deg(low_i) that the reduction drops.
-    rng = random.Random(60 + k)
-    variables = tuple(f"y{i + 1}" for i in range(k))
-    lows = [(1,), (2,), (0,)] if k == 1 else [(1, 0), (0, 2), (1, 1)]
-    trunc = 12
-    reduced = trunc - sum(map(sum, lows))
-    monomials = [e for e in itertools.product(range(trunc), repeat=k) if sum(e) < trunc]
-    r_rows, m_rows = [], []
-    for low in lows:
-        r_row, m_row = [], []
-        for j in range(3):
-            small = {e: rng.randint(-9, 9) for e in monomials if sum(e) < reduced}
-            if j == 0:  # a constant term keeps the low of r's row at 0
-                small[(0,) * k] = 1
-            huge = {e: 10**40 for e in monomials if reduced <= sum(e) < trunc - sum(low)}
-            r_row.append(InverseSeries(variables, small, reduced, cap=reduced))
-            m_row.append(_times_monomial(InverseSeries(variables, {**small, **huge}, trunc),
-                                         low, trunc))
-        r_rows.append(r_row)
-        m_rows.append(m_row)
-    packed = []
-
-    def spy(m, one, reduce=None):
-        if reduce is not None:
-            packed.append(m.entries)
-        return _det_subset_expansion(m, one, reduce)
-
-    monkeypatch.setattr(ring, "_det_subset_expansion", spy)
-    m = RingMatrix.from_rows(m_rows)
-    got = det_series(m, variables)
-    det_series(RingMatrix.from_rows(r_rows), variables)
-    assert len(packed) == 2 and packed[0] == packed[1]
-    monkeypatch.undo()
-    assert _same_det(got, det_generic(m, InverseSeries.one(variables)))
-
-
-@pytest.mark.parametrize("k", [1, 2])
-def test_det_series_determinant_wider_than_entries(k):
-    # Every entry fits a 16-bit slot, the determinant's coefficients do not:
-    # a slot width taken from the entries alone would wrap them.
-    rng = random.Random(17 + k)
-    variables = tuple(f"y{i + 1}" for i in range(k))
-    trunc, n = 6, 4
-    monomials = [e for e in itertools.product(range(trunc), repeat=k) if sum(e) < trunc]
-
-    def make():
-        terms = {e: rng.choice((-1, 1)) * rng.randint(100, 127) for e in monomials}
-        return InverseSeries(variables, terms, trunc, cap=trunc)
-
-    m = RingMatrix(n, n, [make() for _ in range(n * n)])
-    got = det_series(m, variables)
-    want = det_generic(m, InverseSeries.one(variables))
-    assert _same_det(got, want)
-    assert _same_det(got, det_cofactor(m, InverseSeries.one(variables)))
-    entry_width = 8 * (((127).bit_length() + 2 + 7) // 8)
-    assert max(abs(c) for c in want.terms.values()).bit_length() > entry_width + 8
