@@ -124,10 +124,11 @@ def _report_sweep(reports, args, command: str, config: dict) -> int:
 
 
 # Default (max_n, max_k, max_m) of `verify theorem1`, atom and series mode.
-# Series mode runs k <= 3, the most variables of its InverseSeries report
-# sides; at --truncation 25 one --max-k 3 trial (45 instances) takes about
-# 0.15 s through the CLI (Python 3.11, one core of a shared 2-vCPU host).
+# Series mode runs k <= _SERIES_MAX_K: at --truncation 25 one --max-k 7
+# trial (105 instances) takes 0.8-1.2 s through the CLI, and --max-k 8
+# 2.3-2.8 s (Python 3.11, one core of a shared 2-vCPU host).
 _THEOREM1_SHAPE = {False: (6, 3, 3), True: (4, 2, 2)}
+_SERIES_MAX_K = 7
 
 
 def _cmd_verify_theorem1(args) -> int:
@@ -139,8 +140,9 @@ def _cmd_verify_theorem1(args) -> int:
     if args.series and args.max_k < 1:
         raise SystemExit2("series mode needs k >= 1 formal y (--max-k at least 1); "
                           "k = 0 has no series to compare, use atom mode")
-    if args.series and args.max_k > 3:
-        raise SystemExit2("series mode runs k <= 3 formal ys (--max-k at most 3)")
+    if args.series and args.max_k > _SERIES_MAX_K:
+        raise SystemExit2(f"series mode runs k <= {_SERIES_MAX_K} formal ys "
+                          f"(--max-k at most {_SERIES_MAX_K})")
     if args.series:
         # The cleared lhs of an (n, k) instance starts at total degree
         # n k - C(k, 2); a truncation at or below it compares nothing.

@@ -356,7 +356,7 @@ def lhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
     schur, den = f.modified_hankel_det_series(n, inst.xs, inst.ys, inst.truncation + binomial(k, 2))
     shift = [d + n - k + 1 for d in _staircase(k)]
     scale = _vandermondes(inst) * Fraction(_series_lhs_sign(n, k), den)
-    return _alternant_series(inst, {tuple(map(add, p, shift)): c for p, c in schur.items()}, scale)
+    return _Alternant(inst, {tuple(map(add, p, shift)): c for p, c in schur.items()}, scale)
 
 
 def rhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
@@ -388,7 +388,7 @@ def rhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
     table, q_den = q_table(sys, range(n - k, n + m), lo, T - (k - 1) * lo - binomial(k - 1, 2))
     coeffs = _q_expansion(minors, table, lo, k + m, k, T)
     scale = Fraction(sign * (-1) ** (m * k), den * q_den**k)
-    return _alternant_series(inst, coeffs, scale * _hankel_divisor(sys.functional, n, k))
+    return _Alternant(inst, coeffs, scale * _hankel_divisor(sys.functional, n, k))
 
 
 def _add_row(minors, row) -> dict:
@@ -431,20 +431,55 @@ def _q_expansion(minors, table, lo: int, width: int, k: int, truncation: int) ->
     return out
 
 
-def _alternant_series(inst: IdentityInstance, coeffs: dict, scale: Fraction) -> InverseSeries:
-    """The antisymmetric series in the ys with coefficient c * scale at each
-    strictly decreasing e of ``coeffs`` and sgn(p) c * scale at each
-    permutation p(e), below total degree T (trunc == cap == T)."""
-    T, num, den = inst.truncation, scale.numerator, scale.denominator
-    # every permutation but the identity, which comes first
-    perms = [(itemgetter(*p), vandermonde_product(p) > 0) for p in permutations(range(inst.k))]
-    terms = {}
-    for e, c in coeffs.items():
-        if sum(e) < T:
-            value = terms[e] = ratio(c * num, den)
-            for permute, even in perms[1:]:
-                terms[permute(e)] = value if even else -value
-    return InverseSeries._make(inst.ys, terms, T, T)
+class _Alternant(InverseSeries):
+    """A series side: the antisymmetric series in the ys with coefficient
+    c * num / den at each strictly decreasing e of ``coeffs`` and its signed
+    permutations, below total degree T (trunc == cap == T).  Its ``terms``
+    are expanded on first read, which a passing report never does, as ==
+    and verify_theorem1 compare the integer coeffs (_first_difference);
+    threads reading one side at once may each expand it, into equal dicts."""
+
+    __slots__ = ("coeffs", "num", "den")
+
+    def __init__(self, inst: IdentityInstance, coeffs: dict, scale: Fraction):
+        self.variables, self.trunc, self.cap = inst.ys, inst.truncation, inst.truncation
+        self.coeffs, self.num, self.den = coeffs, scale.numerator, scale.denominator
+
+    def __getattr__(self, name):
+        # reached when plain lookup fails: for terms until its first read
+        if name != "terms":
+            raise AttributeError(name)
+        # every permutation but the identity, which comes first
+        perms = [(itemgetter(*p), vandermonde_product(p) > 0)
+                 for p in permutations(range(len(self.variables)))][1:]
+        terms = {}
+        for e, c in self.coeffs.items():
+            if sum(e) < self.trunc:
+                value = terms[e] = ratio(c * self.num, self.den)
+                for permute, even in perms:
+                    terms[permute(e)] = value if even else -value
+        self.terms = terms
+        return terms
+
+    def __eq__(self, other):
+        if isinstance(other, _Alternant) and other.variables == self.variables:
+            return _first_difference(self, other) is None
+        return super().__eq__(other)
+
+
+def _first_difference(lhs: _Alternant, rhs: _Alternant):
+    """The first exponent vector below the smaller T where two sides differ,
+    by total degree, then lexicographically from the largest, or None; the
+    integer coefficients cross-multiply, c num den' == c' num' den.  Both
+    sides are antisymmetric, so their strictly decreasing e decide."""
+    a, b = lhs.coeffs, rhs.coeffs
+    x, y = lhs.num * rhs.den, rhs.num * lhs.den
+    if a.keys() == b.keys() and all(c * x == b[e] * y for e, c in a.items()):
+        return None
+    limit = min(lhs.trunc, rhs.trunc)
+    differ = [e for e in a.keys() | b.keys()
+              if sum(e) < limit and a.get(e, 0) * x != b.get(e, 0) * y]
+    return min(differ, key=lambda e: (sum(e), [-v for v in e]), default=None)
 
 
 def verify_theorem1(sys: OrthoSystem, inst: IdentityInstance) -> VerificationReport:
@@ -464,10 +499,7 @@ def verify_theorem1(sys: OrthoSystem, inst: IdentityInstance) -> VerificationRep
         return VerificationReport(identity, params, None, None, False, note=f"error: {exc}")
     if inst.mode == "atom":
         return VerificationReport(identity, params, lhs, rhs, lhs == rhs)
-    diff = None
-    if lhs.terms != rhs.terms:
-        diff = min((e for e in {*lhs.terms, *rhs.terms} if lhs.terms.get(e) != rhs.terms.get(e)),
-                   key=lambda e: (sum(e), [-v for v in e]))
+    diff = _first_difference(lhs, rhs)
     note = "denominator-cleared comparison"
     if diff is not None:
         note += f"; first differing coefficient at exponents {diff}"

@@ -188,7 +188,7 @@ class MomentFunctional:
         self, n: int, xs=(), variables=("y1",), truncation: int = 25
     ) -> tuple[dict, int]:
         """The Schur coefficients of the det of the modified-moment series,
-        0 <= i, j <= n-1, k <= 3 formal ys: ({mu: c_mu}, D^n).
+        0 <= i, j <= n-1, k >= 1 formal ys: ({mu: c_mu}, D^n).
 
         With z_l = 1/y_l and r_j / D the _modified_row, entry s is (-1)^k
         z_1...z_k sum_beta h_beta(z) r_(s+beta), so the det is (-1)^(nk)
@@ -201,8 +201,8 @@ class MomentFunctional:
         mu_1 + n - 1 (_bordered_minors).
         """
         k = len(tuple(variables))
-        if not 0 < k <= 3:
-            raise DomainError(f"series mode runs 1 to 3 formal ys, got {k}")
+        if k < 1:
+            raise DomainError("series mode needs at least one formal y")
         reach = truncation - n * k
         if reach <= 0:
             return {}, 1

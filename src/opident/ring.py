@@ -270,7 +270,7 @@ class InverseSeries:
     ``cap`` is an optional working ceiling that rides along through
     arithmetic: results never keep terms at or above it, which is always
     sound (trunc is a lower bound on validity).  One to three variables:
-    multiplication is unrolled for each count.
+    multiplication is unrolled for each count and refuses more.
     """
 
     __slots__ = ("variables", "terms", "trunc", "cap")
@@ -418,6 +418,9 @@ class InverseSeries:
             )
         if other.variables != self.variables:
             raise ValueError("series variable mismatch")
+        nvars = len(self.variables)
+        if nvars > self.MAX_VARIABLES:
+            raise ValueError(f"series products take 1 to {self.MAX_VARIABLES} variables")
         cap = self._merge_caps(self.cap, other.cap)
         if self.is_exact_zero or other.is_exact_zero:
             return InverseSeries._make(self.variables, {}, None, cap)
@@ -431,7 +434,6 @@ class InverseSeries:
             trunc = cap
         a = [(e, sum(e), c) for e, c in self.terms.items()]
         b = sorted(((e, sum(e), c) for e, c in other.terms.items()), key=lambda t: t[1])
-        nvars = len(self.variables)
         out = {}
         get = out.get
         for e1, d1, c1 in a:
@@ -775,10 +777,12 @@ def det_rational(m: RingMatrix) -> int | Fraction:
     """Determinant of a matrix of ints or Fractions; agrees exactly with
     det_generic, as an int when the value is integral (see ratio).
 
-    Each row is scaled to integers by the lcm of its denominators, det_int
-    eliminates, and the product of the row scales is divided out once.
+    Each row is scaled to integers by the lcm of its denominators (an all-int
+    matrix goes as it is), det_int eliminates, and the row scales are divided out once.
     """
     _require_square(m)
+    if all(type(v) is int for v in m.entries):
+        return det_int(m.to_rows())
     rows = [integer_form(m.row(i)) for i in range(m.rows)]
     return ratio(det_int([list(r) for r, _ in rows]), math.prod(d for _, d in rows))
 

@@ -470,14 +470,24 @@ def test_series_truncation_that_compares_nothing_exits_2(truncation, capsys):
     assert err.startswith("error:") and "--truncation at least 8" in err
 
 
-@pytest.mark.parametrize("max_k", ["4"])
+@pytest.mark.parametrize("max_k", ["8"])
 def test_series_max_k_above_limit_exits_2(max_k, capsys):
     argv = ["verify", "theorem1", "--series", "--max-k", max_k, "--trials", "1",
-            "--truncation", "8", "--json"]
+            "--truncation", "25", "--json"]
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "k <= 3" in err
+    assert err.startswith("error:") and "k <= 7" in err
+
+
+def test_series_max_k_4_passes(capsys):
+    # the default series shape with k up to 4 at the default truncation 25
+    argv = ["verify", "theorem1", "--series", "--max-k", "4", "--trials", "1", "--json"]
+    code, out, _ = run_cli(argv, capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["all_equal"] is True and payload["failures"] == 0
+    assert payload["config"]["max_k"] == 4
+    assert payload["instances"] == 4 * 3 * 5  # k in 1..4, m in 0..2, n in 0..4
 
 
 def test_series_max_k_3_runs_and_echoes_it(capsys):

@@ -1,6 +1,9 @@
+import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -59,6 +62,7 @@ from opident.ring import (
     det_poly,
     det_rational,
     format_rational,
+    ratio,
     vandermonde_product,
 )
 
@@ -345,6 +349,10 @@ def test_pole_on_atom_raises_only_with_a_q_column():
     assert not rep.equal and rep.note == "error: y = -1/3 is an atom node"
 
 
+def _drop_first(coeffs: dict) -> dict:
+    return dict(list(coeffs.items())[1:])
+
+
 # Each known fault, patched in, must make a sweep report a value mismatch,
 # so that an exact pass means something.  name -> (module or class, its
 # attribute, faulty replacement built from the original, sweep that must
@@ -386,6 +394,32 @@ NEGATIVE_CONTROLS = {
         lambda orig: vandermonde_product,
         lambda: sweep_theorem1_series(
             seed=11, trials=1, truncation=12, max_n=3, ks=(3,), max_m=1),
+    ),
+    # reversing 4 or 5 ys is an even permutation, so there the orientation
+    # fault changes nothing; k = 6 is the next k where it does
+    "series k = 6 y-Vandermonde not reversed": (
+        identity, "_y_vandermonde",
+        lambda orig: vandermonde_product,
+        lambda: sweep_theorem1_series(
+            seed=11, trials=1, truncation=12, max_n=3, ks=(6,), max_m=1),
+    ),
+    "series k = 4 column index shifted by one": (
+        identity, "_theorem1_rows",
+        lambda orig: lambda sys, inst: orig(sys, inst.replace(n=inst.n - 1)),
+        lambda: sweep_theorem1_series(
+            seed=11, trials=1, truncation=12, max_n=3, ks=(4,), max_m=1),
+    ),
+    # one coefficient missing from one side's dict, not a differing value:
+    # the comparison must see keys that only the other side has
+    "series rhs coefficient dropped": (
+        identity, "_q_expansion",
+        lambda orig: lambda *args: _drop_first(orig(*args)),
+        lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
+    ),
+    "series lhs coefficient dropped": (
+        MomentFunctional, "modified_hankel_det_series",
+        lambda orig: lambda *args: (lambda coeffs, den: (_drop_first(coeffs), den))(*orig(*args)),
+        lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
     ),
     "series H(n-k) dropped": (
         identity, "_hankel_divisor",
@@ -580,6 +614,115 @@ def test_series_failure_note_names_the_first_decreasing_exponent(monkeypatch):
     assert rep.lhs.coefficient((2, 1)) == -rep.rhs.coefficient((2, 1)) != 0
     assert rep.lhs.coefficient((1, 2)) == -rep.rhs.coefficient((1, 2)) != 0
     assert min(map(sum, rep.lhs.terms)) == 3
+
+
+def _eager_alternant_series(inst, coeffs, scale):
+    """Oracle: a report side with every signed permutation expanded when it
+    is built, the series route before its sides became lazy."""
+    T, num, den = inst.truncation, scale.numerator, scale.denominator
+    perms = [(itemgetter(*p), vandermonde_product(p) > 0)
+             for p in itertools.permutations(range(inst.k))]
+    terms = {}
+    for e, c in coeffs.items():
+        if sum(e) < T:
+            value = terms[e] = ratio(c * num, den)
+            for permute, even in perms[1:]:
+                terms[permute(e)] = value if even else -value
+    return InverseSeries._make(inst.ys, terms, T, T)
+
+
+def _eager_first_difference(lhs, rhs):
+    """Oracle: the first differing exponent over the expanded terms."""
+    if lhs.terms == rhs.terms:
+        return None
+    return min((e for e in {*lhs.terms, *rhs.terms} if lhs.terms.get(e) != rhs.terms.get(e)),
+               key=lambda e: (sum(e), [-v for v in e]))
+
+
+def test_series_sides_compare_by_integer_coefficients():
+    # Two series sides compare on their integer coefficients, below the
+    # smaller T and whatever their scales; the first difference is by total
+    # degree, then the lexicographically largest exponent vector, the one
+    # the eagerly expanded sides give
+    def side(coeffs, scale, truncation=6, ys=("y1", "y2")):
+        inst = IdentityInstance(n=2, ys=ys, mode="series", truncation=truncation)
+        return identity._Alternant(inst, coeffs, F(scale))
+
+    def first_difference(a, b):
+        got = identity._first_difference(a, b)
+        eager = [_eager_alternant_series(IdentityInstance(
+            n=2, ys=s.variables, mode="series", truncation=s.trunc), s.coeffs, F(s.num, s.den))
+            for s in (a, b)]
+        assert got == _eager_first_difference(*eager)
+        return got
+
+    a = side({(1, 0): 2, (4, 0): 4, (3, 1): 6}, F(1, 2))
+    assert a == side({(1, 0): 1, (4, 0): 2, (3, 1): 3}, 1)
+    assert a == _eager_alternant_series(
+        IdentityInstance(n=2, ys=("y1", "y2"), mode="series", truncation=6), a.coeffs, F(1, 2))
+    b = side({(1, 0): 1, (4, 0): 5, (3, 1): 7}, 1)
+    assert a != b and first_difference(a, b) == first_difference(b, a) == (4, 0)
+    c = side({(1, 0): 1, (4, 0): 2}, 1)  # (3, 1) missing
+    assert a != c and first_difference(a, c) == first_difference(c, a) == (3, 1)
+    # compared below T = 5 only
+    d = side({(1, 0): 1, (4, 0): 2, (3, 1): 3, (5, 0): 1}, 1, truncation=5)
+    assert a == d and first_difference(a, d) is None
+    assert a != side(a.coeffs, F(1, 2), ys=("z1", "z2"))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_series_failure_matches_the_eager_route(k, monkeypatch, capsys):
+    # With the rhs sign flipped, every report of the sweep fails; its
+    # counterexample JSON as the CLI prints it, its note and both side
+    # strings are the ones the eagerly expanded sides give
+    from opident.cli import _report_sweep
+    import argparse
+
+    def run():
+        reports = sweep_theorem1_series(seed=5, trials=1, truncation=10, max_n=3, ks=(k,),
+                                        max_m=1)
+        assert _report_sweep(reports, argparse.Namespace(json=True), "verify theorem1", {}) == 1
+        return reports, capsys.readouterr().out
+
+    sign = identity.theorem1_sign
+    monkeypatch.setattr(identity, "theorem1_sign", lambda n, k, m: -sign(n, k, m))
+    lazy, lazy_out = run()
+    monkeypatch.setattr(identity, "_Alternant", _eager_alternant_series)
+    monkeypatch.setattr(identity, "_first_difference", _eager_first_difference)
+    eager, eager_out = run()
+    assert type(lazy[0].lhs) is not type(eager[0].lhs)
+    assert lazy_out == eager_out and json.loads(lazy_out)["failures"] == len(lazy) == 8
+    for got, want in zip(lazy, eager):
+        assert not got.equal and got.note == want.note
+        assert "first differing coefficient at exponents" in got.note
+        assert (str(got.lhs), str(got.rhs)) == (str(want.lhs), str(want.rhs))
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+def test_passing_series_sweep_expands_no_side(monkeypatch, capsys):
+    # A passing report prints "(series)" for each side, so neither side is
+    # ever expanded into its signed permutations: not in the sweep of the
+    # benchmark's series-sweep shape, not through the CLI
+    from opident.cli import main
+
+    expanded = []
+    expand = identity._Alternant.__getattr__
+
+    def counted(side, name):
+        expanded.append(name)
+        return expand(side, name)
+
+    monkeypatch.setattr(identity._Alternant, "__getattr__", counted)
+    reports = sweep_theorem1_series(1, trials=4, truncation=25, max_n=4, ks=(1, 2), max_m=2)
+    assert len(reports) == 120 and all(r.equal for r in reports)
+    assert {r.to_json_dict()["lhs"] for r in reports} == {"(series)"}
+    assert main(["verify", "theorem1", "--series", "--json", "--seed", "1", "--trials", "4",
+                 "--max-k", "3", "--truncation", "12"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_equal"] is True
+    assert expanded == []
+    # the counter sees a read: the first one expands, the next finds terms set
+    side = reports[-1].lhs
+    assert side.terms is side.terms and expanded == ["terms"]
 
 
 def test_series_lhs_keeps_int_coefficients():
@@ -791,7 +934,14 @@ def test_shared_ortho_system_verifies_from_threads():
     import sys
     import threading
 
-    insts = list(_oracle_instances(3))
+    # Series reports compare their lazy sides by coefficients, and every
+    # thread also reads the terms of the serial run's series sides, which
+    # none has expanded before.
+    draw = random.Random(3)
+    series = [IdentityInstance(n=n, xs=draw.sample(range(-9, 10), m),
+                               ys=tuple(f"y{l}" for l in range(k)), mode="series", truncation=10)
+              for n in range(4) for k in (1, 2, 3) for m in (0, 1)]
+    insts = list(_oracle_instances(3)) + series
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -801,11 +951,12 @@ def test_shared_ortho_system_verifies_from_threads():
             serial = [verify_theorem1(alone, i) for i in insts]
             assert all(r.equal for r in serial)
             barrier = threading.Barrier(6)
-            results = [None] * 6
+            results, seen = [None] * 6, [None] * 6
 
             def worker(slot):
                 barrier.wait(timeout=10)
                 results[slot] = [verify_theorem1(system, i) for i in insts]
+                seen[slot] = [(r.lhs.terms, r.rhs.terms) for r in serial[-len(series):]]
 
             threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(6)]
             for t in threads:
@@ -814,6 +965,8 @@ def test_shared_ortho_system_verifies_from_threads():
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             assert all(r == serial for r in results)
+            again = [verify_theorem1(alone, i) for i in series]
+            assert all(s == [(r.lhs.terms, r.rhs.terms) for r in again] for s in seen)
     finally:
         sys.setswitchinterval(old_interval)
 

@@ -573,10 +573,37 @@ def test_modified_hankel_det_series_matches_oracle(row, xs, n, k):
     assert got[0]
 
 
-def test_modified_hankel_det_series_refuses_four_variables():
+def test_modified_hankel_det_series_refuses_no_variables():
     f = _fractional_sequence()
-    with pytest.raises(DomainError, match=r"^series mode runs 1 to 3 formal ys, got 4$"):
-        f.modified_hankel_det_series(2, (), ("y1", "y2", "y3", "y4"), 20)
+    with pytest.raises(DomainError, match=r"^series mode needs at least one formal y$"):
+        f.modified_hankel_det_series(2, (), (), 20)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_modified_hankel_det_series_is_the_schur_minors(n, k):
+    # Any k, against the docstring formula taken one minor at a time:
+    # c_mu / D^n = det[m_(rho_a + j)] over the Fraction modified moments m_s
+    # (by f.apply), rho_a = mu_(n-a) + a, for every partition mu of at most
+    # min(n, k) parts with |mu| < T - nk; the zero minors are left out.
+    f = _fractional_sequence()
+    xs = (F(1, 2), F(-2, 3))
+    truncation = n * k + 4
+    u = UniPoly.variable("u")
+    base = (u - xs[0]) * (u - xs[1])
+    moment = [f.apply(u**s * base) for s in range(2 * n + 4)]
+    coeffs, den = f.modified_hankel_det_series(n, xs, tuple(f"y{l}" for l in range(k)),
+                                               truncation)
+    want = {}
+    for mu in itertools.product(range(truncation - n * k), repeat=k):
+        if list(mu) != sorted(mu, reverse=True) or sum(mu) >= truncation - n * k or any(mu[n:]):
+            continue
+        rho = [part + a for a, part in enumerate((list(mu) + [0] * n)[n - 1 :: -1])]
+        value = bruteforce_det([[moment[r + j] for j in range(n)] for r in rho])
+        if value:
+            want[mu] = value
+    assert {mu: F(c, den) for mu, c in coeffs.items()} == want
+    assert want
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

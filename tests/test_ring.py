@@ -386,6 +386,19 @@ def test_det_poly_makes_one_det_int_call(monkeypatch):
         assert len(calls) == 1
 
 
+def test_det_rational_on_ints_skips_the_row_scaling(rng, monkeypatch):
+    # an all-int matrix (the lemma Hankel slices, the Jacobi minors) goes to
+    # det_int as it is; one Fraction entry brings the row scaling back
+    monkeypatch.setattr(ring, "integer_form", None)
+    for n in range(6):
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        got = det_rational(RingMatrix.from_rows(rows))
+        assert type(got) is int and got == bruteforce_det(rows)
+    monkeypatch.undo()
+    m = RingMatrix.from_rows([[2, F(1, 2)], [3, 4]])
+    assert det_rational(m) == F(13, 2) == bruteforce_det(m.to_rows())
+
+
 def test_det_rational_and_det_poly_return_integral_values_as_ints(rng):
     # Rows scaled by 1/2, 2/3, ..., (n-1)/n and n (product 1) carry
     # denominators that cancel in the determinant; random Fraction rows
@@ -670,6 +683,17 @@ def test_series_variable_cap():
         with pytest.raises(ValueError):
             InverseSeries.one(variables)
     InverseSeries.one(("a", "b", "c"))  # three is the cap
+
+
+def test_series_past_the_cap_prints_but_does_not_multiply():
+    # the internal constructor builds a four-variable series (the identity's
+    # k = 4 report sides): it prints and compares, and a product refuses it
+    v = ("a", "b", "c", "d")
+    s = InverseSeries._make(v, {(2, 1, 0, 0): 3, (1, 2, 0, 0): -3}, 5, 5)
+    assert str(s) == "-3*a^-1*b^-2 + 3*a^-2*b^-1 + O(deg 5)"
+    assert s == s and s != -s
+    with pytest.raises(ValueError, match="series products take 1 to 3 variables"):
+        s * s
 
 
 # ---------------------------------------------------------------------------
