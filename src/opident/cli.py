@@ -371,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("theorem1", help="the main determinant identity")
     p.add_argument("--max-n", type=_int_at_least(0), help="default 6, 4 with --series")
-    p.add_argument("--max-k", type=_int_at_least(0), help="default 3, 2 with --series (at most 3)")
+    p.add_argument("--max-k", type=_int_at_least(0),
+                   help=f"default 3; with --series default 2, at most {_SERIES_MAX_K}")
     p.add_argument("--max-m", type=_int_at_least(0), help="default 3, 2 with --series")
     p.add_argument("--trials", type=_int_at_least(1), default=100)
     p.add_argument("--truncation", type=_int_at_least(1), default=25)

@@ -23,7 +23,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from operator import add, itemgetter, mul
+from operator import add, itemgetter
 
 from .moments import (
     DomainError,
@@ -43,6 +43,7 @@ from .ring import (
     InverseSeries,
     RingMatrix,
     UniPoly,
+    add_row,
     binomial,
     det_int,
     det_poly,
@@ -50,6 +51,7 @@ from .ring import (
     format_rational,
     integer_form,
     ratio,
+    schur_minors,
     vandermonde_product,
 )
 
@@ -342,9 +344,9 @@ def lhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
 
     In series mode, with z = 1/y, the det is (-1)^(nk) (z_1...z_k)^n
     sum_mu c_mu s_mu(z) / D^n (modified_hankel_det_series).  By the
-    bialternant formula s_mu a_delta = a_(mu+delta), the coefficient at the
-    strictly decreasing e = mu + delta + (n-k+1) is _series_lhs_sign * Vx *
-    c_mu / D^n; |e| < T needs the det below total degree T + binom(k, 2).
+    bialternant formula s_mu a_delta = a_(mu+delta), the side is the
+    _Alternant of the c_mu at the scale _series_lhs_sign * Vx / D^n; |e| < T
+    needs the det below total degree T + binom(k, 2).
 
     The modified moments have no Vandermonde singularity, so repeated
     parameters are evaluated directly, with no limits involved.
@@ -354,9 +356,8 @@ def lhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
     if inst.mode == "atom":
         return f.modified_hankel_det(n, inst.xs, inst.ys, _hankel_divisor(f, n, k))
     schur, den = f.modified_hankel_det_series(n, inst.xs, inst.ys, inst.truncation + binomial(k, 2))
-    shift = [d + n - k + 1 for d in _staircase(k)]
     scale = _vandermondes(inst) * Fraction(_series_lhs_sign(n, k), den)
-    return _Alternant(inst, {tuple(map(add, p, shift)): c for p, c in schur.items()}, scale)
+    return _Alternant(inst, schur, scale)
 
 
 def rhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
@@ -370,8 +371,9 @@ def rhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
     the two multiplicities.  Atom mode runs one Bareiss determinant on the
     integer _theorem1_rows and divides by their row denominators and the
     Vandermondes in one Fraction.  In series mode the q-rows go above the
-    integer p-rows, at the sign (-1)^(mk), and _q_expansion takes each
-    coefficient from the q_table rows.
+    integer p-rows, at the sign (-1)^(mk); q-row l has the q_table row
+    mu_l + k - l at z_l^e_l, e = mu + delta + lo, so ring.schur_minors takes
+    each coefficient of the _Alternant by multilinearity.
     """
     rows = _theorem1_rows(sys, inst)
     sign, den = prop13_sign(inst), math.prod(d for _, d in rows)
@@ -381,68 +383,30 @@ def rhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
     n, k, m, T = inst.n, inst.k, inst.m, inst.truncation
     minors = {0: 1}
     for nums, _ in reversed(rows):
-        minors = _add_row(minors, nums)
-    # q_b(y) starts at z^(b+1), so e_k >= lo and e_l >= lo + k - l; the
-    # largest e_1 is below T less the least e_2 + ... + e_k
-    lo = n - k + 1
-    table, q_den = q_table(sys, range(n - k, n + m), lo, T - (k - 1) * lo - binomial(k - 1, 2))
-    coeffs = _q_expansion(minors, table, lo, k + m, k, T)
+        minors = add_row(minors, nums)
+    # q_b(y) starts at z^(b+1), so e >= lo = n - k + 1, and |e| < T is
+    # |mu| < T - |delta| - k lo
+    lo, reach = n - k + 1, T + binomial(k, 2) - n * k
+    table, q_den = q_table(sys, range(n - k, n + m), lo, lo + reach + k - 1)
     scale = Fraction(sign * (-1) ** (m * k), den * q_den**k)
-    return _Alternant(inst, coeffs, scale * _hankel_divisor(sys.functional, n, k))
-
-
-def _add_row(minors, row) -> dict:
-    """The minors, keyed by column mask, of the rows under ``minors`` with
-    ``row`` put on top: the expansion along it, sum over j in S of row[j]
-    times the complementary minor minors[S - j] at (-1)^(columns of S below j)."""
-    out = {}
-    for mask, c in minors.items():
-        for j, v in enumerate(row):
-            if mask >> j & 1:
-                c = -c
-            elif v and c:
-                out[mask | 1 << j] = out.get(mask | 1 << j, 0) + v * c
-    return out
-
-
-def _q_expansion(minors, table, lo: int, width: int, k: int, truncation: int) -> dict:
-    """{e: coefficient} at every strictly decreasing e, |e| < truncation, of
-    the det of k q-rows on top of the rows of ``minors``: q-row l is a series
-    in z_l alone with coefficient row table[d - lo] at z_l^d, so by
-    multilinearity that coefficient is the integer det with q-row l replaced
-    by table[e_l - lo].  The rows go on from the bottom one, so each prefix
-    e_k < ... < e_2 shares its minors, and q_1 is a dot product per e_1."""
-    out = {}
-
-    def walk(minors, level, low, used, tail):
-        if level == 1:
-            full = (1 << width) - 1
-            cofactors = [minors.get(full ^ 1 << j, 0) * (-1) ** j for j in range(width)]
-            for d in range(low, truncation - used):
-                c = sum(map(mul, cofactors, table[d - lo]))
-                if c:
-                    out[(d, *tail)] = c
-            return
-        # the level - 1 rows above take exponents of at least d + 1, d + 2, ...
-        for d in range(low, (truncation - used - binomial(level, 2) - 1) // level + 1):
-            walk(_add_row(minors, table[d - lo]), level - 1, d + 1, used + d, (d, *tail))
-
-    walk(minors, k, lo, 0, ())
-    return out
+    return _Alternant(inst, schur_minors(minors, table, k, reach),
+                      scale * _hankel_divisor(sys.functional, n, k))
 
 
 class _Alternant(InverseSeries):
     """A series side: the antisymmetric series in the ys with coefficient
-    c * num / den at each strictly decreasing e of ``coeffs`` and its signed
-    permutations, below total degree T (trunc == cap == T).  Its ``terms``
-    are expanded on first read, which a passing report never does, as ==
-    and verify_theorem1 compare the integer coeffs (_first_difference);
-    threads reading one side at once may each expand it, into equal dicts."""
+    c * num / den at e = mu + delta + (n-k+1) for each mu of ``coeffs``, and
+    at its signed permutations, below total degree T (trunc == cap == T).
+    Its ``terms`` are expanded on first read, which a passing report never
+    does, as == and verify_theorem1 compare the integer coeffs
+    (_first_difference); threads reading one side at once may each expand
+    it, into equal dicts."""
 
-    __slots__ = ("coeffs", "num", "den")
+    __slots__ = ("coeffs", "shift", "num", "den")
 
     def __init__(self, inst: IdentityInstance, coeffs: dict, scale: Fraction):
         self.variables, self.trunc, self.cap = inst.ys, inst.truncation, inst.truncation
+        self.shift = tuple(d + inst.n - inst.k + 1 for d in _staircase(inst.k))
         self.coeffs, self.num, self.den = coeffs, scale.numerator, scale.denominator
 
     def __getattr__(self, name):
@@ -453,7 +417,8 @@ class _Alternant(InverseSeries):
         perms = [(itemgetter(*p), vandermonde_product(p) > 0)
                  for p in permutations(range(len(self.variables)))][1:]
         terms = {}
-        for e, c in self.coeffs.items():
+        for mu, c in self.coeffs.items():
+            e = tuple(map(add, mu, self.shift))
             if sum(e) < self.trunc:
                 value = terms[e] = ratio(c * self.num, self.den)
                 for permute, even in perms:
@@ -462,23 +427,24 @@ class _Alternant(InverseSeries):
         return terms
 
     def __eq__(self, other):
-        if isinstance(other, _Alternant) and other.variables == self.variables:
+        if isinstance(other, _Alternant) and (other.variables, other.shift) == (
+                self.variables, self.shift):
             return _first_difference(self, other) is None
         return super().__eq__(other)
 
 
 def _first_difference(lhs: _Alternant, rhs: _Alternant):
-    """The first exponent vector below the smaller T where two sides differ,
-    by total degree, then lexicographically from the largest, or None; the
-    integer coefficients cross-multiply, c num den' == c' num' den.  Both
-    sides are antisymmetric, so their strictly decreasing e decide."""
+    """The first exponent vector below the smaller T where two sides of one
+    shift differ, by total degree, then lexicographically from the largest,
+    or None; the integer coefficients cross-multiply, c num den' == c' num'
+    den.  Both sides are antisymmetric, so their partitions mu decide."""
     a, b = lhs.coeffs, rhs.coeffs
     x, y = lhs.num * rhs.den, rhs.num * lhs.den
-    if a.keys() == b.keys() and all(c * x == b[e] * y for e, c in a.items()):
+    if a.keys() == b.keys() and all(c * x == b[mu] * y for mu, c in a.items()):
         return None
-    limit = min(lhs.trunc, rhs.trunc)
-    differ = [e for e in a.keys() | b.keys()
-              if sum(e) < limit and a.get(e, 0) * x != b.get(e, 0) * y]
+    limit = min(lhs.trunc, rhs.trunc) - sum(lhs.shift)
+    differ = [tuple(map(add, mu, lhs.shift)) for mu in a.keys() | b.keys()
+              if sum(mu) < limit and a.get(mu, 0) * x != b.get(mu, 0) * y]
     return min(differ, key=lambda e: (sum(e), [-v for v in e]), default=None)
 
 
@@ -720,8 +686,9 @@ def jacobi_check(
 
 _XS_POOL = tuple(Fraction(p, 2) for p in range(-15, 16))
 _YS_POOL = tuple(Fraction(p, 3) for p in range(-16, 17) if p % 3)
-# Integer x's keep the whole modified-moment side over plain ints in series
-# mode, which the truncated-series products reward handsomely.
+# Integer x's give the series sides no x denominator, so with integer
+# moments every coefficient of a side is an int; the draws from this pool fix
+# every series digest.
 _XS_POOL_INT = tuple(Fraction(p) for p in range(-9, 10))
 
 

@@ -22,18 +22,20 @@ import json
 import math
 import threading
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
-from operator import add, mul
+from itertools import product
+from operator import mul
 
 from .ring import (
     InverseSeries,
     UniPoly,
+    add_row,
     binomial,
     det_int,
     format_rational,
     integer_form,
     parse_rational,
     ratio,
+    schur_minors,
 )
 
 _ONE = Fraction(1)
@@ -61,21 +63,6 @@ class ModeError(DomainError):
 def catalan(n: int) -> int:
     """C_n = binom(2n, n) / (n + 1)."""
     return binomial(2 * n, n) // (n + 1)
-
-
-def _bordered_minors(r, fixed, border: int, count: int) -> list[int]:
-    """det M[fixed + [border + a], 0..m] for a = 0..count-1, where M_pq =
-    r_(p+q) and m = len(fixed): each is one expansion along its last row,
-    and the cofactors of that row depend only on the fixed rows."""
-    m = len(fixed)
-    block = [r[p : p + m + 1] for p in fixed]
-    cofactors = [(-1) ** (m + q) * det_int([row[:q] + row[q + 1 :] for row in block])
-                 for q in range(m + 1)]
-    out = [0] * count
-    for q, c in enumerate(cofactors):
-        if c:
-            out = list(map(add, out, map(c.__mul__, r[border + q : border + q + count])))
-    return out
 
 
 class MomentFunctional:
@@ -195,10 +182,10 @@ class MomentFunctional:
         (z_1...z_k)^n det(H^T M) / D^n, H_(beta,i) = h_(beta-i)(z), M_(beta,j)
         = r_(beta+j).  By Cauchy-Binet and Jacobi-Trudi, det(H^T M) = sum_mu
         c_mu s_mu(z), c_mu = det[r_(rho_a+j)] with rho_a = mu_(n-a) + a, over
-        the partitions mu (k-tuples) of at most min(n, k) parts; below total
-        degree `truncation` that is |mu| < truncation - nk.  The nonzero c_mu
-        of one tail mu_2..mu_k share the cofactors of the row rho_(n-1) =
-        mu_1 + n - 1 (_bordered_minors).
+        the partitions mu (k-tuples) of at most L = min(n, k) parts; below
+        total degree `truncation` that is |mu| < truncation - nk.  Rows
+        rho_a = a, a < n - L, are fixed, and ring.schur_minors puts the last
+        L on them, rho_(n-1) on top: the rows reversed, at (-1)^binom(n, 2).
         """
         k = len(tuple(variables))
         if k < 1:
@@ -208,19 +195,13 @@ class MomentFunctional:
             return {}, 1
         if n == 0:
             return {(0,) * k: 1}, 1
+        levels = min(n, k)
         r, den = self._modified_row(0, 2 * n - 2 + reach, integer_form(xs))
-        coeffs = {}
-        # the nonzero parts of mu_n <= ... <= mu_2, then mu_1 = low .. low + count - 1
-        for asc in combinations_with_replacement(range(reach), min(k, n) - 1):
-            low = asc[-1] if asc else 0
-            count = reach - sum(asc) - low
-            if count > 0:
-                fixed = [mu + a for a, mu in enumerate([0] * (n - 1 - len(asc)) + list(asc))]
-                tail = (*asc[::-1], *[0] * (k - 1 - len(asc)))
-                for mu_1, c in enumerate(_bordered_minors(r, fixed, low + n - 1, count), low):
-                    if c:
-                        coeffs[(mu_1, *tail)] = c
-        return coeffs, den**n
+        minors = {0: (-1) ** binomial(n, 2)}
+        for a in range(n - levels):
+            minors = add_row(minors, r[a : a + n])
+        rows = [r[s : s + n] for s in range(n - levels, n + reach - 1)]
+        return schur_minors(minors, rows, levels, reach, k - levels), den**n
 
     def _modified_row(self, start: int, count: int, xs=_NO_PARAMS, ys=_NO_PARAMS):
         """Integers r_j and D > 0 with modified moment j equal to r_j / D for

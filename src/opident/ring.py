@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
@@ -771,6 +772,48 @@ def det_int(a: list) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def add_row(minors: dict, row) -> dict:
+    """The minors, keyed by column mask, of the integer rows under ``minors``
+    (from {0: 1}) with ``row`` put on top: the expansion along it, sum over j
+    in S of row[j] times the complementary minor minors[S - j] at
+    (-1)^(columns of S below j)."""
+    out = {}
+    for mask, c in minors.items():
+        for j, v in enumerate(row):
+            if mask >> j & 1:
+                c = -c
+            elif v and c:
+                out[mask | 1 << j] = out.get(mask | 1 << j, 0) + v * c
+    return out
+
+
+def schur_minors(minors: dict, rows, levels: int, reach: int, pad: int = 0) -> dict:
+    """{mu: det} over the partitions mu_1 >= ... >= mu_levels >= 0 with
+    |mu| < reach, each key padded with ``pad`` zero parts, of the square
+    integer matrix with rows[mu_l + levels - l] on top of the rows of
+    ``minors`` (add_row), l = 1 topmost; zero determinants are left out.
+    ``rows`` must reach index reach + levels - 2.  The rows go on from
+    l = levels, so each tail mu_l, ..., mu_levels shares its minors, and
+    row mu_1 + levels - 1 is a dot product with the cofactors of the rest."""
+    out = {}
+    full = (1 << len(rows[0])) - 1 if rows else 0
+
+    def walk(minors, level, low, used, tail):
+        if level == 1:
+            cofactors = [minors.get(full ^ 1 << j, 0) * (-1) ** j for j in range(full.bit_length())]
+            for mu in range(low, reach - used):
+                c = sum(map(mul, cofactors, rows[mu + levels - 1]))
+                if c:
+                    out[(mu, *tail)] = c
+            return
+        # the level - 1 parts above are each at least mu
+        for mu in range(low, (reach - used - 1) // level + 1):
+            walk(add_row(minors, rows[mu + levels - level]), level - 1, mu, used + mu, (mu, *tail))
+
+    walk(minors, levels, 0, 0, (0,) * pad)
+    return out
 
 
 def det_rational(m: RingMatrix) -> int | Fraction:

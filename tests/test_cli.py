@@ -480,6 +480,20 @@ def test_series_max_k_above_limit_exits_2(max_k, capsys):
     assert err.startswith("error:") and "k <= 7" in err
 
 
+def test_max_k_help_states_the_series_limit(capsys):
+    # the --max-k help names the k that series mode refuses beyond
+    from opident.cli import _SERIES_MAX_K
+
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "theorem1", "--help"])
+    assert exc.value.code == 0
+    shown = " ".join(capsys.readouterr().out.split())
+    assert f"--max-k MAX_K default 3; with --series default 2, at most {_SERIES_MAX_K}" in shown
+    argv = ["verify", "theorem1", "--series", "--max-k", str(_SERIES_MAX_K + 1), "--trials", "1"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2 and f"k <= {_SERIES_MAX_K} " in err
+
+
 def test_series_max_k_4_passes(capsys):
     # the default series shape with k up to 4 at the default truncation 25
     argv = ["verify", "theorem1", "--series", "--max-k", "4", "--trials", "1", "--json"]

@@ -412,7 +412,7 @@ NEGATIVE_CONTROLS = {
     # one coefficient missing from one side's dict, not a differing value:
     # the comparison must see keys that only the other side has
     "series rhs coefficient dropped": (
-        identity, "_q_expansion",
+        identity, "schur_minors",
         lambda orig: lambda *args: _drop_first(orig(*args)),
         lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
     ),
@@ -459,23 +459,24 @@ NEGATIVE_CONTROLS = {
         lambda: sweep_theorem1_series(
             seed=11, trials=1, truncation=12, max_n=3, ks=(2, 3), max_m=1),
     ),
-    # delta = (k, ..., 1): every lhs exponent vector one too high in each y
-    "series delta off by one": (
-        identity, "_staircase",
-        lambda orig: lambda k: tuple(d + 1 for d in orig(k)),
-        lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
-    ),
-    # every term of the Laplace expansion along an added row of the series
-    # rhs taken at the opposite sign of its complementary minor
+    # every term of the Laplace expansion along a p-row of the series rhs
+    # taken at the opposite sign of its complementary minor
     "series complementary-minor sign flipped": (
-        identity, "_add_row",
+        identity, "add_row",
         lambda orig: lambda minors, row: {s: -c for s, c in orig(minors, row).items()},
         lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
     ),
-    # each series lhs Schur coefficient bordered by row rho_(n-1) + 1 of M
+    # the same along a fixed row rho_a = a of the series lhs (n > k only)
+    "series lhs complementary-minor sign flipped": (
+        moments, "add_row",
+        lambda orig: lambda minors, row: {s: -c for s, c in orig(minors, row).items()},
+        lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
+    ),
+    # each series lhs Schur coefficient from rows rho_a + 1 of M for the
+    # walked rows a >= n - min(n, k)
     "series lhs border row shifted by one": (
-        moments, "_bordered_minors",
-        lambda orig: lambda r, fixed, border, count: orig(r, fixed, border + 1, count),
+        moments, "schur_minors",
+        lambda orig: lambda minors, rows, *rest: orig(minors, rows[1:] + rows[-1:], *rest),
         lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
     ),
 }
@@ -487,6 +488,17 @@ def test_negative_control_is_caught(name, monkeypatch):
     assert all(r.equal for r in sweep())
     monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
     assert any(not r.equal and r.lhs is not None for r in sweep())
+
+
+def test_series_delta_off_by_one_is_caught(monkeypatch):
+    # delta = (k, ..., 1): both sides of an instance name their exponents
+    # through the one shift delta + (n - k + 1), so no sweep verdict sees
+    # this fault; the rhs against its det_generic oracle does
+    staircase = identity._staircase
+    monkeypatch.setattr(identity, "_staircase", lambda k: tuple(d + 1 for d in staircase(k)))
+    assert all(r.equal for r in sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3))
+    with pytest.raises(AssertionError):
+        test_series_rhs_matches_fraction_oracle(fractional=False)
 
 
 def test_condensation_relation_of_matrices(rng):
@@ -618,12 +630,15 @@ def test_series_failure_note_names_the_first_decreasing_exponent(monkeypatch):
 
 def _eager_alternant_series(inst, coeffs, scale):
     """Oracle: a report side with every signed permutation expanded when it
-    is built, the series route before its sides became lazy."""
+    is built, the series route before its sides became lazy.  The partition
+    mu of each coefficient names the exponent e_l = mu_l + delta_l + n - k + 1
+    = mu_l + n - l + 1."""
     T, num, den = inst.truncation, scale.numerator, scale.denominator
     perms = [(itemgetter(*p), vandermonde_product(p) > 0)
              for p in itertools.permutations(range(inst.k))]
     terms = {}
-    for e, c in coeffs.items():
+    for mu, c in coeffs.items():
+        e = tuple(part + inst.n - l + 1 for l, part in enumerate(mu, 1))
         if sum(e) < T:
             value = terms[e] = ratio(c * num, den)
             for permute, even in perms[1:]:
@@ -640,34 +655,39 @@ def _eager_first_difference(lhs, rhs):
 
 
 def test_series_sides_compare_by_integer_coefficients():
-    # Two series sides compare on their integer coefficients, below the
-    # smaller T and whatever their scales; the first difference is by total
-    # degree, then the lexicographically largest exponent vector, the one
-    # the eagerly expanded sides give
-    def side(coeffs, scale, truncation=6, ys=("y1", "y2")):
-        inst = IdentityInstance(n=2, ys=ys, mode="series", truncation=truncation)
+    # Two series sides compare on their integer coefficients, keyed by the
+    # partition mu, below the smaller T and whatever their scales; the first
+    # difference is the exponent vector e = mu + (n, n - 1) by total degree,
+    # then the lexicographically largest, the one the eagerly expanded sides
+    # give.  At n = 1, k = 2 the partitions (0, 0), (3, 0), (2, 1) name the
+    # exponents (1, 0), (4, 0), (3, 1)
+    def side(coeffs, scale, truncation=6, ys=("y1", "y2"), n=1):
+        inst = IdentityInstance(n=n, ys=ys, mode="series", truncation=truncation)
         return identity._Alternant(inst, coeffs, F(scale))
 
     def first_difference(a, b):
         got = identity._first_difference(a, b)
         eager = [_eager_alternant_series(IdentityInstance(
-            n=2, ys=s.variables, mode="series", truncation=s.trunc), s.coeffs, F(s.num, s.den))
+            n=1, ys=s.variables, mode="series", truncation=s.trunc), s.coeffs, F(s.num, s.den))
             for s in (a, b)]
         assert got == _eager_first_difference(*eager)
         return got
 
-    a = side({(1, 0): 2, (4, 0): 4, (3, 1): 6}, F(1, 2))
-    assert a == side({(1, 0): 1, (4, 0): 2, (3, 1): 3}, 1)
+    a = side({(0, 0): 2, (3, 0): 4, (2, 1): 6}, F(1, 2))
+    assert a == side({(0, 0): 1, (3, 0): 2, (2, 1): 3}, 1)
     assert a == _eager_alternant_series(
-        IdentityInstance(n=2, ys=("y1", "y2"), mode="series", truncation=6), a.coeffs, F(1, 2))
-    b = side({(1, 0): 1, (4, 0): 5, (3, 1): 7}, 1)
+        IdentityInstance(n=1, ys=("y1", "y2"), mode="series", truncation=6), a.coeffs, F(1, 2))
+    assert a.terms == {(1, 0): 1, (0, 1): -1, (4, 0): 2, (0, 4): -2, (3, 1): 3, (1, 3): -3}
+    b = side({(0, 0): 1, (3, 0): 5, (2, 1): 7}, 1)
     assert a != b and first_difference(a, b) == first_difference(b, a) == (4, 0)
-    c = side({(1, 0): 1, (4, 0): 2}, 1)  # (3, 1) missing
+    c = side({(0, 0): 1, (3, 0): 2}, 1)  # (2, 1) missing
     assert a != c and first_difference(a, c) == first_difference(c, a) == (3, 1)
     # compared below T = 5 only
-    d = side({(1, 0): 1, (4, 0): 2, (3, 1): 3, (5, 0): 1}, 1, truncation=5)
+    d = side({(0, 0): 1, (3, 0): 2, (2, 1): 3, (4, 0): 1}, 1, truncation=5)
     assert a == d and first_difference(a, d) is None
     assert a != side(a.coeffs, F(1, 2), ys=("z1", "z2"))
+    # the same partitions at n = 2 name other exponents
+    assert a != side(a.coeffs, F(1, 2), n=2)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -397,6 +398,45 @@ def test_det_rational_on_ints_skips_the_row_scaling(rng, monkeypatch):
     monkeypatch.undo()
     m = RingMatrix.from_rows([[2, F(1, 2)], [3, 4]])
     assert det_rational(m) == F(13, 2) == bruteforce_det(m.to_rows())
+
+
+@pytest.mark.parametrize("pad", [0, 2])
+@pytest.mark.parametrize("base", ["none", "rows", "singular"])
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_schur_minors_against_bruteforce(levels, base, pad):
+    # Every partition mu of at most `levels` parts with |mu| < reach gets
+    # det[rows[mu_1 + levels - 1], ..., rows[mu_levels], base rows] as
+    # bruteforce_det takes it; zero minors are left out.  Small entries with
+    # many zeros make zero minors common, and a base with a repeated row
+    # makes every minor zero.
+    draw = random.Random(levels * 100 + len(base) * 10 + pad)
+    fixed = {"none": 0, "rows": 2, "singular": 2}[base]
+    width, reach = levels + fixed, 6
+
+    def row():
+        return [draw.choice((-2, -1, 0, 0, 1, 3)) for _ in range(width)]
+
+    fixed_rows = [row() for _ in range(fixed)]
+    if base == "singular":
+        fixed_rows[1] = list(fixed_rows[0])
+    rows = [row() for _ in range(reach + levels - 1)]
+    minors = {0: 1}
+    for r in reversed(fixed_rows):
+        minors = ring.add_row(minors, r)
+    got = ring.schur_minors(minors, rows, levels, reach, pad)
+    want = {}
+    for mu in itertools.product(range(reach), repeat=levels):
+        if list(mu) == sorted(mu, reverse=True) and sum(mu) < reach:
+            picked = [rows[part + levels - l] for l, part in enumerate(mu, 1)]
+            value = bruteforce_det(picked + fixed_rows)
+            if value:
+                want[mu + (0,) * pad] = value
+    assert got == want
+    assert bool(want) == (base != "singular")
+    assert all(type(c) is int for c in got.values())
+    # the minors of the base go in as they are: a sign carries through
+    assert ring.schur_minors({s: -c for s, c in minors.items()}, rows, levels, reach, pad) == {
+        mu: -c for mu, c in want.items()}
 
 
 def test_det_rational_and_det_poly_return_integral_values_as_ints(rng):
