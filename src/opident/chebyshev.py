@@ -7,9 +7,11 @@ evaluated analytically: it lives as the formal symbol X, and all determinant
 identities below are exact polynomial identities in Q[X] or Q[Y].  Every
 check returns a VerificationReport whose identity is its equation label.
 Every Hankel determinant here has integer entries K_s + V c r^s, V = X or
-Y: a rank-one variable part, so it is det K - V c det[[K, u], [u^T, 0]]
-with u_i = r^i, two integer determinants that hold for a singular K too
-(see _rank_one_hankel_det).
+Y: a rank-one variable part, so it is linear in V (see _rank_one_minors).
+Each report takes one size n of one fixed entry sequence, so its matrix is
+the leading n x n block of the largest one: the suites read every size off
+two eliminations (ring.leading_minors) per grid point or closed form, one of
+K and one of K + c u u^T, shared by the reports of one run (shared_minors).
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from functools import lru_cache
 
 from .identity import Record, VerificationReport
 from .moments import ChebyshevCatalanFunctional
-from .ring import (RingMatrix, UniPoly, binomial, det_int, det_rational, format_rational,
-                   integer_form, ratio)
+from .ring import (RingMatrix, UniPoly, binomial, det_rational, format_rational, integer_form,
+                   leading_minors, ratio, shared, shared_minors)
 
 _ZERO = Fraction(0)
 
@@ -92,28 +94,36 @@ def _cheb_row(count: int, a: Fraction) -> tuple[tuple, int]:
     return tuple(rows), d
 
 
-def _rank_one_hankel_det(entries, r: int, n: int, divisor: int, var: str) -> UniPoly:
-    """det of the n x n Hankel matrix of the integer V-linear entries
-    (K_s, c_s), V = var, over the divisor.  The V coefficients must be
-    c_s = c r^s: then the V part is c u u^T with u_i = r^i, rank one, and
-    by the bordered form of the matrix determinant lemma (Horn and Johnson,
-    Matrix Analysis, 2nd ed., 0.8.5)
+def _rank_one_minors(entries, r: int, size: int) -> tuple[list, list]:
+    """For n = 1..size, det K_n and the V coefficient of det(K_n + V c u u^T),
+    K the Hankel matrix of the integer V-linear entries (K_s, c_s), u_i = r^i.
+    The V coefficients must be c_s = c r^s: then the V part is c u u^T, rank
+    one, and by the bordered form of the matrix determinant lemma (Horn and
+    Johnson, Matrix Analysis, 2nd ed., 0.8.5)
 
         det(K + V c u u^T) = det K - V c det [[K, u], [u^T, 0]],
 
-    linear in V (the replacement argument that makes X free).  Any other V
-    part raises ArithmeticError before a determinant is taken.  The bordered
-    determinant is -u^T adj(K) u, so this holds for every K, singular or
-    zero ones too: K is never inverted.  Each determinant is one det_int on
-    plain ints; c = 0 needs only det K."""
+    linear in V (the replacement argument that makes X free), for a singular
+    K too.  Any other V part raises ArithmeticError before a determinant is
+    taken.  The V coefficient is det(K + c u u^T) - det K, and the leading
+    minors of K and of K + c u u^T, the Hankel matrix of K_s + c_s, are one
+    leading_minors run each; c = 0 needs only K."""
     consts, coeffs = zip(*entries)
     c = coeffs[0]
     if any(x != c * r**s for s, x in enumerate(coeffs)):
         raise ArithmeticError("variable part of the Hankel entries is not rank one")
-    rows = [list(consts[i : i + n]) for i in range(n)]
-    u = [r**i for i in range(n)]
-    lin = -c * det_int([row + [ui] for row, ui in zip(rows, u)] + [u + [0]]) if c else 0
-    return UniPoly([ratio(det_int(rows), divisor), ratio(lin, divisor)], var)
+    k = leading_minors([list(consts[i : i + size]) for i in range(size)])
+    if not c:
+        return k, [0] * size
+    pencil = [x + y for x, y in zip(consts, coeffs)]
+    kv = leading_minors([pencil[i : i + size] for i in range(size)])
+    return k, [b - a for a, b in zip(k, kv)]
+
+
+def _rank_one_det(minors, n: int, divisor: int, var: str) -> UniPoly:
+    """The n x n determinant from _rank_one_minors over the divisor."""
+    k, lin = minors[0][n - 1], minors[1][n - 1]
+    return UniPoly([ratio(k, divisor), ratio(lin, divisor)], var)
 
 
 def q_cheb(n: int, a: Fraction) -> UniPoly:
@@ -134,8 +144,9 @@ def theorem14_eval(n: int, a: Fraction) -> VerificationReport:
     if n < 1:
         raise ValueError("n must be positive")
     a = Fraction(a)
-    rows, d = _cheb_row(2 * n - 1, a)
-    lhs = _rank_one_hankel_det(rows, -2 * a.numerator, n, d ** (n * (n - 1)), "X")
+    minors = shared(("7.9", a), n, lambda size: _rank_one_minors(
+        _cheb_row(2 * size - 1, a)[0], -2 * a.numerator, size))
+    lhs = _rank_one_det(minors, n, a.denominator ** (n * (n - 1)), "X")
     base = -2 * a
     sign = -1 if (n - 1) % 2 else 1
     rhs = UniPoly([sign * _chebU_at(n - 2, base), sign * _chebU_at(n - 1, base)], "X")
@@ -155,13 +166,17 @@ def theorem15_eval(n: int, a: Fraction, b: Fraction) -> VerificationReport:
     if n < 1:
         raise ValueError("n must be positive")
     a, b = Fraction(a), Fraction(b)
-    rows, d = _cheb_row(2 * n, a)
     bn, bd = b.numerator, b.denominator
-    sigma = [
-        tuple(bd * hi - bn * d * lo for hi, lo in zip(r1, r0))
-        for r0, r1 in zip(rows, rows[1:])
-    ]
-    lhs = _rank_one_hankel_det(sigma, -2 * a.numerator, n, bd**n * d ** (n * n), "X")
+
+    def minors(size):
+        rows, d = _cheb_row(2 * size, a)
+        sigma = [tuple(bd * hi - bn * d * lo for hi, lo in zip(r1, r0))
+                 for r0, r1 in zip(rows, rows[1:])]
+        return _rank_one_minors(sigma, -2 * a.numerator, size)
+
+    # int keys: a Fraction hashes in Python, once per report
+    key = ("7.13", a.numerator, a.denominator, bn, bd)
+    lhs = _rank_one_det(shared(key, n, minors), n, bd**n * a.denominator ** (n * n), "X")
     base = -2 * a
     u_n2, u_n1, u_n = (_chebU_at(j, base) for j in (n - 2, n - 1, n))
     u_n1_b, u_n_b = _chebU_at(n - 1, b), _chebU_at(n, b)
@@ -180,10 +195,15 @@ def central_weight(s: int) -> Fraction:
 
 
 def _det_shifted_identity(entry, n: int) -> UniPoly:
-    """det(Y + entry(i+j)) as a polynomial in Y: with the entries K_s / D over
-    their lcm D, the Y part is D times the all-ones matrix (c = D, r = 1)."""
-    consts, den = integer_form([entry(s) for s in range(2 * n - 1)])
-    return _rank_one_hankel_det([(k, den) for k in consts], 1, n, den**n, "Y")
+    """det(Y + entry(i+j)) as a polynomial in Y: with the entries of the run's
+    size (shared) as K_s / D over their lcm D, the Y part is D times the
+    all-ones matrix (c = D, r = 1), and each size n is over D^n."""
+    def pencil(size):
+        consts, den = integer_form([entry(s) for s in range(2 * size - 1)])
+        return (*_rank_one_minors([(k, den) for k in consts], 1, size), den)
+
+    minors = shared(entry, n, pencil)
+    return _rank_one_det(minors, n, minors[2] ** n, "Y")
 
 
 def row_7_10(n: int) -> VerificationReport:
@@ -213,9 +233,13 @@ def row_7_12(n: int) -> VerificationReport:
     return _report("7.12", n, lhs, rhs)
 
 
+def _entry_7_15(s: int) -> Fraction:
+    return central_weight(s + 1)
+
+
 def row_7_15(n: int) -> VerificationReport:
     """det(Y + central(i+j+1)) == (-1)^binom(n,2) 2^(-n^2) (2 ceil(n/2) Y + 1)."""
-    lhs = _det_shifted_identity(lambda s: central_weight(s + 1), n)
+    lhs = _det_shifted_identity(_entry_7_15, n)
     sign = -1 if binomial(n, 2) % 2 else 1
     scale = Fraction(sign, 2 ** (n * n))
     rhs = UniPoly([scale, scale * 2 * ((n + 1) // 2)], "Y")
@@ -343,9 +367,10 @@ def run_chebyshev_suite(max_n: int = 10) -> ChebyshevRun:
     """Theorem grids over rational (a, b), the closed forms and the
     conjectures for n <= max_n, each evaluation one VerificationReport."""
     ns = range(1, max_n + 1)
-    return ChebyshevRun(
-        [theorem14_eval(n, a) for n in ns for a in A_GRID],
-        [theorem15_eval(n, a, b) for n in ns for a in A_GRID for b in B_GRID],
-        closed_form_suite(max_n),
-        conjecture16_table(max_n),
-    )
+    with shared_minors(max_n):
+        return ChebyshevRun(
+            [theorem14_eval(n, a) for n in ns for a in A_GRID],
+            [theorem15_eval(n, a, b) for n in ns for a in A_GRID for b in B_GRID],
+            closed_form_suite(max_n),
+            conjecture16_table(max_n),
+        )

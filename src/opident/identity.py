@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations
 from operator import add, itemgetter
 
@@ -47,11 +46,14 @@ from .ring import (
     binomial,
     det_int,
     det_poly,
+    det_poly_minors,
     det_rational,
     format_rational,
     integer_form,
     ratio,
     schur_minors,
+    shared,
+    shared_minors,
     vandermonde_product,
 )
 
@@ -575,37 +577,37 @@ def uvarov_system(
 # Condensation identities (standalone)
 # ---------------------------------------------------------------------------
 
-# Lemma 8 and Lemma 9 at n and at n + 1 ask for mostly the same determinants,
-# so each is computed once per (sequence, size); the sequence is a tuple.
+# Lemma 8 and Lemma 9 at every n read the leading minors of three Hankel
+# matrices of one sequence (a tuple): each is one packed elimination at the
+# largest size the sequence reaches, once per sequence of a sweep
+# (shared_minors).
 
-@lru_cache(maxsize=64)
+def _lemma_minors(c, reach: int, entry, variables) -> list:
+    """det_poly_minors of the Hankel matrix of entry(s), which reads c up to
+    index s + reach, at the largest size c reaches."""
+    return shared((reach, c), (len(c) + 1 - reach) // 2, lambda size: det_poly_minors(
+        RingMatrix.hankel([entry(s) for s in range(2 * size - 1)], size), variables))
+
+
 def _hankel_slice_det(c, size: int) -> int | Fraction:
-    return det_rational(RingMatrix.hankel(c, size))
-
-
-@lru_cache(maxsize=64)
-def _lin_poly(c, size: int) -> UniPoly:
-    """det(v c_{i+j} + c_{i+j+1}) as a polynomial in v (degree <= size)."""
-    lin = [UniPoly([c[s + 1], c[s]], "v") for s in range(2 * size - 1)]
-    return det_poly(RingMatrix.hankel(lin, size), ["v"])
+    return _lemma_minors(c, 0, c.__getitem__, ())[size]
 
 
 def _lin_det(c, size: int, slot: int) -> UniPoly:
-    """_lin_poly with v = alpha (slot 0) or beta (slot 1), as a polynomial
-    in alpha over Q[beta]."""
-    d = _lin_poly(c, size)
+    """det(v c_{i+j} + c_{i+j+1}), a polynomial in v of degree <= size, with
+    v = alpha (slot 0) or beta (slot 1), as a polynomial in alpha over Q[beta]."""
+    d = _lemma_minors(c, 1, lambda s: UniPoly([c[s + 1], c[s]], "v"), ["v"])[size]
     return d.rename("alpha") if slot == 0 else UniPoly([d.rename("beta")], "alpha")
 
 
-@lru_cache(maxsize=64)
 def _quad_det(c, size: int) -> UniPoly:
     """det(ab c_{i+j} + (a+b) c_{i+j+1} + c_{i+j+2}) as a nested polynomial:
     outer variable "alpha" with UniPoly("beta") coefficients."""
-    quad = [
-        UniPoly([UniPoly([c[s + 2], c[s + 1]], "beta"), UniPoly([c[s + 1], c[s]], "beta")], "alpha")
-        for s in range(2 * size - 1)
-    ]
-    return det_poly(RingMatrix.hankel(quad, size), ["alpha", "beta"])
+    def entry(s):
+        return UniPoly([UniPoly([c[s + 2], c[s + 1]], "beta"), UniPoly([c[s + 1], c[s]], "beta")],
+                       "alpha")
+
+    return _lemma_minors(c, 2, entry, ["alpha", "beta"])[size]
 
 
 def _coerce_sequence(c, needed: int) -> tuple:
@@ -792,14 +794,15 @@ def sweep_lemmas(
     max_n: int = 6,
 ) -> list[VerificationReport]:
     """Lemma 8 and Lemma 9 on random integer sequences (entries in [-9, 9]),
-    all n <= max_n."""
+    all n <= max_n; the checks on one sequence share its leading minors."""
     rng = random.Random(seed)
     reports = []
     for _ in range(trials):
         c = [rng.randint(-_ENTRY_BOUND, _ENTRY_BOUND) for _ in range(2 * max_n + 1)]
-        for n in range(1, max_n + 1):
-            reports.append(lemma8_check(c, n))
-            reports.append(lemma9_check(c, n))
+        with shared_minors():
+            for n in range(1, max_n + 1):
+                reports.append(lemma8_check(c, n))
+                reports.append(lemma9_check(c, n))
     return reports
 
 

@@ -10,6 +10,8 @@ safe to share across threads.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -774,6 +776,55 @@ def det_int(a: list) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def leading_minors(rows: list) -> list:
+    """The determinant of every leading k x k block, k = 1..n, of a square
+    integer matrix given as a list of row lists (left as it is).  After k
+    Bareiss steps without row swaps, entry (k, k) is the leading (k+1) x
+    (k+1) minor (Sylvester's identity; Bareiss 1968), so one run gives them
+    all.  A zero pivot ends the run: each larger block takes its own det_int."""
+    n = len(rows)
+    a = [list(r) for r in rows]
+    out = []
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        out.append(pivot)
+        if not pivot:
+            break
+        row_k = a[k][k + 1 :]
+        for row_i in a[k + 1 :]:
+            f = row_i[k]
+            row_i[k + 1 :] = [(pivot * x - f * y) // prev for x, y in zip(row_i[k + 1 :], row_k)]
+        prev = pivot
+    return out + [det_int([r[:k] for r in rows[:k]]) for k in range(len(out) + 1, n + 1)]
+
+
+_SHARED = ContextVar("_SHARED", default=None)  # the open shared_minors block: (size, memo)
+
+
+@contextmanager
+def shared_minors(size: int = 0):
+    """A block within which shared() takes each key's minors once, at size
+    ``size`` at least.  A nested block joins the outer one, and the memo ends
+    with the outermost: no minor outlives the run that took it."""
+    token = _SHARED.set(_SHARED.get() or (size, {}))
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def shared(key, n: int, compute):
+    """compute(size) at the open block's size, at least n (n outside any
+    block), once per key and size in the block."""
+    size, memo = _SHARED.get() or (0, {})
+    size = max(n, size)
+    value = memo.get((key, size))
+    if value is None:
+        value = memo[key, size] = compute(size)
+    return value
+
+
 def add_row(minors: dict, row) -> dict:
     """The minors, keyed by column mask, of the integer rows under ``minors``
     (from {0: 1}) with ``row`` put on top: the expansion along it, sum over j
@@ -868,12 +919,26 @@ def det_poly(m: RingMatrix, variables):
     Why decoding is exact: packing is a ring map Phi: Z[x, y] -> Z, so
     det(Phi(M)) = Phi(det M), and the Bareiss intermediates never need
     decoding.  Each coefficient c of det M has |c| <= ||det M||_1 <=
-    prod_i sum_j ||a_ij||_1 on the integer entries, and w = bitlen(that
-    bound) + 1 makes |c| < B/2.  Within the bounds every monomial owns its
-    slot, and balanced base-B digits in [-B/2, B/2) are unique, so the
-    digits of Phi(det M) are its coefficients, negative ones borrowing
-    from the slot above as they should.
+    prod_i max(1, sum_j ||a_ij||_1) on the integer entries, and w =
+    bitlen(that bound) + 1 makes |c| < B/2.  Within the bounds every
+    monomial owns its slot, and balanced base-B digits in [-B/2, B/2) are
+    unique, so the digits of Phi(det M) are its coefficients, negative ones
+    borrowing from the slot above as they should.
     """
+    return _det_poly(m, variables, lambda cells: [(m.rows, det_int(cells))])[0]
+
+
+def det_poly_minors(m: RingMatrix, variables) -> list:
+    """det_poly of every leading k x k block of m, k = 0..n, from one
+    leading_minors run on det_poly's packing, which holds each block too: its
+    degrees are within the whole matrix's bounds, and its coefficients within
+    the product of the row norms, each taken at least 1, that sets the width."""
+    return _det_poly(m, variables, lambda cells: enumerate([1, *leading_minors(cells)]))
+
+
+def _det_poly(m: RingMatrix, variables, eliminate) -> list:
+    """The polynomials of the (k, packed value) pairs that eliminate gives
+    on det_poly's packed rows, each over the product of its k row scales."""
     _require_square(m)
     n = m.rows
     variables = tuple(variables)
@@ -882,7 +947,8 @@ def det_poly(m: RingMatrix, variables):
     forms = {key: _poly_form(x, variables) for key, x in {id(x): x for x in m.entries}.items()}
     rows = [[forms[id(x)] for x in m.row(i)] for i in range(n)]
     scales = [math.lcm(*(d for _, d, _, _ in row)) for row in rows]
-    l1 = math.prod(sum(norm * (s // d) for _, d, norm, _ in row) for row, s in zip(rows, scales))
+    l1 = math.prod(max(1, sum(norm * (s // d) for _, d, norm, _ in row))
+                   for row, s in zip(rows, scales))
     width = l1.bit_length() + 1
     bounds = [sum(max(dg[v] for *_, dg in row) for row in rows) for v in range(len(variables))]
     # slots[i]: the digits taken by the variables from i on
@@ -890,17 +956,16 @@ def det_poly(m: RingMatrix, variables):
     shifts = [width * s for s in slots[1:]]
     packed = {key: _pack(g, shifts, d) for key, (g, d, _, _) in forms.items()}
     cells = [[packed[id(x)] * (scales[i] // forms[id(x)][1]) for x in m.row(i)] for i in range(n)]
-    flat = _unpack(det_int(cells), width, slots[0])
-    scale = math.prod(scales)
 
-    def build(flat, level):
+    def build(flat, level, scale):
         if level == len(variables):
             return ratio(flat[0], scale)
         size = slots[level + 1]
-        coeffs = [build(flat[i : i + size], level + 1) for i in range(0, len(flat), size)]
+        coeffs = [build(flat[i : i + size], level + 1, scale) for i in range(0, len(flat), size)]
         return UniPoly(coeffs, variables[level])
 
-    return build(flat, 0)
+    return [build(_unpack(v, width, slots[0]), 0, math.prod(scales[:k]))
+            for k, v in eliminate(cells)]
 
 
 def _poly_form(x, variables):

@@ -13,7 +13,8 @@ from opident.chebyshev import (
     _entry_7_16,
     _entry_7_17,
     _entry_7_18,
-    _rank_one_hankel_det,
+    _rank_one_det,
+    _rank_one_minors,
     central_weight,
     chebU_classical,
     chebU_monic,
@@ -33,9 +34,34 @@ from opident.chebyshev import (
 from opident.identity import VerificationReport
 from opident.moments import ChebyshevCatalanFunctional, catalan
 from opident.orthopoly import build_ortho_system
-from opident.ring import RingMatrix, UniPoly, binomial, det_generic, det_poly
+from opident import ring
+from opident.ring import (RingMatrix, UniPoly, binomial, det_generic, det_int, det_poly,
+                          integer_form, ratio)
+
+from conftest import bruteforce_det
 
 F = Fraction
+
+
+def _rank_one_hankel_det(entries, r: int, n: int, divisor: int, var: str) -> UniPoly:
+    """The per-n oracle: det of the n x n Hankel matrix of the integer
+    V-linear entries (K_s, c r^s) over the divisor, as det K - V c det[[K, u],
+    [u^T, 0]] with u_i = r^i, two det_int calls at this n alone."""
+    consts, coeffs = zip(*entries)
+    c = coeffs[0]
+    if any(x != c * r**s for s, x in enumerate(coeffs)):
+        raise ArithmeticError("variable part of the Hankel entries is not rank one")
+    rows = [list(consts[i : i + n]) for i in range(n)]
+    u = [r**i for i in range(n)]
+    lin = -c * det_int([row + [ui] for row, ui in zip(rows, u)] + [u + [0]]) if c else 0
+    return UniPoly([ratio(det_int(rows), divisor), ratio(lin, divisor)], var)
+
+
+def _sigma(a, b, n):
+    """The integer 7.13 entries (K_s, c_s) of size n, as theorem15_eval forms them."""
+    rows, d = chebyshev._cheb_row(2 * n, a)
+    return [tuple(b.denominator * hi - b.numerator * d * lo for hi, lo in zip(r1, r0))
+            for r0, r1 in zip(rows, rows[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +220,15 @@ def test_shifted_identity_against_det_poly(entry):
 @example(n=6, consts=list(range(11)), scale=7, r=-2, divisor=5)  # rank-two K
 def test_rank_one_hankel_det_against_generic(n, consts, scale, r, divisor):
     # det(K + V scale u u^T), u_i = r^i, expanded division-free over Q[V]:
-    # singular K, scale 0 and negative r included
+    # singular K, scale 0 and negative r included; the per-n oracle at n,
+    # and the leading minors of one size-n pencil at every size up to n
     pairs = [(consts[s], scale * r**s) for s in range(2 * n - 1)]
     entries = [UniPoly(pair, "V") for pair in pairs]
-    direct = det_generic(RingMatrix.hankel(entries, n), one=UniPoly.one("V"))
-    got = _rank_one_hankel_det(pairs, r, n, divisor, "V")
-    assert got == direct * Fraction(1, divisor)
+    minors = _rank_one_minors(pairs, r, n)
+    for size in range(1, n + 1):
+        direct = det_generic(RingMatrix.hankel(entries[: 2 * size - 1], size), one=UniPoly.one("V"))
+        assert _rank_one_det(minors, size, divisor, "V") == direct * Fraction(1, divisor)
+    assert _rank_one_hankel_det(pairs, r, n, divisor, "V") == direct * Fraction(1, divisor)
 
 
 def test_theorem14_substitution_gives_7_12():
@@ -393,10 +422,16 @@ NEGATIVE_CONTROLS = {
             orig(count, a)[1],
         ),
     ),
+    # det(K - c u u^T) in place of det(K + c u u^T): every X (Y) coefficient
+    # of the pencils changes sign, on both grids and the shifted forms
     "bordered term sign flipped": (
-        "_rank_one_hankel_det",
-        lambda orig: lambda entries, r, n, divisor, var: orig(
-            [(k, -c) for k, c in entries], r, n, divisor, var),
+        "_rank_one_minors",
+        lambda orig: lambda entries, r, size: orig([(k, -c) for k, c in entries], r, size),
+    ),
+    # the n-th report reads the (n-1)-th leading minor
+    "leading minor read one size off": (
+        "leading_minors",
+        lambda orig: lambda rows: [1, *orig(rows)[:-1]],
     ),
 }
 
@@ -409,16 +444,100 @@ def test_negative_control_is_caught(name, monkeypatch):
     assert any(not r.equal for r in _grid_rows())
 
 
+@pytest.mark.parametrize("name", sorted(NEGATIVE_CONTROLS))
+def test_negative_control_is_caught_after_a_warm_run(name, monkeypatch):
+    # No leading minor outlives the run that took it: after a clean suite in
+    # this process, the fault shows on both grids of a suite run and in the
+    # reports taken one at a time.
+    attr, fault = NEGATIVE_CONTROLS[name]
+    assert run_chebyshev_suite(4).all_theorems_hold
+    monkeypatch.setattr(chebyshev, attr, fault(getattr(chebyshev, attr)))
+    run = run_chebyshev_suite(4)
+    assert any(not r.equal for r in run.theorem14)
+    assert any(not r.equal for r in run.theorem15)
+    assert any(not r.equal for r in _grid_rows())
+
+
 def test_x_part_that_is_not_rank_one_is_refused(monkeypatch):
-    # P_s + s is not P_0 r^s: refused before any determinant is taken
+    # P_s + s is not P_0 r^s: refused before any elimination is run
     with pytest.raises(ArithmeticError):
         _rank_one_hankel_det([(0, 1), (0, 2), (0, 5)], 2, 2, 1, "X")
     orig = chebyshev._cheb_row
     monkeypatch.setattr(chebyshev, "_cheb_row", lambda count, a: (
         tuple((k, p + s) for s, (k, p) in enumerate(orig(count, a)[0])), orig(count, a)[1]))
-    monkeypatch.setattr(chebyshev, "det_int", None)
+    monkeypatch.setattr(chebyshev, "leading_minors", None)
+    with pytest.raises(ArithmeticError):
+        _rank_one_minors([(0, 1), (0, 2), (0, 5)], 2, 2)
     for a in A_GRID:
         with pytest.raises(ArithmeticError):
             theorem14_eval(2, a)
         with pytest.raises(ArithmeticError):
             theorem15_eval(2, a, F(1, 3))
+    with pytest.raises(ArithmeticError):
+        run_chebyshev_suite(3)
+
+
+_SHIFTED = {"7.12": central_weight, "7.15": chebyshev._entry_7_15, "7.16": _entry_7_16,
+            "7.16-corrected": _entry_7_16, "7.17": _entry_7_17, "7.18": _entry_7_18}
+
+
+def test_suite_matches_the_per_n_oracle_up_to_16():
+    # Every 7.9, 7.13 and shifted-form lhs of one run, read off the leading
+    # minors, against two det_int calls at that n alone
+    run = run_chebyshev_suite(16)
+    for r in run.theorem14:
+        n, a = r.params["n"], F(r.params["a"])
+        rows, d = chebyshev._cheb_row(2 * n - 1, a)
+        assert r.lhs == _rank_one_hankel_det(rows, -2 * a.numerator, n, d ** (n * (n - 1)), "X")
+    for r in run.theorem15:
+        n, a, b = r.params["n"], F(r.params["a"]), F(r.params["b"])
+        divisor = b.denominator**n * a.denominator ** (n * n)
+        assert r.lhs == _rank_one_hankel_det(_sigma(a, b, n), -2 * a.numerator, n, divisor, "X")
+    shifted = [r for r in run.closed_forms + run.conjectures if r.identity in _SHIFTED]
+    assert len(shifted) == 6 * 16
+    for r in shifted:
+        n = r.params["n"]
+        consts, den = integer_form([_SHIFTED[r.identity](s) for s in range(2 * n - 1)])
+        assert r.lhs == _rank_one_hankel_det([(k, den) for k in consts], 1, n, den**n, "Y")
+
+
+def test_theorem15_zero_pivot_point_falls_back():
+    # At a = 1/2, b = 0, the one 7.13 grid point with a vanishing leading
+    # minor, K has zero minors at sizes 3, 4, 9, 10 and K + c u u^T at 1, 2,
+    # 7, 8 (U_n(-1/2) is periodic): each run stops at its first zero and
+    # det_int gives every larger size, equal to the per-size determinants
+    # (and to the cofactor expansion where that is quick)
+    sigma = _sigma(F(1, 2), F(0), 12)
+    for shift, zeros in ((0, [3, 4, 9, 10]), (1, [1, 2, 7, 8])):
+        consts = [k + shift * c for k, c in sigma]
+        rows = [consts[i : i + 12] for i in range(12)]
+        got = ring.leading_minors(rows)
+        assert got == [det_int([r[:k] for r in rows[:k]]) for k in range(1, 13)]
+        assert got[:7] == [bruteforce_det([r[:k] for r in rows[:k]]) for k in range(1, 8)]
+        assert [k for k, v in enumerate(got, 1) if not v] == zeros
+
+
+def test_suite_runs_one_elimination_per_matrix(monkeypatch):
+    # run_chebyshev_suite(12) eliminates each grid point's K and K + c u u^T
+    # once at size 12 (only K where c = 0: (a, b) = (-1, 2) and (1/2, -1)),
+    # and K and K + D J of each shifted form.  det_int runs only for the
+    # sizes after a zero pivot, and for the 12 det_rational calls of 7.11:
+    # going back to per-n determinants fails this count.
+    sizes, fallbacks, det_calls = [], [], []
+    leading, det = ring.leading_minors, ring.det_int
+
+    def leading_spy(rows):
+        out = leading(rows)
+        sizes.append(len(rows))
+        fallbacks.append(len(rows) - next((k for k, v in enumerate(out, 1) if not v), len(out)))
+        return out
+
+    monkeypatch.setattr(chebyshev, "leading_minors", leading_spy)
+    monkeypatch.setattr(ring, "det_int", lambda a: det_calls.append(len(a)) or det(a))
+    assert run_chebyshev_suite(12).all_theorems_hold
+    assert sizes == [12] * (4 * 2 + 20 * 2 - 2 + 5 * 2)
+    assert len(det_calls) == sum(fallbacks) + 12
+    # the zero pivots: K of every 7.9 point (K_0 = 0), K + u u^T at a = 1/2,
+    # both 7.13 pencils at (1/2, 0) and K of 7.16
+    assert sum(fallbacks) == 4 * 11 + 10 + 9 + 11 + 11
+

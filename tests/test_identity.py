@@ -11,6 +11,7 @@ import pytest
 import opident
 import opident.identity as identity
 import opident.moments as moments
+import opident.ring as ring
 from opident.identity import (
     ConfluentRequiredError,
     IdentityInstance,
@@ -438,6 +439,12 @@ NEGATIVE_CONTROLS = {
         lambda orig: lambda c, size: orig(c, size - 1),
         lambda: sweep_lemmas(seed=11, trials=1),
     ),
+    # the size-n lemma determinants read off the (n-1)-th leading minor
+    "lemma leading minor read one size off": (
+        ring, "leading_minors",
+        lambda orig: lambda rows: [1, *orig(rows)[:-1]],
+        lambda: sweep_lemmas(seed=11, trials=1),
+    ),
     # alpha and beta exchanged in every linear determinant: lemma 9 is
     # symmetric in them, lemma 8 changes sign
     "lemma linear determinant slots swapped": (
@@ -488,6 +495,38 @@ def test_negative_control_is_caught(name, monkeypatch):
     assert all(r.equal for r in sweep())
     monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
     assert any(not r.equal and r.lhs is not None for r in sweep())
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_CONTROLS))
+def test_negative_control_is_caught_after_a_warm_lemma_sweep(name, monkeypatch):
+    # No leading minor outlives the sweep that took it: a clean lemma sweep
+    # on the same seed leaves nothing the faulty run could read.
+    owner, attr, fault, sweep = NEGATIVE_CONTROLS[name]
+    assert all(r.equal for r in sweep_lemmas(seed=11, trials=1))
+    monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
+    assert any(not r.equal and r.lhs is not None for r in sweep())
+
+
+@pytest.mark.parametrize("seed, trials", [(1, 10), (7, 3)])
+def test_lemma_sweep_runs_one_elimination_per_sequence_and_kind(seed, trials, monkeypatch):
+    # Each sequence's Hankel slices, linear and quadratic determinants are
+    # one elimination each at the largest size (7, 6 and 6 at max_n = 6);
+    # det_int runs only for the sizes after a zero pivot, so going back to
+    # per-n determinants fails this count.
+    sizes, fallbacks, det_calls = [], [], []
+    leading, det = ring.leading_minors, ring.det_int
+
+    def leading_spy(rows):
+        out = leading(rows)
+        sizes.append(len(rows))
+        fallbacks.append(len(rows) - next((k for k, v in enumerate(out, 1) if not v), len(out)))
+        return out
+
+    monkeypatch.setattr(ring, "leading_minors", leading_spy)
+    monkeypatch.setattr(ring, "det_int", lambda a: det_calls.append(len(a)) or det(a))
+    assert all(r.equal for r in sweep_lemmas(seed, trials))
+    assert sorted(sizes) == sorted([7, 6, 6] * trials)
+    assert len(det_calls) == sum(fallbacks)
 
 
 def test_series_delta_off_by_one_is_caught(monkeypatch):

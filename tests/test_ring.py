@@ -439,6 +439,100 @@ def test_schur_minors_against_bruteforce(levels, base, pad):
         mu: -c for mu, c in want.items()}
 
 
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_schur_minors_adds_one_row_per_walked_tail(levels, monkeypatch):
+    # The walk puts a row on top once per tail (mu_l, ..., mu_levels), l >= 2,
+    # of some partition mu with |mu| < reach, and never for a tail that no
+    # such partition completes: a larger level bound walks dead branches
+    # whose values still come out right.
+    reach = 7
+    rows = [[i + 1, (i * i) % 5 - 2, i % 3, 1, 2 - i][:levels] for i in range(reach + levels - 1)]
+    calls = []
+    add_row = ring.add_row
+
+    def counted(minors, row):
+        calls.append(row)
+        return add_row(minors, row)
+
+    monkeypatch.setattr(ring, "add_row", counted)
+    ring.schur_minors({0: 1}, rows, levels, reach)
+    tails = {
+        mu[l:]
+        for mu in itertools.product(range(reach), repeat=levels)
+        if list(mu) == sorted(mu, reverse=True) and sum(mu) < reach
+        for l in range(1, levels)
+    }
+    assert len(calls) == len(tails)
+
+
+def _leading_blocks(rows):
+    return [[r[:k] for r in rows[:k]] for k in range(1, len(rows) + 1)]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_leading_minors_against_per_size_determinants(n, rng):
+    for _ in range(5):
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        kept = [list(r) for r in rows]
+        got = ring.leading_minors(rows)
+        assert rows == kept  # the input is left as it is
+        assert got == [det_int(b) for b in _leading_blocks(rows)]
+        assert got == [bruteforce_det(b) for b in _leading_blocks(rows)]
+        assert all(type(v) is int for v in got)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_leading_minors_fall_back_after_a_zero_pivot(n, rng, monkeypatch):
+    # For every k, the k-th leading block made singular (its last row the
+    # sum of the rows above on its k columns, or a zero corner at k = 1):
+    # that minor is the zero pivot, and det_int gives each of the n - k
+    # larger blocks, which are not singular in general.
+    calls = []
+
+    def counted(a):
+        calls.append(len(a))
+        return det_int(a)
+
+    monkeypatch.setattr(ring, "det_int", counted)
+    for k in range(1, n + 1):
+        while True:  # the blocks below k not singular, so k is the first zero pivot
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            rows[k - 1][:k] = [sum(col) for col in zip(*(r[:k] for r in rows[: k - 1]))] or [0]
+            if all(bruteforce_det(b) for b in _leading_blocks(rows)[: k - 1]):
+                break
+        calls.clear()
+        got = ring.leading_minors(rows)
+        want = [bruteforce_det(b) for b in _leading_blocks(rows)]
+        assert got == want
+        assert got[k - 1] == 0
+        assert calls == list(range(k + 1, n + 1))
+
+
+def test_det_poly_minors_against_det_poly_of_each_block(rng):
+    # Every leading block decoded from the whole matrix's packing, rational
+    # and polynomial entries in one and two variables; a zero last row makes
+    # the whole determinant 0 while the blocks above it are not.
+    x = UniPoly.variable("x")
+    nested = UniPoly([UniPoly([F(1, 2), 3], "beta"), UniPoly([-2], "beta")], "alpha")
+    cases = [
+        ([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(9)], ()),
+        ([x * rng.randint(-3, 3) + F(rng.randint(-9, 9), 2) for _ in range(9)], ("x",)),
+        ([nested * rng.randint(-3, 3) + rng.randint(-5, 5) for _ in range(9)], ("alpha", "beta")),
+    ]
+    for entries, variables in cases:
+        for zero_row in (False, True):
+            m = RingMatrix.hankel(entries, 5)
+            if zero_row:
+                m = RingMatrix.from_rows(m.to_rows()[:4] + [[0] * 5])
+            got = ring.det_poly_minors(m, variables)
+            rows = m.to_rows()
+            assert len(got) == 6
+            for k, value in enumerate(got):
+                block = RingMatrix.from_rows([r[:k] for r in rows[:k]]) if k else RingMatrix(0, 0, [])
+                assert value == det_poly(block, variables), (variables, zero_row, k)
+                assert str(value) == str(det_poly(block, variables))
+
+
 def test_det_rational_and_det_poly_return_integral_values_as_ints(rng):
     # Rows scaled by 1/2, 2/3, ..., (n-1)/n and n (product 1) carry
     # denominators that cancel in the determinant; random Fraction rows
