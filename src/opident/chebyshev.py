@@ -21,8 +21,8 @@ from functools import lru_cache
 
 from .identity import Record, VerificationReport
 from .moments import ChebyshevCatalanFunctional
-from .ring import (RingMatrix, UniPoly, binomial, det_rational, format_rational, integer_form,
-                   leading_minors, ratio, shared, shared_minors)
+from .ring import (UniPoly, binomial, format_rational, integer_form, leading_minors, ratio,
+                   shared, shared_minors)
 
 _ZERO = Fraction(0)
 
@@ -219,8 +219,9 @@ def row_7_10(n: int) -> VerificationReport:
 
 
 def row_7_11(n: int) -> VerificationReport:
-    """det of the pure central-binomial matrix == 2^(-n(n-1))."""
-    lhs = det_rational(RingMatrix.hankel([central_weight(s) for s in range(2 * n - 1)], n))
+    """det of the pure central-binomial matrix == 2^(-n(n-1)): the Y^0
+    coefficient of the 7.12 pencil."""
+    lhs = _det_shifted_identity(central_weight, n).coefficient(0)
     rhs = Fraction(1, 2 ** (n * (n - 1)))
     return _report("7.11", n, lhs, rhs)
 

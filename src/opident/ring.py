@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
+from operator import add, mul
 
 #: Degree of the zero polynomial.
 NEG_INFINITY = float("-inf")
@@ -272,18 +272,15 @@ class InverseSeries:
 
     ``cap`` is an optional working ceiling that rides along through
     arithmetic: results never keep terms at or above it, which is always
-    sound (trunc is a lower bound on validity).  One to three variables:
-    multiplication is unrolled for each count and refuses more.
+    sound (trunc is a lower bound on validity).
     """
 
     __slots__ = ("variables", "terms", "trunc", "cap")
 
-    MAX_VARIABLES = 3
-
     def __init__(self, variables, terms, trunc, cap=None):
         variables = tuple(variables)
-        if not 0 < len(variables) <= self.MAX_VARIABLES:
-            raise ValueError(f"1 to {self.MAX_VARIABLES} inverse variables supported")
+        if not variables:
+            raise ValueError("at least one inverse variable required")
         if trunc is not None and trunc <= 0:
             raise ValueError("truncation order must be positive")
         if cap is not None and (trunc is None or trunc > cap):
@@ -421,9 +418,6 @@ class InverseSeries:
             )
         if other.variables != self.variables:
             raise ValueError("series variable mismatch")
-        nvars = len(self.variables)
-        if nvars > self.MAX_VARIABLES:
-            raise ValueError(f"series products take 1 to {self.MAX_VARIABLES} variables")
         cap = self._merge_caps(self.cap, other.cap)
         if self.is_exact_zero or other.is_exact_zero:
             return InverseSeries._make(self.variables, {}, None, cap)
@@ -441,33 +435,13 @@ class InverseSeries:
         get = out.get
         for e1, d1, c1 in a:
             limit = None if trunc is None else trunc - d1
-            if nvars == 1:
-                x1 = e1[0]
-                for e2, d2, c2 in b:
-                    if limit is not None and d2 >= limit:
-                        break
-                    e = (x1 + e2[0],)
-                    p = c1 * c2
-                    prev = get(e)
-                    out[e] = p if prev is None else prev + p
-            elif nvars == 2:
-                x1, y1 = e1
-                for e2, d2, c2 in b:
-                    if limit is not None and d2 >= limit:
-                        break
-                    e = (x1 + e2[0], y1 + e2[1])
-                    p = c1 * c2
-                    prev = get(e)
-                    out[e] = p if prev is None else prev + p
-            else:
-                x1, y1, z1 = e1
-                for e2, d2, c2 in b:
-                    if limit is not None and d2 >= limit:
-                        break
-                    e = (x1 + e2[0], y1 + e2[1], z1 + e2[2])
-                    p = c1 * c2
-                    prev = get(e)
-                    out[e] = p if prev is None else prev + p
+            for e2, d2, c2 in b:
+                if limit is not None and d2 >= limit:
+                    break
+                e = tuple(map(add, e1, e2))
+                p = c1 * c2
+                prev = get(e)
+                out[e] = p if prev is None else prev + p
         out = {e: c for e, c in out.items() if c}
         return InverseSeries._make(self.variables, out, trunc, cap)
 

@@ -521,8 +521,8 @@ def test_suite_runs_one_elimination_per_matrix(monkeypatch):
     # run_chebyshev_suite(12) eliminates each grid point's K and K + c u u^T
     # once at size 12 (only K where c = 0: (a, b) = (-1, 2) and (1/2, -1)),
     # and K and K + D J of each shifted form.  det_int runs only for the
-    # sizes after a zero pivot, and for the 12 det_rational calls of 7.11:
-    # going back to per-n determinants fails this count.
+    # sizes after a zero pivot (7.11 reads K off the 7.12 pencil): going
+    # back to per-n determinants fails this count.
     sizes, fallbacks, det_calls = [], [], []
     leading, det = ring.leading_minors, ring.det_int
 
@@ -536,7 +536,7 @@ def test_suite_runs_one_elimination_per_matrix(monkeypatch):
     monkeypatch.setattr(ring, "det_int", lambda a: det_calls.append(len(a)) or det(a))
     assert run_chebyshev_suite(12).all_theorems_hold
     assert sizes == [12] * (4 * 2 + 20 * 2 - 2 + 5 * 2)
-    assert len(det_calls) == sum(fallbacks) + 12
+    assert len(det_calls) == sum(fallbacks)
     # the zero pivots: K of every 7.9 point (K_0 = 0), K + u u^T at a = 1/2,
     # both 7.13 pencils at (1/2, 0) and K of 7.16
     assert sum(fallbacks) == 4 * 11 + 10 + 9 + 11 + 11

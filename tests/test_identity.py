@@ -622,11 +622,16 @@ def test_series_sweep_small():
     assert any(r.params["n"] < r.params["k"] for r in reports)
 
 
-def test_series_sweep_runs_on_integer_minors(monkeypatch):
+def test_series_sweep_runs_on_integer_minors(monkeypatch, capsys):
     # Series verification takes both sides from integer minors: no
     # InverseSeries product, no det_generic and no q_series, and one
-    # modified_hankel_det_series per instance
+    # modified_hankel_det_series per instance.  No CLI command multiplies a
+    # series or calls det_generic either: every golden command and a
+    # --series run at k = 4
     import sys
+
+    from opident.cli import main
+    from test_golden import CASES, GOLDEN
 
     calls = {"mul": 0, "det_generic": 0, "q_series": 0, "lhs": 0}
 
@@ -647,6 +652,13 @@ def test_series_sweep_runs_on_integer_minors(monkeypatch):
     reports = sweep_theorem1_series(1, trials=1, ks=(1, 2, 3), truncation=12)
     assert len(reports) == 45 and all(r.equal for r in reports)
     assert calls == {"mul": 0, "det_generic": 0, "q_series": 0, "lhs": len(reports)}
+    monkeypatch.delenv("OPIDENT_SEED", raising=False)
+    monkeypatch.chdir(GOLDEN)
+    k4 = ["verify", "theorem1", "--series", "--max-k", "4", "--trials", "1"]
+    for argv in [*CASES.values(), k4]:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert calls["mul"] == calls["det_generic"] == 0
 
 
 def test_series_failure_note_names_the_first_decreasing_exponent(monkeypatch):
@@ -926,7 +938,8 @@ def test_series_rhs_matches_fraction_oracle(fractional):
     # integer moments and over moments with denominators; n < k puts power
     # columns first.  Both the paper row order and the q-rows-first order at
     # the sign (-1)^(mk) must agree with the rhs below the truncation T,
-    # and the rhs is known exactly there: trunc == cap == T
+    # and the rhs is known exactly there: trunc == cap == T.  k runs to 4,
+    # and to 5 at n <= 2, m <= 1: the oracle's cost grows steeply with k
     draw = random.Random(40 + fractional)
     denominators = (1, 2, 3, 7) if fractional else (1,)
     while True:
@@ -941,11 +954,11 @@ def test_series_rhs_matches_fraction_oracle(fractional):
     T = 7
     q_dens = set()
     for n in range(5):
-        for k in (1, 2, 3):
+        for k in range(1, 6 if n <= 2 else 5):
             variables = tuple(f"y{i + 1}" for i in range(k))
             cols = range(n - k, n + 2)
             wt = T + k * (k - 1) // 2
-            for m in range(3):
+            for m in range(2 if k == 5 else 3):
                 inst = IdentityInstance(n=n, xs=draw.sample(xs_pool, m), ys=variables,
                                         mode="series", truncation=T)
                 mat = _series_oracle_matrix(sys, inst)

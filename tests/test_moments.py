@@ -551,8 +551,8 @@ def _singular_block_sequence(n):
     return SequenceFunctional(head + [rng.randint(-3, 3) for _ in range(24 - len(head))])
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n, k", [(n, k) for n in (1, 2, 3, 4) for k in (1, 2, 3, 4)
+                                  if k < 4 or n < 4])
 @pytest.mark.parametrize(
     "row, xs",
     [(lambda n: _fractional_sequence(), (F(1, 2), F(-2, 3))), (_singular_block_sequence, ())],
@@ -561,8 +561,9 @@ def _singular_block_sequence(n):
 def test_modified_hankel_det_series_matches_oracle(row, xs, n, k):
     # The Cauchy-Binet route against det_generic on the Hankel matrix of the
     # term-by-term oracle, times a_delta: three degrees past T' = T - nk
-    # (n = 1 < k - 1 at k = 3 included), and every T with T' <= 0, T <= k
-    # among them.
+    # (n = 1 < k - 1 at k = 3 and n <= 2 < k - 1 at k = 4 included), and
+    # every T with T' <= 0, T <= k among them.  k = 4 stops at n = 3: the
+    # oracle's cost grows steeply with nk.
     f = row(n)
     variables = tuple(f"y{l}" for l in range(k))
     for truncation in [*range(1, n * k + 1), n * k + 3]:
