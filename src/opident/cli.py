@@ -20,6 +20,9 @@ import sys
 
 from . import chebyshev as cheb
 from .identity import (
+    _XS_POOL,
+    _XS_POOL_INT,
+    _YS_POOL,
     _jsonify,
     sweep_jacobi,
     sweep_lemmas,
@@ -143,13 +146,23 @@ def _cmd_verify_theorem1(args) -> int:
     if args.series and args.max_k > _SERIES_MAX_K:
         raise SystemExit2(f"series mode runs k <= {_SERIES_MAX_K} formal ys "
                           f"(--max-k at most {_SERIES_MAX_K})")
+    pools = (("--max-m", args.max_m, "xs", _XS_POOL_INT if args.series else _XS_POOL),
+             ("--max-k", 0 if args.series else args.max_k, "ys", _YS_POOL))
+    for flag, count, kind, pool in pools:
+        if count > len(pool):
+            raise SystemExit2(f"{flag} {count} needs {count} distinct {kind}; the sweep draws "
+                              f"them from a pool of {len(pool)}")
     if args.series:
         # The cleared lhs of an (n, k) instance starts at total degree
-        # n k - C(k, 2); a truncation at or below it compares nothing.
+        # n k - C(k, 2); a truncation at or below it compares nothing.  The
+        # moment draw runs to mu_h, h = 2 max_n - 2 + max_m + T + C(max_k, 2).
         least = 1 + max(args.max_n * k - binomial(k, 2) for k in range(1, args.max_k + 1))
-        if args.truncation < least:
-            raise SystemExit2(f"--truncation {args.truncation} compares no coefficient of the "
-                              f"largest instance; this shape needs --truncation at least {least}")
+        drawn = 2 - 2 * args.max_n - args.max_m - binomial(args.max_k, 2)
+        if args.truncation < max(least, drawn):
+            cause = ("compares no coefficient of the largest instance" if args.truncation < least
+                     else "leaves the moment draw no mu_0")
+            raise SystemExit2(f"--truncation {args.truncation} {cause}; this shape needs "
+                              f"--truncation at least {max(least, drawn)}")
     if args.functional:
         if args.series:
             raise SystemExit2("--functional is not supported with --series "

@@ -273,9 +273,10 @@ def _pq_rows(sys: OrthoSystem, cols, x_form, y_form) -> list:
     return rows
 
 
-def _fractions(rows) -> list:
-    """Integer rows over row denominators as rows of Fractions."""
-    return [[v * Fraction(1, den) for v in nums] for nums, den in rows]
+def _fractions(sys: OrthoSystem, cols, x_form, y_form) -> list:
+    """The _pq_rows as Fractions: each entry over its row's D and its column's d_b."""
+    return [[Fraction(v, den * sys.scales((b,))) for v, b in zip(nums, cols)]
+            for nums, den in _pq_rows(sys, cols, x_form, y_form)]
 
 
 def _theorem1_rows(sys: OrthoSystem, inst: IdentityInstance) -> list:
@@ -285,10 +286,11 @@ def _theorem1_rows(sys: OrthoSystem, inst: IdentityInstance) -> list:
 
 
 def _theorem1_matrix(sys: OrthoSystem, inst: IdentityInstance) -> RingMatrix:
-    """_theorem1_rows over their row denominators, atom mode only."""
+    """The p/q matrix of _theorem1_rows in Fractions, atom mode only."""
     if inst.mode != "atom":
         raise ModeError("the p/q matrix has rational ys only; series mode has formal ys")
-    return RingMatrix.from_rows(_fractions(_theorem1_rows(sys, inst)))
+    cols = range(inst.n - inst.k, inst.n + inst.m)
+    return RingMatrix.from_rows(_fractions(sys, cols, inst.x_form, inst.y_form))
 
 
 def matrix_M(sys: OrthoSystem, inst: IdentityInstance) -> RingMatrix:
@@ -323,14 +325,20 @@ def _hankel_divisor(f, n: int, k: int) -> Fraction:
     return h
 
 
-def _vandermondes(inst: IdentityInstance) -> Fraction:
-    """prod(x_j - x_i)^(c_i c_j) * prod(y_i - y_j)^(c_i c_j) over the
-    rational blocks (formal ys have none, so series mode gets the x factor
-    alone): vandermonde_product of each list's numerators, the denominator
-    powers d^(sum_{i<j} c_i c_j) divided out once."""
+def _vandermondes(inst: IdentityInstance) -> tuple[int, int]:
+    """Integers (V, D), D > 0, with V / D = prod(x_j - x_i)^(c_i c_j) *
+    prod(y_i - y_j)^(c_i c_j) over the rational blocks (formal ys have none,
+    so series mode gets the x factor alone): vandermonde_product of each
+    list's numerators over the denominator powers d^(sum_{i<j} c_i c_j)."""
     (xs, xm, xd), (ys, ym, yd) = inst.x_form, inst.y_form
     den = xd ** _pair_count(xm) * yd ** _pair_count(ym)
-    return Fraction(vandermonde_product(xs, xm) * _y_vandermonde(ys, ym), den)
+    return vandermonde_product(xs, xm) * _y_vandermonde(ys, ym), den
+
+
+def _flat(form) -> tuple[tuple[int, ...], int]:
+    """An x_form or y_form as the integer_form of its values, repeated by multiplicity."""
+    keys, mults, den = form
+    return tuple([v for v, c in zip(keys, mults) for _ in range(c)]), den
 
 
 def _pair_count(mults) -> int:
@@ -356,9 +364,10 @@ def lhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
     f = sys.functional
     n, k = inst.n, inst.k
     if inst.mode == "atom":
-        return f.modified_hankel_det(n, inst.xs, inst.ys, _hankel_divisor(f, n, k))
+        return f.modified_hankel_det(n, divisor=_hankel_divisor(f, n, k),
+                                     forms=(_flat(inst.x_form), _flat(inst.y_form)))
     schur, den = f.modified_hankel_det_series(n, inst.xs, inst.ys, inst.truncation + binomial(k, 2))
-    scale = _vandermondes(inst) * Fraction(_series_lhs_sign(n, k), den)
+    scale = Fraction(*_vandermondes(inst)) * Fraction(_series_lhs_sign(n, k), den)
     return _Alternant(inst, schur, scale)
 
 
@@ -371,18 +380,18 @@ def rhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
     The sign is prop13_sign, which is (-1)^(n(m-k)+km) when every
     multiplicity is 1.  Each Vandermonde factor is raised to the product of
     the two multiplicities.  Atom mode runs one Bareiss determinant on the
-    integer _theorem1_rows and divides by their row denominators and the
-    Vandermondes in one Fraction.  In series mode the q-rows go above the
-    integer p-rows, at the sign (-1)^(mk); q-row l has the q_table row
-    mu_l + k - l at z_l^e_l, e = mu + delta + lo, so ring.schur_minors takes
-    each coefficient of the _Alternant by multilinearity.
+    integer _theorem1_rows and divides by their row denominators, column
+    scales and Vandermondes in one Fraction.  In series mode the q-rows go
+    above the integer p-rows, at the sign (-1)^(mk); q-row l has the q_table
+    row mu_l + k - l at z_l^e_l, e = mu + delta + lo, so ring.schur_minors
+    takes each coefficient of the _Alternant by multilinearity.
     """
-    rows = _theorem1_rows(sys, inst)
-    sign, den = prop13_sign(inst), math.prod(d for _, d in rows)
-    if inst.mode == "atom":
-        v, det = _vandermondes(inst), det_int([nums for nums, _ in rows])
-        return Fraction(sign * det * v.denominator, den * v.numerator)
     n, k, m, T = inst.n, inst.k, inst.m, inst.truncation
+    rows = _theorem1_rows(sys, inst)
+    sign, den = prop13_sign(inst), math.prod(d for _, d in rows) * sys.scales(range(n - k, n + m))
+    if inst.mode == "atom":
+        (v, v_den), det = _vandermondes(inst), det_int([nums for nums, _ in rows])
+        return Fraction(sign * det * v_den, den * v)
     minors = {0: 1}
     for nums, _ in reversed(rows):
         minors = add_row(minors, nums)
@@ -499,7 +508,7 @@ def uvarov_polynomial(
     m = 1 + len(xs_fixed)
     k = len(ys)
     cols = range(n - k, n + m)
-    fixed = _fractions(_pq_rows(sys, cols, (xs_fixed, (1,) * (m - 1), 1), (ys, (1,) * k, 1)))
+    fixed = _fractions(sys, cols, (xs_fixed, (1,) * (m - 1), 1), (ys, (1,) * k, 1))
     x1_row = [sys.p(b).rename("x1") if b >= 0 else _ZERO for b in cols]
     d = det_poly(RingMatrix.from_rows([x1_row, *fixed]), ["x1"])
     vx = vandermonde_product((UniPoly.variable("x1"),) + xs_fixed)

@@ -12,6 +12,7 @@ error; t_n, a quotient of two checked norms, needs no check of its own.
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from operator import mul
 
@@ -34,16 +35,16 @@ class DegenerateFunctionalError(DomainError):
         super().__init__(message or f"Hankel determinant H({index}) vanishes")
 
 
-def _homogeneous_eval(coeffs, a: int, b: int) -> tuple[int, int]:
-    """(sum_i c_i a^i b^(deg-i), b^deg): the polynomial at a/b is their quotient
-    (Horner on plain ints)."""
+def _homogeneous_eval(coeffs, a: int, b: int, deg: int) -> int:
+    """sum_i c_i a^i b^(deg-i) for deg at least the degree: b^deg times the
+    polynomial at a/b (Horner on plain ints)."""
     it = reversed(coeffs)
-    acc = next(it)
-    bpow = 1
+    bpow = b ** (deg + 1 - len(coeffs))
+    acc = next(it) * bpow
     for c in it:
         bpow *= b
         acc = acc * a + c * bpow
-    return acc, bpow
+    return acc
 
 
 class OrthoSystem:
@@ -51,11 +52,12 @@ class OrthoSystem:
 
     ``depth`` is the largest constructed polynomial index: p_0..p_depth,
     s_0..s_{depth-1}, t_0..t_{depth-2}, norms L(p_0^2)..L(p_{depth-1}^2).
-    Immutable once built; p(-1) is the zero polynomial.  p_n is kept only as
-    ``int_polys[n] = (c, d)``, integer coefficients over one denominator, and
-    p(n) builds its UniPoly when read.  For a finite-atom functional the
-    integer values w_a p_n(u_a) over one denominator are tabled here too, so
-    a built system is safe to share across threads.
+    p(-1) is the zero polynomial.  p_n is kept only as ``int_polys[n] = (c,
+    d_n)``, integer coefficients over one denominator; p(n) builds its
+    UniPoly when read.  Row builders put d_b times the value in column b.
+    For a finite-atom functional d_n w_a p_n(u_a) is tabled at build and the
+    atom sums once per (y, order) under a lock, so a built system is safe to
+    share across threads.
     """
 
     def __init__(self, functional, depth, s, t, int_polys, norms):
@@ -65,14 +67,14 @@ class OrthoSystem:
         self.t = tuple(t)
         self.int_polys = tuple(int_polys)
         self.norms = tuple(norms)
-        self._atom_values = None
+        self._atom_values, self._atom_sums, self._atom_lock = None, {}, threading.Lock()
         if isinstance(functional, FiniteAtomFunctional):
+            # G_na / (W B^depth) = d_n w_a p_n(u_a), with w_a = N_a / W and u_a = U_a / B
             weights, weight_den = functional.modified_weights()
             nodes, b = functional.node_numerators, functional.node_scale
-            self._atom_values = tuple(
-                (tuple(w * _homogeneous_eval(c, u, b)[0] for w, u in zip(weights, nodes)),
-                 weight_den * d * b ** (len(c) - 1))
-                for c, d in self.int_polys
+            self._atom_values = weight_den * b**depth, tuple(
+                tuple(w * _homogeneous_eval(c, u, b, depth) for w, u in zip(weights, nodes))
+                for c, _ in self.int_polys
             )
 
     def _check_index(self, n: int):
@@ -80,6 +82,10 @@ class OrthoSystem:
             raise ValueError("polynomial index below -1")
         if n > self.depth:
             raise ValueError(f"system depth is {self.depth}, p_{n} not built")
+
+    def scales(self, cols) -> int:
+        """The product of the d_b over the b >= 0 in cols, for a row's reader."""
+        return math.prod([self.int_polys[b][1] for b in cols if b >= 0])
 
     def p(self, n: int) -> UniPoly:
         self._check_index(n)
@@ -89,39 +95,57 @@ class OrthoSystem:
         return UniPoly([Fraction(c, d) for c in coeffs])
 
     def p_row(self, cols, x, order: int = 0, scale: int = 1) -> tuple[list[int], int]:
-        """Integers P_b and D > 0 with P_b / D the Taylor coefficient
+        """Integers P_b and D > 0 with P_b / (D d_b) the Taylor coefficient
         p_b^(r)(x / scale)/r! for r = order and each b in cols, where p_b = 0
         for b < 0; x is an int or a Fraction.  At x_n / x_d integer Horner on
         the coefficients c_i binom(i, r) of p_b gives A_b / (d_b x_d^(b-r))."""
         xn, xd = x.numerator, x.denominator * scale
-        self._check_index(max(-1, *cols))
-        vals = []
+        top = max(-1, *cols)
+        self._check_index(top)
+        row = []
         for b in cols:
             if b < order:  # p_b has degree below r, or is zero
-                vals.append((0, 1))
+                row.append(0)
                 continue
-            coeffs, d = self.int_polys[b]
+            coeffs = self.int_polys[b][0]
             if order:
                 coeffs = [c * math.comb(i, order) for i, c in enumerate(coeffs)][order:]
-            acc, bpow = _homogeneous_eval(coeffs, xn, xd)
-            vals.append((acc, d * bpow))
-        den = math.lcm(*[d for _, d in vals])
-        return [a * (den // d) for a, d in vals], den
+            row.append(_homogeneous_eval(coeffs, xn, xd, top - order))
+        return row, xd ** max(top - order, 0)
 
     def p_value(self, n: int, x, order: int = 0) -> Fraction:
         """The Taylor coefficient p_n^(r)(x)/r! for r = order (p_n(x) at the
         default 0), with p_b = 0 for b < 0: the one-column p_row."""
         (num,), den = self.p_row((n,), x, order)
-        return Fraction(num, den)
+        return Fraction(num, den * self.scales((n,)))
 
-    def weighted_node_values(self, n: int) -> tuple[tuple[int, ...], int]:
-        """Integers G_a and D with w_a p_n(u_a) = G_a / D at the atom nodes
-        (finite-atom only, 0 <= n <= depth)."""
+    def atom_sums(self, yn: int, yd: int, order: int) -> tuple[tuple[int, ...], int]:
+        """Integers S_b, 0 <= b <= depth, and D > 0 with S_b / D = d_b
+        q_b^(r)(y)/r! at y = yn / yd, r = order (finite-atom only), formed once
+        per (yn, yd, r) under a lock, as MomentFunctional.hankel_det forms H(n):
+        (-1)^r (B yd)^(r+1) sum_a G_ba (Pi / P_a) over W B^depth Pi, with y -
+        u_a = e_a / (B yd), P_a = e_a^(r+1), Pi = prod_a P_a (its sign in S_b)."""
+        cached = self._atom_sums.get((yn, yd, order))
+        if cached is not None:
+            return cached
         if self._atom_values is None:
             raise ModeError("exact q-values need a finite-atom functional")
-        if not 0 <= n <= self.depth:
-            raise ValueError(f"weighted node values need 0 <= n <= {self.depth}, got {n}")
-        return self._atom_values[n]
+        with self._atom_lock:
+            cached = self._atom_sums.get((yn, yd, order))
+            if cached is None:
+                f, (den, values) = self.functional, self._atom_values
+                b, lift = f.node_scale, f.node_scale * yd
+                powered = [yn * b - u * yd for u in f.node_numerators]
+                if not all(powered):
+                    raise PoleAtAtomError(f"y = {Fraction(yn, yd)} is an atom node")
+                if order:
+                    powered = [p ** (order + 1) for p in powered]
+                    lift = (-1) ** order * lift ** (order + 1)
+                pi = math.prod(powered)
+                cofactors, lift = [pi // p for p in powered], lift if pi > 0 else -lift
+                cached = self._atom_sums[yn, yd, order] = (
+                    tuple([lift * sum(map(mul, g, cofactors)) for g in values]), den * abs(pi))
+        return cached
 
 
 def build_ortho_system(f: MomentFunctional, depth: int) -> OrthoSystem:
@@ -221,44 +245,32 @@ def poly_lemma5(f: MomentFunctional, n: int) -> UniPoly:
 
 
 def q_row(sys: OrthoSystem, cols, y, order: int = 0, scale: int = 1) -> tuple[list[int], int]:
-    """Integers Q_b and D > 0 with Q_b / D the Taylor coefficient
-    q_b^(r)(y / scale)/r! for r = order and each b in cols; y is an int or
-    a Fraction, as x in OrthoSystem.p_row.
+    """Integers Q_b and D > 0 with Q_b / (D d_b) the Taylor coefficient
+    q_b^(r)(y / scale)/r! for r = order and each b in cols, d_b as in
+    OrthoSystem.p_row; y is an int or a Fraction, as x there.
 
     For b >= 0 that is the exact atom sum (finite-atom only)
-    sum_a w_a p_b(u_a) (-1)^r / (y - u_a)^(r+1).  With y - u_a = d_a / (B y_d)
-    and P_a = d_a^(r+1) it is (-1)^r (B y_d)^(r+1) sum_a G_a (Pi / P_a) / (D_b Pi),
-    where G_a / D_b = w_a p_b(u_a) and Pi = prod_a P_a; Pi and the cofactors
-    Pi / P_a are formed once for the row.  For b < 0 the convention
-    q_b(y) = y^e, e = -b-1, gives binom(e, r) y^(e-r).  A y on an atom node
+    sum_a w_a p_b(u_a) (-1)^r / (y - u_a)^(r+1), read from
+    OrthoSystem.atom_sums, which forms it for every b once per (y, r).  For
+    b < 0 the convention q_b(y) = y^e, e = -b-1, gives binom(e, r)
+    y^(e-r), over y_d^(e-r) up to the lowest column's.  A y on an atom node
     raises PoleAtAtomError only when some b >= 0.
     """
     yn, yd = y.numerator, y.denominator * scale
-    top, pi = max(cols, default=-1), 1
-    if top >= 0:
-        sys.weighted_node_values(top)  # ModeError unless finite-atom
-        f = sys.functional
-        b, lift = f.node_scale, f.node_scale * yd
-        powered = [yn * b - u * yd for u in f.node_numerators]
-        if not all(powered):
-            raise PoleAtAtomError(f"y = {Fraction(yn, yd)} is an atom node")
-        if order:
-            powered = [p ** (order + 1) for p in powered]
-            lift = (-1) ** order * lift ** (order + 1)
-        pi = math.prod(powered)
-        cofactors = [pi // p for p in powered]
-    vals = []  # (A, D): the entry is A / (D Pi)
+    top = max(-1, *cols)
+    sys._check_index(top)
+    sums, den = sys.atom_sums(yn, yd, order) if top >= 0 else ((), 1)
+    low = max(-min(cols, default=0) - 1 - order, 0)  # the power of yd in D / den
+    row = []
     for b in cols:
         e = -b - 1
         if b >= 0:
-            g, d = sys.weighted_node_values(b)
-            vals.append((lift * sum(map(mul, g, cofactors)), d))
+            row.append(sums[b] * yd**low)
         elif e >= order:
-            vals.append((math.comb(e, order) * yn ** (e - order) * pi, yd ** (e - order)))
+            row.append(math.comb(e, order) * yn ** (e - order) * yd ** (low + order - e) * den)
         else:
-            vals.append((0, 1))
-    den = math.lcm(*[d for _, d in vals])
-    return [v * (den // d) for v, d in vals], den * pi
+            row.append(0)
+    return row, den * yd**low
 
 
 def q_exact(sys: OrthoSystem, n: int, y, order: int = 0) -> Fraction:
@@ -272,23 +284,20 @@ def q_exact(sys: OrthoSystem, n: int, y, order: int = 0) -> Fraction:
     if order < 0:
         raise ValueError("derivative order must be non-negative")
     (num,), den = q_row(sys, (n,), y, order)
-    return Fraction(num, den)
+    return Fraction(num, den * sys.scales((n,)))
 
 
 def q_table(sys: OrthoSystem, cols, start: int, stop: int) -> tuple[list[list[int]], int]:
-    """Integers Q[i][j] and D > 0 with Q[i][j] / D the coefficient of z^d,
-    d = start + i < stop and z = 1/y, in q_b(y) for b = cols[j].  For b >= 0
-    that is L(p_b u^(d-1)), 0 for d <= 0: p_b's integer coefficients over
-    d_b against the moment row m_i / M, read once; D is the lcm of the d_b M.
-    Orthogonality makes it 0 for d <= b, which is checked.  For b < 0 the
-    convention q_b(y) = y^(-b-1) = z^(b+1) gives D at d = b + 1 alone.
+    """Integers Q[i][j] and D > 0 with Q[i][j] / (D d_b) the coefficient of
+    z^d, d = start + i < stop and z = 1/y, in q_b(y) for b = cols[j].  For
+    b >= 0 that is L(p_b u^(d-1)), 0 for d <= 0: p_b's integer coefficients
+    against the moment row m_i / D, read once.  Orthogonality makes it 0
+    for d <= b, which is checked.  For b < 0 the convention q_b(y) =
+    y^(-b-1) = z^(b+1) gives D at d = b + 1 alone.
     """
-    f = sys.functional
     built = [b for b in cols if b >= 0]
-    for b in built:
-        sys._check_index(b)
-    mu, mu_den = f.moment_row(max(built) + stop - 1 if built and stop > 1 else 0)
-    den = math.lcm(*(sys.int_polys[b][1] * mu_den for b in built))
+    sys._check_index(max(built, default=-1))
+    mu, den = sys.functional.moment_row(max(built) + stop - 1 if built and stop > 1 else 0)
     columns = []
     for b in cols:
         col = [0] * max(stop - start, 0)
@@ -297,15 +306,14 @@ def q_table(sys: OrthoSystem, cols, start: int, stop: int) -> tuple[list[list[in
                 col[b + 1 - start] = den
         else:
             coeffs, d = sys.int_polys[b]
-            lift = den // (d * mu_den)
             for i in range(stop - 1):  # d = i + 1
                 num = sum(map(mul, coeffs, mu[i : i + b + 1]))
                 if i < b and num:
                     raise ArithmeticError(
-                        f"orthogonality violated: L(p_{b} u^{i}) = {ratio(num, d * mu_den)} != 0"
+                        f"orthogonality violated: L(p_{b} u^{i}) = {ratio(num, d * den)} != 0"
                     )
                 if i >= start - 1:
-                    col[i + 1 - start] = num * lift
+                    col[i + 1 - start] = num
         columns.append(col)
     return [list(row) for row in zip(*columns)], den
 
@@ -327,6 +335,7 @@ def q_series(
         raise ValueError("truncation order must be positive")
     variables = tuple(variables)
     table, den = q_table(sys, (n,), 1, truncation)
+    den *= sys.scales((n,))
     exps = [0] * len(variables)
     terms = {}
     for d, (c,) in enumerate(table, 1):

@@ -470,6 +470,49 @@ def test_series_truncation_that_compares_nothing_exits_2(truncation, capsys):
     assert err.startswith("error:") and "--truncation at least 8" in err
 
 
+def test_series_truncation_that_draws_no_moment_exits_2(capsys):
+    # At max_n = max_m = 0 and k = 1 the moment draw runs to mu_(T - 2), so
+    # T = 1 draws no moment at all: the refusal names the truncation, not the
+    # sweep depth, and T = 2 runs the one instance
+    argv = ["verify", "theorem1", "--series", "--max-n", "0", "--max-m", "0", "--max-k", "1",
+            "--trials", "1", "--json"]
+    code, out, err = run_cli(argv + ["--truncation", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --truncation 1 ") and "--truncation at least 2" in err
+    assert "sweep depth" not in err
+    code, out, _ = run_cli(argv + ["--truncation", "2"], capsys)
+    assert code == 0 and json.loads(out)["instances"] == 1
+
+
+@pytest.mark.parametrize("argv, refused, pool", [
+    (["--max-n", "1", "--max-k", "40", "--max-m", "0"], "--max-k 40 needs 40 distinct ys", 22),
+    (["--max-n", "0", "--max-k", "23", "--max-m", "0"], "--max-k 23 needs 23 distinct ys", 22),
+    (["--max-n", "0", "--max-k", "0", "--max-m", "32"], "--max-m 32 needs 32 distinct xs", 31),
+    (["--series", "--max-m", "25"], "--max-m 25 needs 25 distinct xs", 19),
+    (["--series", "--max-n", "0", "--max-k", "1", "--max-m", "20", "--truncation", "40"],
+     "--max-m 20 needs 20 distinct xs", 19),
+])
+def test_theorem1_draw_beyond_the_pool_exits_2(argv, refused, pool, capsys):
+    # The sweep draws distinct ys from 22 thirds (atom mode) and distinct xs
+    # from 31 halves (atom mode) or 19 integers (series mode): a larger
+    # --max-k or --max-m is refused up front, naming the pool
+    code, out, err = run_cli(["verify", "theorem1", *argv, "--trials", "1", "--json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {refused}; the sweep draws them from a pool of {pool}\n"
+
+
+@pytest.mark.parametrize("argv, instances", [
+    (["--max-n", "0", "--max-k", "22", "--max-m", "0"], 23),
+    (["--series", "--max-n", "0", "--max-k", "1", "--max-m", "19", "--truncation", "40"], 20),
+])
+def test_theorem1_draw_of_the_whole_pool_runs(argv, instances, capsys):
+    code, out, _ = run_cli(["verify", "theorem1", *argv, "--trials", "1", "--json"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["all_equal"] is True and payload["instances"] == instances
+
+
 @pytest.mark.parametrize("max_k", ["8"])
 def test_series_max_k_above_limit_exits_2(max_k, capsys):
     argv = ["verify", "theorem1", "--series", "--max-k", max_k, "--trials", "1",

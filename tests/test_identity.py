@@ -48,6 +48,7 @@ from opident.moments import (
 )
 from opident.orthopoly import (
     DegenerateFunctionalError,
+    OrthoSystem,
     build_ortho_system,
     poly_lemma5,
     q_exact,
@@ -184,8 +185,9 @@ def test_confluent_instance_round_trips_through_replace():
 
 def test_integer_vandermonde_matches_fraction_oracle():
     # _vandermondes runs vandermonde_product on integer numerators and
-    # divides by the denominator powers once; the oracle is the same product
-    # over Fractions, the y factor in _y_vandermonde's reversed orientation
+    # hands back the integer pair over the denominator powers; the oracle is
+    # the same product over Fractions, the y factor in _y_vandermonde's
+    # reversed orientation
     draw = random.Random(18)
     xs_pool = [F(p, q) for q in (1, 2, 4) for p in range(-9, 10) if math.gcd(p, q) == 1]
     ys_pool = [F(p, q) for q in (3, 9) for p in range(-20, 21) if math.gcd(p, q) == 1]
@@ -197,8 +199,9 @@ def test_integer_vandermonde_matches_fraction_oracle():
             inst = IdentityInstance(n=2, xi=tuple(zip(xs, x_mults)), omega=tuple(zip(ys, y_mults)))
             vx = vandermonde_product(xs, x_mults)
             vy = vandermonde_product(ys[::-1], y_mults[::-1])
-            got = identity._vandermondes(inst)
-            assert type(got) is F and got == vx * vy, (xs, x_mults, ys, y_mults)
+            num, den = identity._vandermondes(inst)
+            assert type(num) is type(den) is int and den > 0, (xs, x_mults, ys, y_mults)
+            assert F(num, den) == vx * vy, (xs, x_mults, ys, y_mults)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +435,13 @@ NEGATIVE_CONTROLS = {
     "x-Vandermonde reversed": (
         identity, "_vandermondes",
         lambda orig: lambda inst: orig(inst.replace(xs=(), xi=inst.xi[::-1])),
+        lambda: sweep_theorem1_atom(seed=11, trials=1),
+    ),
+    # the rhs reader forgets that column b of every p/q row holds d_b times
+    # the value
+    "column scale dropped": (
+        OrthoSystem, "scales",
+        lambda orig: lambda self, cols: 1,
         lambda: sweep_theorem1_atom(seed=11, trials=1),
     ),
     "lemma Hankel slice one size short": (
@@ -900,6 +910,31 @@ def _oracle_instances(seed):
 
 
 @pytest.mark.parametrize("fractional", [False, True])
+def test_row_denominators_are_positive(fractional, rng):
+    # prod_a (y - u_a)^(r+1) is negative for many ys; q_row takes that sign
+    # into its numerators, so every p/q row of the rhs has a denominator
+    # D > 0, over columns with b < 0 and Taylor orders 0..2 alike
+    if fractional:
+        f = _fractional_functional()
+    else:
+        f = random_atom_functional(rng, 8, hankel_nonzero_upto=7)
+    sys = build_ortho_system(f, 7)
+    seen = set()
+    for inst in _oracle_instances(12):
+        cols = range(inst.n - inst.k, inst.n + inst.m)
+        ys, y_mults, yd = inst.y_form
+        for y, c in zip(ys, y_mults):
+            for r in range(c):
+                _, den = q_row(sys, cols, y, r, yd)
+                assert den > 0, (inst.params(), r)
+                negative = math.prod(F(y, yd) - u for u in f.nodes) ** (r + 1) < 0
+                seen.add((cols[0] < 0, r, negative))
+        assert all(den > 0 for _, den in identity._theorem1_rows(sys, inst)), inst.params()
+    assert {(low, r) for low, r, _ in seen} == {(low, r) for low in (False, True) for r in range(3)}
+    assert {negative for *_, negative in seen} == {False, True}
+
+
+@pytest.mark.parametrize("fractional", [False, True])
 def test_integer_rhs_matches_fraction_oracle(fractional, rng):
     # the integer rows and their one Bareiss run against det_rational of the
     # matrix built entry by entry in Fractions, over integer nodes and over
@@ -913,7 +948,7 @@ def test_integer_rhs_matches_fraction_oracle(fractional, rng):
     for inst in _oracle_instances(12):
         mat = _oracle_matrix(sys, inst)
         assert identity._theorem1_matrix(sys, inst) == mat, inst.params()
-        expected = prop13_sign(inst) * det_rational(mat) / identity._vandermondes(inst)
+        expected = prop13_sign(inst) * det_rational(mat) / F(*identity._vandermondes(inst))
         assert rhs_theorem1(sys, inst) == expected, inst.params()
 
 
@@ -972,15 +1007,16 @@ def test_series_rhs_matches_fraction_oracle(fractional):
                 assert rhs.first_difference(want, T) is None, inst.params()
                 paper = det_generic(mat, one) * (prop13_sign(inst) * h)
                 assert rhs.first_difference(paper, T) is None, inst.params()
-            # table row d - lo holds the coefficients of z^d of every column
+            # table row d - lo holds the coefficients of z^d of every column,
+            # column b scaled by p_b's denominator d_b
             lo = n - k + 1
             table, den = q_table(sys, cols, lo, wt)
-            q_dens.add(den)
+            q_dens.add(den * sys.scales(cols))
             assert len(table) == wt - lo
             for j, b in enumerate(cols):
                 want = q_series(sys, b, wt, variables, 0) if b >= 0 else None
                 for d, row in enumerate(table, lo):
-                    value = F(row[j], den)
+                    value = F(row[j], den * sys.scales((b,)))
                     if b < 0:  # y^(-b-1) = z^(b+1)
                         assert value == (d == b + 1), (n, k, b, d)
                     else:
@@ -1008,7 +1044,15 @@ def test_shared_ortho_system_verifies_from_threads():
 
     # Series reports compare their lazy sides by coefficients, and every
     # thread also reads the terms of the serial run's series sides, which
-    # none has expanded before.
+    # none has expanded before.  The threads share the ys of the atom
+    # instances, so they fill the shared system's cold memo of atom sums
+    # together: each (y, order) once, to the values a serial run keeps.
+    class CountedFills(tuple):
+        # a fill unpacks the table of weighted node values once
+        def __iter__(self):
+            fills.append(None)
+            return super().__iter__()
+
     draw = random.Random(3)
     series = [IdentityInstance(n=n, xs=draw.sample(range(-9, 10), m),
                                ys=tuple(f"y{l}" for l in range(k)), mode="series", truncation=10)
@@ -1022,6 +1066,9 @@ def test_shared_ortho_system_verifies_from_threads():
             alone = build_ortho_system(_fractional_functional(), 7)
             serial = [verify_theorem1(alone, i) for i in insts]
             assert all(r.equal for r in serial)
+            fills = []
+            system._atom_values = CountedFills(system._atom_values)
+            assert not system._atom_sums
             barrier = threading.Barrier(6)
             results, seen = [None] * 6, [None] * 6
 
@@ -1037,6 +1084,8 @@ def test_shared_ortho_system_verifies_from_threads():
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             assert all(r == serial for r in results)
+            assert system._atom_sums == alone._atom_sums
+            assert len(fills) == len(system._atom_sums) > 40
             again = [verify_theorem1(alone, i) for i in series]
             assert all(s == [(r.lhs.terms, r.rhs.terms) for r in again] for s in seen)
     finally:

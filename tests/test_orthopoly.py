@@ -24,6 +24,7 @@ from opident.orthopoly import (
     poly_lemma4,
     poly_lemma5,
     q_exact,
+    q_row,
     q_series,
 )
 from opident.ring import InverseSeries, UniPoly
@@ -357,6 +358,42 @@ def test_q_exact_equals_the_atom_sum_in_fractions(rng):
                     assert q_exact(sys, n, y, r) == expected, (n, y, r)
 
 
+@pytest.mark.parametrize("fractional", [False, True])
+def test_rows_hold_d_b_times_the_value(fractional, rng):
+    # p_row and q_row put d_b times the value in column b, d_b the
+    # denominator of p_b in int_polys (1 for b < 0), over a row denominator
+    # D > 0: entry / (D d_b) is p_value, q_exact and the UniPoly or atom-sum
+    # oracle, for Taylor orders r <= 2 and the b < 0 conventions
+    if fractional:
+        f = functional_from_json((Path(__file__).parent / "golden" / "atoms8-fractional.json")
+                                 .read_text())
+    else:
+        f = random_atom_functional(rng, 7, hankel_nonzero_upto=5)
+    sys = build_ortho_system(f, 5)
+    assert max(d for _, d in sys.int_polys) > 1
+    cols = range(-3, 6)
+    for r in range(3):
+        for x in (F(1, 2), F(-7, 4), F(3)):
+            nums, den = sys.p_row(cols, x, r)
+            assert den > 0 and sys.p_row(cols, x.numerator, r, x.denominator) == (nums, den)
+            for b, v in zip(cols, nums):
+                want = sys.p(b).derivative(r).eval(x) / math.factorial(r) if b >= 0 else 0
+                assert F(v, den * sys.scales((b,))) == sys.p_value(b, x, r) == want, (b, x, r)
+        for y in (F(1, 9), F(-22, 7), F(9, 2)):
+            nums, den = q_row(sys, cols, y, r)
+            assert den > 0 and q_row(sys, cols, y.numerator, r, y.denominator) == (nums, den)
+            for b, v in zip(cols, nums):
+                got = F(v, den * sys.scales((b,)))
+                if b < 0:
+                    power = UniPoly.variable() ** (-b - 1)
+                    assert got == power.derivative(r).eval(y) / math.factorial(r), (b, y, r)
+                    continue
+                p = sys.p(b)
+                want = sum((w * p.eval(u) * (-1) ** r / (y - u) ** (r + 1) for u, w in f.atoms),
+                           F(0))
+                assert got == q_exact(sys, b, y, r) == want, (b, y, r)
+
+
 def test_q_exact_refuses_negative_index():
     # q_b(y) = y^(-b-1) for b < 0 is a convention the row builder applies
     # itself; q_exact must not return a value that contradicts it
@@ -365,7 +402,7 @@ def test_q_exact_refuses_negative_index():
         with pytest.raises(ValueError, match=r"y\^"):
             q_exact(sys, n, F(1, 3))
     with pytest.raises(ValueError):
-        sys.weighted_node_values(-1)
+        q_row(sys, (2,), F(1, 3))
 
 
 def _fractional_system(depth):
