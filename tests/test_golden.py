@@ -179,6 +179,13 @@ BENCHMARK_OPERATIONS = {
 }
 
 
+# One series trial at every k the CLI accepts (k <= 7, 105 instances): the
+# sides at n < k, where the p/q matrix has power columns, up to k - n = 7.
+SERIES_MAX_K = ["verify", "theorem1", "--series", "--json", "--trials", "1", "--max-k", "7",
+                "--truncation", "25"]
+SERIES_MAX_K_SHA256 = "d322768d464f7fe5dfd8e613f92ce36424756059db5ca289bf0cd72214c84cf8"
+
+
 def _stdout_sha256(argv, capsys, monkeypatch) -> str:
     monkeypatch.delenv("OPIDENT_SEED", raising=False)
     code = main(argv)
@@ -189,6 +196,10 @@ def _stdout_sha256(argv, capsys, monkeypatch) -> str:
 
 def test_atom_sweep_operation_stdout_digest(capsys, monkeypatch):
     assert _stdout_sha256(ATOM_SWEEP, capsys, monkeypatch) == ATOM_SWEEP_SHA256
+
+
+def test_series_max_k_stdout_digest(capsys, monkeypatch):
+    assert _stdout_sha256(SERIES_MAX_K, capsys, monkeypatch) == SERIES_MAX_K_SHA256
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_OPERATIONS))

@@ -64,6 +64,7 @@ from opident.ring import (
     det_poly,
     det_rational,
     format_rational,
+    integer_form,
     ratio,
     vandermonde_product,
 )
@@ -1022,6 +1023,65 @@ def test_series_rhs_matches_fraction_oracle(fractional):
                     else:
                         assert value == want.coefficient((d,) + (0,) * (k - 1)), (n, k, b, d)
     assert max(q_dens) > 1
+
+
+def _partitions(parts: int, below: int, top: int):
+    """The nonincreasing tuples of ``parts`` ints in 0..top with sum < below."""
+    if not parts:
+        if below > 0:
+            yield ()
+        return
+    for first in range(min(top, below - 1) + 1):
+        for rest in _partitions(parts - 1, below - first, first):
+            yield (first, *rest)
+
+
+def _series_rhs_by_coefficient(sys, inst) -> dict:
+    """{mu: value} of the series rhs, one determinant per mu: the q-rows at
+    z^d, d = n + 1 + mu_l - l, over every column n-k .. n+m-1 (a power
+    column b < 0 holds 1 at d = b + 1 alone), on top of the p-rows p_b(x).
+    Each row goes to integers once; nothing is shared between the mu, and
+    no column is left out."""
+    n, k, m = inst.n, inst.k, inst.m
+    cols = range(n - k, n + m)
+    reach = inst.truncation + k * (k - 1) // 2 - n * k
+    built = [b for b in cols if b >= 0]
+    table, den = q_table(sys, built, n - k + 1, n + reach)
+    q_rows = [integer_form([F(d == b + 1) for b in cols if b < 0] + [
+        F(v, den * sys.scales((b,))) for v, b in zip(table[i] if table else (), built)])
+        for i, d in enumerate(range(n - k + 1, n + reach))]
+    p_rows = [integer_form([sys.p(b).eval(x) if b >= 0 else F(0) for b in cols]) for x in inst.xs]
+    scale = prop13_sign(inst) * (-1) ** (m * k) * (sys.functional.hankel_det(n - k) if n >= k else 1)
+    out = {}
+    for mu in _partitions(k, reach, reach):
+        rows = [q_rows[mu_l + k - l] for l, mu_l in enumerate(mu, 1)] + p_rows
+        c = ring.det_int([list(r) for r, _ in rows])
+        if c:
+            out[mu] = F(scale * c, math.prod(s for _, s in rows))
+    return out
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_series_rhs_matches_coefficient_oracle(k):
+    # the rhs Schur coefficients at k = 6 and 7, past the det_generic
+    # oracle's reach, each against its own Bareiss run of the whole
+    # (k + m)-square matrix over the q-table and the power columns
+    draw = random.Random(60 + k)
+    while True:
+        f = SequenceFunctional(draw.randint(-9, 9) for _ in range(40))
+        try:
+            sys = build_ortho_system(f, 4)
+            break
+        except DegenerateFunctionalError:
+            continue
+    variables = tuple(f"y{i + 1}" for i in range(k))
+    for n in range(4):
+        for m in range(3):
+            inst = IdentityInstance(n=n, xs=draw.sample(range(-9, 10), m), ys=variables,
+                                    mode="series", truncation=12)
+            rhs = rhs_theorem1(sys, inst)
+            got = {mu: F(c * rhs.num, rhs.den) for mu, c in rhs.coeffs.items()}
+            assert got == _series_rhs_by_coefficient(sys, inst), inst.params()
 
 
 @pytest.mark.parametrize("seed, ks, truncation", [(1, (1, 2), 25), (7, (1, 2), 25), (1, (3,), 12)])
