@@ -1065,10 +1065,11 @@ def _series_rhs_by_coefficient(sys, inst) -> dict:
 def test_series_rhs_matches_coefficient_oracle(k):
     # the rhs Schur coefficients at k = 6 and 7, past the det_generic
     # oracle's reach, each against its own Bareiss run of the whole
-    # (k + m)-square matrix over the q-table and the power columns
+    # (k + m)-square matrix over the q-table and the power columns; the
+    # moments have denominators, so the q-table's D > 1
     draw = random.Random(60 + k)
     while True:
-        f = SequenceFunctional(draw.randint(-9, 9) for _ in range(40))
+        f = SequenceFunctional(F(draw.randint(-9, 9), draw.choice((1, 2, 3))) for _ in range(40))
         try:
             sys = build_ortho_system(f, 4)
             break
