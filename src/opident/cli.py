@@ -127,9 +127,9 @@ def _report_sweep(reports, args, command: str, config: dict) -> int:
 
 
 # Default (max_n, max_k, max_m) of `verify theorem1`, atom and series mode.
-# Series mode runs k <= _SERIES_MAX_K: at --truncation 25 one --max-k 7
-# trial (105 instances) takes 0.8-1.2 s through the CLI, and --max-k 8
-# 2.3-2.8 s (Python 3.11, one core of a shared 2-vCPU host).
+# Series mode runs k <= _SERIES_MAX_K, a cap set when the rhs walked k
+# levels: one --max-k 7 trial at --truncation 25 (105 instances) takes
+# 0.17-0.20 s through the CLI (Python 3.11.7, a shared 2-vCPU host).
 _THEOREM1_SHAPE = {False: (6, 3, 3), True: (4, 2, 2)}
 _SERIES_MAX_K = 7
 
@@ -155,12 +155,14 @@ def _cmd_verify_theorem1(args) -> int:
     if args.series:
         # The cleared lhs of an (n, k) instance starts at total degree
         # n k - C(k, 2); a truncation at or below it compares nothing.  The
-        # moment draw runs to mu_h, h = 2 max_n - 2 + max_m + T + C(max_k, 2).
+        # moment draw runs to mu_h, h = 2 max_n - 2 + max_m + T + C(max_k, 2);
+        # build_ortho_system reads on to mu_(2 depth - 1), depth = max_n + max_m - 1.
         least = 1 + max(args.max_n * k - binomial(k, 2) for k in range(1, args.max_k + 1))
-        drawn = 2 - 2 * args.max_n - args.max_m - binomial(args.max_k, 2)
+        drawn = max(2 * (args.max_n + args.max_m) - 3, 0) - (
+            2 * args.max_n - 2 + args.max_m + binomial(args.max_k, 2))
         if args.truncation < max(least, drawn):
             cause = ("compares no coefficient of the largest instance" if args.truncation < least
-                     else "leaves the moment draw no mu_0")
+                     else "draws too few moments for this shape")
             raise SystemExit2(f"--truncation {args.truncation} {cause}; this shape needs "
                               f"--truncation at least {max(least, drawn)}")
     if args.functional:

@@ -42,7 +42,6 @@ from .ring import (
     InverseSeries,
     RingMatrix,
     UniPoly,
-    add_row,
     binomial,
     det_int,
     det_poly,
@@ -279,14 +278,8 @@ def _fractions(sys: OrthoSystem, cols, x_form, y_form) -> list:
             for nums, den in _pq_rows(sys, cols, x_form, y_form)]
 
 
-def _theorem1_rows(sys: OrthoSystem, inst: IdentityInstance) -> list:
-    """The _pq_rows of an instance over the columns n-k .. n+m-1; formal ys
-    have none, so in series mode these are the m p-rows."""
-    return _pq_rows(sys, range(inst.n - inst.k, inst.n + inst.m), inst.x_form, inst.y_form)
-
-
 def _theorem1_matrix(sys: OrthoSystem, inst: IdentityInstance) -> RingMatrix:
-    """The p/q matrix of _theorem1_rows in Fractions, atom mode only."""
+    """The p/q matrix over the columns n-k .. n+m-1 in Fractions, atom mode only."""
     if inst.mode != "atom":
         raise ModeError("the p/q matrix has rational ys only; series mode has formal ys")
     cols = range(inst.n - inst.k, inst.n + inst.m)
@@ -380,28 +373,31 @@ def rhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
     The sign is prop13_sign, which is (-1)^(n(m-k)+km) when every
     multiplicity is 1.  Each Vandermonde factor is raised to the product of
     the two multiplicities.  Atom mode runs one Bareiss determinant on the
-    integer _theorem1_rows and divides by their row denominators, column
-    scales and Vandermondes in one Fraction.  In series mode the q-rows go
-    above the integer p-rows, at the sign (-1)^(mk); q-row l has the q_table
-    row mu_l + k - l at z_l^e_l, e = mu + delta + lo, so ring.schur_minors
-    takes each coefficient of the _Alternant by multilinearity.
+    integer _pq_rows over the columns n-k .. n+m-1 and divides by their row
+    denominators, column scales and Vandermondes in one Fraction.  In series
+    mode the q-rows go above the integer p-rows, at the sign (-1)^(mk);
+    q-row l has the q_table row at z_l^e_l, e = mu + delta + n - k + 1, so
+    ring.schur_minors takes each coefficient of the _Alternant by
+    multilinearity, |e| < T at |mu| < T + binom(k, 2) - nk.  A power column
+    b < 0 (n < k) is zero in every p-row and its series q-row is D z^(b+1)
+    alone, so the q-rows l > L = min(n, k) take those columns at mu_l = 0,
+    for D^(k-L) at the sign (-1)^(L(k-L) + binom(k-L, 2)): the walk has L
+    levels over the columns n-L .. n+m-1, k - L zero parts padded.
     """
     n, k, m, T = inst.n, inst.k, inst.m, inst.truncation
-    rows = _theorem1_rows(sys, inst)
-    sign, den = prop13_sign(inst), math.prod(d for _, d in rows) * sys.scales(range(n - k, n + m))
+    levels = k if inst.mode == "atom" else min(n, k)  # atom q-rows hold powers of y
+    cols = range(n - levels, n + m)
+    rows = _pq_rows(sys, cols, inst.x_form, inst.y_form)
+    sign, den = prop13_sign(inst), math.prod(d for _, d in rows) * sys.scales(cols)
+    fixed = [nums for nums, _ in rows]
     if inst.mode == "atom":
-        (v, v_den), det = _vandermondes(inst), det_int([nums for nums, _ in rows])
+        (v, v_den), det = _vandermondes(inst), det_int(fixed)
         return Fraction(sign * det * v_den, den * v)
-    minors = {0: 1}
-    for nums, _ in reversed(rows):
-        minors = add_row(minors, nums)
-    # q_b(y) starts at z^(b+1), so e >= lo = n - k + 1, and |e| < T is
-    # |mu| < T - |delta| - k lo
-    lo, reach = n - k + 1, T + binomial(k, 2) - n * k
-    table, q_den = q_table(sys, range(n - k, n + m), lo, lo + reach + k - 1)
-    scale = Fraction(sign * (-1) ** (m * k), den * q_den**k)
-    return _Alternant(inst, schur_minors(minors, table, k, reach),
-                      scale * _hankel_divisor(sys.functional, n, k))
+    pad, reach = k - levels, T + binomial(k, 2) - n * k
+    table, q_den = q_table(sys, cols, n - levels + 1, n + reach)
+    sign *= (-1) ** (m * k + levels * pad + binomial(pad, 2))
+    return _Alternant(inst, schur_minors(fixed, table, levels, reach, pad),
+                      Fraction(sign, den * q_den**levels) * _hankel_divisor(sys.functional, n, k))
 
 
 class _Alternant(InverseSeries):

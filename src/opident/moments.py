@@ -28,7 +28,6 @@ from operator import mul
 from .ring import (
     InverseSeries,
     UniPoly,
-    add_row,
     binomial,
     det_int,
     format_rational,
@@ -195,15 +194,11 @@ class MomentFunctional:
         reach = truncation - n * k
         if reach <= 0:
             return {}, 1
-        if n == 0:
-            return {(0,) * k: 1}, 1
         levels = min(n, k)
-        r, den = self._modified_row(0, 2 * n - 2 + reach, integer_form(xs))
-        minors = {0: (-1) ** binomial(n, 2)}
-        for a in range(n - levels):
-            minors = add_row(minors, r[a : a + n])
+        r, den = self._modified_row(0, max(2 * n - 2 + reach, 0), integer_form(xs))
+        fixed = [r[a : a + n] for a in reversed(range(n - levels))]
         rows = [r[s : s + n] for s in range(n - levels, n + reach - 1)]
-        return schur_minors(minors, rows, levels, reach, k - levels), den**n
+        return schur_minors(fixed, rows, levels, reach, k - levels, (-1) ** binomial(n, 2)), den**n
 
     def _modified_row(self, start: int, count: int, xs=_NO_PARAMS, ys=_NO_PARAMS):
         """Integers r_j and D > 0 with modified moment j equal to r_j / D for

@@ -289,31 +289,27 @@ def q_exact(sys: OrthoSystem, n: int, y, order: int = 0) -> Fraction:
 
 def q_table(sys: OrthoSystem, cols, start: int, stop: int) -> tuple[list[list[int]], int]:
     """Integers Q[i][j] and D > 0 with Q[i][j] / (D d_b) the coefficient of
-    z^d, d = start + i < stop and z = 1/y, in q_b(y) for b = cols[j].  For
-    b >= 0 that is L(p_b u^(d-1)), 0 for d <= 0: p_b's integer coefficients
-    against the moment row m_i / D, read once.  Orthogonality makes it 0
-    for d <= b, which is checked.  For b < 0 the convention q_b(y) =
-    y^(-b-1) = z^(b+1) gives D at d = b + 1 alone.
+    z^d, d = start + i < stop and z = 1/y, in q_b(y) for b = cols[j] >= 0:
+    L(p_b u^(d-1)), 0 for d <= 0, from p_b's integer coefficients against
+    the moment row m_i / D, read once.  Orthogonality makes it 0 for d <= b,
+    which is checked.  A column b < 0, the power y^(-b-1), is refused.
     """
-    built = [b for b in cols if b >= 0]
-    sys._check_index(max(built, default=-1))
-    mu, den = sys.functional.moment_row(max(built) + stop - 1 if built and stop > 1 else 0)
+    if min(cols, default=0) < 0:
+        raise ValueError("q_b(y) = y^(-b-1) for b < 0 by convention, not a q_table column")
+    sys._check_index(max(cols, default=-1))
+    mu, den = sys.functional.moment_row(max(cols) + stop - 1 if cols and stop > 1 else 0)
     columns = []
     for b in cols:
         col = [0] * max(stop - start, 0)
-        if b < 0:
-            if start <= b + 1 < stop:
-                col[b + 1 - start] = den
-        else:
-            coeffs, d = sys.int_polys[b]
-            for i in range(stop - 1):  # d = i + 1
-                num = sum(map(mul, coeffs, mu[i : i + b + 1]))
-                if i < b and num:
-                    raise ArithmeticError(
-                        f"orthogonality violated: L(p_{b} u^{i}) = {ratio(num, d * den)} != 0"
-                    )
-                if i >= start - 1:
-                    col[i + 1 - start] = num
+        coeffs, d = sys.int_polys[b]
+        for i in range(stop - 1):  # d = i + 1
+            num = sum(map(mul, coeffs, mu[i : i + b + 1]))
+            if i < b and num:
+                raise ArithmeticError(
+                    f"orthogonality violated: L(p_{b} u^{i}) = {ratio(num, d * den)} != 0"
+                )
+            if i >= start - 1:
+                col[i + 1 - start] = num
         columns.append(col)
     return [list(row) for row in zip(*columns)], den
 
@@ -327,10 +323,8 @@ def q_series(
     is the norm H(n+1)/H(n).  `slot` picks which variable of a multivariate
     series ring carries the expansion.  It is the one-column q_table over
     1 <= d < truncation; integral coefficients stay ints.  For n < 0 the
-    convention is q_n(y) = y^(-n-1), which this does not compute.
+    convention is q_n(y) = y^(-n-1), which q_table refuses.
     """
-    if n < 0:
-        raise ValueError(f"q_{n} is y^({-n - 1}) by the b < 0 convention; q_series needs n >= 0")
     if truncation <= 0:
         raise ValueError("truncation order must be positive")
     variables = tuple(variables)

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import opident.identity as identity
 from opident.cli import main
+from opident.identity import VerificationReport
 
 
 def run_cli(args, capsys):
@@ -483,6 +485,29 @@ def test_series_truncation_that_draws_no_moment_exits_2(capsys):
     assert "sweep depth" not in err
     code, out, _ = run_cli(argv + ["--truncation", "2"], capsys)
     assert code == 0 and json.loads(out)["instances"] == 1
+
+
+@pytest.mark.parametrize("max_n, max_m, least", [(0, 19, 18), (1, 6, 5)])
+def test_series_truncation_short_of_the_ortho_build_exits_2(max_n, max_m, least, capsys,
+                                                            monkeypatch):
+    # At k = 1 the moment draw runs to mu_h, h = 2 max_n - 2 + max_m + T, and
+    # build_ortho_system reads on to mu_(2 depth - 1), depth = max_n + max_m - 1:
+    # one T short the run exits 2 naming the least T, not 1 on a horizon
+    # error.  At the least T the draw and the build run, and every instance
+    # is handed to verify_theorem1, stubbed here: at m = 19 the p-row minors
+    # alone take seconds.
+    argv = ["verify", "theorem1", "--series", "--max-n", str(max_n), "--max-m", str(max_m),
+            "--max-k", "1", "--trials", "1", "--json", "--truncation"]
+    code, out, err = run_cli(argv + [str(least - 1)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --truncation {least - 1} draws too few moments")
+    assert f"--truncation at least {least}" in err
+    depths = []
+    monkeypatch.setattr(identity, "verify_theorem1", lambda sys, inst: depths.append(sys.depth)
+                        or VerificationReport("theorem1", inst.params(), None, None, True))
+    code, out, _ = run_cli(argv + [str(least)], capsys)
+    assert code == 0 and json.loads(out)["instances"] == (max_n + 1) * (max_m + 1)
+    assert set(depths) == {max_n + max_m - 1}
 
 
 @pytest.mark.parametrize("argv, refused, pool", [

@@ -369,8 +369,8 @@ NEGATIVE_CONTROLS = {
         lambda: sweep_theorem1_atom(seed=11, trials=1),
     ),
     "column index shifted by one": (
-        identity, "_theorem1_rows",
-        lambda orig: lambda sys, inst: orig(sys, inst.replace(n=inst.n - 1)),
+        identity, "_pq_rows",
+        lambda orig: lambda sys, cols, *forms: orig(sys, [b - 1 for b in cols], *forms),
         lambda: sweep_theorem1_atom(seed=11, trials=1),
     ),
     "y-Vandermonde not reversed": (
@@ -389,8 +389,8 @@ NEGATIVE_CONTROLS = {
         lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
     ),
     "series column index shifted by one": (
-        identity, "_theorem1_rows",
-        lambda orig: lambda sys, inst: orig(sys, inst.replace(n=inst.n - 1)),
+        identity, "_pq_rows",
+        lambda orig: lambda sys, cols, *forms: orig(sys, [b - 1 for b in cols], *forms),
         lambda: sweep_theorem1_series(
             seed=11, trials=1, truncation=12, max_n=3, ks=(2,), max_m=3),
     ),
@@ -409,8 +409,8 @@ NEGATIVE_CONTROLS = {
             seed=11, trials=1, truncation=12, max_n=3, ks=(6,), max_m=1),
     ),
     "series k = 4 column index shifted by one": (
-        identity, "_theorem1_rows",
-        lambda orig: lambda sys, inst: orig(sys, inst.replace(n=inst.n - 1)),
+        identity, "_pq_rows",
+        lambda orig: lambda sys, cols, *forms: orig(sys, [b - 1 for b in cols], *forms),
         lambda: sweep_theorem1_series(
             seed=11, trials=1, truncation=12, max_n=3, ks=(4,), max_m=1),
     ),
@@ -478,23 +478,24 @@ NEGATIVE_CONTROLS = {
             seed=11, trials=1, truncation=12, max_n=3, ks=(2, 3), max_m=1),
     ),
     # every term of the Laplace expansion along a p-row of the series rhs
-    # taken at the opposite sign of its complementary minor
+    # taken at the opposite sign of its complementary minor: each fixed row
+    # goes into the fold negated
     "series complementary-minor sign flipped": (
-        identity, "add_row",
-        lambda orig: lambda minors, row: {s: -c for s, c in orig(minors, row).items()},
+        identity, "schur_minors",
+        lambda orig: lambda fixed, *rest: orig([[-v for v in row] for row in fixed], *rest),
         lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
     ),
     # the same along a fixed row rho_a = a of the series lhs (n > k only)
     "series lhs complementary-minor sign flipped": (
-        moments, "add_row",
-        lambda orig: lambda minors, row: {s: -c for s, c in orig(minors, row).items()},
+        moments, "schur_minors",
+        lambda orig: lambda fixed, *rest: orig([[-v for v in row] for row in fixed], *rest),
         lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
     ),
     # each series lhs Schur coefficient from rows rho_a + 1 of M for the
     # walked rows a >= n - min(n, k)
     "series lhs border row shifted by one": (
         moments, "schur_minors",
-        lambda orig: lambda minors, rows, *rest: orig(minors, rows[1:] + rows[-1:], *rest),
+        lambda orig: lambda fixed, rows, *rest: orig(fixed, rows[1:] + rows[-1:], *rest),
         lambda: sweep_theorem1_series(seed=11, trials=1, truncation=12, max_n=3),
     ),
 }
@@ -930,7 +931,8 @@ def test_row_denominators_are_positive(fractional, rng):
                 assert den > 0, (inst.params(), r)
                 negative = math.prod(F(y, yd) - u for u in f.nodes) ** (r + 1) < 0
                 seen.add((cols[0] < 0, r, negative))
-        assert all(den > 0 for _, den in identity._theorem1_rows(sys, inst)), inst.params()
+        rows = identity._pq_rows(sys, cols, inst.x_form, inst.y_form)
+        assert all(den > 0 for _, den in rows), inst.params()
     assert {(low, r) for low, r, _ in seen} == {(low, r) for low in (False, True) for r in range(3)}
     assert {negative for *_, negative in seen} == {False, True}
 
@@ -1008,20 +1010,22 @@ def test_series_rhs_matches_fraction_oracle(fractional):
                 assert rhs.first_difference(want, T) is None, inst.params()
                 paper = det_generic(mat, one) * (prop13_sign(inst) * h)
                 assert rhs.first_difference(paper, T) is None, inst.params()
-            # table row d - lo holds the coefficients of z^d of every column,
-            # column b scaled by p_b's denominator d_b
+            # table row d - lo holds the coefficients of z^d of every column
+            # b >= 0, column b scaled by p_b's denominator d_b; a power column
+            # b < 0 is refused, as int_polys[b] would read the deepest p
             lo = n - k + 1
-            table, den = q_table(sys, cols, lo, wt)
-            q_dens.add(den * sys.scales(cols))
+            if n < k:
+                with pytest.raises(ValueError, match=r"^q_b\(y\) = y\^\(-b-1\) for b < 0"):
+                    q_table(sys, cols, lo, wt)
+            built = range(max(n - k, 0), n + 2)
+            table, den = q_table(sys, built, lo, wt)
+            q_dens.add(den * sys.scales(built))
             assert len(table) == wt - lo
-            for j, b in enumerate(cols):
-                want = q_series(sys, b, wt, variables, 0) if b >= 0 else None
+            for j, b in enumerate(built):
+                want = q_series(sys, b, wt, variables, 0)
                 for d, row in enumerate(table, lo):
                     value = F(row[j], den * sys.scales((b,)))
-                    if b < 0:  # y^(-b-1) = z^(b+1)
-                        assert value == (d == b + 1), (n, k, b, d)
-                    else:
-                        assert value == want.coefficient((d,) + (0,) * (k - 1)), (n, k, b, d)
+                    assert value == want.coefficient((d,) + (0,) * (k - 1)), (n, k, b, d)
     assert max(q_dens) > 1
 
 

@@ -617,8 +617,9 @@ def test_modified_moment_row_below_degree_k_is_zero(k):
         assert (s.terms, s.trunc, s.cap) == ({}, truncation, truncation)
         for n in (1, 2, 3):
             assert f.modified_hankel_det_series(n, (2,), variables, truncation) == ({}, 1)
-    # the 0 x 0 det is 1 = s_()
-    assert f.modified_hankel_det_series(0, (2,), variables, 1) == ({(0,) * k: 1}, 1)
+    # the 0 x 0 det is 1 = s_(), with or without an x
+    for xs in ((2,), ()):
+        assert f.modified_hankel_det_series(0, xs, variables, 1) == ({(0,) * k: 1}, 1)
 
 
 # ---------------------------------------------------------------------------

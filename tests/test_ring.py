@@ -402,13 +402,14 @@ def test_det_rational_on_ints_skips_the_row_scaling(rng, monkeypatch):
 
 @pytest.mark.parametrize("pad", [0, 2])
 @pytest.mark.parametrize("base", ["none", "rows", "singular"])
-@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+@pytest.mark.parametrize("levels", [0, 1, 2, 3, 4])
 def test_schur_minors_against_bruteforce(levels, base, pad):
     # Every partition mu of at most `levels` parts with |mu| < reach gets
-    # det[rows[mu_1 + levels - 1], ..., rows[mu_levels], base rows] as
+    # det[rows[mu_1 + levels - 1], ..., rows[mu_levels], fixed rows] as
     # bruteforce_det takes it; zero minors are left out.  Small entries with
-    # many zeros make zero minors common, and a base with a repeated row
-    # makes every minor zero.
+    # many zeros make zero minors common, and fixed rows with a repeated row
+    # make every minor zero.  At levels 0 the one key is the pad zeros, at
+    # det(fixed rows), 1 with none.
     draw = random.Random(levels * 100 + len(base) * 10 + pad)
     fixed = {"none": 0, "rows": 2, "singular": 2}[base]
     width, reach = levels + fixed, 6
@@ -420,10 +421,7 @@ def test_schur_minors_against_bruteforce(levels, base, pad):
     if base == "singular":
         fixed_rows[1] = list(fixed_rows[0])
     rows = [row() for _ in range(reach + levels - 1)]
-    minors = {0: 1}
-    for r in reversed(fixed_rows):
-        minors = ring.add_row(minors, r)
-    got = ring.schur_minors(minors, rows, levels, reach, pad)
+    got = ring.schur_minors(fixed_rows, rows, levels, reach, pad)
     want = {}
     for mu in itertools.product(range(reach), repeat=levels):
         if list(mu) == sorted(mu, reverse=True) and sum(mu) < reach:
@@ -434,19 +432,23 @@ def test_schur_minors_against_bruteforce(levels, base, pad):
     assert got == want
     assert bool(want) == (base != "singular")
     assert all(type(c) is int for c in got.values())
-    # the minors of the base go in as they are: a sign carries through
-    assert ring.schur_minors({s: -c for s, c in minors.items()}, rows, levels, reach, pad) == {
+    # the sign goes in with the fixed rows' minors and carries through
+    assert ring.schur_minors(fixed_rows, rows, levels, reach, pad, -1) == {
         mu: -c for mu, c in want.items()}
+    # no partition has |mu| < 0
+    assert ring.schur_minors(fixed_rows, rows, levels, 0, pad) == {}
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
 def test_schur_minors_adds_one_row_per_walked_tail(levels, monkeypatch):
-    # The walk puts a row on top once per tail (mu_l, ..., mu_levels), l >= 2,
-    # of some partition mu with |mu| < reach, and never for a tail that no
-    # such partition completes: a larger level bound walks dead branches
-    # whose values still come out right.
+    # The fixed row goes in once, then the walk puts a row on top once per
+    # tail (mu_l, ..., mu_levels), l >= 2, of some partition mu with |mu| <
+    # reach, and never for a tail that no such partition completes: a larger
+    # level bound walks dead branches whose values still come out right.
     reach = 7
-    rows = [[i + 1, (i * i) % 5 - 2, i % 3, 1, 2 - i][:levels] for i in range(reach + levels - 1)]
+    rows = [[i + 1, (i * i) % 5 - 2, i % 3, 1, 2 - i][: levels + 1]
+            for i in range(reach + levels - 1)]
+    fixed = [[3, -1, 0, 2, 1][: levels + 1]]
     calls = []
     add_row = ring.add_row
 
@@ -455,14 +457,14 @@ def test_schur_minors_adds_one_row_per_walked_tail(levels, monkeypatch):
         return add_row(minors, row)
 
     monkeypatch.setattr(ring, "add_row", counted)
-    ring.schur_minors({0: 1}, rows, levels, reach)
+    ring.schur_minors(fixed, rows, levels, reach)
     tails = {
         mu[l:]
         for mu in itertools.product(range(reach), repeat=levels)
         if list(mu) == sorted(mu, reverse=True) and sum(mu) < reach
         for l in range(1, levels)
     }
-    assert len(calls) == len(tails)
+    assert len(calls) == len(fixed) + len(tails)
 
 
 def _leading_blocks(rows):
@@ -716,7 +718,7 @@ def test_series_bivariate_commutes(f, g):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.integers(1, 4))
-def test_series_trivariate_product_is_the_convolution(data, k):
+def test_series_product_is_the_convolution(data, k):
     # one to four variables: the product is one loop for every arity
     variables = tuple(f"y{l}" for l in range(1, k + 1))
     f, g = (data.draw(_series_strategy(variables, trunc=5)) for _ in range(2))
@@ -816,7 +818,7 @@ def test_series_never_stores_beyond_truncation():
     assert all(sum(e) < t.trunc for e in t.terms)
 
 
-def test_series_variable_cap():
+def test_series_one_refuses_no_variables():
     with pytest.raises(ValueError):
         InverseSeries.one(())
 
