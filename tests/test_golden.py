@@ -185,6 +185,12 @@ SERIES_MAX_K = ["verify", "theorem1", "--series", "--json", "--trials", "1", "--
                 "--truncation", "25"]
 SERIES_MAX_K_SHA256 = "d322768d464f7fe5dfd8e613f92ce36424756059db5ca289bf0cd72214c84cf8"
 
+# Series instances at n = 0 with up to 16 xs: the lhs is 1 and the rhs the
+# det of the m p-rows alone (schur_minors at levels == 0).
+SERIES_N0 = ["verify", "theorem1", "--series", "--json", "--trials", "1", "--max-n", "0",
+             "--max-m", "16", "--max-k", "1", "--truncation", "15"]
+SERIES_N0_SHA256 = "6048a6a994f7e752adea2490a02cefb1dfc06c5473062043534bf9b98facff13"
+
 
 def _stdout_sha256(argv, capsys, monkeypatch) -> str:
     monkeypatch.delenv("OPIDENT_SEED", raising=False)
@@ -200,6 +206,10 @@ def test_atom_sweep_operation_stdout_digest(capsys, monkeypatch):
 
 def test_series_max_k_stdout_digest(capsys, monkeypatch):
     assert _stdout_sha256(SERIES_MAX_K, capsys, monkeypatch) == SERIES_MAX_K_SHA256
+
+
+def test_series_n0_stdout_digest(capsys, monkeypatch):
+    assert _stdout_sha256(SERIES_N0, capsys, monkeypatch) == SERIES_N0_SHA256
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_OPERATIONS))
