@@ -74,7 +74,6 @@ def modified_moment_cheb(n: int, a: Fraction) -> UniPoly:
     return UniPoly([Fraction(c, d**n) for c in rows[n]], "X")
 
 
-@lru_cache(maxsize=64)
 def _cheb_row(count: int, a: Fraction) -> tuple[tuple, int]:
     """Integer pairs (K_s, P_s) and d, the denominator of a, with
     modified_moment_cheb(s, a) = (K_s + P_s X) / d^s for s = 0..count-1.

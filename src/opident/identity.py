@@ -328,12 +328,6 @@ def _vandermondes(inst: IdentityInstance) -> tuple[int, int]:
     return vandermonde_product(xs, xm) * _y_vandermonde(ys, ym), den
 
 
-def _flat(form) -> tuple[tuple[int, ...], int]:
-    """An x_form or y_form as the integer_form of its values, repeated by multiplicity."""
-    keys, mults, den = form
-    return tuple([v for v, c in zip(keys, mults) for _ in range(c)]), den
-
-
 def _pair_count(mults) -> int:
     """sum_{i<j} c_i c_j, the total exponent of a Vandermonde product."""
     return (sum(mults) ** 2 - sum(c * c for c in mults)) // 2
@@ -357,8 +351,7 @@ def lhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
     f = sys.functional
     n, k = inst.n, inst.k
     if inst.mode == "atom":
-        return f.modified_hankel_det(n, divisor=_hankel_divisor(f, n, k),
-                                     forms=(_flat(inst.x_form), _flat(inst.y_form)))
+        return f.modified_hankel_det(n, inst.xs, inst.ys, _hankel_divisor(f, n, k))
     schur, den = f.modified_hankel_det_series(n, inst.xs, inst.ys, inst.truncation + binomial(k, 2))
     scale = Fraction(*_vandermondes(inst)) * Fraction(_series_lhs_sign(n, k), den)
     return _Alternant(inst, schur, scale)
@@ -655,29 +648,25 @@ def lemma9_check(c, n: int) -> VerificationReport:
     )
 
 
-def jacobi_check(
-    a: RingMatrix, i1: int, i2: int, j1: int, j2: int, minors=None
-) -> VerificationReport:
+def jacobi_check(a: RingMatrix, i1: int, i2: int, j1: int, j2: int) -> VerificationReport:
     """Jacobi / Dodgson condensation (1-based indices):
 
         det A * det A^{j1,j2}_{i1,i2}
           = det A^{j1}_{i1} det A^{j2}_{i2} - det A^{j2}_{i1} det A^{j1}_{i2}.
 
-    ``minors`` is an optional dict for calls on the same matrix to share:
-    it maps (deleted rows, deleted columns) to that minor's determinant, so
-    a sweep over every index pair computes each distinct minor once.
+    Each minor is shared under (A's entries, deleted rows, deleted columns),
+    so the calls on one matrix inside a shared_minors block compute each
+    distinct minor once.
     """
     if not a.is_square:
         raise ValueError("Jacobi condensation needs a square matrix")
     nn = a.rows
     if not (1 <= i1 < i2 <= nn and 1 <= j1 < j2 <= nn):
         raise ValueError("need 1 <= i1 < i2 <= N and 1 <= j1 < j2 <= N")
-    minors = {} if minors is None else minors
 
     def det(rows, cols):
-        if (rows, cols) not in minors:
-            minors[rows, cols] = det_rational(a.delete(rows, cols))
-        return minors[rows, cols]
+        key = ("jacobi", a.entries, rows, cols)
+        return shared(key, 0, lambda _: det_rational(a.delete(rows, cols)))
 
     r1, r2, c1, c2 = i1 - 1, i2 - 1, j1 - 1, j2 - 1
     lhs = det((), ()) * det((r1, r2), (c1, c2))
@@ -821,10 +810,10 @@ def sweep_jacobi(
     reports = []
     for nn in sizes:
         mat = RingMatrix(nn, nn, [rng.randint(-_ENTRY_BOUND, _ENTRY_BOUND) for _ in range(nn * nn)])
-        minors = {}
-        for i1 in range(1, nn + 1):
-            for i2 in range(i1 + 1, nn + 1):
-                for j1 in range(1, nn + 1):
-                    for j2 in range(j1 + 1, nn + 1):
-                        reports.append(jacobi_check(mat, i1, i2, j1, j2, minors))
+        with shared_minors():
+            for i1 in range(1, nn + 1):
+                for i2 in range(i1 + 1, nn + 1):
+                    for j1 in range(1, nn + 1):
+                        for j2 in range(j1 + 1, nn + 1):
+                            reports.append(jacobi_check(mat, i1, i2, j1, j2))
     return reports

@@ -130,15 +130,13 @@ class MomentFunctional:
         (num,), den = self._modified_row(i, 1, integer_form(xs), integer_form(ys))
         return Fraction(num, den)
 
-    def modified_hankel_det(self, n: int, xs=(), ys=(), divisor=_ONE, forms=None) -> Fraction:
+    def modified_hankel_det(self, n: int, xs=(), ys=(), divisor=_ONE) -> Fraction:
         """det of the modified moments, 0 <= i, j <= n-1, over the nonzero
         rational ``divisor``: one integer Bareiss run on the Hankel matrix of
-        the _modified_row numerators, over D^n and the divisor.  ``forms``
-        gives the xs and ys by integer_form in their place."""
+        the _modified_row numerators, over D^n and the divisor."""
         top, bottom = divisor.denominator, divisor.numerator
         if n:
-            forms = forms or (integer_form(xs), integer_form(ys))
-            mm, den = self._modified_row(0, 2 * n - 1, *forms)
+            mm, den = self._modified_row(0, 2 * n - 1, integer_form(xs), integer_form(ys))
             top *= det_int([mm[i : i + n] for i in range(n)])
             bottom *= den**n
         return Fraction(top, bottom)

@@ -818,18 +818,19 @@ def schur_minors(fixed, rows, levels: int, reach: int, pad: int = 0, sign: int =
     """{mu: sign * det} over the partitions mu_1 >= ... >= mu_levels >= 0 with
     |mu| < reach, each key padded with ``pad`` zero parts, of the square
     integer matrix with rows[mu_l + levels - l] on top of the ``fixed`` rows,
-    l = 1 topmost; zero determinants are left out, and at levels == 0 the one
-    key holds sign * det(fixed).  ``rows`` must reach index reach + levels -
-    2.  The fixed rows go into one set of column minors (add_row from {0:
-    sign}), then the rows from l = levels, so each tail mu_l, ..., mu_levels
-    shares its minors, and row mu_1 + levels - 1 is a dot product with the
-    cofactors of the rest."""
+    l = 1 topmost; zero determinants are left out.  At levels == 0 the one
+    key holds sign * det_int(fixed), and no column minors are formed.
+    ``rows`` must reach index reach + levels - 2.  The fixed rows go into
+    one set of column minors (add_row from {0: sign}), then the rows from l =
+    levels, so each tail mu_l, ..., mu_levels shares its minors, and row
+    mu_1 + levels - 1 is a dot product with the cofactors of the rest."""
+    if not levels:
+        c = sign * det_int([list(r) for r in fixed]) if reach > 0 else 0
+        return {(0,) * pad: c} if c else {}
     minors = {0: sign}
     for row in reversed(fixed):
         minors = add_row(minors, row)
     full = (1 << (len(fixed) + levels)) - 1
-    if not levels:
-        return {(0,) * pad: minors[full]} if reach > 0 and minors.get(full) else {}
     out = {}
 
     def walk(minors, level, low, used, tail):

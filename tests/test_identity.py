@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import math
@@ -1485,14 +1486,24 @@ def test_sweep_jacobi_computes_each_minor_once(monkeypatch):
     shared = identity.sweep_jacobi(3)
     # per size N: the matrix, N^2 one-deletion and C(N, 2)^2 two-deletion minors
     assert len(calls) == sum(1 + n * n + math.comb(n, 2) ** 2 for n in (5, 6)) == 388
-    check = identity.jacobi_check
-    monkeypatch.setattr(
-        identity, "jacobi_check", lambda a, i1, i2, j1, j2, minors: check(a, i1, i2, j1, j2)
-    )
+    # with no shared_minors block, every check takes its six minors afresh
+    monkeypatch.setattr(identity, "shared_minors", contextlib.nullcontext)
     calls.clear()
     alone = identity.sweep_jacobi(3)
     assert len(calls) == 6 * 325
     assert shared == alone
+
+
+def test_jacobi_checks_on_two_matrices_in_one_block(rng):
+    # one block over two matrices of one size: each report reads its own
+    # matrix's minors, as the same check outside any block does
+    mats = [RingMatrix(4, 4, [rng.randint(-9, 9) for _ in range(16)]) for _ in range(2)]
+    pairs = [(1, 2, 1, 3), (2, 4, 1, 2), (1, 3, 2, 4)]
+    alone = [jacobi_check(m, *p) for m in mats for p in pairs]
+    with ring.shared_minors():
+        together = [jacobi_check(m, *p) for m in mats for p in pairs]
+    assert [(r.lhs, r.rhs) for r in together] == [(r.lhs, r.rhs) for r in alone]
+    assert len({r.lhs for r in alone}) > 1
 
 
 def test_jacobi_index_validation():
