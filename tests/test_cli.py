@@ -772,3 +772,67 @@ def test_selftest(capsys):
     assert code == 0
     assert out.count("PASS") >= 5
     assert "FAIL" not in out
+
+
+# The exact stdout of failing sweeps: the first counterexample's JSON is
+# formed from the report of a failed instance, so these bytes pin how a
+# report shows its parameters and both sides.  "flipped" negates
+# theorem1_sign everywhere, "flipped where n, k, m > 0" only there (so the
+# sides are not +-1); "none" injects no fault: the fractional functional
+# has an atom at -1/3, which the sweep draws as a y.
+_FAILING_ATOM_RUNS = {
+    "flipped theorem1": (
+        "flipped",
+        ["verify", "theorem1", "--json", "--max-n", "2", "--max-k", "1", "--max-m", "1",
+         "--trials", "1", "--seed", "1"],
+        '{"all_equal":false,"command":"verify theorem1","config":{"max_k":1,"max_m":1,'
+        '"max_n":2,"seed":1,"series":false,"trials":1,"truncation":25},"failures":12,'
+        '"first_counterexample":{"compared_order":null,"equal":false,"identity":"theorem1",'
+        '"lhs":"1","note":"","params":{"k":0,"m":0,"mode":"atom","n":0,"xs":[],"ys":[]},'
+        '"rhs":"-1"},"instances":12}\n',
+    ),
+    "flipped theorem1 at n, k, m > 0": (
+        "flipped where n, k, m > 0",
+        ["verify", "theorem1", "--json", "--max-n", "2", "--max-k", "1", "--max-m", "1",
+         "--trials", "1", "--seed", "1"],
+        '{"all_equal":false,"command":"verify theorem1","config":{"max_k":1,"max_m":1,'
+        '"max_n":2,"seed":1,"series":false,"trials":1,"truncation":25},"failures":2,'
+        '"first_counterexample":{"compared_order":null,"equal":false,"identity":"theorem1",'
+        '"lhs":"-23413071/247520","note":"","params":{"k":1,"m":1,"mode":"atom","n":1,'
+        '"xs":["13/2"],"ys":["-1/3"]},"rhs":"23413071/247520"},"instances":12}\n',
+    ),
+    "flipped prop13": (
+        "flipped",
+        ["verify", "prop13", "--json"],
+        '{"all_equal":false,"command":"verify prop13","config":{"max_n":5,"seed":42,'
+        '"trials":4},"failures":120,"first_counterexample":{"compared_order":null,'
+        '"equal":false,"identity":"prop13","lhs":"1","note":"","params":{"k":0,"m":2,'
+        '"n":0,"omega":[],"xi":[["1/2",2]]},"rhs":"-1"},"instances":120}\n',
+    ),
+    "y on an atom node": (
+        "none",
+        ["verify", "theorem1", "--json", "--functional",
+         str(Path(__file__).parent / "golden" / "atoms8-fractional.json"),
+         "--trials", "1", "--seed", "1"],
+        '{"all_equal":false,"command":"verify theorem1","config":{"max_k":3,"max_m":3,'
+        '"max_n":6,"seed":1,"series":false,"trials":1,"truncation":25},"failures":6,'
+        '"first_counterexample":{"compared_order":null,"equal":false,"identity":"theorem1",'
+        '"lhs":null,"note":"error: y = -1/3 is an atom node","params":{"k":2,"m":2,'
+        '"mode":"atom","n":1,"xs":["-6","4"],"ys":["-1/3","8/3"]},"rhs":null},'
+        '"instances":112}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAILING_ATOM_RUNS))
+def test_failing_atom_run_stdout_is_pinned(name, capsys, monkeypatch):
+    fault, argv, expected = _FAILING_ATOM_RUNS[name]
+    monkeypatch.delenv("OPIDENT_SEED", raising=False)
+    sign = identity.theorem1_sign
+    if fault == "flipped":
+        monkeypatch.setattr(identity, "theorem1_sign", lambda n, k, m: -sign(n, k, m))
+    elif fault != "none":
+        monkeypatch.setattr(identity, "theorem1_sign",
+                            lambda n, k, m: -sign(n, k, m) if n and k and m else sign(n, k, m))
+    code, out, _ = run_cli(argv, capsys)
+    assert (code, out) == (1, expected)
