@@ -220,16 +220,35 @@ class VerificationReport(Record):
     """Outcome of one identity check: parameters, both sides, exact verdict.
 
     In series mode ``compared_order`` records the total inverse degree up to
-    which the coefficients were actually compared.
+    which the coefficients were actually compared.  A _deferred report forms
+    ``params`` and an atom side's Fraction on first read, which a passing
+    report never has; threads reading it at once may each form them, alike.
     """
 
-    __slots__ = _fields = _compared = (
-        "identity", "params", "lhs", "rhs", "equal", "compared_order", "note")
+    _fields = _compared = ("identity", "params", "lhs", "rhs", "equal", "compared_order", "note")
+    __slots__ = _fields + ("_source",)
 
     def __init__(self, identity: str, params: dict, lhs, rhs, equal: bool,
                  compared_order: int | None = None, note: str = ""):
         self.identity, self.params, self.lhs, self.rhs = identity, params, lhs, rhs
         self.equal, self.compared_order, self.note = equal, compared_order, note
+
+    @classmethod
+    def _deferred(cls, inst, sides, equal: bool, compared_order=None, note=""):
+        report = cls.__new__(cls)
+        report.identity = "prop13" if inst.confluent else "theorem1"
+        report.equal, report.compared_order, report.note, report._source = (
+            equal, compared_order, note, (inst, sides))
+        return report
+
+    def __getattr__(self, name):
+        # an unset slot: params, lhs or rhs of a _deferred report before its first read
+        if name not in ("params", "lhs", "rhs"):
+            raise AttributeError(name)
+        inst, sides = self._source
+        value = inst.params() if name == "params" else _side(sides[name == "rhs"])
+        setattr(self, name, value)
+        return value
 
     def to_json_dict(self) -> dict:
         return {
@@ -348,13 +367,7 @@ def lhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
     The modified moments have no Vandermonde singularity, so repeated
     parameters are evaluated directly, with no limits involved.
     """
-    f = sys.functional
-    n, k = inst.n, inst.k
-    if inst.mode == "atom":
-        return f.modified_hankel_det(n, inst.xs, inst.ys, _hankel_divisor(f, n, k))
-    schur, den = f.modified_hankel_det_series(n, inst.xs, inst.ys, inst.truncation + binomial(k, 2))
-    scale = Fraction(*_vandermondes(inst)) * Fraction(_series_lhs_sign(n, k), den)
-    return _Alternant(inst, schur, scale)
+    return _side(_lhs(sys, inst))
 
 
 def rhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
@@ -377,6 +390,27 @@ def rhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
     for D^(k-L) at the sign (-1)^(L(k-L) + binom(k-L, 2)): the walk has L
     levels over the columns n-L .. n+m-1, k - L zero parts padded.
     """
+    return _side(_rhs(sys, inst))
+
+
+def _side(value):
+    """An atom side's integer pair as a Fraction; a series side or None as it is."""
+    return Fraction(*value) if type(value) is tuple else value
+
+
+def _lhs(sys: OrthoSystem, inst: IdentityInstance):
+    """lhs_theorem1, an atom side as its integer pair (num, den)."""
+    f = sys.functional
+    n, k = inst.n, inst.k
+    if inst.mode == "atom":
+        return f._modified_hankel_pair(n, inst.xs, inst.ys, _hankel_divisor(f, n, k))
+    schur, den = f.modified_hankel_det_series(n, inst.xs, inst.ys, inst.truncation + binomial(k, 2))
+    scale = Fraction(*_vandermondes(inst)) * Fraction(_series_lhs_sign(n, k), den)
+    return _Alternant(inst, schur, scale)
+
+
+def _rhs(sys: OrthoSystem, inst: IdentityInstance):
+    """rhs_theorem1, an atom side as its integer pair (num, den)."""
     n, k, m, T = inst.n, inst.k, inst.m, inst.truncation
     levels = k if inst.mode == "atom" else min(n, k)  # atom q-rows hold powers of y
     cols = range(n - levels, n + m)
@@ -385,7 +419,7 @@ def rhs_theorem1(sys: OrthoSystem, inst: IdentityInstance):
     fixed = [nums for nums, _ in rows]
     if inst.mode == "atom":
         (v, v_den), det = _vandermondes(inst), det_int(fixed)
-        return Fraction(sign * det * v_den, den * v)
+        return sign * det * v_den, den * v
     pad, reach = k - levels, T + binomial(k, 2) - n * k
     table, q_den = q_table(sys, cols, n - levels + 1, n + reach)
     sign *= (-1) ** (m * k + levels * pad + binomial(pad, 2))
@@ -456,20 +490,17 @@ def verify_theorem1(sys: OrthoSystem, inst: IdentityInstance) -> VerificationRep
     so a strictly decreasing one).  A DomainError becomes a failed report
     whose note is "error: " and its message.  The report is labelled
     "prop13" when some parameter is repeated, "theorem1" otherwise."""
-    identity = "prop13" if inst.confluent else "theorem1"
-    params = inst.params()
     try:
-        lhs = lhs_theorem1(sys, inst)
-        rhs = rhs_theorem1(sys, inst)
+        sides = lhs, rhs = _lhs(sys, inst), _rhs(sys, inst)
     except DomainError as exc:
-        return VerificationReport(identity, params, None, None, False, note=f"error: {exc}")
-    if inst.mode == "atom":
-        return VerificationReport(identity, params, lhs, rhs, lhs == rhs)
+        return VerificationReport._deferred(inst, (None, None), False, note=f"error: {exc}")
+    if inst.mode == "atom":  # the integer pairs, cross-multiplied
+        return VerificationReport._deferred(inst, sides, lhs[0] * rhs[1] == lhs[1] * rhs[0])
     diff = _first_difference(lhs, rhs)
     note = "denominator-cleared comparison"
     if diff is not None:
         note += f"; first differing coefficient at exponents {diff}"
-    return VerificationReport(identity, params, lhs, rhs, diff is None, inst.truncation, note=note)
+    return VerificationReport._deferred(inst, sides, diff is None, inst.truncation, note)
 
 
 # ---------------------------------------------------------------------------

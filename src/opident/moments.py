@@ -32,6 +32,7 @@ from .ring import (
     det_int,
     format_rational,
     integer_form,
+    leading_minors,
     parse_rational,
     ratio,
     schur_minors,
@@ -106,16 +107,18 @@ class MomentFunctional:
 
     # -- Hankel determinants ---------------------------------------------
     def hankel_det(self, n: int) -> Fraction:
-        """H(n) = det(mu_{i+j}), 0 <= i, j <= n-1, H(0) = 1: modified_hankel_det(n), memoized."""
-        cached = self._hankel_cache.get(n)
-        if cached is not None:
-            return cached
-        with self._hankel_lock:
-            cached = self._hankel_cache.get(n)
-            if cached is None:
-                cached = self.modified_hankel_det(n)
-                self._hankel_cache[n] = cached
-        return cached
+        """H(n) = det(mu_{i+j}), 0 <= i, j <= n-1, H(0) = 1, memoized: a miss fills
+        H(1)..H(n) from one leading_minors run, keeping any memoized H(j)."""
+        if n < 0:
+            raise ValueError("Hankel size must be non-negative")
+        if n not in self._hankel_cache:
+            with self._hankel_lock:
+                if n not in self._hankel_cache:
+                    mu, den = self.moment_row(2 * n - 1)
+                    minors = leading_minors([list(mu[i : i + n]) for i in range(n)])
+                    for j, minor in enumerate(minors, 1):
+                        self._hankel_cache.setdefault(j, Fraction(minor, den**j))
+        return self._hankel_cache[n]
 
     # -- modified moments --------------------------------------------------
     def modified_moment(self, i: int, xs=(), ys=()) -> Fraction:
@@ -132,14 +135,18 @@ class MomentFunctional:
 
     def modified_hankel_det(self, n: int, xs=(), ys=(), divisor=_ONE) -> Fraction:
         """det of the modified moments, 0 <= i, j <= n-1, over the nonzero
-        rational ``divisor``: one integer Bareiss run on the Hankel matrix of
-        the _modified_row numerators, over D^n and the divisor."""
+        rational ``divisor``: the Fraction of _modified_hankel_pair."""
+        return Fraction(*self._modified_hankel_pair(n, xs, ys, divisor))
+
+    def _modified_hankel_pair(self, n: int, xs=(), ys=(), divisor=_ONE) -> tuple[int, int]:
+        """Integers top / bottom = modified_hankel_det: one Bareiss run on the
+        Hankel matrix of the _modified_row numerators, over D^n and the divisor."""
         top, bottom = divisor.denominator, divisor.numerator
         if n:
             mm, den = self._modified_row(0, 2 * n - 1, integer_form(xs), integer_form(ys))
             top *= det_int([mm[i : i + n] for i in range(n)])
             bottom *= den**n
-        return Fraction(top, bottom)
+        return top, bottom
 
     def modified_moment_series(
         self, i: int, xs=(), variables=("y1",), truncation: int = 25
@@ -409,7 +416,7 @@ def random_atom_functional(
                 continue
             weights = [w / total for w in weights]
         f = FiniteAtomFunctional(zip(map(Fraction, nodes), weights))
-        if all(f.hankel_det(j) for j in range(1, upto + 1)):
+        if all(f.hankel_det(j) for j in range(upto, 0, -1)):  # H(upto) fills them all
             return f
 
 
@@ -424,5 +431,5 @@ def random_sequence_functional(
         moments = [Fraction(rng.randint(-_MOMENT_BOUND, _MOMENT_BOUND))
                    for _ in range(horizon + 1)]
         f = SequenceFunctional(moments)
-        if all(f.hankel_det(j) for j in range(1, hankel_nonzero_upto + 1)):
+        if all(f.hankel_det(j) for j in range(hankel_nonzero_upto, 0, -1)):  # one fill, as above
             return f

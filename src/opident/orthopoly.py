@@ -22,7 +22,6 @@ from .ring import (
     RingMatrix,
     UniPoly,
     det_poly,
-    integer_form,
     ratio,
 )
 
@@ -157,15 +156,15 @@ def build_ortho_system(f: MomentFunctional, depth: int) -> OrthoSystem:
     m and m shifted, over d^2 M; the norm must equal H(n)/H(n-1) exactly.
     Both norms in t_{n-2} = L(p_{n-1}^2) / L(p_{n-2}^2) passed that check,
     so t_{n-2} is H(n)H(n-2)/H(n-1)^2 (2.4) exactly and is not checked
-    again.  Only the O(n) update of p_n runs on Fractions; integer_form
-    closes each step.  The moment row is read once, up to the horizon; a
-    step past it raises MomentHorizonError after its H(n) check.
+    again.  The update of p_n runs on integers too, and one gcd closes each
+    step to the canonical integer_form pair.  The moment row is read once,
+    up to the horizon; a step past it raises MomentHorizonError after its
+    H(n) check.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
     int_polys = [((1,), 1)]
     s, t, norms = [], [], []
-    prev2, prev = [], [Fraction(1)]
     mu, mu_den = f.moment_row(2 * depth if f.horizon is None else min(2 * depth, f.horizon + 1))
     for n in range(1, depth + 1):
         h_n = f.hankel_det(n)
@@ -185,14 +184,16 @@ def build_ortho_system(f: MomentFunctional, depth: int) -> OrthoSystem:
         norms.append(w_prev)
         s_n = Fraction(sum(map(mul, sq, mu[1:])), dot)
         s.append(s_n)
-        new = [a - s_n * b for a, b in zip([0, *prev], [*prev, 0])]
+        # p_n = (u - s_{n-1}) c / d - t_{n-2} p_{n-2}, over s_den t_den d d_{n-2}
+        new = [s_n.denominator * a - s_n.numerator * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
         if n >= 2:
             t_n = w_prev / norms[n - 2]
             t.append(t_n)
-            for i, c in enumerate(prev2):
-                new[i] -= t_n * c
-        prev2, prev = prev, new
-        int_polys.append(integer_form(new))
+            prev, d_prev = int_polys[n - 2]
+            new = [t_n.denominator * d_prev * a - t_n.numerator * s_n.denominator * d * c
+                   for a, c in zip(new, [*prev, 0, 0])]
+        g = math.gcd(*new)  # p_n is monic: new[-1] is that denominator, so d_n > 0
+        int_polys.append((tuple([a // g for a in new]), new[-1] // g))
     return OrthoSystem(f, depth, s, t, int_polys, norms)
 
 

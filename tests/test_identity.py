@@ -1101,6 +1101,48 @@ def test_series_sweep_compares_below_the_full_truncation(seed, ks, truncation):
         assert r.rhs.trunc is None or r.rhs.trunc >= truncation, r.params
 
 
+def _eager_report(sys, inst) -> VerificationReport:
+    """verify_theorem1's atom report built eagerly, from inst.params(),
+    lhs_theorem1 and rhs_theorem1."""
+    identity_name = "prop13" if inst.confluent else "theorem1"
+    try:
+        lhs, rhs = lhs_theorem1(sys, inst), rhs_theorem1(sys, inst)
+    except moments.DomainError as exc:
+        return VerificationReport(identity_name, inst.params(), None, None, False,
+                                  note=f"error: {exc}")
+    return VerificationReport(identity_name, inst.params(), lhs, rhs, lhs == rhs)
+
+
+@pytest.mark.parametrize("fault", [None, "sign flipped at n, k, m > 0"])
+def test_deferred_atom_reports_behave_like_eager_ones(fault, monkeypatch):
+    # A report of verify_theorem1 forms its params and sides on first read;
+    # whichever of ==, repr, to_json_dict and replace reads it first, it must
+    # agree with the report built eagerly.  The fractional functional has an
+    # atom at -1/3, so the sweep also meets DomainError reports.
+    if fault:
+        sign = identity.theorem1_sign
+        monkeypatch.setattr(identity, "theorem1_sign",
+                            lambda n, k, m: -sign(n, k, m) if n and k and m else sign(n, k, m))
+    calls = []
+    verify = identity.verify_theorem1
+    monkeypatch.setattr(identity, "verify_theorem1",
+                        lambda sys, inst: calls.append((sys, inst)) or verify(sys, inst))
+    reports = sweep_theorem1_atom(1, trials=1, max_n=3, functional=_fractional_functional())
+    errors = [r for r in reports if r.note.startswith("error: ")]
+    assert len(reports) == len(calls) == 64 and errors and all(r.lhs is None for r in errors)
+    assert any(not r.equal and r.lhs is not None for r in reports) == bool(fault)
+    for (sys, inst), report in zip(calls, reports):
+        eager = _eager_report(sys, inst)
+        assert report == eager and eager == report
+        assert repr(verify(sys, inst)) == repr(eager)
+        assert verify(sys, inst).to_json_dict() == eager.to_json_dict()
+        assert verify(sys, inst) == eager
+        for changes in ({}, {"note": "changed"}, {"params": {}, "lhs": 1}):
+            got = verify(sys, inst).replace(**changes)
+            assert type(got) is VerificationReport and got == eager.replace(**changes)
+            assert repr(got) == repr(eager.replace(**changes))
+
+
 def test_shared_ortho_system_verifies_from_threads():
     # A built OrthoSystem is documented as safe to share across threads: six
     # threads verify the same instances on one system, and every report
@@ -1113,6 +1155,8 @@ def test_shared_ortho_system_verifies_from_threads():
     # none has expanded before.  The threads share the ys of the atom
     # instances, so they fill the shared system's cold memo of atom sums
     # together: each (y, order) once, to the values a serial run keeps.
+    # The threads also read params and sides of the serial run's atom
+    # reports at once, which none has read before.
     class CountedFills(tuple):
         # a fill unpacks the table of weighted node values once
         def __iter__(self):
@@ -1136,10 +1180,11 @@ def test_shared_ortho_system_verifies_from_threads():
             system._atom_values = CountedFills(system._atom_values)
             assert not system._atom_sums
             barrier = threading.Barrier(6)
-            results, seen = [None] * 6, [None] * 6
+            results, seen, read = [None] * 6, [None] * 6, [None] * 6
 
             def worker(slot):
                 barrier.wait(timeout=10)
+                read[slot] = [(r.params, r.lhs, r.rhs) for r in serial[:-len(series)]]
                 results[slot] = [verify_theorem1(system, i) for i in insts]
                 seen[slot] = [(r.lhs.terms, r.rhs.terms) for r in serial[-len(series):]]
 
@@ -1149,6 +1194,9 @@ def test_shared_ortho_system_verifies_from_threads():
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
+            eager = [(i.params(), lhs_theorem1(alone, i), rhs_theorem1(alone, i))
+                     for i in insts[:-len(series)]]
+            assert all(r == eager for r in read)
             assert all(r == serial for r in results)
             assert system._atom_sums == alone._atom_sums
             assert len(fills) == len(system._atom_sums) > 40

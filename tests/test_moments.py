@@ -11,12 +11,14 @@ from opident.moments import (
     DomainError,
     FiniteAtomFunctional,
     ModeError,
+    MomentFunctional,
     MomentHorizonError,
     PoleAtAtomError,
     SequenceFunctional,
     catalan,
     functional_from_json,
     random_atom_functional,
+    random_sequence_functional,
 )
 from opident.ring import InverseSeries, RingMatrix, UniPoly, det_generic, det_rational
 
@@ -138,6 +140,103 @@ def test_hankel_memoization_is_consistent():
     f = ChebyshevCatalanFunctional()
     first = f.hankel_det(5)
     assert f.hankel_det(5) is first
+
+
+def _count_fills(monkeypatch):
+    """Spy on the leading_minors runs of hankel_det; every call to
+    modified_hankel_det fails the test."""
+    import opident.moments as moments
+
+    runs = []
+    leading = moments.leading_minors
+    monkeypatch.setattr(moments, "leading_minors", lambda rows: runs.append(len(rows))
+                        or leading(rows))
+    monkeypatch.setattr(MomentFunctional, "modified_hankel_det",
+                        lambda *args: pytest.fail("hankel_det called modified_hankel_det"))
+    return runs
+
+
+# H(1) = 1 and H(2) = 1 * 1 - 1 * 1 = 0, but H(3) = -1 for any mu_4: the
+# elimination meets a zero pivot at size 2 and leading_minors falls back
+_H2_ZERO = [1, 1, 1, 2, 3]
+
+
+@pytest.mark.parametrize("kind", ["atoms", "horizon", "H(2) = 0"])
+def test_hankel_fill_is_one_run_equal_to_each_size(kind, rng, monkeypatch):
+    import opident.ring as ring
+
+    if kind == "atoms":  # 8 atoms: H(8) is the last nonzero H
+        weights = (3, -1, 2, 5, -2, 1, 4, 7)
+        f, n = FiniteAtomFunctional([(F(u, 3), F(w, 2)) for u, w in zip(range(-4, 4), weights)]), 8
+    elif kind == "horizon":  # H(6) reads mu_10, the last moment
+        moments = [F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(11)]
+        f, n = SequenceFunctional(moments), 6
+    else:
+        f, n = SequenceFunctional(_H2_ZERO), 3
+    expected = [f.modified_hankel_det(j) for j in range(n + 1)]
+    assert expected[-1]
+    fallbacks = []
+    det = ring.det_int
+    monkeypatch.setattr(ring, "det_int", lambda a: fallbacks.append(len(a)) or det(a))
+    runs = _count_fills(monkeypatch)
+    assert f.hankel_det(n) == expected[n]
+    assert runs == [n]
+    assert [f.hankel_det(j) for j in range(n + 1)] == expected
+    assert runs == [n]  # H(0)..H(n-1) came from the same run
+    assert fallbacks == ([3] if kind == "H(2) = 0" else [])
+    if kind == "horizon":
+        with pytest.raises(MomentHorizonError):
+            f.hankel_det(n + 1)
+
+
+@pytest.mark.parametrize("f", [FiniteAtomFunctional([(1, 1), (2, 3)]),
+                               SequenceFunctional([1, 2, 3]), ChebyshevCatalanFunctional()],
+                         ids=repr)
+def test_hankel_det_refuses_a_negative_size(f):
+    with pytest.raises(ValueError, match="non-negative"):
+        f.hankel_det(-1)
+
+
+def test_hankel_fill_keeps_memoized_values(monkeypatch):
+    f = ChebyshevCatalanFunctional()
+    first = f.hankel_det(5)
+    runs = _count_fills(monkeypatch)
+    assert f.hankel_det(7) == 1
+    assert f.hankel_det(5) is first
+    assert runs == [7]
+
+
+class _Queued:
+    """An rng stand-in that answers sample, choice and randint from queues."""
+
+    def __init__(self, samples=(), choices=(), ints=()):
+        self.samples, self.choices, self.ints = list(samples), list(choices), list(ints)
+
+    def sample(self, population, k):
+        return self.samples.pop(0)
+
+    def choice(self, seq):
+        return self.choices.pop(0)
+
+    def randint(self, a, b):
+        return self.ints.pop(0)
+
+
+def test_random_draws_reject_a_vanishing_inner_minor(monkeypatch):
+    # Each draw checks H(upto) first, whose fill runs into the zero pivot at
+    # size 2; the draw must still see H(2) = 0 and redraw.
+    rejected = FiniteAtomFunctional([(-3, -9), (-2, 9), (-1, -3)])
+    assert [rejected.modified_hankel_det(j) for j in range(1, 4)] == [-3, 0, 972]
+    rng = _Queued(samples=[[-3, -2, -1], [-3, -2, -1]], choices=[-9, 9, -3, -9, 9, 3])
+    runs = _count_fills(monkeypatch)
+    f = random_atom_functional(rng, 3, hankel_nonzero_upto=3)
+    assert [w for _, w in f.atoms] == [-9, 9, 3] and not rng.samples and not rng.choices
+    assert runs == [3, 3]
+    good = [1, 0, 1, 0, 2]
+    rng = _Queued(ints=_H2_ZERO + good)
+    f = random_sequence_functional(rng, 4, hankel_nonzero_upto=3)
+    assert f.moment_row(5) == (tuple(good), 1) and not rng.ints
+    assert runs == [3, 3, 3, 3]
 
 
 def test_hankel_cache_concurrent_readers(rng):

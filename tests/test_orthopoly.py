@@ -27,7 +27,7 @@ from opident.orthopoly import (
     q_row,
     q_series,
 )
-from opident.ring import InverseSeries, UniPoly
+from opident.ring import InverseSeries, UniPoly, integer_form
 
 F = Fraction
 
@@ -39,6 +39,50 @@ def cheb_system(depth=6):
 # ---------------------------------------------------------------------------
 # Three-term recurrence construction
 # ---------------------------------------------------------------------------
+
+def _fraction_recurrence(f, depth):
+    """The three-term recurrence on Fraction coefficients and moments:
+    norms L(p_{n-1}^2), s_{n-1} = L(u p_{n-1}^2) / L(p_{n-1}^2), t_{n-2} the
+    quotient of two consecutive norms, and p_n = (u - s_{n-1}) p_{n-1} -
+    t_{n-2} p_{n-2}, each p_n given by integer_form."""
+    mu = [f.moment(i) for i in range(2 * depth)]
+    polys, s, t, norms = [[F(1)]], [], [], []
+    for n in range(1, depth + 1):
+        prev = polys[-1]
+        sq = [sum(prev[i] * prev[j - i] for i in range(len(prev)) if 0 <= j - i < len(prev))
+              for j in range(2 * len(prev) - 1)]
+        norms.append(sum(c * m for c, m in zip(sq, mu)))
+        s.append(sum(c * m for c, m in zip(sq, mu[1:])) / norms[-1])
+        new = [a - s[-1] * b for a, b in zip([F(0), *prev], [*prev, F(0)])]
+        if n >= 2:
+            t.append(norms[-1] / norms[-2])
+            for i, c in enumerate(polys[-2]):
+                new[i] -= t[-1] * c
+        polys.append(new)
+    return [integer_form(p) for p in polys], s, t, norms
+
+
+@pytest.mark.parametrize("kind", ["atoms", "sequence"])
+def test_integer_recurrence_matches_the_fraction_recurrence(kind):
+    rng = random.Random(1)
+    for trial in range(10):
+        if kind == "atoms":
+            f = random_atom_functional(rng, 8, hankel_nonzero_upto=8, normalize=trial % 2 == 1)
+        else:
+            f = SequenceFunctional(F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+                                   for _ in range(16))
+        for depth in range(9):
+            try:
+                sys = build_ortho_system(f, depth)
+            except DegenerateFunctionalError:
+                break
+            int_polys, s, t, norms = _fraction_recurrence(f, depth)
+            assert sys.int_polys == tuple(int_polys)
+            assert (sys.s, sys.t, sys.norms) == (tuple(s), tuple(t), tuple(norms))
+            for coeffs, d in sys.int_polys:
+                assert d > 0 and math.gcd(*coeffs, d) == 1 and coeffs[-1] == d
+        assert kind == "sequence" or depth == 8
+
 
 def test_chebyshev_system():
     sys = cheb_system(4)
