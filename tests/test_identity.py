@@ -1341,6 +1341,56 @@ def test_uvarov_unmodified_is_proportional_to_p(rng):
         assert poly == sign * sys.p(n).rename("x1")
 
 
+def _uvarov_oracle(sys, n, xs_fixed, ys):
+    """uvarov_polynomial from the matrix with x_1 formal, built entry by
+    entry: the row p_b(x1) of UniPolys over the rows p_b(x) and q_b(y) in
+    Fractions (0 and y^(-b-1) for b < 0), its det_generic divided by
+    Vx = prod(x_j - x_i) and Vy = prod(y_i - y_j), at (-1)^(n(m-k)+km)."""
+    k, m = len(ys), 1 + len(xs_fixed)
+    cols = range(n - k, n + m)
+    rows = [[sys.p(b).rename("x1") if b >= 0 else F(0) for b in cols]]
+    rows += [[sys.p_value(b, x) for b in cols] for x in xs_fixed]
+    rows += [[q_exact(sys, b, y) if b >= 0 else y ** (-b - 1) for b in cols] for y in ys]
+    det = det_generic(RingMatrix.from_rows(rows), UniPoly.one("x1"))
+    xs = (UniPoly.variable("x1"), *xs_fixed)
+    vx = UniPoly.one("x1")
+    for i, j in itertools.combinations(range(m), 2):
+        vx = vx * (xs[j] - xs[i])
+    vy = math.prod((ys[i] - ys[j] for i, j in itertools.combinations(range(k), 2)), start=F(1))
+    return det.exact_div(vx) * F(-1 if (n * (m - k) + k * m) % 2 else 1, vy)
+
+
+def _uvarov_oracle_cases():
+    # (functional, depth, ys pool, xs pool, (n, k, m) shapes); n < k puts
+    # power columns first, and the signed five-atom measure's k = 1
+    # modification drops the degree of P_2
+    draw = random.Random(17)
+    shapes = [(n, k, m) for n in range(5) for k in range(4) for m in range(1, 4)]
+    yield (random_atom_functional(draw, 10, hankel_nonzero_upto=7), 7,
+           [F(p, 3) for p in range(-16, 17) if p % 3], [F(p, 2) for p in range(-15, 16)], shapes)
+    yield (_fractional_functional(), 7, [F(p, 9) for p in range(-40, 41) if p % 3],
+           [F(p, 4) for p in range(-13, 14)], [(n, k, m) for n, k, m in shapes if n + k <= 4])
+    yield (FiniteAtomFunctional([(3, -1), (1, -2), (0, -2), (4, 2), (-3, 2)]), 3,
+           [F(1, 2)], [], [(n, 1, 1) for n in range(4)])
+
+
+def test_uvarov_polynomial_against_determinant_oracle():
+    draw = random.Random(5)
+    drops = 0
+    for f, depth, ys_pool, xs_pool, shapes in _uvarov_oracle_cases():
+        sys = build_ortho_system(f, depth)
+        for n, k, m in shapes:
+            if n + m - 1 > depth:
+                continue
+            ys, xs_fixed = tuple(draw.sample(ys_pool, k)), tuple(draw.sample(xs_pool, m - 1))
+            want = _uvarov_oracle(sys, n, xs_fixed, ys)
+            poly, ok = uvarov_polynomial(sys, n, xs_fixed, ys)
+            assert poly == want, (f, n, xs_fixed, ys)
+            assert ok == (want.degree == n), (f, n, xs_fixed, ys)
+            drops += not ok
+    assert drops
+
+
 def test_uvarov_orthogonality_k1(rng):
     f = random_atom_functional(rng, 10, hankel_nonzero_upto=7)
     res = uvarov_system(f, ys=(F(1, 3),), upto=4)

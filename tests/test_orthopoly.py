@@ -27,7 +27,7 @@ from opident.orthopoly import (
     q_row,
     q_series,
 )
-from opident.ring import InverseSeries, UniPoly, integer_form
+from opident.ring import InverseSeries, RingMatrix, UniPoly, det_cofactor, det_generic, integer_form
 
 F = Fraction
 
@@ -236,6 +236,39 @@ def test_poly_lemma4_equals_recurrence(rng):
     sys = build_ortho_system(f, 8)
     for n in range(9):
         assert poly_lemma4(f, n) == sys.p(n)
+
+
+def _bordered_hankel(f, n):
+    """The Lemma 4 matrix in Fractions and UniPolys: the moment rows
+    (mu_i, ..., mu_{i+n}), i < n, over the row (1, x, ..., x^n)."""
+    x = UniPoly.variable()
+    rows = [[f.moment(i + j) for j in range(n + 1)] for i in range(n)]
+    return RingMatrix.from_rows(rows + [[x**j for j in range(n + 1)]])
+
+
+def _fractional_sequence(draw, count, nonzero_upto):
+    """A SequenceFunctional with moments over 1, 2, 3 and 7 whose H(1..nonzero_upto) are nonzero."""
+    while True:
+        f = SequenceFunctional(F(draw.randint(-9, 9), draw.choice((1, 2, 3, 7))) for _ in range(count))
+        if all(f.hankel_det(j) for j in range(1, nonzero_upto + 1)):
+            return f
+
+
+@pytest.mark.parametrize("kind", ["atoms", "sequence", "chebyshev"])
+def test_poly_lemma4_against_bordered_determinant(kind):
+    # poly_lemma4 against the determinant of the bordered matrix over H(n),
+    # n <= 8: det_cofactor up to n = 6, det_generic above (the plain
+    # expansion takes (n+1)! products)
+    draw = random.Random(31)
+    f = {
+        "atoms": lambda: random_atom_functional(draw, 9, hankel_nonzero_upto=8),
+        "sequence": lambda: _fractional_sequence(draw, 17, 8),
+        "chebyshev": ChebyshevCatalanFunctional,
+    }[kind]()
+    for n in range(9):
+        m = _bordered_hankel(f, n)
+        det = (det_cofactor if n <= 6 else det_generic)(m, UniPoly.one())
+        assert poly_lemma4(f, n) == det * (1 / f.hankel_det(n)), (kind, n)
 
 
 def test_poly_lemma5_examples():
