@@ -47,8 +47,6 @@ from .identity import (
     lemma8_check,
     lemma9_check,
     lhs_theorem1,
-    matrix_M,
-    matrix_N,
     modified_functional,
     prop13_sign,
     rhs_theorem1,
@@ -63,7 +61,6 @@ from .identity import (
     verify_theorem1,
 )
 from .chebyshev import (
-    chebU_classical,
     chebU_monic,
     closed_form_suite,
     conjecture16_check,

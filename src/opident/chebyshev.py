@@ -42,13 +42,6 @@ def chebU_monic(n: int) -> UniPoly:
     return UniPoly.variable() * chebU_monic(n - 1) - chebU_monic(n - 2)
 
 
-def chebU_classical(n: int, z: Fraction) -> Fraction:
-    """Classical U_n(z) = monic polynomial at 2z."""
-    if n == -1:
-        return _ZERO
-    return _chebU_at(n, 2 * Fraction(z))
-
-
 @lru_cache(maxsize=1024)
 def _chebU_at(n: int, z: Fraction) -> Fraction:
     """chebU_monic(n) at z, evaluated once per (n, z): the theorem grids

@@ -235,10 +235,7 @@ def _cmd_hankel(args) -> int:
     ys = _parse_rational_list(args.ys)
     if ys and not isinstance(f, FiniteAtomFunctional):
         raise SystemExit2("rational y parameters need a finite-atom functional")
-    if xs or ys:
-        value = f.modified_hankel_det(args.n, xs, ys)
-    else:
-        value = f.hankel_det(args.n)
+    value = f.modified_hankel_det(args.n, xs, ys)
     if args.json:
         _emit_json(
             {

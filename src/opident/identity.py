@@ -44,7 +44,6 @@ from .ring import (
     UniPoly,
     binomial,
     det_int,
-    det_poly,
     det_poly_minors,
     det_rational,
     format_rational,
@@ -56,7 +55,6 @@ from .ring import (
     vandermonde_product,
 )
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -291,38 +289,6 @@ def _pq_rows(sys: OrthoSystem, cols, x_form, y_form) -> list:
     return rows
 
 
-def _fractions(sys: OrthoSystem, cols, x_form, y_form) -> list:
-    """The _pq_rows as Fractions: each entry over its row's D and its column's d_b."""
-    return [[Fraction(v, den * sys.scales((b,))) for v, b in zip(nums, cols)]
-            for nums, den in _pq_rows(sys, cols, x_form, y_form)]
-
-
-def _theorem1_matrix(sys: OrthoSystem, inst: IdentityInstance) -> RingMatrix:
-    """The p/q matrix over the columns n-k .. n+m-1 in Fractions, atom mode only."""
-    if inst.mode != "atom":
-        raise ModeError("the p/q matrix has rational ys only; series mode has formal ys")
-    cols = range(inst.n - inst.k, inst.n + inst.m)
-    return RingMatrix.from_rows(_fractions(sys, cols, inst.x_form, inst.y_form))
-
-
-def matrix_M(sys: OrthoSystem, inst: IdentityInstance) -> RingMatrix:
-    """The n >= k matrix: p-rows over q-rows, columns indexed n-k .. n+m-1."""
-    if inst.n < inst.k:
-        raise ValueError("matrix_M needs n >= k; use matrix_N")
-    return _theorem1_matrix(sys, inst)
-
-
-def matrix_N(sys: OrthoSystem, inst: IdentityInstance) -> RingMatrix:
-    """The n < k matrix: k-n power columns, then p_0..p_{n+m-1} / q_0..q_{n+m-1}.
-
-    Built through the negative-index conventions, so matrix_N at n = k is
-    literally matrix_M (the boundary interpretation the induction needs).
-    """
-    if inst.n > inst.k:
-        raise ValueError("matrix_N needs n <= k; use matrix_M")
-    return _theorem1_matrix(sys, inst)
-
-
 # ---------------------------------------------------------------------------
 # The two sides
 # ---------------------------------------------------------------------------
@@ -520,7 +486,10 @@ def uvarov_polynomial(
     the modified density prod_{l>=2}(u - x_l) / prod(u - y_l) dmu.
 
     Returns (polynomial, degree_ok); a degree below n is reported, never
-    silently accepted.
+    silently accepted.  Only the x1 row is polynomial: in column b it holds
+    d_b p_b(x1), whose coefficients are the integers of int_polys[b], so
+    the expansion along it takes one det_int of the integer _pq_rows per
+    column, the atom rhs's denominators divided out as there.
     """
     _require_atoms(sys.functional)
     xs_fixed = tuple(Fraction(x) for x in xs_fixed)
@@ -528,11 +497,17 @@ def uvarov_polynomial(
     m = 1 + len(xs_fixed)
     k = len(ys)
     cols = range(n - k, n + m)
-    fixed = _fractions(sys, cols, (xs_fixed, (1,) * (m - 1), 1), (ys, (1,) * k, 1))
-    x1_row = [sys.p(b).rename("x1") if b >= 0 else _ZERO for b in cols]
-    d = det_poly(RingMatrix.from_rows([x1_row, *fixed]), ["x1"])
+    rows = _pq_rows(sys, cols, (xs_fixed, (1,) * (m - 1), 1), (ys, (1,) * k, 1))
+    fixed = [nums for nums, _ in rows]
+    coeffs = [0] * (n + m)
+    for j, b in enumerate(cols):
+        if b >= 0:
+            cofactor = (-1) ** j * det_int([r[:j] + r[j + 1 :] for r in fixed])
+            for i, c in enumerate(sys.int_polys[b][0]):
+                coeffs[i] += cofactor * c
     vx = vandermonde_product((UniPoly.variable("x1"),) + xs_fixed)
-    poly = d.exact_div(vx) * Fraction(theorem1_sign(n, k, m), _y_vandermonde(ys))
+    den = math.prod(d for _, d in rows) * sys.scales(cols) * _y_vandermonde(ys)
+    poly = UniPoly(coeffs, "x1").exact_div(vx) * Fraction(theorem1_sign(n, k, m), den)
     return poly, poly.degree == n
 
 

@@ -21,7 +21,8 @@ from .ring import (
     InverseSeries,
     RingMatrix,
     UniPoly,
-    det_poly,
+    det_int,
+    det_poly_minors,
     ratio,
 )
 
@@ -215,19 +216,18 @@ def poly_lemma4(f: MomentFunctional, n: int) -> UniPoly:
     """Monic p_n in x as a bordered-Hankel determinant divided by H(n).
 
     The (n+1) x (n+1) matrix has moment rows (mu_i .. mu_{i+n}) for
-    i = 0..n-1 and the bottom row (1, x, ..., x^n); det_poly computes it on
-    the integer moment row m_i / M, and M^n goes into the divisor.
+    i = 0..n-1 and the bottom row (1, x, ..., x^n).  Expanded along that
+    row, the coefficient of x^j is (-1)^(n+j) times the det_int of the
+    integer moment rows m_i / M without column j, and M^n goes into the
+    divisor.
     """
-    if n == 0:
-        return UniPoly.one()
     h_n = f.hankel_det(n)
     if not h_n:
         raise DegenerateFunctionalError(n)
     mu, den = f.moment_row(2 * n)
-    x = UniPoly.variable()
-    rows = [mu[i : i + n + 1] for i in range(n)]
-    rows.append([x**j for j in range(n + 1)])
-    return det_poly(RingMatrix.from_rows(rows), ["x"]) * (1 / (den**n * h_n))
+    rows = [list(mu[i : i + n + 1]) for i in range(n)]
+    coeffs = [(-1) ** (n + j) * det_int([r[:j] + r[j + 1 :] for r in rows]) for j in range(n + 1)]
+    return UniPoly(coeffs) * (1 / (den**n * h_n))
 
 
 def poly_lemma5(f: MomentFunctional, n: int) -> UniPoly:
@@ -235,14 +235,12 @@ def poly_lemma5(f: MomentFunctional, n: int) -> UniPoly:
     polynomial of degree <= n.
 
     When H(n) != 0 it equals (-1)^n H(n) p_n(x): the x^n coefficient of the
-    determinant is det(-mu_{i+j}) = (-1)^n H(n).  Computed by det_poly on
-    the integer moment row m_i / M, over M^n.
+    determinant is det(-mu_{i+j}) = (-1)^n H(n).  Computed as the last of
+    the det_poly_minors on the integer moment row m_i / M, over M^n.
     """
-    if n == 0:
-        return UniPoly.one()
     mu, den = f.moment_row(2 * n)
     lin = [UniPoly([mu[s + 1], -mu[s]]) for s in range(2 * n - 1)]
-    return det_poly(RingMatrix.hankel(lin, n), ["x"]) * Fraction(1, den**n)
+    return det_poly_minors(RingMatrix.hankel(lin, n), ["x"])[n] * Fraction(1, den**n)
 
 
 def q_row(sys: OrthoSystem, cols, y, order: int = 0, scale: int = 1) -> tuple[list[int], int]:

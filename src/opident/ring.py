@@ -673,15 +673,18 @@ def _dot(row, vec, zero):
     return acc if acc is not None else zero
 
 
-def _det_subset_expansion(m: RingMatrix, one):
-    """First-row expansion with minors memoized over column subsets.
+def det_generic(m: RingMatrix, one=_ONE):
+    """Division-free determinant over any commutative ring: first-row
+    expansion with minors memoized over column subsets, n * 2^(n-1) ring
+    multiplications at every size.  Large matrices have det_rational
+    (rationals) and det_poly_minors (polynomials).
 
-    At most n * 2^(n-1) ring multiplications.  Minors grow from the bottom
-    rows up, so scalar rows on top only scale the minors of series rows.
-    Each minor is multilinear in the columns: a column scaled by a nonzero
-    integer scales all its terms alike, so the same sums cancel and trunc
-    and cap do not change.
+    Minors grow from the bottom rows up, so scalar rows on top only scale
+    the minors of series rows.  Each minor is multilinear in the columns: a
+    column scaled by a nonzero integer scales all its terms alike, so the
+    same sums cancel and trunc and cap do not change.
     """
+    _require_square(m)
     n = m.rows
     if n == 0:
         return one
@@ -709,14 +712,6 @@ def _det_subset_expansion(m: RingMatrix, one):
             new[mask] = acc if acc is not None else zero
         minors = new
     return minors[(1 << n) - 1]
-
-
-def det_generic(m: RingMatrix, one=_ONE):
-    """Division-free determinant over any commutative ring: the memoized
-    subset expansion, n * 2^(n-1) ring multiplications at every size.  Large
-    matrices have det_rational (rationals) and det_poly (polynomials)."""
-    _require_square(m)
-    return _det_subset_expansion(m, one)
 
 
 def det_int(a: list) -> int:
@@ -878,14 +873,15 @@ def vandermonde_product(values, mults=None):
     return prod if prod is not None else 1
 
 
-def det_poly(m: RingMatrix, variables):
-    """Determinant of a square matrix of polynomials as an exact polynomial.
+def det_poly_minors(m: RingMatrix, variables) -> list:
+    """The determinant of every leading k x k block of a square matrix of
+    polynomials, k = 0..n, each as an exact polynomial.
 
     ``variables`` are named outer first.  An entry is a rational scalar or
     a UniPoly in the first variable whose coefficients are scalars or
     UniPolys in the second; a UniPoly in the second variable alone is
     constant in the first.  The result nests the same way.
-    det_generic(m, one) is the oracle.  Each term of the expansion takes
+    det_generic(block, one) is the oracle.  Each term of the expansion takes
     one entry per row, so deg_v det <= sum_i max_j deg_v a_ij: that is the
     bound of each variable v.
 
@@ -894,9 +890,10 @@ def det_poly(m: RingMatrix, variables):
     integer matrix is then Kronecker-packed: the innermost variable becomes
     B = 2^w and each outer one B^s, with s the slots of the variables inside
     it (the product of their bound + 1), so the coefficient of x^i y^j sits
-    in slot i (bound_y + 1) + j.  One det_int on the packed integer rows gives
-    every coefficient at once, and the product of the row multipliers is
-    divided out at the end: an integral coefficient is an int (see ratio).
+    in slot i (bound_y + 1) + j.  One leading_minors run on the packed
+    integer rows gives every coefficient of every block at once, and the
+    product of the block's row multipliers is divided out at the end: an
+    integral coefficient is an int (see ratio).
 
     Why decoding is exact: packing is a ring map Phi: Z[x, y] -> Z, so
     det(Phi(M)) = Phi(det M), and the Bareiss intermediates never need
@@ -905,22 +902,11 @@ def det_poly(m: RingMatrix, variables):
     bitlen(that bound) + 1 makes |c| < B/2.  Within the bounds every
     monomial owns its slot, and balanced base-B digits in [-B/2, B/2) are
     unique, so the digits of Phi(det M) are its coefficients, negative ones
-    borrowing from the slot above as they should.
+    borrowing from the slot above as they should.  A leading block's
+    degrees are within the whole matrix's bounds, and its coefficients
+    within the product of its own row norms, each at least 1, so the same
+    packing decodes every block.
     """
-    return _det_poly(m, variables, lambda cells: [(m.rows, det_int(cells))])[0]
-
-
-def det_poly_minors(m: RingMatrix, variables) -> list:
-    """det_poly of every leading k x k block of m, k = 0..n, from one
-    leading_minors run on det_poly's packing, which holds each block too: its
-    degrees are within the whole matrix's bounds, and its coefficients within
-    the product of the row norms, each taken at least 1, that sets the width."""
-    return _det_poly(m, variables, lambda cells: enumerate([1, *leading_minors(cells)]))
-
-
-def _det_poly(m: RingMatrix, variables, eliminate) -> list:
-    """The polynomials of the (k, packed value) pairs that eliminate gives
-    on det_poly's packed rows, each over the product of its k row scales."""
     _require_square(m)
     n = m.rows
     variables = tuple(variables)
@@ -947,20 +933,20 @@ def _det_poly(m: RingMatrix, variables, eliminate) -> list:
         return UniPoly(coeffs, variables[level])
 
     return [build(_unpack(v, width, slots[0]), 0, math.prod(scales[:k]))
-            for k, v in eliminate(cells)]
+            for k, v in enumerate([1, *leading_minors(cells)])]
 
 
 def _poly_form(x, variables):
-    """One walk over a det_poly entry: (its coefficients in ``variables``,
-    outer first, as nested lists, their lcm denominator d, the L1 norm of
-    d x, its degree in each variable)."""
+    """One walk over a det_poly_minors entry: (its coefficients in
+    ``variables``, outer first, as nested lists, their lcm denominator d,
+    the L1 norm of d x, its degree in each variable)."""
     leaves = []
     degrees = [0] * len(variables)
 
     def nest(x, level):
         if level == len(variables):
             if isinstance(x, UniPoly):
-                raise ValueError(f"det_poly entry in an unlisted variable {x.var!r}")
+                raise ValueError(f"det_poly_minors entry in an unlisted variable {x.var!r}")
             leaves.append(x)
             return x
         if isinstance(x, UniPoly) and x.var == variables[level]:

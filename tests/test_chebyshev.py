@@ -16,7 +16,6 @@ from opident.chebyshev import (
     _rank_one_det,
     _rank_one_minors,
     central_weight,
-    chebU_classical,
     chebU_monic,
     closed_form_suite,
     conjecture16_check,
@@ -35,7 +34,7 @@ from opident.identity import VerificationReport
 from opident.moments import ChebyshevCatalanFunctional, catalan
 from opident.orthopoly import build_ortho_system
 from opident import ring
-from opident.ring import (RingMatrix, UniPoly, binomial, det_generic, det_int, det_poly,
+from opident.ring import (RingMatrix, UniPoly, binomial, det_generic, det_int, det_poly_minors,
                           integer_form, ratio)
 
 from conftest import bruteforce_det
@@ -84,10 +83,10 @@ def test_chebU_values_at_special_points():
             assert v == 0
         else:
             assert v == (-1) ** (n // 2)
-    # U_n(1/2) has period 6: 1, 1, 0, -1, -1, 0
+    # U_n(1/2), the monic polynomial at argument 1, has period 6: 1, 1, 0, -1, -1, 0
     pattern = [1, 1, 0, -1, -1, 0]
     for n in range(12):
-        assert chebU_classical(n, F(1, 2)) == pattern[n % 6]
+        assert chebU_monic(n).eval(F(1)) == pattern[n % 6]
 
 
 def test_chebU_matches_orthogonal_system():
@@ -184,16 +183,17 @@ def test_theorem15_against_generic_determinant():
 
 
 def test_theorem_grids_against_det_poly():
-    # the two integer determinants of the bordered identity against one
-    # polynomial determinant of the Fraction Hankel matrix, whole grid
+    # the two integer determinants of the bordered identity against the
+    # polynomial determinant of the Fraction Hankel matrix (the last of its
+    # det_poly_minors), whole grid
     for a in A_GRID:
         rho = [modified_moment_cheb(s, a) for s in range(24)]
         for n in range(1, 13):
             hankel = RingMatrix.hankel(rho[: 2 * n - 1], n)
-            assert det_poly(hankel, ["X"]) == theorem14_eval(n, a).lhs, (n, a)
+            assert det_poly_minors(hankel, ["X"])[-1] == theorem14_eval(n, a).lhs, (n, a)
             for b in B_GRID:
                 sigma = [rho[s + 1] - b * rho[s] for s in range(2 * n - 1)]
-                direct = det_poly(RingMatrix.hankel(sigma, n), ["X"])
+                direct = det_poly_minors(RingMatrix.hankel(sigma, n), ["X"])[-1]
                 assert direct == theorem15_eval(n, a, b).lhs, (n, a, b)
 
 
@@ -203,7 +203,8 @@ def test_theorem_grids_against_det_poly():
 def test_shifted_identity_against_det_poly(entry):
     for n in range(1, 13):
         shifted = [UniPoly([entry(s), 1], "Y") for s in range(2 * n - 1)]
-        assert _det_shifted_identity(entry, n) == det_poly(RingMatrix.hankel(shifted, n), ["Y"])
+        want = det_poly_minors(RingMatrix.hankel(shifted, n), ["Y"])[-1]
+        assert _det_shifted_identity(entry, n) == want
 
 
 @settings(max_examples=80, deadline=None)

@@ -81,6 +81,37 @@ def test_hankel_chebyshev(capsys):
     assert out.strip() == "1"
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["--n", "0"], 0, "1\n", ""),
+    (["--n", "6", "--json"], 0, '{"command":"hankel","n":6,"value":"1","xs":[],"ys":[]}\n', ""),
+    (["--n", "0", "--functional", "atoms7.json", "--json"], 0,
+     '{"command":"hankel","n":0,"value":"1","xs":[],"ys":[]}\n', ""),
+    (["--n", "5", "--functional", "atoms7.json"], 0, "56946516480\n", ""),
+    (["--n", "8", "--functional", "atoms7.json"], 0, "0\n", ""),
+    (["--n", "3", "--functional", "atoms8-fractional.json"], 0,
+     "8684555846901367/350065800000\n", ""),
+    (["--n", "2", "--functional", "seq.json", "--json"], 0,
+     '{"command":"hankel","n":2,"value":"1/2","xs":[],"ys":[]}\n', ""),
+    (["--n", "4", "--functional", "seq.json"], 1, "", "error: moment 6 requested, horizon is 2\n"),
+    (["--n", "3", "--functional", "seq.json", "--json"], 1, "",
+     "error: moment 4 requested, horizon is 2\n"),
+], ids=["n0", "chebyshev-json", "atoms-n0", "atoms", "atoms-past-rank", "fractional-atoms",
+        "sequence", "past-horizon", "past-horizon-json"])
+def test_hankel_without_parameters_prints_as_pinned(argv, code, out, err, tmp_path, capsys):
+    # H(n) with no xs or ys: exit code, stdout and stderr as the command has
+    # always printed them, for the Chebyshev default, atoms and a sequence
+    # read past its horizon
+    (tmp_path / "seq.json").write_text('{"type":"sequence","moments":["1","0","1/2"]}')
+    paths = {"atoms7.json": GOLDEN / "atoms7.json",
+             "atoms8-fractional.json": GOLDEN / "atoms8-fractional.json",
+             "seq.json": tmp_path / "seq.json"}
+    argv = [str(paths.get(a, a)) for a in argv]
+    assert run_cli(["hankel", *argv], capsys) == (code, out, err)
+
+
 def test_hankel_pole_exits_1(tmp_path, capsys):
     path = tmp_path / "atoms.json"
     path.write_text('{"type":"atoms","atoms":[["0","1"],["2","1/2"]]}')

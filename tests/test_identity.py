@@ -21,8 +21,6 @@ from opident.identity import (
     lemma8_check,
     lemma9_check,
     lhs_theorem1,
-    matrix_M,
-    matrix_N,
     modified_functional,
     prop13_sign,
     rhs_theorem1,
@@ -62,7 +60,7 @@ from opident.ring import (
     RingMatrix,
     UniPoly,
     det_generic,
-    det_poly,
+    det_poly_minors,
     det_rational,
     format_rational,
     integer_form,
@@ -82,11 +80,20 @@ def atom_system(rng, atoms=8, depth=8):
 # Matrix shapes and conventions
 # ---------------------------------------------------------------------------
 
+def _pq_matrix(sys, inst):
+    """The atom-mode p/q matrix over the columns n-k .. n+m-1 in Fractions:
+    each of the integer _pq_rows over its row's denominator and its column's d_b."""
+    cols = range(inst.n - inst.k, inst.n + inst.m)
+    rows = identity._pq_rows(sys, cols, inst.x_form, inst.y_form)
+    return RingMatrix.from_rows([[F(v, den * sys.scales((b,))) for v, b in zip(nums, cols)]
+                                 for nums, den in rows])
+
+
 def test_matrix_empty_case():
     f = ChebyshevCatalanFunctional()
     sys = build_ortho_system(f, 3)
     inst = IdentityInstance(n=3)
-    mat = matrix_M(sys, inst)
+    mat = _pq_matrix(sys, inst)
     assert mat.rows == mat.cols == 0
     assert det_rational(mat) == 1
 
@@ -95,25 +102,25 @@ def test_matrix_M_corollary_shapes(rng):
     f, sys = atom_system(rng, 6, 5)
     # k = 0, m = 1: 1x1 [p_n(x_1)]
     inst = IdentityInstance(n=3, xs=(F(1, 2),))
-    assert matrix_M(sys, inst).entries == (sys.p_value(3, F(1, 2)),)
+    assert _pq_matrix(sys, inst).entries == (sys.p_value(3, F(1, 2)),)
     # k = 1, m = 0: 1x1 [q_{n-1}(y_1)]
     inst = IdentityInstance(n=3, ys=(F(1, 3),))
-    assert matrix_M(sys, inst).entries == (q_exact(sys, 2, F(1, 3)),)
+    assert _pq_matrix(sys, inst).entries == (q_exact(sys, 2, F(1, 3)),)
 
 
 def test_matrix_N_power_block(rng):
     f, sys = atom_system(rng, 6, 5)
     # n = 0, m = 0, k = 1 -> [[1]]
     inst = IdentityInstance(n=0, ys=(F(1, 3),))
-    assert matrix_N(sys, inst).entries == (F(1),)
+    assert _pq_matrix(sys, inst).entries == (F(1),)
     # n = 0, m = 0, k = 2 -> [[y1, 1], [y2, 1]]
     y1, y2 = F(1, 3), F(2, 3)
     inst = IdentityInstance(n=0, ys=(y1, y2))
-    assert matrix_N(sys, inst).to_rows() == [[y1, F(1)], [y2, F(1)]]
+    assert _pq_matrix(sys, inst).to_rows() == [[y1, F(1)], [y2, F(1)]]
     # n = k - 1: exactly one power column in the block layout
     y3 = F(4, 3)
     inst = IdentityInstance(n=2, ys=(y1, y2, y3))
-    mat = matrix_N(sys, inst)
+    mat = _pq_matrix(sys, inst)
     assert mat.rows == 3
     for r, y in enumerate((y1, y2, y3)):
         assert mat.get(r, 0) == 1  # y^(k-n-1) = y^0
@@ -121,16 +128,22 @@ def test_matrix_N_power_block(rng):
 
 
 def test_matrix_N_at_boundary_equals_M(rng):
+    # at n = k the power block is empty: the matrix is M's, p_b(x) over
+    # q_b(y) in the columns b = 0 .. n+m-1
     f, sys = atom_system(rng, 6, 5)
-    inst = IdentityInstance(n=2, xs=(F(5, 2),), ys=(F(1, 3), F(2, 3)))
-    assert matrix_N(sys, inst) == matrix_M(sys, inst)
+    xs, ys = (F(5, 2),), (F(1, 3), F(2, 3))
+    inst = IdentityInstance(n=2, xs=xs, ys=ys)
+    want = [[sys.p_value(b, x) for b in range(3)] for x in xs]
+    want += [[q_exact(sys, b, y) for b in range(3)] for y in ys]
+    assert _pq_matrix(sys, inst).to_rows() == want
+    assert _pq_matrix(sys, inst) == _oracle_matrix(sys, inst)
 
 
 def test_matrix_depth_guard(rng):
     f, sys = atom_system(rng, 6, 3)
     inst = IdentityInstance(n=3, xs=(F(1, 2), F(3, 2)))  # needs p_4
     with pytest.raises(ValueError):
-        matrix_M(sys, inst)
+        _pq_matrix(sys, inst)
 
 
 def test_instance_rejects_repeated_parameters():
@@ -562,7 +575,7 @@ def test_condensation_relation_of_matrices(rng):
 
     def d(n, use_xs, use_ys):
         inst = IdentityInstance(n=n, xs=use_xs, ys=use_ys)
-        return det_rational(matrix_M(sys, inst))
+        return det_rational(_pq_matrix(sys, inst))
 
     for n in range(2, 6):
         for k in range(1, 4):
@@ -951,7 +964,7 @@ def test_integer_rhs_matches_fraction_oracle(fractional, rng):
     sys = build_ortho_system(f, 7)
     for inst in _oracle_instances(12):
         mat = _oracle_matrix(sys, inst)
-        assert identity._theorem1_matrix(sys, inst) == mat, inst.params()
+        assert _pq_matrix(sys, inst) == mat, inst.params()
         expected = prop13_sign(inst) * det_rational(mat) / F(*identity._vandermondes(inst))
         assert rhs_theorem1(sys, inst) == expected, inst.params()
 
@@ -1210,7 +1223,7 @@ def test_confluent_matrix_negative_index_entry(rng):
     # q_{-1}(w) = w^0 = 1 in the power block
     f, sys = atom_system(rng, 6, 4)
     inst = IdentityInstance(n=0, omega=((F(1, 3), 1),))
-    assert identity._theorem1_matrix(sys, inst).entries == (F(1),)
+    assert _pq_matrix(sys, inst).entries == (F(1),)
 
 
 def test_confluent_derivative_rows(rng):
@@ -1218,7 +1231,7 @@ def test_confluent_derivative_rows(rng):
     f, sys = atom_system(rng, 6, 5)
     xi = F(1, 2)
     inst = IdentityInstance(n=2, xi=((xi, 2),))
-    mat = identity._theorem1_matrix(sys, inst)
+    mat = _pq_matrix(sys, inst)
     assert mat.get(0, 0) == sys.p(2).eval(xi)
     assert mat.get(1, 0) == sys.p(2).derivative().eval(xi)
     assert mat.get(1, 1) == sys.p(3).derivative().eval(xi)
@@ -1230,7 +1243,7 @@ def test_confluent_derivative_rows(rng):
     x, y = F(3, 4), F(5, 2)
     for n in (1, 3):
         inst = IdentityInstance(n=n, xi=((x, 3),), omega=((y, 3),))
-        mat = identity._theorem1_matrix(sys, inst)
+        mat = _pq_matrix(sys, inst)
         for j, b in enumerate(range(n - 3, n + 3)):
             for r in range(3):
                 fact = math.factorial(r)
@@ -1447,7 +1460,7 @@ def test_domain_errors_share_one_base():
 
 
 def test_uvarov_refuses_fixed_x_on_atom_node_before_any_polynomial(monkeypatch):
-    # x_2 = 1 is a node of atoms7.json: refused before any det_poly work
+    # x_2 = 1 is a node of atoms7.json: refused before any determinant work
     f = functional_from_json((Path(__file__).parent / "golden" / "atoms7.json").read_text())
     calls = []
     orig = identity.uvarov_polynomial
@@ -1527,15 +1540,15 @@ def test_lemma_params_keep_integral_entries_plain():
 
 
 def test_lin_det_nests_one_univariate_determinant():
-    # _lin_det at slot 0 and slot 1 equals det_poly over (alpha, beta) of
-    # the linear entries in that variable
+    # _lin_det at slot 0 and slot 1 equals the polynomial determinant over
+    # (alpha, beta) of the linear entries in that variable
     rng = random.Random(23)
     for c in ([rng.randint(-9, 9) for _ in range(9)], [F(rng.randint(-9, 9), 2) for _ in range(9)]):
         c = identity._coerce_sequence(c, 9)
         for size in range(5):
             for slot, var in enumerate(("alpha", "beta")):
                 lin = [UniPoly([c[s + 1], c[s]], var) for s in range(2 * size - 1)]
-                want = det_poly(RingMatrix.hankel(lin, size), ["alpha", "beta"])
+                want = det_poly_minors(RingMatrix.hankel(lin, size), ["alpha", "beta"])[-1]
                 assert identity._lin_det(c, size, slot) == want, (size, slot)
 
 

@@ -249,7 +249,8 @@ def _bordered_hankel(f, n):
 def _fractional_sequence(draw, count, nonzero_upto):
     """A SequenceFunctional with moments over 1, 2, 3 and 7 whose H(1..nonzero_upto) are nonzero."""
     while True:
-        f = SequenceFunctional(F(draw.randint(-9, 9), draw.choice((1, 2, 3, 7))) for _ in range(count))
+        f = SequenceFunctional(F(draw.randint(-9, 9), draw.choice((1, 2, 3, 7)))
+                               for _ in range(count))
         if all(f.hankel_det(j) for j in range(1, nonzero_upto + 1)):
             return f
 

@@ -18,14 +18,14 @@ from opident.ring import (
     det_cofactor,
     det_generic,
     det_int,
-    det_poly,
+    det_poly_minors,
     det_rational,
     format_rational,
     parse_rational,
     vandermonde_product,
 )
 from opident import ring
-from opident.ring import _det_subset_expansion, _pack, _unpack
+from opident.ring import _pack, _unpack
 
 from conftest import bruteforce_det, random_fraction_rows
 
@@ -259,7 +259,7 @@ def test_det_cofactor_and_berkowitz_series_bookkeeping():
     m = RingMatrix.from_rows([[0, F(0), 0], [s, 1, s], [1, s, F(2)]])
     got = det_cofactor(m, one)
     assert got.is_exact_zero
-    assert _same_det(got, _det_subset_expansion(m, one))
+    assert _same_det(got, det_generic(m, one))
     # Berkowitz books this 5x5 zero with trunc 3 where the cofactor oracle
     # has the exact zero: the two agree in value only.  det_generic, the
     # subset expansion at every size, matches the oracle in bookkeeping too.
@@ -317,19 +317,19 @@ def test_det_poly_at_the_slot_width_edge():
     # w = bitlen(bound) + 1 must hold: 255 = 2^8 - 1 leaves B/2 = 256.
     for a, b in ((15, 17), (-15, 17), (7, 1), (-7, 1)):
         m = RingMatrix.from_rows([[_mono_x(a), F(0)], [F(0), F(b)]])
-        assert det_poly(m, ["x"]) == _mono_x(a * b)
+        assert det_poly_minors(m, ["x"])[-1] == _mono_x(a * b)
         m = RingMatrix.from_rows([[F(0), _mono_x(a, 2)], [_mono_x(b), F(0)]])
-        assert det_poly(m, ["x"]) == _mono_x(-a * b, 3)
+        assert det_poly_minors(m, ["x"])[-1] == _mono_x(-a * b, 3)
     # two variables: -35 alpha^2 beta and 15 alpha beta^2
     alpha2 = UniPoly([F(0), F(0), F(7)], "alpha")
     beta = UniPoly([UniPoly([F(0), F(-5)], "beta")], "alpha")
     expected = UniPoly([F(0), F(0), UniPoly([F(0), F(-35)], "beta")], "alpha")
     m = RingMatrix.from_rows([[alpha2, F(0)], [F(0), beta]])
-    assert det_poly(m, ["alpha", "beta"]) == expected
+    assert det_poly_minors(m, ["alpha", "beta"])[-1] == expected
     ab2 = UniPoly([F(0), UniPoly([F(0), F(0), F(3)], "beta")], "alpha")
     m = RingMatrix.from_rows([[F(0), ab2], [F(-5), F(0)]])
     expected = UniPoly([F(0), UniPoly([F(0), F(0), F(15)], "beta")], "alpha")
-    assert det_poly(m, ["alpha", "beta"]) == expected
+    assert det_poly_minors(m, ["alpha", "beta"])[-1] == expected
 
 
 def test_det_poly_negative_inner_coefficients_borrow():
@@ -346,7 +346,7 @@ def test_det_poly_negative_inner_coefficients_borrow():
     assert expected == UniPoly(
         [UniPoly([F(1), F(-2)], "beta"), UniPoly([F(0), F(5, 2)], "beta")], "alpha"
     )
-    assert det_poly(m, ["alpha", "beta"]) == expected
+    assert det_poly_minors(m, ["alpha", "beta"])[-1] == expected
     # det [[a - b, 0], [0, -a - b]] = -a^2 + b^2: every coefficient negative or
     # below a negative neighbour
     def linear(ca, cb):
@@ -354,39 +354,40 @@ def test_det_poly_negative_inner_coefficients_borrow():
 
     m = RingMatrix.from_rows([[linear(1, -1), F(0)], [F(0), linear(-1, -1)]])
     expected = UniPoly([UniPoly([F(0), F(0), F(1)], "beta"), F(0), F(-1)], "alpha")
-    assert det_poly(m, ["alpha", "beta"]) == expected
+    assert det_poly_minors(m, ["alpha", "beta"])[-1] == expected
 
 
 def test_det_poly_empty_and_constant_matrices():
     empty = RingMatrix(0, 0, [])
-    assert det_poly(empty, []) == 1
-    assert det_poly(empty, ["x"]) == UniPoly.one("x")
-    assert det_poly(empty, ["alpha", "beta"]) == 1
+    assert det_poly_minors(empty, [])[-1] == 1
+    assert det_poly_minors(empty, ["x"])[-1] == UniPoly.one("x")
+    assert det_poly_minors(empty, ["alpha", "beta"])[-1] == 1
     m = RingMatrix.from_rows([[F(1, 2), F(3)], [F(-1, 3), 4]])
-    assert det_poly(m, []) == F(3)
-    assert det_poly(m, ["x"]) == UniPoly.constant(F(3), "x")
-    assert det_poly(m, ["alpha", "beta"]) == F(3)
+    assert det_poly_minors(m, [])[-1] == F(3)
+    assert det_poly_minors(m, ["x"])[-1] == UniPoly.constant(F(3), "x")
+    assert det_poly_minors(m, ["alpha", "beta"])[-1] == F(3)
 
 
-def test_det_poly_makes_one_det_int_call(monkeypatch):
-    # the packed cells are ints already: one Bareiss run on them, with no
-    # det_rational rescan of the rows
+def test_det_poly_minors_makes_one_leading_minors_run(monkeypatch):
+    # the packed cells are ints already: one leading_minors run on them, with
+    # no det_rational rescan of the rows, gives every block's determinant
     calls = []
 
     def counted(a):
         calls.append(a)
-        return det_int(a)
+        return leading_minors(a)
 
-    monkeypatch.setattr(ring, "det_int", counted)
+    leading_minors = ring.leading_minors
+    monkeypatch.setattr(ring, "leading_minors", counted)
     monkeypatch.setattr(ring, "det_rational", None)
     x = UniPoly.variable("x")
     for n in range(4):
         m = RingMatrix.hankel([x + i for i in range(2 * n)], n)
         calls.clear()
-        det_poly(m, ["x"])
+        assert len(det_poly_minors(m, ["x"])) == n + 1
         assert len(calls) == 1
         calls.clear()
-        det_poly(m, ["alpha", "x"])
+        assert len(det_poly_minors(m, ["alpha", "x"])) == n + 1
         assert len(calls) == 1
 
 
@@ -514,29 +515,32 @@ def test_leading_minors_fall_back_after_a_zero_pivot(n, rng, monkeypatch):
         assert calls == list(range(k + 1, n + 1))
 
 
-def test_det_poly_minors_against_det_poly_of_each_block(rng):
+def test_det_poly_minors_against_det_generic_of_each_block(rng):
     # Every leading block decoded from the whole matrix's packing, rational
     # and polynomial entries in one and two variables; a zero last row makes
     # the whole determinant 0 while the blocks above it are not.
     x = UniPoly.variable("x")
     nested = UniPoly([UniPoly([F(1, 2), 3], "beta"), UniPoly([-2], "beta")], "alpha")
     cases = [
-        ([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(9)], ()),
-        ([x * rng.randint(-3, 3) + F(rng.randint(-9, 9), 2) for _ in range(9)], ("x",)),
-        ([nested * rng.randint(-3, 3) + rng.randint(-5, 5) for _ in range(9)], ("alpha", "beta")),
+        ([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(9)], (), F(1)),
+        ([x * rng.randint(-3, 3) + F(rng.randint(-9, 9), 2) for _ in range(9)], ("x",),
+         UniPoly.one("x")),
+        ([nested * rng.randint(-3, 3) + rng.randint(-5, 5) for _ in range(9)], ("alpha", "beta"),
+         UniPoly([UniPoly.one("beta")], "alpha")),
     ]
-    for entries, variables in cases:
+    for entries, variables, one in cases:
         for zero_row in (False, True):
             m = RingMatrix.hankel(entries, 5)
             if zero_row:
                 m = RingMatrix.from_rows(m.to_rows()[:4] + [[0] * 5])
-            got = ring.det_poly_minors(m, variables)
+            got = det_poly_minors(m, variables)
             rows = m.to_rows()
             assert len(got) == 6
             for k, value in enumerate(got):
                 block = RingMatrix.from_rows([r[:k] for r in rows[:k]]) if k else RingMatrix(0, 0, [])
-                assert value == det_poly(block, variables), (variables, zero_row, k)
-                assert str(value) == str(det_poly(block, variables))
+                want = det_generic(block, one)
+                assert value == want, (variables, zero_row, k)
+                assert str(value) == str(want) and _exact_leaves(value)
 
 
 def test_det_rational_and_det_poly_return_integral_values_as_ints(rng):
@@ -566,7 +570,7 @@ def test_det_rational_and_det_poly_return_integral_values_as_ints(rng):
                 m = RingMatrix.from_rows(
                     [[entry(variables, a[i][j], i == j) * scales[i] for j in range(n)]
                      for i in range(n)])
-                got = det_poly(m, variables) if variables else det_rational(m)
+                got = det_poly_minors(m, variables)[-1] if variables else det_rational(m)
                 assert got == det_generic(m, one) == det_cofactor(m, one)
                 assert _exact_leaves(got), (variables, n, got)
                 if cancel and n > 1:
@@ -589,9 +593,9 @@ def test_det_poly_one_variable_matches_cofactor(rng):
         m = RingMatrix.from_rows(rows)
         expected = det_cofactor(m, one=UniPoly.one("x"))
         assert expected.degree == n
-        assert det_poly(m, ["x"]) == expected
+        assert det_poly_minors(m, ["x"])[-1] == expected
     with pytest.raises(ValueError, match="unlisted variable 'z'"):
-        det_poly(RingMatrix(1, 1, [UniPoly.variable("z")]), ["x"])
+        det_poly_minors(RingMatrix(1, 1, [UniPoly.variable("z")]), ["x"])[-1]
 
 
 def test_det_poly_derives_the_degree_bound():
@@ -599,7 +603,7 @@ def test_det_poly_derives_the_degree_bound():
     # fall short of the degree and drop the x^2 term
     x = UniPoly.variable("x")
     m = RingMatrix.from_rows([[x + 1, F(2)], [F(3), x - 1]])
-    assert det_poly(m, ["x"]) == UniPoly.from_coeffs([-7, 0, 1], "x")
+    assert det_poly_minors(m, ["x"])[-1] == UniPoly.from_coeffs([-7, 0, 1], "x")
 
 
 def test_det_poly_bound_is_tight_in_each_variable():
@@ -613,7 +617,7 @@ def test_det_poly_bound_is_tight_in_each_variable():
     m = RingMatrix.from_rows([[a2, beta(0, 1)], [beta(0, 0, -1), a_half]])
     expected = UniPoly([UniPoly.from_coeffs([0, 0, 0, 1], "beta"), F(0), F(0), F(1, 2)], "alpha")
     assert det_cofactor(m, one=beta(1)) == expected
-    assert det_poly(m, ["alpha", "beta"]) == expected
+    assert det_poly_minors(m, ["alpha", "beta"])[-1] == expected
 
 
 def test_det_poly_two_variables_matches_cofactor_and_hand_expansion():
@@ -632,13 +636,13 @@ def test_det_poly_two_variables_matches_cofactor_and_hand_expansion():
     m = RingMatrix.from_rows(rows)
     one = UniPoly([UniPoly.one("beta")], "alpha")
     assert det_cofactor(m, one=one) == expected
-    assert det_poly(m, ["alpha", "beta"]) == expected
+    assert det_poly_minors(m, ["alpha", "beta"])[-1] == expected
 
 
 def _random_poly_entry(rng, variables):
-    """(entry for det_poly, the same entry for det_generic): a zero, an int,
+    """(entry for det_poly_minors, the same entry for det_generic): a zero, an int,
     a rational or a polynomial of degree <= 1 in each variable.  An entry
-    constant in the outer of two variables goes to det_poly as a bare
+    constant in the outer of two variables goes to det_poly_minors as a bare
     UniPoly in the inner one (the _lin_det slot-1 shape) and to det_generic
     wrapped in the outer one: UniPoly arithmetic between two tags nests by
     the left operand, so a bare inner entry would nest the wrong way round."""
@@ -681,7 +685,7 @@ def test_det_poly_matches_generic(variables):
                     pairs = [seq[i + j] for i in range(n) for j in range(n)]
                 m = RingMatrix(n, n, [p for p, _ in pairs])
                 oracle = RingMatrix(n, n, [o for _, o in pairs])
-                assert det_poly(m, variables) == det_generic(oracle, one)
+                assert det_poly_minors(m, variables)[-1] == det_generic(oracle, one)
 
 
 def test_binomial():
