@@ -372,12 +372,12 @@ def test_det_poly_minors_makes_one_leading_minors_run(monkeypatch):
     # the packed cells are ints already: one leading_minors run on them, with
     # no det_rational rescan of the rows, gives every block's determinant
     calls = []
+    leading_minors = ring.leading_minors
 
     def counted(a):
         calls.append(a)
         return leading_minors(a)
 
-    leading_minors = ring.leading_minors
     monkeypatch.setattr(ring, "leading_minors", counted)
     monkeypatch.setattr(ring, "det_rational", None)
     x = UniPoly.variable("x")
